@@ -64,6 +64,19 @@ def test_invariants_with_explicit_params(capsys):
     assert json.loads(out)["catalog"]["4.3"]["passed"]
 
 
+def test_params_rank_reads_log_as_log_abs(capsys):
+    # d*t + c < 0 on part of the sample box: log must read ln|.| there,
+    # as on the parameter grid, or the Jacobian turns nan
+    code, out, _ = _run(
+        capsys,
+        ["verify-invariants", "4.71.i", "--params", "c=-15/17,d=8/17,a=-1,b=1/4"],
+    )
+    assert code == 0
+    item = json.loads(out)["catalog"]["4.71.i"]
+    assert item["passed"]
+    assert item["rank"] == 5
+
+
 def test_bad_param_value_is_usage_error(capsys):
     code, _, _ = _run(capsys, ["verify-invariants", "4.3", "--params", "a"])
     assert code == 2
@@ -114,6 +127,22 @@ def test_trace_writes_csv(capsys, tmp_path):
     assert len(lines) == 52  # 50 steps + endpoint + header
     report = json.loads(out)
     assert report["traces"][0]["samples"] == 51
+
+
+def test_readme_trace_example_runs(capsys, tmp_path):
+    # the README's Fig. 2 command, with --out moved into tmp_path
+    out_csv = tmp_path / "fig2_u1.csv"
+    code, out, _ = _run(
+        capsys,
+        [
+            "trace", "nonisochoric-reduced", "--x0=-1.905,0.995,0.995", "--u0", "1",
+            "--t0", "0.1", "--t1", "3", "--out", str(out_csv),
+        ],
+    )
+    assert code == 0
+    trace = json.loads(out)["traces"][0]
+    assert trace["initial"] == [-1.905, 0.995, 0.995]
+    assert len(out_csv.read_text().strip().split("\n")) == trace["samples"] + 1
 
 
 def test_trace_empty_range_is_usage_error(capsys):

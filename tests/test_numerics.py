@@ -19,14 +19,19 @@ from gassym.numerics import (
     write_csv,
 )
 from gassym.submodel import (
+    Solution,
     flow_map,
     k0,
     m0,
     rho0,
     solution_family,
+    t,
     u0,
+    x,
     x0,
+    y,
     y0,
+    z,
     z0,
 )
 
@@ -95,6 +100,92 @@ def test_rk4_convergence_order():
     )
     order = convergence_order(velocity_function(s, {}), start, 0.5, 2.0, fn)
     assert 3.7 <= order <= 4.3
+
+
+def _numpy_velocity(s):
+    """Velocity on numpy 3-vectors, lambdified with numpy."""
+    fn = sp.lambdify((t, x, y, z), [s.u, s.v, s.w], modules="numpy")
+    return lambda tv, p: np.asarray(fn(tv, p[0], p[1], p[2]), dtype=float)
+
+
+def _reference_rk4(velocity, p0, t0, t1, h):
+    """RK4 on numpy 3-vectors with per-step lists: the reference loop."""
+    ts = [t0]
+    pts = [np.asarray(p0, dtype=float)]
+    tv, p = t0, pts[0]
+    while tv < t1 - 1e-15 * max(1.0, abs(t1)):
+        step = min(h, t1 - tv)
+        k1 = velocity(tv, p)
+        k2 = velocity(tv + step / 2, p + step / 2 * k1)
+        k3 = velocity(tv + step / 2, p + step / 2 * k2)
+        k4 = velocity(tv + step, p + step * k3)
+        p = p + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        tv = tv + step
+        ts.append(tv)
+        pts.append(p)
+    return np.array(ts), np.array(pts)
+
+
+@pytest.mark.parametrize(
+    "kind, t0, t1, h",
+    [
+        ("isochoric-reduced", 0.1, 2.9, 3e-3),
+        ("nonisochoric-reduced", 0.7, 3.3, 7e-4),
+    ],
+)
+def test_rk4_bit_identical_to_vector_reference(kind, t0, t1, h):
+    # h does not divide t1 - t0, so the last step is a remainder step
+    s = solution_family(kind).subs(BINDING)
+    p0 = [0.3, -0.7, 1.1]
+    tr = integrate(velocity_function(s, {}), p0, t0, t1, h)
+    ts, pts = _reference_rk4(_numpy_velocity(s), p0, t0, t1, h)
+    assert len(tr.ts) == math.ceil((t1 - t0) / h) + 1
+    assert tr.ts[-1] - tr.ts[-2] < h
+    assert np.array_equal(tr.ts, ts)
+    assert np.array_equal(tr.points, pts)
+
+
+def test_rk4_accepts_numpy_velocity():
+    vel = lambda tv, p: np.ones(3)
+    tr = integrate(vel, [0.0, 0.0, 0.0], 0.0, 0.25, 0.1)
+    ts, pts = _reference_rk4(vel, [0.0, 0.0, 0.0], 0.0, 0.25, 0.1)
+    assert len(tr.ts) == 4
+    assert np.array_equal(tr.ts, ts)
+    assert np.array_equal(tr.points, pts)
+
+
+def test_rk4_coarse_time_grid_outgrows_the_planned_steps():
+    # near 1e15 the time grid is 0.125 apart, so tv + 0.3 advances by
+    # 0.25: more steps than the ceil((t1 - t0)/h) + 2 samples allocated
+    vel = lambda tv, p: np.ones(3)
+    tr = integrate(vel, [0.0, 0.0, 0.0], 1e15, 1e15 + 30, 0.3)
+    ts, pts = _reference_rk4(vel, [0.0, 0.0, 0.0], 1e15, 1e15 + 30, 0.3)
+    assert len(tr.ts) > math.ceil(30 / 0.3) + 2
+    assert np.array_equal(tr.ts, ts)
+    assert np.array_equal(tr.points, pts)
+
+
+def test_rk4_rejects_step_below_time_resolution():
+    # near 1e16 the time grid is 2 apart, so tv + 0.5 == tv: the loop
+    # would never end
+    calls = []
+
+    def vel(tv, p):
+        calls.append(tv)
+        if len(calls) > 10_000:
+            raise RuntimeError("integration does not advance")
+        return (0.0, 0.0, 0.0)
+
+    with pytest.raises(ValueError, match="time resolution"):
+        integrate(vel, [0.0, 0.0, 0.0], 1e16, 1e16 + 64, 0.5)
+
+
+def test_rk4_overflow_is_integration_error():
+    # mutant: dx/dt = x^2 from x = 1 blows up at t = 1; the math-module
+    # velocity raises OverflowError there, which must not escape raw
+    blowup = Solution("blowup", x**2, 0, 0, 1, 0)
+    with pytest.raises(IntegrationError):
+        integrate(velocity_function(blowup, {}), [1.0, 0.0, 0.0], 0.0, 2.0, 1e-3)
 
 
 def test_integrate_validates_arguments():
