@@ -9,10 +9,14 @@ line.  Verification of an entry checks three things:
   * the five invariants are functionally independent (Jacobian rank 5 at
     seeded generic points).
 
-Parametric entries are verified twice: with parameters as symbols where
-the constraints permit, and on the admissible sample grid.  A symbolic
-failure that disappears under sampling is reported as a simplifier gap,
-not an invariance failure.
+One core, ``_verify_group``, does all three for an instantiated entry at
+a list of bindings of its symbolic parameters.  A single entry is the
+one-binding group ``[{}]``.  A catalog id is verified as one group per
+unit-circle value, with grid and choice parameters left as symbols: the
+symbolic closure and residuals are computed once and every admissible
+sample is checked by substitution.  A symbolic NonZero verdict that
+vanishes on every sample is reported as a simplifier gap, not an
+invariance failure.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "entry_basis",
     "entry_schema",
     "get_entry",
-    "independence_rank",
     "parameter_samples",
     "verify_entry",
     "verify_invariants",
@@ -78,39 +81,47 @@ _PARAM_NAMES = ("a", "b", "c", "d", "eps")
 _PARAM_SYMS = {n: sp.Symbol(n) for n in _PARAM_NAMES}
 
 
-def _load_raw() -> dict:
-    text = resources.files("gassym").joinpath("data/catalog.yaml").read_text()
-    return yaml.safe_load(text)
-
-
 _RAW = None
 
 
 def _raw_entries() -> dict[str, dict]:
     global _RAW
     if _RAW is None:
-        data = _load_raw()
-        _RAW = {e["id"]: e for e in data["entries"]}
+        text = resources.files("gassym").joinpath("data/catalog.yaml").read_text()
+        _RAW = {e["id"]: e for e in yaml.safe_load(text)["entries"]}
     return _RAW
+
+
+def _raw(entry_id: str) -> dict:
+    raw = _raw_entries().get(entry_id)
+    if raw is None:
+        raise UnknownEntryError(f"unknown catalog entry {entry_id!r}")
+    return raw
 
 
 def catalog_ids() -> list[str]:
     return list(_raw_entries().keys())
 
 
+def _linear_coeffs(expr: sp.Expr, gens: list) -> list[sp.Expr]:
+    """Coefficients of ``expr`` on ``gens``; raises unless it is linear."""
+    expr = sp.expand(expr)
+    coeffs = []
+    rest = expr
+    for g in gens:
+        c = expr.coeff(g, 1)
+        coeffs.append(sp.expand(c))
+        rest = rest - c * g
+    if sp.expand(rest) != 0:
+        raise ValueError(f"{expr} is not linear in {gens}")
+    return coeffs
+
+
 def _parse_basis_vector(text: str, params: dict) -> list[sp.Expr]:
     loc = dict(_GEN_SYMS)
     loc.update(_PARAM_SYMS)
-    expr = sp.expand(sp.sympify(text, locals=loc).subs(params))
-    vec = []
-    rest = expr
-    for lbl in L12_LABELS:
-        c = expr.coeff(_GEN_SYMS[lbl], 1)
-        vec.append(sp.expand(c))
-        rest = rest - c * _GEN_SYMS[lbl]
-    if sp.expand(rest) != 0:
-        raise ValueError(f"basis element {text!r} is not linear in the generators")
-    return vec
+    expr = sp.sympify(text, locals=loc).subs(params)
+    return _linear_coeffs(expr, [_GEN_SYMS[lbl] for lbl in L12_LABELS])
 
 
 def _chart_for(raw: dict, params: dict) -> Chart:
@@ -167,9 +178,7 @@ def _check_constraints(raw: dict, params: dict) -> bool:
 
 def get_entry(entry_id: str, **params) -> SubalgebraEntry:
     """Instantiate a catalog entry, validating parameter constraints."""
-    raw = _raw_entries().get(entry_id)
-    if raw is None:
-        raise UnknownEntryError(f"unknown catalog entry {entry_id!r}")
+    raw = _raw(entry_id)
     binding = {k: sp.nsimplify(v) for k, v in raw.get("fixed", {}).items()}
     free = _free_param_names(raw)
     for k, v in params.items():
@@ -207,9 +216,7 @@ def _instantiate(raw: dict, entry_id: str, binding: dict) -> SubalgebraEntry:
 def entry_schema(entry_id: str) -> dict:
     """Parameter layout of an entry: grid names, choice values, the
     unit-circle pair, fixed values, and constraint strings."""
-    raw = _raw_entries().get(entry_id)
-    if raw is None:
-        raise UnknownEntryError(f"unknown catalog entry {entry_id!r}")
+    raw = _raw(entry_id)
     return {
         "grid": list(raw.get("grid", [])),
         "choices": {k: list(v) for k, v in raw.get("choices", {}).items()},
@@ -225,9 +232,7 @@ def entry_basis(entry_id: str, binding: dict) -> list[list[sp.Expr]]:
     Unlike :func:`get_entry`, the binding values may be symbolic, which
     is how sign-split parameters reach the classification checks.
     """
-    raw = _raw_entries().get(entry_id)
-    if raw is None:
-        raise UnknownEntryError(f"unknown catalog entry {entry_id!r}")
+    raw = _raw(entry_id)
     full = {k: sp.nsimplify(v) for k, v in raw.get("fixed", {}).items()}
     for k, v in binding.items():
         full[k] = sp.sympify(v)
@@ -235,46 +240,36 @@ def entry_basis(entry_id: str, binding: dict) -> list[list[sp.Expr]]:
     return [_parse_basis_vector(b, subs) for b in raw["basis"]]
 
 
-def symbolic_entry(entry_id: str) -> SubalgebraEntry | None:
-    """Entry with free parameters left symbolic, or None if the entry has
-    an algebraic constraint (unit circle) that blocks a generic symbol."""
-    raw = _raw_entries().get(entry_id)
-    if raw is None:
-        raise UnknownEntryError(f"unknown catalog entry {entry_id!r}")
-    if raw.get("unit_circle"):
-        return None
-    binding = {k: sp.nsimplify(v) for k, v in raw.get("fixed", {}).items()}
-    for name in raw.get("grid", []):
-        binding[name] = _PARAM_SYMS[name]
-    for name in raw.get("choices", {}):
-        binding[name] = _PARAM_SYMS[name]
-    return _instantiate(raw, entry_id, binding)
+def parameter_bindings(entry_id: str, grid_values) -> list[dict]:
+    """Free-parameter bindings of an entry that satisfy its constraints.
 
-
-def parameter_samples(entry_id: str) -> list[dict]:
-    """Admissible parameter grid for an entry (empty dict if none)."""
-    raw = _raw_entries().get(entry_id)
-    if raw is None:
-        raise UnknownEntryError(f"unknown catalog entry {entry_id!r}")
-    axes: list[list[tuple[tuple[str, ...], tuple]]] = []
+    The axes are the unit-circle points, then ``grid_values(name)`` for
+    each grid parameter, then each choice parameter's listed values.
+    Fixed values are not in the bindings, but the constraints see them.
+    Raises :class:`ConstraintError` when a constraint cannot be decided.
+    """
+    raw = _raw(entry_id)
+    axes: list[list[dict]] = []
     if raw.get("unit_circle"):
-        pair = tuple(raw["unit_circle"])
-        axes.append([(pair, s) for s in UNIT_CIRCLE])
+        axes.append([dict(zip(raw["unit_circle"], s)) for s in UNIT_CIRCLE])
     for name in raw.get("grid", []):
-        axes.append([((name,), (v,)) for v in GRID])
+        axes.append([{name: v} for v in grid_values(name)])
     for name, values in raw.get("choices", {}).items():
-        axes.append([((name,), (sp.nsimplify(v),)) for v in values])
-    if not axes:
-        return [dict(raw.get("fixed", {}))]
+        axes.append([{name: sp.nsimplify(v)} for v in values])
+    fixed = {k: sp.nsimplify(v) for k, v in raw.get("fixed", {}).items()}
     out = []
     for combo in itertools.product(*axes):
-        binding = {k: sp.nsimplify(v) for k, v in raw.get("fixed", {}).items()}
-        for names, values in combo:
-            binding.update(dict(zip(names, values)))
-        subs = {_PARAM_SYMS[k]: v for k, v in binding.items()}
+        binding = {k: v for part in combo for k, v in part.items()}
+        subs = {_PARAM_SYMS[k]: v for k, v in {**fixed, **binding}.items()}
         if _check_constraints(raw, subs):
             out.append(binding)
     return out
+
+
+def parameter_samples(entry_id: str) -> list[dict]:
+    """Admissible parameter grid for an entry, fixed values included."""
+    fixed = {k: sp.nsimplify(v) for k, v in _raw(entry_id).get("fixed", {}).items()}
+    return [{**fixed, **b} for b in parameter_bindings(entry_id, lambda _: GRID)]
 
 
 # --------------------------------------------------------------------------
@@ -302,35 +297,6 @@ class VerificationReport:
         return ok
 
 
-def _annihilation_verdicts(entry: SubalgebraEntry, seed: int, tol: float) -> dict:
-    verdicts = {}
-    realized = entry.realized_basis()
-    invs = entry.invariants_with_density()
-    for gi, g in enumerate(realized):
-        for ii, inv in enumerate(invs):
-            applied = g.apply(inv)
-            if applied == 0:
-                verdicts[(gi, ii)] = "SymbolicZero"
-            else:
-                v = is_zero(applied, _DOMAINS, seed=seed, tol=tol)
-                verdicts[(gi, ii)] = v.kind
-    return verdicts
-
-
-def independence_rank(
-    entry: SubalgebraEntry, *, n_points: int = 10, seed: int = 0, tol: float = 1e-8
-) -> int:
-    """Max numeric rank of the 5x9 invariant Jacobian at seeded points.
-
-    The single-entry case of ``_group_ranks``, so ``log`` reads ln|.| here
-    as on the parameter grid.
-    """
-    if any(v.free_symbols - {sp.Symbol(c) for c in entry.chart.coords}
-           for v in entry.invariants):
-        raise ConstraintError("rank requires numeric parameters")
-    return _group_ranks(entry, [], [{}], n_points=n_points, seed=seed, tol=tol)[0]
-
-
 def _group_ranks(
     entry: SubalgebraEntry,
     grid_syms: list,
@@ -340,7 +306,9 @@ def _group_ranks(
     seed: int = 0,
     tol: float = 1e-8,
 ) -> list[int]:
-    """Numeric Jacobian ranks for each binding, sharing one lambdify."""
+    """Max numeric rank of the 5x9 invariant Jacobian at seeded points,
+    for each binding of ``grid_syms``, sharing one lambdify.  ``log``
+    reads ln|.|, as in the catalog."""
     coords = [sp.Symbol(c) for c in entry.chart.coords]
     invs = entry.invariants_with_density()
     jac = sp.Matrix([[sp.diff(i, c) for c in coords] for i in invs])
@@ -362,30 +330,21 @@ def _group_ranks(
 
 
 def _verify_group(
-    raw: dict,
-    entry_id: str,
-    grid_names: list[str],
-    bindings: list[dict],
-    *,
-    seed: int,
-    tol: float,
-) -> list[dict]:
-    """Verify bindings differing only in grid parameters via one symbolic
-    pass with those parameters left as symbols.
+    entry: SubalgebraEntry, bindings: list[dict], *, seed: int, tol: float
+) -> tuple[dict, list[dict]]:
+    """Closure, annihilation verdicts and rank of ``entry`` at each binding
+    of its symbolic parameters (all bindings share one set of names).
 
-    Closure and annihilation established symbolically transfer to every
-    binding by substitution; a binding only falls back to its own exact
-    check when a symbolic denominator vanishes there.
+    Closure and the residuals are computed once, symbolically; a binding
+    only falls back to its own exact closure check, on ``entry.basis``
+    substituted, when the symbolic check fails or one of its
+    denominators vanishes there.  Returns the unsubstituted closure and
+    verdicts, and one report per binding.
     """
-    grid_syms = [_PARAM_SYMS[n] for n in grid_names]
-    generic = dict(bindings[0])
-    for n in grid_names:
-        generic[n] = _PARAM_SYMS[n]
-    ent = _instantiate(raw, entry_id, generic)
-
-    closed, induced = ent.subalgebra().is_closed()
+    syms = [_PARAM_SYMS[n] for n in bindings[0]]
+    closed, induced = entry.subalgebra().is_closed()
     denominators = set()
-    if closed and grid_syms:
+    if closed and syms:
         for plane in induced:
             for row in plane:
                 for coeff in row:
@@ -394,96 +353,88 @@ def _verify_group(
                         denominators.add(den)
 
     residuals = {}
-    realized = ent.realized_basis()
-    invs = ent.invariants_with_density()
+    realized = entry.realized_basis()
+    invs = entry.invariants_with_density()
     for gi, g in enumerate(realized):
         for ii, inv in enumerate(invs):
             residuals[(gi, ii)] = g.apply(inv)
 
-    ranks = _group_ranks(ent, grid_syms, bindings, seed=seed)
+    def verdicts(subs: dict) -> dict:
+        return {
+            key: "SymbolicZero" if res == 0
+            else is_zero(res.subs(subs), _DOMAINS, seed=seed, tol=tol).kind
+            for key, res in residuals.items()
+        }
 
+    generic = {"closure_ok": closed, "verdicts": verdicts({})}
+    ranks = _group_ranks(entry, syms, bindings, seed=seed)
     reports = []
     for binding, rank in zip(bindings, ranks):
-        subs = {_PARAM_SYMS[n]: binding[n] for n in grid_names}
-        verdicts = {}
-        for key, res in residuals.items():
-            if res == 0:
-                verdicts[key] = "SymbolicZero"
-            else:
-                verdicts[key] = is_zero(res.subs(subs), _DOMAINS, seed=seed, tol=tol).kind
-        if closed and all(den.subs(subs) != 0 for den in denominators):
-            closed_here = True
-        else:
-            sampled = _instantiate(raw, entry_id, binding)
-            closed_here, _ = sampled.subalgebra().is_closed()
+        subs = {_PARAM_SYMS[n]: v for n, v in binding.items()}
+        closed_here = closed and all(den.subs(subs) != 0 for den in denominators)
+        if not closed_here and subs:
+            basis = sp.Matrix([list(v) for v in entry.basis]).subs(subs)
+            closed_here, _ = Subalgebra(l12(), basis).is_closed()
         reports.append({
-            "params": {k: str(v) for k, v in binding.items()},
             "closure_ok": closed_here,
-            "verdicts": verdicts,
+            "verdicts": verdicts(subs) if subs else generic["verdicts"],
             "rank": rank,
         })
-    return reports
+    return generic, reports
 
 
 def verify_invariants(
     entry: SubalgebraEntry, *, seed: int = 0, tol: float = 1e-9
 ) -> VerificationReport:
     """Closure + annihilation + independence for one instantiated entry."""
-    closed, _ = entry.subalgebra().is_closed()
-    verdicts = _annihilation_verdicts(entry, seed, tol)
-    rank = independence_rank(entry, seed=seed)
-    return VerificationReport(
-        entry_id=entry.id,
-        closure_ok=closed,
-        verdicts=verdicts,
-        rank=rank,
-    )
+    coords = {sp.Symbol(c) for c in entry.chart.coords}
+    if any(v.free_symbols - coords for v in entry.invariants):
+        raise ConstraintError("rank requires numeric parameters")
+    _, [rep] = _verify_group(entry, [{}], seed=seed, tol=tol)
+    return VerificationReport(entry.id, rep["closure_ok"], rep["verdicts"], rep["rank"])
 
 
 def verify_entry(entry_id: str, *, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Full verification campaign for one catalog id.
 
-    Runs the symbolic-parameter mode when the entry admits it, then every
-    admissible grid sample.  Symbolic NonZero verdicts that vanish on all
-    samples are downgraded to simplifier gaps.
+    Every admissible sample is checked, in one group per unit-circle
+    value with grid and choice parameters left as symbols.  An entry
+    without a unit circle reports its group's symbolic verdicts, where a
+    NonZero that vanishes on all samples is downgraded to a simplifier
+    gap; an entry with one reports its first sample's verdicts.
     """
-    sym = symbolic_entry(entry_id)
-    samples = parameter_samples(entry_id)
-
-    sym_verdicts: dict = {}
-    sym_closed = True
-    if sym is not None:
-        sym_closed, _ = sym.subalgebra().is_closed()
-        sym_verdicts = _annihilation_verdicts(sym, seed, tol)
-
-    raw = _raw_entries()[entry_id]
-    grid_names = [n for n in raw.get("grid", [])]
+    raw = _raw(entry_id)
+    circle = raw.get("unit_circle", [])
+    symbolic = list(raw.get("grid", [])) + list(raw.get("choices", {}))
     groups: dict[tuple, list[dict]] = {}
-    for binding in samples:
-        key = tuple(
-            (k, binding[k]) for k in sorted(binding) if k not in grid_names
-        )
-        groups.setdefault(key, []).append(binding)
-    sample_reports = []
+    for binding in parameter_samples(entry_id):
+        groups.setdefault(tuple(binding[n] for n in circle), []).append(binding)
+
+    closure_ok = True
+    samples = []
     for bindings in groups.values():
-        sample_reports += _verify_group(
-            raw, entry_id, grid_names, bindings, seed=seed, tol=tol
+        generic_binding = {**bindings[0], **{n: _PARAM_SYMS[n] for n in symbolic}}
+        entry = _instantiate(raw, entry_id, generic_binding)
+        generic, reports = _verify_group(
+            entry, [{n: b[n] for n in symbolic} for b in bindings], seed=seed, tol=tol
         )
+        closure_ok = closure_ok and generic["closure_ok"]
+        for binding, rep in zip(bindings, reports):
+            samples.append({"params": {k: str(v) for k, v in binding.items()}, **rep})
 
-    gaps = []
-    for key, kind in list(sym_verdicts.items()):
-        if kind == "NonZero" and all(
-            s["verdicts"].get(key) != "NonZero" for s in sample_reports
-        ):
-            sym_verdicts[key] = "SIMPLIFIER-GAP"
-            gaps.append(key)
-
-    rank = max((s["rank"] for s in sample_reports), default=0)
+    # without a unit circle there is one group, the last one run
+    verdicts = dict(samples[0]["verdicts"] if circle else generic["verdicts"])
+    gaps = [
+        key for key, kind in verdicts.items()
+        if kind == "NonZero" and all(s["verdicts"][key] != "NonZero" for s in samples)
+    ]
+    for key in gaps:
+        verdicts[key] = "SIMPLIFIER-GAP"
     return VerificationReport(
         entry_id=entry_id,
-        closure_ok=sym_closed and all(s["closure_ok"] for s in sample_reports),
-        verdicts=sym_verdicts or sample_reports[0]["verdicts"],
-        rank=rank,
-        samples=sample_reports,
+        closure_ok=closure_ok and all(s["closure_ok"] for s in samples),
+        verdicts=verdicts,
+        rank=max(s["rank"] for s in samples),
+        samples=samples,
         simplifier_gaps=gaps,
     )

@@ -24,10 +24,12 @@ import sympy as sp
 import yaml
 
 from .catalog import (
-    UNIT_CIRCLE,
+    _PARAM_SYMS,
     UnknownEntryError,
+    _linear_coeffs,
     entry_basis,
     entry_schema,
+    parameter_bindings,
     parameter_samples,
 )
 from .exprs import canonicalize
@@ -52,7 +54,6 @@ class NonInvertibleError(ValueError):
 
 _E_SYMS = [sp.Symbol(f"E{i}") for i in range(1, 5)]
 _e_SYMS = [sp.Symbol(f"e{i}") for i in range(1, 5)]
-_PARAM_SYMS = {n: sp.Symbol(n) for n in ("a", "b", "c", "d", "eps")}
 
 
 @dataclass(frozen=True)
@@ -90,19 +91,6 @@ def _locals() -> dict:
     loc = {s.name: s for s in _E_SYMS + _e_SYMS}
     loc.update(_PARAM_SYMS)
     return loc
-
-
-def _linear_coeffs(expr: sp.Expr, gens: list) -> list[sp.Expr]:
-    expr = sp.expand(expr)
-    coeffs = []
-    rest = expr
-    for g in gens:
-        c = expr.coeff(g, 1)
-        coeffs.append(c)
-        rest = rest - c * g
-    if sp.expand(rest) != 0:
-        raise ValueError(f"{expr} is not linear in {gens}")
-    return coeffs
 
 
 def _parse_relations(raw: dict) -> dict:
@@ -162,43 +150,31 @@ def _abs_params(asg: ClassAssignment) -> set[str]:
     return syms
 
 
-def _constraint_allows(constraints: list[str], binding: dict) -> bool:
-    subs = {_PARAM_SYMS[k]: v for k, v in binding.items()}
-    for cond in constraints:
-        val = sp.sympify(cond, locals=_PARAM_SYMS).subs(subs)
-        if val == sp.false or val is False:
-            return False
-    return True
+def _grid_cases(name: str, split: set[str], constraints: list) -> list:
+    """Symbolic values of one grid parameter: a signed positive symbol per
+    sign when it sits under an absolute value, a nonzero symbol when a
+    constraint says ``Ne(name, 0)``, a plain symbol otherwise."""
+    if name in split:
+        pos = sp.Symbol(name, positive=True)
+        return [pos, -pos]
+    if sp.Ne(_PARAM_SYMS[name], 0) in constraints:
+        return [sp.Symbol(name, nonzero=True)]
+    return [sp.Symbol(name)]
 
 
 def _parameter_cases(entry_id: str, asg: ClassAssignment) -> list[dict]:
-    """Case list: unit-circle samples x choice values x sign branches.
+    """Case list: unit-circle samples x sign branches x choice values.
 
-    Grid parameters stay symbolic; those under an absolute value become
-    signed positive symbols, one case per sign.
+    Grid parameters stay symbolic (see :func:`_grid_cases`); the catalog's
+    constraint rule filters the cases and raises when it cannot decide.
     """
-    schema = entry_schema(entry_id)
     split = _abs_params(asg)
-    axes: list[list[tuple[str, object]]] = []
-    if schema["unit_circle"]:
-        p, q = schema["unit_circle"]
-        axes.append([((p, cp), (q, cq)) for cp, cq in UNIT_CIRCLE])
-    for name, values in schema["choices"].items():
-        axes.append([((name, sp.nsimplify(v)),) for v in values])
-    for name in schema["grid"]:
-        if name in split:
-            pos = sp.Symbol(name, positive=True)
-            axes.append([((name, pos),), ((name, -pos),)])
-        else:
-            axes.append([((name, sp.Symbol(name)),)])
-    cases = []
-    for combo in itertools.product(*axes) if axes else [()]:
-        binding = {}
-        for group in combo:
-            binding.update(dict(group))
-        if _constraint_allows(schema["constraints"], binding):
-            cases.append(binding)
-    return cases
+    constraints = [
+        sp.sympify(c, locals=_PARAM_SYMS) for c in entry_schema(entry_id)["constraints"]
+    ]
+    return parameter_bindings(
+        entry_id, lambda name: _grid_cases(name, split, constraints)
+    )
 
 
 def verify_class(entry_id: str) -> ClassReport:

@@ -8,8 +8,9 @@ Subcommands:
   trace              RK4 particle trajectory exported as CSV
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage
-error (unknown entry id, empty time range, bad parameters).  Reports are
-deterministic for a fixed seed and configuration.
+error (unknown entry id, empty time range, non-positive step, bad
+parameters, a trace the velocity cannot be evaluated along).  Reports
+are deterministic for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import sympy as sp
 
@@ -70,13 +70,6 @@ def _resolve_ids(requested: list[str], known: list[str]) -> list[str]:
     return list(requested)
 
 
-def _map_jobs(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -121,11 +114,9 @@ def cmd_verify_invariants(args, report: dict) -> bool:
     else:
         if params:
             raise UsageError("--params requires exactly one entry id")
-        reports = _map_jobs(
-            lambda eid: catalog.verify_entry(eid, seed=args.seed, tol=args.tol_zero),
-            ids,
-            args.jobs,
-        )
+        reports = [
+            catalog.verify_entry(eid, seed=args.seed, tol=args.tol_zero) for eid in ids
+        ]
     report["catalog"] = {
         rep.entry_id: {
             "passed": rep.passed,
@@ -142,7 +133,7 @@ def cmd_verify_invariants(args, report: dict) -> bool:
 
 def cmd_classify(args, report: dict) -> bool:
     ids = _resolve_ids(args.entries, classify.class_ids())
-    reports = _map_jobs(classify.verify_class, ids, args.jobs)
+    reports = [classify.verify_class(eid) for eid in ids]
     cons = classify.fingerprint_consistency(ids)
     report["classes"] = {
         "rows": {
@@ -170,61 +161,10 @@ def cmd_classify(args, report: dict) -> bool:
     return report["classes"]["passed"]
 
 
-_SOLUTION_KINDS = (
-    "isochoric-general",
-    "isochoric-reduced",
-    "nonisochoric-general",
-    "nonisochoric-reduced",
-)
-
-
 def cmd_verify_solution(args, report: dict) -> bool:
-    kinds = _resolve_ids(args.kinds, list(_SOLUTION_KINDS))
-    out = {}
-    for kind in kinds:
-        s = submodel.solution_family(kind)
-        reduced = submodel.reduced_residuals(s.u, s.v, s.w, s.rho, s.P1)
-        full = submodel.full_residuals(s)
-        entry = {
-            "reduced_residuals_zero": all(r == 0 for r in reduced),
-            "full_residuals_zero": all(r == 0 for r in full),
-            "vorticity": [str(c) for c in submodel.vorticity(s)],
-        }
-        if kind.endswith("-reduced"):
-            fm = submodel.flow_map(s)
-            entry["flow_consistent"] = all(
-                r == 0 for r in submodel.flow_consistency(s, fm)
-            )
-            jac = submodel.jacobian_det(fm)
-            entry["jacobian_det"] = str(jac)
-            expected_jac = sp.Integer(1) if kind.startswith("isochoric") else submodel.t
-            geo = submodel.geometry_checks(s)
-            entry["geometry"] = {k: v["ok"] for k, v in geo.items()}
-            entry["passed"] = (
-                entry["reduced_residuals_zero"]
-                and entry["full_residuals_zero"]
-                and entry["flow_consistent"]
-                and jac == expected_jac
-                and all(entry["geometry"].values())
-            )
-        else:
-            red, params = submodel.reduce_general(kind)
-            target = submodel.solution_family(kind.replace("general", "reduced"))
-            entry["reduction_exact"] = all(
-                submodel.canonicalize(a - b) == 0
-                for a, b in zip(
-                    (red.u, red.v, red.w, red.rho, red.P),
-                    (target.u, target.v, target.w, target.rho, target.P),
-                )
-            )
-            entry["passed"] = (
-                entry["reduced_residuals_zero"]
-                and entry["full_residuals_zero"]
-                and entry["reduction_exact"]
-            )
-        out[kind] = entry
-    report["solutions"] = out
-    return all(e["passed"] for e in out.values())
+    kinds = _resolve_ids(args.kinds, list(submodel.SOLUTION_KINDS))
+    report["solutions"] = {kind: submodel.verify_solution(kind) for kind in kinds}
+    return all(e["passed"] for e in report["solutions"].values())
 
 
 def cmd_trace(args, report: dict) -> bool:
@@ -232,6 +172,8 @@ def cmd_trace(args, report: dict) -> bool:
         raise UsageError(f"trace supports reduced kinds, not {args.kind!r}")
     if args.t1 <= args.t0:
         raise UsageError("empty time range: need t1 > t0")
+    if not args.h > 0:
+        raise UsageError(f"step size must be positive, not {args.h}")
     params = _parse_params(args.params)
     binding = {submodel.k0: 1, submodel.m0: 1, submodel.rho0: 1}
     for k, v in params.items():
@@ -291,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp_):
         sp_.add_argument("--seed", type=int, default=0)
         sp_.add_argument("--tol-zero", dest="tol_zero", type=float, default=1e-9)
-        sp_.add_argument("--jobs", type=int, default=1)
         sp_.add_argument("--format", choices=("json", "text"), default="json")
         sp_.add_argument("--out", default=None)
 
@@ -355,7 +296,12 @@ def main(argv: list[str] | None = None) -> int:
     report = _empty_report(getattr(args, "seed", 0))
     try:
         ok = _COMMANDS[args.command](args, report)
-    except (UsageError, catalog.UnknownEntryError, catalog.ConstraintError) as exc:
+    except (
+        UsageError,
+        catalog.UnknownEntryError,
+        catalog.ConstraintError,
+        numerics.IntegrationError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     _emit(report, args)

@@ -1,9 +1,9 @@
 """Floating-point support: trajectory integration and figure data.
 
 Classical fixed-step RK4 for particle paths dx/dt = u(t, x), comparison
-against the closed-form flow maps, numeric Jacobian rank, and the
-unit-sphere transport behind the ellipsoid figure.  All sampling uses a
-seeded PRNG and every routine is deterministic.
+against the closed-form flow maps, and the unit-sphere transport behind
+the ellipsoid figure.  All sampling uses a seeded PRNG and every routine
+is deterministic.
 
 RK4 runs on Python floats: velocities are lambdified with the ``math``
 module, the state is three floats, and samples go into preallocated
@@ -26,7 +26,6 @@ __all__ = [
     "compare_to_closed_form",
     "convergence_order",
     "integrate",
-    "numeric_rank",
     "sphere_transport",
     "velocity_function",
     "write_csv",
@@ -157,17 +156,6 @@ def convergence_order(velocity, p0, t0: float, t1: float, closed_form, hs=(1e-2,
         errs.append(float(np.linalg.norm(tr.points[-1] - exact)))
     slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
     return float(slope)
-
-
-def numeric_rank(J, tol: float = 1e-12) -> int:
-    """Count of singular values above tol * sigma_max (LAPACK SVD)."""
-    J = np.asarray(J, dtype=float)
-    if J.size == 0:
-        return 0
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .exprs import canonicalize, opaque
 
 __all__ = [
     "CONSTANTS",
+    "SOLUTION_KINDS",
     "FlowMap",
     "GasSystem",
     "Solution",
@@ -36,6 +37,7 @@ __all__ = [
     "reduce_general",
     "reduced_residuals",
     "solution_family",
+    "verify_solution",
     "vorticity",
 ]
 
@@ -112,7 +114,7 @@ class Solution:
         )
 
 
-_KINDS = (
+SOLUTION_KINDS = (
     "isochoric-general",
     "isochoric-reduced",
     "nonisochoric-general",
@@ -147,7 +149,7 @@ def solution_family(kind: str) -> Solution:
         u = x / t + k0 * y / t + m0 * z / t + (k0**2 + m0**2 - 1) / (2 * rho0) * t
         P1 = _f(rho0 / t) + t / rho0
         return Solution(kind, u, -k0 / rho0 * t, -m0 / rho0 * t, rho0 / t, P1 + u)
-    raise ValueError(f"unknown solution kind {kind!r}; expected one of {_KINDS}")
+    raise ValueError(f"unknown solution kind {kind!r}; expected one of {SOLUTION_KINDS}")
 
 
 def full_residuals(s: Solution) -> list[sp.Expr]:
@@ -385,3 +387,51 @@ def geometry_checks(s: Solution, binding: dict | None = None) -> dict:
     else:
         raise ValueError(f"no geometry checks for kind {s.kind!r}")
     return report
+
+
+# --------------------------------------------------------------------------
+# verification
+
+
+def verify_solution(kind: str) -> dict:
+    """Every check on one solution family, as the report item for it.
+
+    Both forms: reduced and full residuals vanish, plus the vorticity.
+    A reduced family also needs a consistent flow map with Jacobian 1
+    (isochoric) or t (non-isochoric) and passing geometry checks; a
+    general family must reduce exactly to its reduced form.
+    """
+    s = solution_family(kind)
+    reduced = reduced_residuals(s.u, s.v, s.w, s.rho, s.P1)
+    entry = {
+        "reduced_residuals_zero": all(r == 0 for r in reduced),
+        "full_residuals_zero": all(r == 0 for r in full_residuals(s)),
+        "vorticity": [str(c) for c in vorticity(s)],
+    }
+    checks = [entry["reduced_residuals_zero"], entry["full_residuals_zero"]]
+    if kind.endswith("-reduced"):
+        fm = flow_map(s)
+        entry["flow_consistent"] = all(r == 0 for r in flow_consistency(s, fm))
+        jac = jacobian_det(fm)
+        entry["jacobian_det"] = str(jac)
+        geo = geometry_checks(s)
+        entry["geometry"] = {k: v["ok"] for k, v in geo.items()}
+        expected_jac = sp.Integer(1) if kind.startswith("isochoric") else t
+        checks += [
+            entry["flow_consistent"],
+            jac == expected_jac,
+            all(entry["geometry"].values()),
+        ]
+    else:
+        red, _ = reduce_general(kind)
+        target = solution_family(kind.replace("general", "reduced"))
+        entry["reduction_exact"] = all(
+            canonicalize(a - b) == 0
+            for a, b in zip(
+                (red.u, red.v, red.w, red.rho, red.P),
+                (target.u, target.v, target.w, target.rho, target.P),
+            )
+        )
+        checks.append(entry["reduction_exact"])
+    entry["passed"] = all(checks)
+    return entry

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 import sympy as sp
 
+from gassym import catalog
 from gassym.catalog import (
     ConstraintError,
     UnknownEntryError,
@@ -12,11 +13,11 @@ from gassym.catalog import (
     entry_basis,
     entry_schema,
     get_entry,
-    independence_rank,
     parameter_samples,
     verify_entry,
     verify_invariants,
 )
+from gassym.liealg import L12_LABELS
 
 ALL_IDS = [
     "4.1", "4.2", "4.3", "4.21", "4.23.i", "4.23.ii", "4.27",
@@ -130,15 +131,48 @@ def test_verify_entry_parametric_fixed_branch():
 
 
 def test_independence_rank_is_five():
-    assert independence_rank(get_entry("4.77")) == 5
-    assert independence_rank(get_entry("4.27")) == 5
+    assert verify_invariants(get_entry("4.77")).rank == 5
+    assert verify_invariants(get_entry("4.27")).rank == 5
 
 
 def test_independence_rank_needs_numeric_params():
     ent = get_entry("4.77")
     bad = dataclasses.replace(ent, invariants=[sp.Symbol("a") * sp.Symbol("u")])
     with pytest.raises(ConstraintError):
-        independence_rank(bad)
+        verify_invariants(bad)
+
+
+def test_group_closure_falls_back_per_binding():
+    # X1 + a*X10 closes with X2, X3, Y + X4 only at a = 0: the symbolic
+    # check fails, so each binding is checked on its own substituted basis
+    ent = get_entry("4.77")
+    basis = [list(v) for v in ent.basis]
+    basis[0][L12_LABELS.index("X10")] = sp.Symbol("a")
+    generic, reports = catalog._verify_group(
+        dataclasses.replace(ent, basis=basis), [{"a": 0}, {"a": 1}], seed=0, tol=1e-9
+    )
+    assert not generic["closure_ok"]
+    assert [r["closure_ok"] for r in reports] == [True, False]
+
+
+def test_catalog_pass_instantiates_once_per_group(monkeypatch):
+    # one group per unit-circle value: 25 entries without a circle, plus
+    # 2 + 3 + 2 admissible circle points for 4.23.i, 4.42 and 4.71.i
+    calls = {"instantiate": 0, "is_closed": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(catalog, "_instantiate", counted("instantiate", catalog._instantiate))
+    monkeypatch.setattr(
+        catalog.Subalgebra, "is_closed", counted("is_closed", catalog.Subalgebra.is_closed)
+    )
+    for eid in catalog_ids():
+        verify_entry(eid)
+    assert calls == {"instantiate": 32, "is_closed": 32}
 
 
 def test_tampered_invariant_detected():

@@ -3,7 +3,8 @@
 import pytest
 import sympy as sp
 
-from gassym.catalog import UnknownEntryError, catalog_ids
+from gassym import classify
+from gassym.catalog import ConstraintError, UnknownEntryError, catalog_ids
 from gassym.classify import (
     _parameter_cases,
     _parse_relations,
@@ -57,6 +58,20 @@ def test_sign_split_uses_signed_positive_symbols():
     vals = [c["a"] for c in cases]
     assert any(v.is_positive for v in vals)
     assert any((-v).is_positive for v in vals)
+
+
+def test_ne_constraint_uses_nonzero_symbol():
+    cases = _parameter_cases("4.34.i", get_assignment("4.34.i"))
+    assert len(cases) == 1
+    assert cases[0]["a"].is_nonzero
+
+
+def test_undecidable_constraint_raises(monkeypatch):
+    # mutant: a plain symbol under Ne(a, 0) leaves the constraint open;
+    # the case must be refused, not admitted
+    monkeypatch.setattr(classify, "_grid_cases", lambda name, *_: [sp.Symbol(name)])
+    with pytest.raises(ConstraintError):
+        verify_class("4.34.i")
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,31 @@
+"""Golden reports: campaign stdout must match the stored bytes exactly.
+
+Each file under ``tests/golden/`` is the stdout of one campaign at
+``--seed 0``, e.g. ``gassym verify-algebra --seed 0 >
+tests/golden/verify-algebra.json``.  A refactor that changes any byte of
+a report fails here; regenerate a file only for an intended change of
+the report.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gassym.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("verify-algebra", ["verify-algebra"]),
+        ("verify-invariants", ["verify-invariants", "all"]),
+        ("classify", ["classify", "all"]),
+        ("verify-solution", ["verify-solution"]),
+    ],
+)
+def test_report_matches_golden(capsys, name, argv):
+    code = main(argv + ["--seed", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

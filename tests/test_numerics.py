@@ -1,4 +1,4 @@
-"""Numeric tests: RK4 accuracy, ranks, sphere transport, CSV export."""
+"""Numeric tests: RK4 accuracy, sphere transport, CSV export."""
 
 import math
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from gassym.catalog import get_entry
 from gassym.numerics import (
     IntegrationError,
     Trajectory,
     compare_to_closed_form,
     convergence_order,
     integrate,
-    numeric_rank,
     sphere_transport,
     velocity_function,
     write_csv,
@@ -216,28 +214,6 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), np.array([[0, 0, 0], [np.nan, 0, 0]]))
-
-
-# --------------------------------------------------------------------------
-# numeric rank
-
-
-def test_numeric_rank_basics():
-    assert numeric_rank(np.eye(3)) == 3
-    assert numeric_rank(np.zeros((4, 4))) == 0
-    assert numeric_rank([[1, 2], [2, 4]]) == 1
-    assert numeric_rank(np.zeros((0, 3))) == 0
-
-
-def test_numeric_rank_of_invariant_jacobian():
-    ent = get_entry("4.77")
-    coords = [sp.Symbol(c) for c in ent.chart.coords]
-    invs = ent.invariants_with_density()
-    J = sp.Matrix([[sp.diff(i, c) for c in coords] for i in invs])
-    fn = sp.lambdify(coords, J, modules="numpy")
-    rng = np.random.default_rng(2)
-    pt = rng.uniform(0.5, 1.5, size=len(coords))
-    assert numeric_rank(np.array(fn(*pt), dtype=float)) == 5
 
 
 # --------------------------------------------------------------------------
