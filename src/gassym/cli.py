@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import sympy as sp
@@ -55,9 +56,12 @@ def _parse_params(text: str | None) -> dict:
             raise UsageError(f"bad parameter {item!r}; expected k=v")
         k, v = item.split("=", 1)
         try:
-            out[k.strip()] = sp.nsimplify(v.strip())
-        except (sp.SympifyError, ValueError):
-            raise UsageError(f"cannot parse parameter value {v!r}")
+            val = sp.nsimplify(v.strip())
+            if not (isinstance(val, sp.Rational) and math.isfinite(float(val))):
+                raise ValueError
+        except (sp.SympifyError, ValueError, OverflowError):
+            raise UsageError(f"parameter value {v!r} is not a finite number")
+        out[k.strip()] = val
     return out
 
 
@@ -170,6 +174,8 @@ def cmd_verify_solution(args, report: dict) -> bool:
 def cmd_trace(args, report: dict) -> bool:
     if args.kind not in ("isochoric-reduced", "nonisochoric-reduced"):
         raise UsageError(f"trace supports reduced kinds, not {args.kind!r}")
+    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
+        raise UsageError(f"times must be finite, not t0={args.t0}, t1={args.t1}")
     if args.t1 <= args.t0:
         raise UsageError("empty time range: need t1 > t0")
     if not args.h > 0:

@@ -257,9 +257,6 @@ class VectorField:
             {c: canonicalize(self.coeff(c)) for c in self.chart.coords},
         )
 
-    def is_zero(self) -> bool:
-        return all(canonicalize(self.coeff(c)) == 0 for c in self.chart.coords)
-
     def equals(self, other: "VectorField") -> bool:
         if other.chart.name != self.chart.name:
             return False
@@ -362,7 +359,7 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
     if not target.solve_order:
         raise ValueError(f"chart {target.name} has no solve stages")
     subs = {sp.Symbol(c): target.to_cartesian[c] for c in CARTESIAN_COORDS}
-    rhs = {c: _simp(sp.sympify(F.coeff(c)).subs(subs)) for c in CARTESIAN_COORDS}
+    rhs = {c: canonicalize(sp.sympify(F.coeff(c)).subs(subs)) for c in CARTESIAN_COORDS}
     solved: dict[str, sp.Expr] = {}
     for stage, (cart_coords, chart_coords) in enumerate(target.solve_order):
         b = []
@@ -378,34 +375,23 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
         else:
             sol = _stage_inverse(target, stage) * sp.Matrix(b)
         for name, val in zip(chart_coords, sol):
-            solved[name] = _simp(val)
+            solved[name] = canonicalize(val)
     return VectorField(target, {c: solved[c] for c in target.coords})
 
 
-_stage_inverse_cache: dict[tuple[str, int], sp.Matrix] = {}
-
-
+@lru_cache(maxsize=None)
 def _stage_inverse(chart: Chart, stage: int) -> sp.Matrix:
     """Simplified inverse of one Jacobian block, computed once per chart."""
-    key = (chart.name, stage)
-    inv = _stage_inverse_cache.get(key)
-    if inv is None:
-        cart_coords, chart_coords = chart.solve_order[stage]
-        unknowns = [sp.Symbol(c) for c in chart_coords]
-        block = sp.Matrix([
-            [sp.diff(chart.to_cartesian[cc], xi) for xi in unknowns]
-            for cc in cart_coords
-        ])
-        det = canonicalize(block.det())
-        adj = block.adjugate()
-        inv = adj.applyfunc(canonicalize) / det
-        inv = inv.applyfunc(canonicalize)
-        _stage_inverse_cache[key] = inv
-    return inv
-
-
-def _simp(e: sp.Expr) -> sp.Expr:
-    return canonicalize(e)
+    cart_coords, chart_coords = chart.solve_order[stage]
+    unknowns = [sp.Symbol(c) for c in chart_coords]
+    block = sp.Matrix([
+        [sp.diff(chart.to_cartesian[cc], xi) for xi in unknowns]
+        for cc in cart_coords
+    ])
+    det = canonicalize(block.det())
+    adj = block.adjugate()
+    inv = adj.applyfunc(canonicalize) / det
+    return inv.applyfunc(canonicalize)
 
 
 def roundtrip_point(chart: Chart, point: dict[str, float]) -> dict[str, float]:

@@ -6,7 +6,10 @@ state equation P = f(rho) + S is the main instance: basis ordered
 
 Subalgebras are row spans of coefficient matrices over this basis.
 Everything is exact (sympy rationals, symbols allowed for parametric
-subalgebras).
+subalgebras).  Closure, spans and ranks all run on one reduced row
+echelon form over the fraction field of the entries (:func:`_rref`);
+the Killing signature is counted exactly from the characteristic
+polynomial.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 __all__ = [
     "L12_LABELS",
@@ -51,7 +54,7 @@ class LieAlgebra:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if sp.simplify(C[i][j][k] + C[j][i][k]) != 0:
+                    if sp.expand(C[i][j][k] + C[j][i][k]) != 0:
                         raise ValueError(
                             f"antisymmetry fails at C[{i}][{j}][{k}]"
                         )
@@ -111,7 +114,7 @@ class LieAlgebra:
                     s2 = self.bracket(bjk, basis[i])
                     bki = self.bracket(basis[k], basis[i])
                     s3 = self.bracket(bki, basis[j])
-                    if any(sp.simplify(a + b + c) != 0
+                    if any(sp.expand(a + b + c) != 0
                            for a, b, c in zip(s, s2, s3)):
                         bad.append((i, j, k))
         return bad
@@ -124,11 +127,7 @@ class LieAlgebra:
         value = sp.nsimplify(value)
         C[i][j][k] = value
         C[j][i][k] = -value
-        obj = object.__new__(LieAlgebra)
-        obj.labels = self.labels
-        obj.dim = n
-        obj.C = C
-        return obj
+        return LieAlgebra(self.labels, C)
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ class Subalgebra:
     def __post_init__(self):
         if self.basis.cols != self.ambient.dim:
             raise ValueError("basis width must equal ambient dimension")
-        if self.basis.rank() != self.basis.rows:
+        if len(_rref(self.basis)[1]) != self.basis.rows:
             raise ValueError("basis rows are linearly dependent")
 
     @property
@@ -156,17 +155,17 @@ class Subalgebra:
         """
         m, n = self.basis.rows, self.basis.cols
         rows = [list(self.basis.row(i)) for i in range(m)]
-        A = self.basis.T  # n x m; solve A x = bracket
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        brackets = [self.ambient.bracket(rows[i], rows[j]) for i, j in pairs]
+        rhs = sp.Matrix(len(pairs), n, sum(brackets, [])).T  # one column per pair
+        sol = _solve_exact(self.basis.T, rhs)
+        if sol is None:
+            return False, None
         C = [[[sp.Integer(0)] * m for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                br = sp.Matrix(self.ambient.bracket(rows[i], rows[j]))
-                sol = _solve_exact(A, br)
-                if sol is None:
-                    return False, None
-                for k in range(m):
-                    C[i][j][k] = sol[k]
-                    C[j][i][k] = -sol[k]
+        for col, (i, j) in enumerate(pairs):
+            for k in range(m):
+                C[i][j][k] = sol[k, col]
+                C[j][i][k] = -sol[k, col]
         return True, C
 
     def induced(self) -> list:
@@ -176,18 +175,20 @@ class Subalgebra:
         return C
 
 
-def _solve_exact(A: sp.Matrix, b: sp.Matrix):
-    """Exact solution x of A x = b, or None if inconsistent."""
-    try:
-        sol, params = A.gauss_jordan_solve(b)
-    except ValueError:
+def _rref(M: sp.Matrix) -> tuple[sp.Matrix, tuple[int, ...]]:
+    """Reduced row echelon form of ``M`` over the fraction field of its
+    entries (QQ, or QQ(params) for parametric ones), plus the pivots."""
+    R, pivots = DomainMatrix.from_Matrix(M).to_field().rref()
+    return R.to_Matrix(), pivots
+
+
+def _solve_exact(A: sp.Matrix, B: sp.Matrix):
+    """Exact X with A X = B for A of full column rank, or None if some
+    column of B is outside the column span of A."""
+    R, pivots = _rref(A.row_join(B))
+    if any(p >= A.cols for p in pivots):
         return None
-    if params.rows:
-        sol = sol.subs({p: 0 for p in params})
-    resid = sp.simplify(A * sol - b)
-    if any(x != 0 for x in resid):
-        return None
-    return [sp.simplify(x) for x in sol]
+    return R[: A.cols, A.cols:]
 
 
 # --------------------------------------------------------------------------
@@ -337,21 +338,14 @@ class Fingerprint:
 
 
 def _tensor_algebra(C) -> LieAlgebra:
-    n = len(C)
-    obj = object.__new__(LieAlgebra)
-    obj.labels = tuple(f"e{i+1}" for i in range(n))
-    obj.dim = n
-    obj.C = [[[sp.nsimplify(C[i][j][k]) for k in range(n)]
-              for j in range(n)] for i in range(n)]
-    return obj
+    return LieAlgebra([f"e{i+1}" for i in range(len(C))], C)
 
 
 def _span(vectors: list, n: int) -> sp.Matrix:
     if not vectors:
         return sp.zeros(0, n)
-    M = sp.Matrix([list(v) for v in vectors])
-    rref, pivots = M.rref()
-    return rref[: len(pivots), :]
+    R, pivots = _rref(sp.Matrix([list(v) for v in vectors]))
+    return R[: len(pivots), :]
 
 
 def _bracket_span(alg: LieAlgebra, V: sp.Matrix, W: sp.Matrix) -> sp.Matrix:
@@ -362,55 +356,49 @@ def _bracket_span(alg: LieAlgebra, V: sp.Matrix, W: sp.Matrix) -> sp.Matrix:
     return _span(vecs, alg.dim)
 
 
+def _series(n: int, step) -> tuple[int, ...]:
+    """Dimensions of V_0 = span(e_1..e_n), V_{i+1} = step(V_i), up to the
+    first V that is zero or no smaller than its predecessor."""
+    dims = [n]
+    cur = sp.eye(n)
+    while True:
+        nxt = step(cur)
+        dims.append(nxt.rows)
+        if nxt.rows == 0 or nxt.rows == cur.rows:
+            return tuple(dims)
+        cur = nxt
+
+
 def fingerprint(C_or_alg) -> Fingerprint:
     """Fingerprint of a structure-constant tensor (or LieAlgebra)."""
     alg = C_or_alg if isinstance(C_or_alg, LieAlgebra) else _tensor_algebra(C_or_alg)
     n = alg.dim
-    full = sp.eye(n)
-
-    derived = [n]
-    cur = full
-    while True:
-        nxt = _bracket_span(alg, cur, cur)
-        derived.append(nxt.rows)
-        if nxt.rows == 0 or nxt.rows == cur.rows:
-            break
-        cur = nxt
-
-    lower = [n]
-    cur = full
-    while True:
-        nxt = _bracket_span(alg, full, cur)
-        lower.append(nxt.rows)
-        if nxt.rows == 0 or nxt.rows == cur.rows:
-            break
-        cur = nxt
+    derived = _series(n, lambda V: _bracket_span(alg, V, V))
+    lower = _series(n, lambda V: _bracket_span(alg, sp.eye(n), V))
 
     # center: x with [x, e_j] = 0 for all j
     rows = []
     for j in range(n):
         for k in range(n):
             rows.append([alg.C[i][j][k] for i in range(n)])
-    A = sp.Matrix(rows)
-    center_dim = n - A.rank()
+    center_dim = n - len(_rref(sp.Matrix(rows))[1])
 
-    # Killing form K(i,j) = tr(ad e_i  ad e_j)
+    # Killing form K(i,j) = tr(ad e_i  ad e_j).  K is real symmetric, so
+    # its characteristic polynomial has only real roots and Descartes'
+    # rule of signs counts the positive ones exactly.
     ad = [sp.Matrix(n, n, lambda k, j, i=i: alg.C[i][j][k]) for i in range(n)]
     K = sp.Matrix(n, n, lambda i, j: sp.expand(sp.trace(ad[i] * ad[j])))
-    rank = K.rank()
-    Kf = np.array(K.evalf(), dtype=float)
-    eig = np.linalg.eigvalsh(Kf)
-    scale = max(1.0, float(np.max(np.abs(eig)) if eig.size else 0.0))
-    pos = int(np.sum(eig > 1e-9 * scale))
-    neg = int(np.sum(eig < -1e-9 * scale))
-    # exact rank wins over float eigenvalue counting
-    if pos + neg != rank:
-        pos = min(pos, rank)
-        neg = rank - pos
+    if K.free_symbols:
+        raise ValueError("Killing signature needs numeric structure constants")
+    coeffs = K.charpoly().all_coeffs()
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    signs = [c.is_positive for c in coeffs if c != 0]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    rank = n - zero
     return Fingerprint(
-        derived_series=tuple(derived),
-        lower_central_series=tuple(lower),
+        derived_series=derived,
+        lower_central_series=lower,
         center_dim=center_dim,
         killing_rank=rank,
-        killing_signature=(pos, neg, n - rank),
+        killing_signature=(pos, rank - pos, zero),
     )

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 import sympy as sp
 
-from gassym import catalog
+from gassym import catalog, liealg
 from gassym.catalog import (
     ConstraintError,
     UnknownEntryError,
@@ -158,7 +158,7 @@ def test_group_closure_falls_back_per_binding():
 def test_catalog_pass_instantiates_once_per_group(monkeypatch):
     # one group per unit-circle value: 25 entries without a circle, plus
     # 2 + 3 + 2 admissible circle points for 4.23.i, 4.42 and 4.71.i
-    calls = {"instantiate": 0, "is_closed": 0}
+    calls = {"instantiate": 0, "is_closed": 0, "solve": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -170,9 +170,11 @@ def test_catalog_pass_instantiates_once_per_group(monkeypatch):
     monkeypatch.setattr(
         catalog.Subalgebra, "is_closed", counted("is_closed", catalog.Subalgebra.is_closed)
     )
+    monkeypatch.setattr(liealg, "_solve_exact", counted("solve", liealg._solve_exact))
     for eid in catalog_ids():
         verify_entry(eid)
-    assert calls == {"instantiate": 32, "is_closed": 32}
+    # one exact solve per closure check, for all six brackets at once
+    assert calls == {"instantiate": 32, "is_closed": 32, "solve": 32}
 
 
 def test_tampered_invariant_detected():

@@ -82,6 +82,24 @@ def test_bad_param_value_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-invariants", "4.3", "--params", "a=1/0,b=1"],
+        ["verify-invariants", "4.3", "--params", "a=nan,b=1"],
+        ["verify-invariants", "4.3", "--params", "a=1e400,b=1"],
+        # x is a chart coordinate, not a number
+        ["verify-invariants", "4.3", "--params", "a=x,b=1"],
+        ["trace", "isochoric-reduced", "--params", "k0=abc"],
+    ],
+)
+def test_non_finite_param_value_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parameter value")
+
+
 def test_classify_subset(capsys):
     code, out, _ = _run(capsys, ["classify", "4.1", "4.2", "4.77"])
     assert code == 0
@@ -149,6 +167,14 @@ def test_trace_empty_range_is_usage_error(capsys):
     code, _, err = _run(capsys, ["trace", "isochoric-reduced", "--t0", "1", "--t1", "1"])
     assert code == 2
     assert "time range" in err
+
+
+@pytest.mark.parametrize("flag", ["--t0=nan", "--t1=inf"])
+def test_trace_non_finite_time_is_usage_error(capsys, flag):
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", flag])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: times must be finite")
 
 
 def test_trace_bad_point_is_usage_error(capsys):

@@ -2,7 +2,8 @@
 
 Each file under ``tests/golden/`` is the stdout of one campaign at
 ``--seed 0``, e.g. ``gassym verify-algebra --seed 0 >
-tests/golden/verify-algebra.json``.  A refactor that changes any byte of
+tests/golden/verify-algebra.json``; the ``.txt`` file holds the
+``--format text`` rendering.  A refactor that changes any byte of
 a report fails here; regenerate a file only for an intended change of
 the report.
 """
@@ -23,9 +24,11 @@ GOLDEN = Path(__file__).parent / "golden"
         ("verify-invariants", ["verify-invariants", "all"]),
         ("classify", ["classify", "all"]),
         ("verify-solution", ["verify-solution"]),
+        ("verify-algebra", ["verify-algebra", "--format", "text"]),
     ],
 )
 def test_report_matches_golden(capsys, name, argv):
     code = main(argv + ["--seed", "0"])
     assert code == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+    suffix = ".txt" if "text" in argv else ".json"
+    assert capsys.readouterr().out == (GOLDEN / f"{name}{suffix}").read_text()

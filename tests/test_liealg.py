@@ -232,6 +232,37 @@ def test_fingerprint_so3_killing_signature():
     assert fp.killing_signature == (0, 3, 0)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # (h, 10^6 (e + f), e - f): K = diag(8, 8e12, -8); a relative
+        # float threshold reads +-8 as zero, and clamping that count to the
+        # exact rank 3 reports (1, 2, 0)
+        [[1, 0, 0], [0, 10**6, 10**6], [0, 1, -1]],
+        # (3h, 4(e + f), 5(e - f)): K = diag(72, 128, -200), charpoly
+        # x^3 - 30784x + 1843200 with a zero x^2 coefficient
+        [[3, 0, 0], [0, 4, 4], [0, 5, -5]],
+    ],
+)
+def test_fingerprint_sl2_killing_signature(rows):
+    # sl(2, R) in the basis (h, e, f): [h, e] = 2e, [h, f] = -2f, [e, f] = h
+    sl2 = LieAlgebra.from_brackets(
+        ("h", "e", "f"), {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+    )
+    fp = fingerprint(Subalgebra(sl2, sp.Matrix(rows)).induced())
+    assert fp.killing_rank == 3
+    assert fp.killing_signature == (2, 1, 0)
+
+
+def test_fingerprint_symbolic_killing_form_raises():
+    # [e1, e2] = a e1: K(e2, e2) = a**2 has no sign to count
+    C = [[[sp.Integer(0)] * 2 for _ in range(2)] for _ in range(2)]
+    C[0][1][0] = sp.Symbol("a")
+    C[1][0][0] = -sp.Symbol("a")
+    with pytest.raises(ValueError, match="numeric"):
+        fingerprint(C)
+
+
 def test_fingerprint_basis_invariant():
     base = _heisenberg_plus_line()
     want = fingerprint(base)
