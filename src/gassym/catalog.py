@@ -1,7 +1,11 @@
 """The four-dimensional subalgebra catalog and its machine verification.
 
 Entries live in ``data/catalog.yaml`` so they can be reviewed line by
-line.  Verification of an entry checks three things:
+line.  Each entry is parsed once, on first use, into a row cached per
+id: the basis coefficient matrix and the invariants over the parameter
+symbols, the chart, the constraints and the parameter values.  Every
+binding of the parameters, numeric or symbolic, is a substitution into
+that row.  Verification of an entry checks three things:
 
   * the basis spans a subalgebra (closure under the bracket, exact);
   * each listed invariant (plus the implicit density) is annihilated by
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -76,66 +81,109 @@ class ConstraintError(ValueError):
     pass
 
 
-_GEN_SYMS = {lbl: sp.Symbol(lbl) for lbl in L12_LABELS}
-_PARAM_NAMES = ("a", "b", "c", "d", "eps")
-_PARAM_SYMS = {n: sp.Symbol(n) for n in _PARAM_NAMES}
+_GEN_SYMS = [sp.Symbol(lbl) for lbl in L12_LABELS]
+_PARAM_SYMS = {n: sp.Symbol(n) for n in ("a", "b", "c", "d", "eps")}
+_CHARTS = {"D": chart_D, "C": chart_C, "S": chart_S}
 
 
-_RAW = None
+def _chart(name: str, b: sp.Expr) -> Chart:
+    """Chart ``name`` of catalog.yaml; ``b`` is the shift of ``Dshift``."""
+    if name == "Dshift":
+        return chart_D_shift(b)
+    if name not in _CHARTS:
+        raise ValueError(f"unknown chart {name!r}")
+    return _CHARTS[name]()
 
 
+@lru_cache(maxsize=None)
 def _raw_entries() -> dict[str, dict]:
-    global _RAW
-    if _RAW is None:
-        text = resources.files("gassym").joinpath("data/catalog.yaml").read_text()
-        _RAW = {e["id"]: e for e in yaml.safe_load(text)["entries"]}
-    return _RAW
-
-
-def _raw(entry_id: str) -> dict:
-    raw = _raw_entries().get(entry_id)
-    if raw is None:
-        raise UnknownEntryError(f"unknown catalog entry {entry_id!r}")
-    return raw
+    text = resources.files("gassym").joinpath("data/catalog.yaml").read_text()
+    return {e["id"]: e for e in yaml.safe_load(text)["entries"]}
 
 
 def catalog_ids() -> list[str]:
     return list(_raw_entries().keys())
 
 
+def entry_schema(entry_id: str) -> dict:
+    """Parameter layout of an entry: grid names, choice values, the
+    unit-circle pair, fixed values, and constraint strings."""
+    raw = _raw_entries().get(entry_id)
+    if raw is None:
+        raise UnknownEntryError(f"unknown catalog entry {entry_id!r}")
+    return {
+        "grid": list(raw.get("grid", [])),
+        "choices": {k: list(v) for k, v in raw.get("choices", {}).items()},
+        "unit_circle": list(raw.get("unit_circle", [])),
+        "fixed": dict(raw.get("fixed", {})),
+        "constraints": list(raw.get("constraints", [])),
+    }
+
+
 def _linear_coeffs(expr: sp.Expr, gens: list) -> list[sp.Expr]:
     """Coefficients of ``expr`` on ``gens``; raises unless it is linear."""
     expr = sp.expand(expr)
-    coeffs = []
-    rest = expr
-    for g in gens:
-        c = expr.coeff(g, 1)
-        coeffs.append(sp.expand(c))
-        rest = rest - c * g
-    if sp.expand(rest) != 0:
+    coeffs = [expr.coeff(g, 1) for g in gens]
+    if sp.expand(expr - sum(c * g for c, g in zip(coeffs, gens))) != 0:
         raise ValueError(f"{expr} is not linear in {gens}")
-    return coeffs
+    return [sp.expand(c) for c in coeffs]
 
 
-def _parse_basis_vector(text: str, params: dict) -> list[sp.Expr]:
-    loc = dict(_GEN_SYMS)
-    loc.update(_PARAM_SYMS)
-    expr = sp.sympify(text, locals=loc).subs(params)
-    return _linear_coeffs(expr, [_GEN_SYMS[lbl] for lbl in L12_LABELS])
+@dataclass(frozen=True)
+class _Row:
+    """One catalog.yaml entry, parsed over the parameter symbols."""
+
+    id: str
+    basis: sp.ImmutableMatrix  # 4x12 coefficients over (Y, X1..X11)
+    chart: str
+    chart_b: sp.Expr
+    invariants: tuple
+    constraints: tuple
+    grid: tuple
+    choices: dict  # name -> admissible values
+    unit_circle: tuple
+    fixed: dict  # name -> value
+
+    def subs(self, binding: dict) -> dict:
+        """Substitution for ``binding`` over the fixed values."""
+        return {_PARAM_SYMS[k]: v for k, v in {**self.fixed, **binding}.items()}
+
+    def admits(self, binding: dict) -> bool:
+        """Whether ``binding`` (over the fixed values) meets the constraints;
+        raises :class:`ConstraintError` when one cannot be decided."""
+        subs = self.subs(binding)
+        for cond in self.constraints:
+            val = cond.subs(subs)
+            if val == sp.false:
+                return False
+            if val != sp.true:
+                raise ConstraintError(f"cannot decide constraint '{cond}' at {subs}")
+        return True
 
 
-def _chart_for(raw: dict, params: dict) -> Chart:
-    name = raw.get("chart", "D")
-    if name == "D":
-        return chart_D()
-    if name == "C":
-        return chart_C()
-    if name == "S":
-        return chart_S()
-    if name == "Dshift":
-        b = sp.sympify(raw.get("chart_b", 0), locals=_PARAM_SYMS).subs(params)
-        return chart_D_shift(b)
-    raise ValueError(f"unknown chart {name!r}")
+@lru_cache(maxsize=None)
+def _row(entry_id: str) -> _Row:
+    """The entry's strings, each parsed once; every binding of its
+    parameters is then a substitution into this row."""
+    schema = entry_schema(entry_id)
+    raw = _raw_entries()[entry_id]
+    chart = raw.get("chart", "D")
+    chart_b = sp.sympify(raw.get("chart_b", 0), locals=_PARAM_SYMS)
+    loc = {s.name: s for s in _GEN_SYMS} | _PARAM_SYMS
+    basis = [_linear_coeffs(sp.sympify(b, locals=loc), _GEN_SYMS) for b in raw["basis"]]
+    loc = {c: sp.Symbol(c) for c in _chart(chart, chart_b).coords} | _PARAM_SYMS
+    return _Row(
+        id=entry_id,
+        basis=sp.ImmutableMatrix(basis),
+        chart=chart,
+        chart_b=chart_b,
+        invariants=tuple(sp.sympify(s, locals=loc) for s in raw["invariants"]),
+        constraints=tuple(sp.sympify(c, locals=_PARAM_SYMS) for c in schema["constraints"]),
+        grid=tuple(schema["grid"]),
+        choices={k: tuple(sp.nsimplify(v) for v in vs) for k, vs in schema["choices"].items()},
+        unit_circle=tuple(schema["unit_circle"]),
+        fixed={k: sp.nsimplify(v) for k, v in schema["fixed"].items()},
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,29 +206,11 @@ class SubalgebraEntry:
         return list(self.invariants) + [sp.Symbol("rho")]
 
 
-def _free_param_names(raw: dict) -> list[str]:
-    names = list(raw.get("grid", []))
-    names += list(raw.get("choices", {}).keys())
-    names += list(raw.get("unit_circle", []))
-    return names
-
-
-def _check_constraints(raw: dict, params: dict) -> bool:
-    loc = dict(_PARAM_SYMS)
-    for cond in raw.get("constraints", []):
-        val = sp.sympify(cond, locals=loc).subs(params)
-        if val == sp.false or val is False:
-            return False
-        if not (val == sp.true or val is True):
-            raise ConstraintError(f"cannot decide constraint {cond!r} at {params}")
-    return True
-
-
 def get_entry(entry_id: str, **params) -> SubalgebraEntry:
     """Instantiate a catalog entry, validating parameter constraints."""
-    raw = _raw(entry_id)
-    binding = {k: sp.nsimplify(v) for k, v in raw.get("fixed", {}).items()}
-    free = _free_param_names(raw)
+    row = _row(entry_id)
+    free = row.grid + tuple(row.choices) + row.unit_circle
+    binding = {}
     for k, v in params.items():
         if k not in free:
             raise ConstraintError(f"entry {entry_id} takes no parameter {k!r}")
@@ -188,42 +218,22 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
     missing = [k for k in free if k not in binding]
     if missing:
         raise ConstraintError(f"entry {entry_id} needs parameters {missing}")
-    for pair in [raw.get("unit_circle")] if raw.get("unit_circle") else []:
-        s = binding[pair[0]] ** 2 + binding[pair[1]] ** 2
-        if sp.simplify(s - 1) != 0:
-            raise ConstraintError(
-                f"entry {entry_id}: {pair[0]}^2 + {pair[1]}^2 must be 1"
-            )
-    subs = {_PARAM_SYMS[k]: v for k, v in binding.items()}
-    if not _check_constraints(raw, subs):
-        raise ConstraintError(f"entry {entry_id}: constraints violated at {binding}")
-    return _instantiate(raw, entry_id, binding)
+    if row.unit_circle:
+        p, q = row.unit_circle
+        if sp.simplify(binding[p] ** 2 + binding[q] ** 2 - 1) != 0:
+            raise ConstraintError(f"entry {entry_id}: {p}^2 + {q}^2 must be 1")
+    if not row.admits(binding):
+        full = {**row.fixed, **binding}
+        raise ConstraintError(f"entry {entry_id}: constraints violated at {full}")
+    return _instantiate(row, binding)
 
 
-def _instantiate(raw: dict, entry_id: str, binding: dict) -> SubalgebraEntry:
-    subs = {_PARAM_SYMS[k]: v for k, v in binding.items()}
-    basis = [_parse_basis_vector(b, subs) for b in raw["basis"]]
-    chart = _chart_for(raw, subs)
-    loc = {c: sp.Symbol(c) for c in chart.coords}
-    loc.update(_PARAM_SYMS)
-    invs = [
-        canonicalize(sp.sympify(s, locals=loc).subs(subs))
-        for s in raw["invariants"]
-    ]
-    return SubalgebraEntry(entry_id, dict(binding), basis, chart, invs)
-
-
-def entry_schema(entry_id: str) -> dict:
-    """Parameter layout of an entry: grid names, choice values, the
-    unit-circle pair, fixed values, and constraint strings."""
-    raw = _raw(entry_id)
-    return {
-        "grid": list(raw.get("grid", [])),
-        "choices": {k: list(v) for k, v in raw.get("choices", {}).items()},
-        "unit_circle": list(raw.get("unit_circle", [])),
-        "fixed": dict(raw.get("fixed", {})),
-        "constraints": list(raw.get("constraints", [])),
-    }
+def _instantiate(row: _Row, binding: dict) -> SubalgebraEntry:
+    subs = row.subs(binding)
+    chart = _chart(row.chart, row.chart_b.subs(subs))
+    invs = [canonicalize(inv.subs(subs)) for inv in row.invariants]
+    params = {s.name: v for s, v in subs.items()}
+    return SubalgebraEntry(row.id, params, row.basis.subs(subs).tolist(), chart, invs)
 
 
 def entry_basis(entry_id: str, binding: dict) -> list[list[sp.Expr]]:
@@ -232,12 +242,8 @@ def entry_basis(entry_id: str, binding: dict) -> list[list[sp.Expr]]:
     Unlike :func:`get_entry`, the binding values may be symbolic, which
     is how sign-split parameters reach the classification checks.
     """
-    raw = _raw(entry_id)
-    full = {k: sp.nsimplify(v) for k, v in raw.get("fixed", {}).items()}
-    for k, v in binding.items():
-        full[k] = sp.sympify(v)
-    subs = {_PARAM_SYMS[k]: v for k, v in full.items()}
-    return [_parse_basis_vector(b, subs) for b in raw["basis"]]
+    row = _row(entry_id)
+    return row.basis.subs(row.subs(binding)).tolist()
 
 
 def parameter_bindings(entry_id: str, grid_values) -> list[dict]:
@@ -248,27 +254,18 @@ def parameter_bindings(entry_id: str, grid_values) -> list[dict]:
     Fixed values are not in the bindings, but the constraints see them.
     Raises :class:`ConstraintError` when a constraint cannot be decided.
     """
-    raw = _raw(entry_id)
-    axes: list[list[dict]] = []
-    if raw.get("unit_circle"):
-        axes.append([dict(zip(raw["unit_circle"], s)) for s in UNIT_CIRCLE])
-    for name in raw.get("grid", []):
-        axes.append([{name: v} for v in grid_values(name)])
-    for name, values in raw.get("choices", {}).items():
-        axes.append([{name: sp.nsimplify(v)} for v in values])
-    fixed = {k: sp.nsimplify(v) for k, v in raw.get("fixed", {}).items()}
-    out = []
-    for combo in itertools.product(*axes):
-        binding = {k: v for part in combo for k, v in part.items()}
-        subs = {_PARAM_SYMS[k]: v for k, v in {**fixed, **binding}.items()}
-        if _check_constraints(raw, subs):
-            out.append(binding)
-    return out
+    row = _row(entry_id)
+    axes = [[dict(zip(row.unit_circle, s)) for s in UNIT_CIRCLE]] if row.unit_circle else []
+    axes += [[{name: v} for v in grid_values(name)] for name in row.grid]
+    axes += [[{name: v} for v in values] for name, values in row.choices.items()]
+    bindings = ({k: v for part in combo for k, v in part.items()}
+                for combo in itertools.product(*axes))
+    return [b for b in bindings if row.admits(b)]
 
 
 def parameter_samples(entry_id: str) -> list[dict]:
     """Admissible parameter grid for an entry, fixed values included."""
-    fixed = {k: sp.nsimplify(v) for k, v in _raw(entry_id).get("fixed", {}).items()}
+    fixed = _row(entry_id).fixed
     return [{**fixed, **b} for b in parameter_bindings(entry_id, lambda _: GRID)]
 
 
@@ -403,18 +400,17 @@ def verify_entry(entry_id: str, *, seed: int = 0, tol: float = 1e-9) -> Verifica
     NonZero that vanishes on all samples is downgraded to a simplifier
     gap; an entry with one reports its first sample's verdicts.
     """
-    raw = _raw(entry_id)
-    circle = raw.get("unit_circle", [])
-    symbolic = list(raw.get("grid", [])) + list(raw.get("choices", {}))
+    row = _row(entry_id)
+    symbolic = row.grid + tuple(row.choices)
     groups: dict[tuple, list[dict]] = {}
     for binding in parameter_samples(entry_id):
-        groups.setdefault(tuple(binding[n] for n in circle), []).append(binding)
+        groups.setdefault(tuple(binding[n] for n in row.unit_circle), []).append(binding)
 
     closure_ok = True
     samples = []
     for bindings in groups.values():
         generic_binding = {**bindings[0], **{n: _PARAM_SYMS[n] for n in symbolic}}
-        entry = _instantiate(raw, entry_id, generic_binding)
+        entry = _instantiate(row, generic_binding)
         generic, reports = _verify_group(
             entry, [{n: b[n] for n in symbolic} for b in bindings], seed=seed, tol=tol
         )
@@ -423,7 +419,7 @@ def verify_entry(entry_id: str, *, seed: int = 0, tol: float = 1e-9) -> Verifica
             samples.append({"params": {k: str(v) for k, v in binding.items()}, **rep})
 
     # without a unit circle there is one group, the last one run
-    verdicts = dict(samples[0]["verdicts"] if circle else generic["verdicts"])
+    verdicts = dict(samples[0]["verdicts"] if row.unit_circle else generic["verdicts"])
     gaps = [
         key for key, kind in verdicts.items()
         if kind == "NonZero" and all(s["verdicts"][key] != "NonZero" for s in samples)

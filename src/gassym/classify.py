@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 import sympy as sp
@@ -27,8 +28,8 @@ from .catalog import (
     _PARAM_SYMS,
     UnknownEntryError,
     _linear_coeffs,
+    _row,
     entry_basis,
-    entry_schema,
     parameter_bindings,
     parameter_samples,
 )
@@ -54,6 +55,7 @@ class NonInvertibleError(ValueError):
 
 _E_SYMS = [sp.Symbol(f"E{i}") for i in range(1, 5)]
 _e_SYMS = [sp.Symbol(f"e{i}") for i in range(1, 5)]
+_LOCALS = {s.name: s for s in _E_SYMS + _e_SYMS} | _PARAM_SYMS
 
 
 @dataclass(frozen=True)
@@ -66,31 +68,18 @@ class ClassAssignment:
     relations: dict  # (i, j) with i < j -> coefficient 4-vector over e1..e4
 
 
-_RAW = None
-
-
+@lru_cache(maxsize=None)
 def _assignments() -> dict[str, ClassAssignment]:
-    global _RAW
-    if _RAW is None:
-        text = resources.files("gassym").joinpath("data/classes.yaml").read_text()
-        data = yaml.safe_load(text)
-        _RAW = {}
-        for raw in data["entries"]:
-            _RAW[raw["id"]] = ClassAssignment(
-                entry_id=raw["id"],
-                label=raw["label"],
-                basis_change=tuple(
-                    sp.sympify(s, locals=_locals()) for s in raw["basis_change"]
-                ),
-                relations=_parse_relations(raw.get("relations", {})),
-            )
-    return _RAW
-
-
-def _locals() -> dict:
-    loc = {s.name: s for s in _E_SYMS + _e_SYMS}
-    loc.update(_PARAM_SYMS)
-    return loc
+    text = resources.files("gassym").joinpath("data/classes.yaml").read_text()
+    return {
+        raw["id"]: ClassAssignment(
+            entry_id=raw["id"],
+            label=raw["label"],
+            basis_change=tuple(sp.sympify(s, locals=_LOCALS) for s in raw["basis_change"]),
+            relations=_parse_relations(raw.get("relations", {})),
+        )
+        for raw in yaml.safe_load(text)["entries"]
+    }
 
 
 def _parse_relations(raw: dict) -> dict:
@@ -99,7 +88,7 @@ def _parse_relations(raw: dict) -> dict:
         i_s, j_s = key.split(",")
         i = int(i_s.strip().lstrip("e")) - 1
         j = int(j_s.strip().lstrip("e")) - 1
-        vec = _linear_coeffs(sp.sympify(text, locals=_locals()), _e_SYMS)
+        vec = _linear_coeffs(sp.sympify(text, locals=_LOCALS), _e_SYMS)
         if i > j:
             i, j = j, i
             vec = [-c for c in vec]
@@ -169,9 +158,7 @@ def _parameter_cases(entry_id: str, asg: ClassAssignment) -> list[dict]:
     constraint rule filters the cases and raises when it cannot decide.
     """
     split = _abs_params(asg)
-    constraints = [
-        sp.sympify(c, locals=_PARAM_SYMS) for c in entry_schema(entry_id)["constraints"]
-    ]
+    constraints = _row(entry_id).constraints
     return parameter_bindings(
         entry_id, lambda name: _grid_cases(name, split, constraints)
     )

@@ -180,11 +180,17 @@ def cmd_trace(args, report: dict) -> bool:
         raise UsageError("empty time range: need t1 > t0")
     if not args.h > 0:
         raise UsageError(f"step size must be positive, not {args.h}")
-    params = _parse_params(args.params)
-    binding = {submodel.k0: 1, submodel.m0: 1, submodel.rho0: 1}
-    for k, v in params.items():
-        binding[sp.Symbol(k)] = v
-    s = submodel.solution_family(args.kind).subs(binding)
+    family = submodel.solution_family(args.kind)
+    velocity = sp.Matrix([family.u, family.v, family.w])
+    constants = {c.name: c for c in submodel.CONSTANTS if c in velocity.free_symbols}
+    binding = {c: 1 for c in constants.values()}
+    for k, v in _parse_params(args.params).items():
+        if k not in constants:
+            raise UsageError(f"unknown constant {k!r}; expected one of {sorted(constants)}")
+        if constants[k].is_positive and not v > 0:
+            raise UsageError(f"constant {k} must be positive, not {v}")
+        binding[constants[k]] = v
+    s = family.subs(binding)
     try:
         p0 = tuple(float(v) for v in args.x0.split(","))
     except ValueError:
@@ -228,6 +234,18 @@ def cmd_trace(args, report: dict) -> bool:
 # argument parsing
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text and require ``ok`` of it."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gassym",
@@ -236,9 +254,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+    tol = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+
     def common(sp_):
-        sp_.add_argument("--seed", type=int, default=0)
-        sp_.add_argument("--tol-zero", dest="tol_zero", type=float, default=1e-9)
+        sp_.add_argument("--seed", type=seed, default=0)
+        sp_.add_argument("--tol-zero", dest="tol_zero", type=tol, default=1e-9)
         sp_.add_argument("--format", choices=("json", "text"), default="json")
         sp_.add_argument("--out", default=None)
 

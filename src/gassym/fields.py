@@ -170,7 +170,7 @@ def chart_S() -> Chart:
 @lru_cache(maxsize=None)
 def chart_D_shift(b) -> Chart:
     """Cartesian chart with (v, w) traded for the shifted polar pair."""
-    b = sp.nsimplify(b)
+    b = sp.nsimplify(b, rational=True)
     t, x, y, z, u, rho, P = _syms("t x y z u rho P")
     qbar, varthetabar = _syms("qbar varthetabar")
     v, w = _syms("v w")

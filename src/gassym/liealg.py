@@ -49,7 +49,7 @@ class LieAlgebra:
         self.labels = tuple(labels)
         n = len(self.labels)
         self.dim = n
-        C = [[[sp.nsimplify(constants[i][j][k]) for k in range(n)]
+        C = [[[sp.nsimplify(constants[i][j][k], rational=True) for k in range(n)]
               for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):

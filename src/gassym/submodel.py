@@ -14,7 +14,7 @@ The state function f stays opaque in every symbolic check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 
@@ -24,7 +24,6 @@ __all__ = [
     "CONSTANTS",
     "SOLUTION_KINDS",
     "FlowMap",
-    "GasSystem",
     "Solution",
     "flow_consistency",
     "flow_map",
@@ -55,21 +54,6 @@ _fp = opaque("f", 1)
 
 def _D(g, u, v, w):
     return sp.diff(g, t) + u * sp.diff(g, x) + v * sp.diff(g, y) + w * sp.diff(g, z)
-
-
-@dataclass(frozen=True)
-class GasSystem:
-    """Residual forms of the gas dynamics system with P = f(rho) + S."""
-
-    def residuals(self, u, v, w, rho, P) -> list[sp.Expr]:
-        div = sp.diff(u, x) + sp.diff(v, y) + sp.diff(w, z)
-        return [
-            canonicalize(_D(u, u, v, w) + sp.diff(P, x) / rho),
-            canonicalize(_D(v, u, v, w) + sp.diff(P, y) / rho),
-            canonicalize(_D(w, u, v, w) + sp.diff(P, z) / rho),
-            canonicalize(_D(rho, u, v, w) + rho * div),
-            canonicalize(_D(P, u, v, w) + rho * _fp(rho) * div),
-        ]
 
 
 def reduced_residuals(u, v, w, rho, P1) -> list[sp.Expr]:
@@ -153,8 +137,17 @@ def solution_family(kind: str) -> Solution:
 
 
 def full_residuals(s: Solution) -> list[sp.Expr]:
-    """Residuals of the full system at the solution; expected all zero."""
-    return GasSystem().residuals(s.u, s.v, s.w, s.rho, s.P)
+    """Residuals of the gas dynamics system with P = f(rho) + S at the
+    solution; expected all zero."""
+    u, v, w, rho, P = s.u, s.v, s.w, s.rho, s.P
+    div = sp.diff(u, x) + sp.diff(v, y) + sp.diff(w, z)
+    return [
+        canonicalize(_D(u, u, v, w) + sp.diff(P, x) / rho),
+        canonicalize(_D(v, u, v, w) + sp.diff(P, y) / rho),
+        canonicalize(_D(w, u, v, w) + sp.diff(P, z) / rho),
+        canonicalize(_D(rho, u, v, w) + rho * div),
+        canonicalize(_D(P, u, v, w) + rho * _fp(rho) * div),
+    ]
 
 
 def vorticity(s: Solution) -> tuple[sp.Expr, sp.Expr, sp.Expr]:

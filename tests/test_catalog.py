@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 import sympy as sp
+from sympy.parsing import sympy_parser
 
 from gassym import catalog, liealg
 from gassym.catalog import (
@@ -175,6 +176,27 @@ def test_catalog_pass_instantiates_once_per_group(monkeypatch):
         verify_entry(eid)
     # one exact solve per closure check, for all six brackets at once
     assert calls == {"instantiate": 32, "is_closed": 32, "solve": 32}
+
+
+def test_catalog_pass_parses_each_string_once(monkeypatch):
+    # catalog.yaml holds 232 expression strings; a row is parsed on first
+    # use and every later binding is a substitution into it
+    calls = {"parse": 0}
+    parse = sympy_parser.parse_expr
+
+    def counted(*args, **kwargs):
+        calls["parse"] += 1
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(sympy_parser, "parse_expr", counted)
+    catalog._row.cache_clear()
+    for eid in catalog_ids():
+        verify_entry(eid)
+    assert calls["parse"] <= 232
+    calls["parse"] = 0
+    for eid in catalog_ids():
+        verify_entry(eid)
+    assert calls["parse"] == 0
 
 
 def test_tampered_invariant_detected():

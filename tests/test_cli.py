@@ -100,6 +100,27 @@ def test_non_finite_param_value_is_usage_error(capsys, argv):
     assert err.startswith("error: parameter value")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--seed", "-1"),
+        ("--seed", "1.5"),
+        ("--seed", "x"),
+        ("--tol-zero", "nan"),
+        ("--tol-zero", "inf"),
+        ("--tol-zero", "-1"),
+        ("--tol-zero", "0"),
+    ],
+)
+def test_bad_seed_or_tolerance_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-invariants", "4.77", flag, value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}: {value!r} is not" in out.err
+
+
 def test_classify_subset(capsys):
     code, out, _ = _run(capsys, ["classify", "4.1", "4.2", "4.77"])
     assert code == 0
@@ -175,6 +196,32 @@ def test_trace_non_finite_time_is_usage_error(capsys, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: times must be finite")
+
+
+def test_trace_params_bind_the_family_constants(capsys):
+    # y(t) = y0 - k0*t**2/(2*rho0): rho0 = 2 halves the drop of rho0 = 1
+    code, out, _ = _run(
+        capsys,
+        ["trace", "isochoric-reduced", "--x0", "0,0,1", "--t0", "0", "--t1", "3",
+         "--h", "1e-2", "--params", "rho0=2"],
+    )
+    assert code == 0
+    assert json.loads(out)["traces"][0]["endpoint"][1] == pytest.approx(-2.25, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ("zz=3", "error: unknown constant 'zz'"),
+        ("rho0=0", "error: constant rho0 must be positive"),
+        ("rho0=-1", "error: constant rho0 must be positive"),
+    ],
+)
+def test_trace_bad_constant_is_usage_error(capsys, params, message):
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--params", params])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
 
 
 def test_trace_bad_point_is_usage_error(capsys):

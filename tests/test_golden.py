@@ -3,7 +3,8 @@
 Each file under ``tests/golden/`` is the stdout of one campaign at
 ``--seed 0``, e.g. ``gassym verify-algebra --seed 0 >
 tests/golden/verify-algebra.json``; the ``.txt`` file holds the
-``--format text`` rendering.  A refactor that changes any byte of
+``--format text`` rendering, and the ``verify-invariants-<id>`` files
+the single-entry ``--params`` path.  A refactor that changes any byte of
 a report fails here; regenerate a file only for an intended change of
 the report.
 """
@@ -25,6 +26,14 @@ GOLDEN = Path(__file__).parent / "golden"
         ("classify", ["classify", "all"]),
         ("verify-solution", ["verify-solution"]),
         ("verify-algebra", ["verify-algebra", "--format", "text"]),
+        (
+            "verify-invariants-4.23.i",
+            ["verify-invariants", "4.23.i", "--params", "a=3/5,b=4/5"],
+        ),
+        (
+            "verify-invariants-4.71.i",
+            ["verify-invariants", "4.71.i", "--params", "c=-15/17,d=8/17,a=-1,b=1/4"],
+        ),
     ],
 )
 def test_report_matches_golden(capsys, name, argv):
