@@ -10,8 +10,8 @@ that row.  Verification of an entry checks three things:
   * the basis spans a subalgebra (closure under the bracket, exact);
   * each listed invariant (plus the implicit density) is annihilated by
     every basis generator realized in the entry's chart;
-  * the five invariants are functionally independent (Jacobian rank 5 at
-    seeded generic points).
+  * the five invariants are functionally independent: their Jacobian
+    has rank 5 over QQ at a seeded rational point, which proves it.
 
 One core, ``_verify_group``, does all three for an instantiated entry at
 a list of bindings of its symbolic parameters.  A single entry is the
@@ -26,17 +26,18 @@ invariance failure.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
 import sympy as sp
 import yaml
 
 from .exprs import canonicalize, is_zero
 from .fields import Chart, chart_C, chart_D, chart_D_shift, chart_S, realize_combination
-from .liealg import L12_LABELS, Subalgebra, l12
+from .liealg import L12_LABELS, Subalgebra, _rref, l12
 
 __all__ = [
     "SubalgebraEntry",
@@ -71,6 +72,8 @@ _DOMAINS = {
     "q_S": (0.5, 1.5), "vartheta_S": (0.3, 1.2), "varphi": (0.2, 1.2),
     "qbar": (0.5, 1.5), "varthetabar": (0.2, 1.2),
 }
+# rational points tried per binding before a rank below 5 is reported
+_RANK_POINTS = 10
 
 
 class UnknownEntryError(KeyError):
@@ -214,7 +217,7 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
     for k, v in params.items():
         if k not in free:
             raise ConstraintError(f"entry {entry_id} takes no parameter {k!r}")
-        binding[k] = sp.nsimplify(v)
+        binding[k] = sp.nsimplify(v, rational=True)
     missing = [k for k in free if k not in binding]
     if missing:
         raise ConstraintError(f"entry {entry_id} needs parameters {missing}")
@@ -294,34 +297,36 @@ class VerificationReport:
         return ok
 
 
+def _rational_point(coords: list, rng: random.Random) -> dict:
+    """A seeded point inside the ``_DOMAINS`` boxes, on the grid (1/64)Z."""
+    boxes = [(c, *_DOMAINS[c.name]) for c in coords]
+    return {c: sp.Rational(rng.randint(math.ceil(lo * 64), math.floor(hi * 64)), 64)
+            for c, lo, hi in boxes}
+
+
 def _group_ranks(
-    entry: SubalgebraEntry,
-    grid_syms: list,
-    bindings: list[dict],
-    *,
-    n_points: int = 10,
-    seed: int = 0,
-    tol: float = 1e-8,
+    entry: SubalgebraEntry, grid_syms: list, bindings: list[dict], *, seed: int
 ) -> list[int]:
-    """Max numeric rank of the 5x9 invariant Jacobian at seeded points,
-    for each binding of ``grid_syms``, sharing one lambdify.  ``log``
-    reads ln|.|, as in the catalog."""
+    """Exact rank over QQ of the 5x9 invariant Jacobian at seeded rational
+    points, for each binding of ``grid_syms``.  The invariants use only
+    ``log``, so the entries are rational and the rank at one point is a
+    proven lower bound on the generic rank.  Points on a pole are skipped;
+    returns the largest rank seen within ``_RANK_POINTS`` points."""
     coords = [sp.Symbol(c) for c in entry.chart.coords]
     invs = entry.invariants_with_density()
     jac = sp.Matrix([[sp.diff(i, c) for c in coords] for i in invs])
-    fn = sp.lambdify(
-        coords + grid_syms, jac, modules=[{"log": lambda x: np.log(np.abs(x))}, "numpy"]
-    )
     ranks = []
     for binding in bindings:
-        pvals = [float(binding[s.name]) for s in grid_syms]
-        rng = np.random.default_rng(seed)
+        at_binding = jac.xreplace({s: binding[s.name] for s in grid_syms})
+        rng = random.Random(seed)
         best = 0
-        for _ in range(n_points):
-            point = [rng.uniform(*_DOMAINS[c.name]) for c in coords]
-            J = np.array(fn(*point, *pvals), dtype=float)
-            sv = np.linalg.svd(J, compute_uv=False)
-            best = max(best, int(np.sum(sv > tol)))
+        for _ in range(_RANK_POINTS):
+            J = at_binding.xreplace(_rational_point(coords, rng))
+            if J.has(sp.zoo, sp.nan):
+                continue
+            best = max(best, len(_rref(J)[1]))
+            if best == len(invs):
+                break
         ranks.append(best)
     return ranks
 

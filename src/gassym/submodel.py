@@ -56,22 +56,6 @@ def _D(g, u, v, w):
     return sp.diff(g, t) + u * sp.diff(g, x) + v * sp.diff(g, y) + w * sp.diff(g, z)
 
 
-def reduced_residuals(u, v, w, rho, P1) -> list[sp.Expr]:
-    """The five equations of the rank-1/defect-1 submodel, canonicalized.
-
-    Here v, w, rho, P1 are functions of t alone and u may depend on all
-    of (t, x, y, z).
-    """
-    Du = sp.diff(u, t) + u * sp.diff(u, x) + v * sp.diff(u, y) + w * sp.diff(u, z)
-    return [
-        canonicalize(Du + sp.diff(u, x) / rho),
-        canonicalize(sp.diff(v, t) + sp.diff(u, y) / rho),
-        canonicalize(sp.diff(w, t) + sp.diff(u, z) / rho),
-        canonicalize(sp.diff(rho, t) + rho * sp.diff(u, x)),
-        canonicalize(sp.diff(P1, t) + Du + rho * _fp(rho) * sp.diff(u, x)),
-    ]
-
-
 @dataclass(frozen=True)
 class Solution:
     """One exact solution family of the full system."""
@@ -148,6 +132,16 @@ def full_residuals(s: Solution) -> list[sp.Expr]:
         canonicalize(_D(rho, u, v, w) + rho * div),
         canonicalize(_D(P, u, v, w) + rho * _fp(rho) * div),
     ]
+
+
+def reduced_residuals(u, v, w, rho, P1) -> list[sp.Expr]:
+    """The five equations of the rank-1/defect-1 submodel, canonicalized:
+    the full system on the ansatz P = P1 + u.
+
+    Here v, w, rho, P1 are functions of t alone and u may depend on all
+    of (t, x, y, z).
+    """
+    return full_residuals(Solution("ansatz", u, v, w, rho, P1 + u))
 
 
 def vorticity(s: Solution) -> tuple[sp.Expr, sp.Expr, sp.Expr]:

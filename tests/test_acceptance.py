@@ -17,7 +17,6 @@ from gassym.fields import realization_table_diff, realize_combination, vf_commut
 from gassym.liealg import L12_LABELS, Subalgebra, apply_automorphism, inverse_params, l12
 
 TOL_ZERO = 1e-9
-RANK_CUTOFF = 1e-8
 TRAJ_TOL = 1e-6
 QUADRIC_TOL = 1e-10
 VOLUME_TOL = 1e-12

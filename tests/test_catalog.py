@@ -1,6 +1,7 @@
 """Catalog tests: entry loading, parameter grids, verification verdicts."""
 
 import dataclasses
+import random
 
 import pytest
 import sympy as sp
@@ -197,6 +198,73 @@ def test_catalog_pass_parses_each_string_once(monkeypatch):
     for eid in catalog_ids():
         verify_entry(eid)
     assert calls["parse"] == 0
+
+
+def test_get_entry_keeps_exact_values_unparsed(monkeypatch):
+    calls = {"parse": 0}
+    parse = sympy_parser.parse_expr
+
+    def counted(*args, **kwargs):
+        calls["parse"] += 1
+        return parse(*args, **kwargs)
+
+    get_entry("4.23.i", a=sp.Rational(3, 5), b=sp.Rational(4, 5))  # caches the row
+    monkeypatch.setattr(sympy_parser, "parse_expr", counted)
+    get_entry("4.23.i", a=sp.Rational(3, 5), b=sp.Rational(4, 5))
+    assert calls["parse"] == 0
+
+
+def test_catalog_ranks_proven_at_first_point(monkeypatch):
+    # one exact rref per sample: each rank reaches 5 at its first point
+    calls = {"rref": 0}
+    rref = catalog._rref
+
+    def counted(M):
+        calls["rref"] += 1
+        return rref(M)
+
+    monkeypatch.setattr(catalog, "_rref", counted)
+    samples = sum(len(verify_entry(eid).samples) for eid in catalog_ids())
+    assert samples == 298
+    assert calls["rref"] == samples
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda invs: [invs[0], invs[0], invs[2], invs[3]],  # t, t, w, P - u
+        lambda invs: [invs[0], invs[1], invs[0] * invs[1], invs[3]],  # w -> t*v
+    ],
+    ids=["duplicate", "product"],
+)
+def test_dependent_invariants_lose_rank(mutate):
+    ent = get_entry("4.77")
+    rep = verify_invariants(dataclasses.replace(ent, invariants=mutate(ent.invariants)))
+    assert rep.rank == 4
+    assert not rep.passed
+
+
+def test_rank_skips_point_on_a_pole(monkeypatch):
+    # move a pole of the Jacobian onto the first point drawn at seed 0
+    ent = get_entry("4.77")
+    coords = [sp.Symbol(c) for c in ent.chart.coords]
+    x = sp.Symbol("x")
+    first = catalog._rational_point(coords, random.Random(0))
+    invs = list(ent.invariants)
+    invs[0] = invs[0] + 1 / (x - first[x])
+    assert sp.diff(invs[0], x).xreplace(first) == sp.zoo
+    bad = dataclasses.replace(ent, invariants=invs)
+
+    ranked = []
+    rref = catalog._rref
+
+    def recorded(M):
+        ranked.append(M)
+        return rref(M)
+
+    monkeypatch.setattr(catalog, "_rref", recorded)
+    assert catalog._group_ranks(bad, [], [{}], seed=0) == [5]
+    assert len(ranked) == 1 and not ranked[0].has(sp.zoo, sp.nan)
 
 
 def test_tampered_invariant_detected():

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 import sympy as sp
 
-from gassym.exprs import opaque
+from gassym.exprs import canonicalize, opaque
 from gassym.submodel import (
     FlowMap,
     flow_consistency,
@@ -25,8 +25,11 @@ from gassym.submodel import (
     t,
     u0,
     vorticity,
+    x,
     x0,
+    y,
     y0,
+    z,
     z0,
 )
 
@@ -52,6 +55,37 @@ def test_unknown_kind_rejected():
 def test_reduced_residuals_vanish(kind):
     s = solution_family(kind)
     assert reduced_residuals(s.u, s.v, s.w, s.rho, s.P1) == [0] * 5
+
+
+def _hand_reduced(u, v, w, rho, P1, state=lambda r: r * opaque("f", 1)(r)):
+    """The submodel written out by hand, the reference for
+    :func:`reduced_residuals`; ``state`` is the rho*f'(rho) factor."""
+    Du = sp.diff(u, t) + u * sp.diff(u, x) + v * sp.diff(u, y) + w * sp.diff(u, z)
+    return [
+        canonicalize(Du + sp.diff(u, x) / rho),
+        canonicalize(sp.diff(v, t) + sp.diff(u, y) / rho),
+        canonicalize(sp.diff(w, t) + sp.diff(u, z) / rho),
+        canonicalize(sp.diff(rho, t) + rho * sp.diff(u, x)),
+        canonicalize(sp.diff(P1, t) + Du + state(rho) * sp.diff(u, x)),
+    ]
+
+
+_ANSATZ = (
+    sp.Function("U")(t, x, y, z),
+    *(sp.Function(n)(t) for n in ("V", "W", "R", "P1")),
+)
+
+
+def test_reduced_residuals_match_hand_written_on_generic_ansatz():
+    assert reduced_residuals(*_ANSATZ) == _hand_reduced(*_ANSATZ)
+
+
+def test_reduced_residuals_catch_state_term_mutant():
+    # dropping the rho factor of rho*f'(rho) changes the energy equation
+    derived = reduced_residuals(*_ANSATZ)
+    mutant = _hand_reduced(*_ANSATZ, state=opaque("f", 1))
+    assert derived[:4] == mutant[:4]
+    assert canonicalize(derived[4] - mutant[4]) != 0
 
 
 @pytest.mark.parametrize("kind", KINDS)
