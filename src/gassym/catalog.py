@@ -174,13 +174,12 @@ def _row(entry_id: str) -> _Row:
     chart_b = sp.sympify(raw.get("chart_b", 0), locals=_PARAM_SYMS)
     loc = {s.name: s for s in _GEN_SYMS} | _PARAM_SYMS
     basis = [_linear_coeffs(sp.sympify(b, locals=loc), _GEN_SYMS) for b in raw["basis"]]
-    loc = {c: sp.Symbol(c) for c in _chart(chart, chart_b).coords} | _PARAM_SYMS
     return _Row(
         id=entry_id,
         basis=sp.ImmutableMatrix(basis),
         chart=chart,
         chart_b=chart_b,
-        invariants=tuple(sp.sympify(s, locals=loc) for s in raw["invariants"]),
+        invariants=tuple(sp.sympify(s, locals=_PARAM_SYMS) for s in raw["invariants"]),
         constraints=tuple(sp.sympify(c, locals=_PARAM_SYMS) for c in schema["constraints"]),
         grid=tuple(schema["grid"]),
         choices={k: tuple(sp.nsimplify(v) for v in vs) for k, vs in schema["choices"].items()},
@@ -337,22 +336,15 @@ def _verify_group(
     """Closure, annihilation verdicts and rank of ``entry`` at each binding
     of its symbolic parameters (all bindings share one set of names).
 
-    Closure and the residuals are computed once, symbolically; a binding
-    only falls back to its own exact closure check, on ``entry.basis``
-    substituted, when the symbolic check fails or one of its
-    denominators vanishes there.  Returns the unsubstituted closure and
-    verdicts, and one report per binding.
+    Closure and the residuals are computed once, symbolically.  A binding
+    where ``entry.basis`` substituted loses rank is not closed; otherwise
+    the symbolic closure holds there, and only when it fails does the
+    binding fall back to its own exact closure check.  Returns the
+    unsubstituted closure and verdicts, and one report per binding.
     """
     syms = [_PARAM_SYMS[n] for n in bindings[0]]
-    closed, induced = entry.subalgebra().is_closed()
-    denominators = set()
-    if closed and syms:
-        for plane in induced:
-            for row in plane:
-                for coeff in row:
-                    den = sp.fraction(sp.together(coeff))[1]
-                    if den.free_symbols:
-                        denominators.add(den)
+    generic_sub = entry.subalgebra()
+    closed, _ = generic_sub.is_closed()
 
     residuals = {}
     realized = entry.realized_basis()
@@ -373,10 +365,12 @@ def _verify_group(
     reports = []
     for binding, rank in zip(bindings, ranks):
         subs = {_PARAM_SYMS[n]: v for n, v in binding.items()}
-        closed_here = closed and all(den.subs(subs) != 0 for den in denominators)
-        if not closed_here and subs:
-            basis = sp.Matrix([list(v) for v in entry.basis]).subs(subs)
-            closed_here, _ = Subalgebra(l12(), basis).is_closed()
+        try:  # Subalgebra rejects a basis that loses rank at this binding
+            here = Subalgebra(l12(), generic_sub.basis.xreplace(subs))
+        except ValueError:
+            closed_here = False
+        else:
+            closed_here = closed or (bool(subs) and here.is_closed()[0])
         reports.append({
             "closure_ok": closed_here,
             "verdicts": verdicts(subs) if subs else generic["verdicts"],

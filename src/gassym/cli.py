@@ -8,9 +8,10 @@ Subcommands:
   trace              RK4 particle trajectory exported as CSV
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage
-error (unknown entry id, empty time range, non-positive step, bad
-parameters, a trace the velocity cannot be evaluated along).  Reports
-are deterministic for a fixed seed and configuration.
+error (unknown entry id, empty time range, non-positive or too small
+step, bad parameters, a trace the velocity cannot be evaluated along,
+an unwritable ``--out``).  Reports are deterministic for a fixed seed
+and configuration.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import sympy as sp
 
@@ -172,8 +174,6 @@ def cmd_verify_solution(args, report: dict) -> bool:
 
 
 def cmd_trace(args, report: dict) -> bool:
-    if args.kind not in ("isochoric-reduced", "nonisochoric-reduced"):
-        raise UsageError(f"trace supports reduced kinds, not {args.kind!r}")
     if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
         raise UsageError(f"times must be finite, not t0={args.t0}, t1={args.t1}")
     if args.t1 <= args.t0:
@@ -198,27 +198,17 @@ def cmd_trace(args, report: dict) -> bool:
     if len(p0) != 3:
         raise UsageError("initial point must be x,y,z")
     vel = numerics.velocity_function(s, {})
-    tr = numerics.integrate(
-        vel,
-        p0,
-        args.t0,
-        args.t1,
-        args.h,
-        metadata={
-            "kind": args.kind,
-            "x0": list(p0),
-            "u0": args.u0,
-            "params": {str(k): str(v) for k, v in binding.items()},
-        },
-    )
+    try:
+        tr = numerics.integrate(vel, p0, args.t0, args.t1, args.h)
+    except ValueError as exc:  # a step below the time resolution
+        raise UsageError(str(exc))
     if args.out:
-        numerics.write_csv(tr, args.out)
+        _write(args.out, lambda: numerics.write_csv(tr, args.out))
     end = tr.points[-1]
     report["traces"] = [
         {
             "kind": args.kind,
             "initial": list(p0),
-            "u0": args.u0,
             "t0": args.t0,
             "t1": args.t1,
             "h": args.h,
@@ -259,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp_):
         sp_.add_argument("--seed", type=seed, default=0)
-        sp_.add_argument("--tol-zero", dest="tol_zero", type=tol, default=1e-9)
         sp_.add_argument("--format", choices=("json", "text"), default="json")
         sp_.add_argument("--out", default=None)
 
@@ -269,6 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi = sub.add_parser("verify-invariants", help="catalog verification")
     pi.add_argument("entries", nargs="*", default=[], metavar="ID")
     pi.add_argument("--params", default=None, help="k=v,... for one entry")
+    pi.add_argument("--tol-zero", dest="tol_zero", type=tol, default=1e-9)
     common(pi)
 
     pc = sub.add_parser("classify", help="isomorphism-class verification")
@@ -282,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("trace", help="integrate one particle trajectory")
     pt.add_argument("kind", choices=("isochoric-reduced", "nonisochoric-reduced"))
     pt.add_argument("--x0", default="0,0,0", help="initial point x,y,z")
-    pt.add_argument("--u0", type=float, default=0.0)
     pt.add_argument("--t0", type=float, default=0.0)
     pt.add_argument("--t1", type=float, default=3.0)
     pt.add_argument("--h", type=float, default=1e-3)
@@ -300,6 +289,14 @@ _COMMANDS = {
 }
 
 
+def _write(path: str, write) -> None:
+    """Call ``write``; an ``--out`` path it cannot write is a usage error."""
+    try:
+        write()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.format == "text":
@@ -312,17 +309,17 @@ def _emit(report: dict, args) -> None:
         # CSV already written; report goes to stdout
         print(text)
     elif args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.out, lambda: Path(args.out).write_text(text + "\n"))
     else:
         print(text)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    report = _empty_report(getattr(args, "seed", 0))
+    report = _empty_report(args.seed)
     try:
         ok = _COMMANDS[args.command](args, report)
+        _emit(report, args)
     except (
         UsageError,
         catalog.UnknownEntryError,
@@ -331,7 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    _emit(report, args)
     return 0 if ok else 1
 
 

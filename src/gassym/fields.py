@@ -46,23 +46,18 @@ CARTESIAN_COORDS = ("t", "x", "y", "z", "u", "v", "w", "rho", "P")
 
 @dataclass(frozen=True, eq=False)
 class Chart:
-    """A coordinate chart on the 9-space.
+    """A coordinate chart on the 9-space: its map to Cartesian coordinates.
 
     ``to_cartesian`` expresses each Cartesian coordinate as an expression
-    in this chart's symbols.  ``from_cartesian`` is used only for numeric
-    round trips and may contain inverse trig functions.
+    in this chart's symbols.
     """
 
     name: str
     coords: tuple[str, ...]
     to_cartesian: Mapping[str, sp.Expr]
-    from_cartesian: Mapping[str, sp.Expr]
     # stages of (cartesian coords, chart coords) making the chart Jacobian
     # block triangular, so pushforwards reduce to tiny linear solves
     solve_order: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
-
-    def symbols(self) -> list[sp.Symbol]:
-        return [sp.Symbol(c) for c in self.coords]
 
 
 def _syms(names: str) -> list[sp.Symbol]:
@@ -71,15 +66,13 @@ def _syms(names: str) -> list[sp.Symbol]:
 
 @lru_cache(maxsize=None)
 def chart_D() -> Chart:
-    ident = {c: sp.Symbol(c) for c in CARTESIAN_COORDS}
-    return Chart("D", CARTESIAN_COORDS, ident, dict(ident))
+    return Chart("D", CARTESIAN_COORDS, {c: sp.Symbol(c) for c in CARTESIAN_COORDS})
 
 
 @lru_cache(maxsize=None)
 def chart_C() -> Chart:
     t, x, u, rho, P = _syms("t x u rho P")
     r, theta, q, vartheta = _syms("r theta q vartheta")
-    y, z, v, w = _syms("y z v w")
     to_cart = {
         "t": t,
         "x": x,
@@ -88,17 +81,6 @@ def chart_C() -> Chart:
         "u": u,
         "v": q * sp.cos(theta + vartheta),
         "w": q * sp.sin(theta + vartheta),
-        "rho": rho,
-        "P": P,
-    }
-    from_cart = {
-        "t": t,
-        "x": x,
-        "r": sp.sqrt(y**2 + z**2),
-        "theta": sp.atan2(z, y),
-        "u": u,
-        "q": sp.sqrt(v**2 + w**2),
-        "vartheta": sp.atan2(w, v) - sp.atan2(z, y),
         "rho": rho,
         "P": P,
     }
@@ -112,7 +94,7 @@ def chart_C() -> Chart:
         (("y", "z"), ("r", "theta")),
         (("v", "w"), ("q", "vartheta")),
     )
-    return Chart("C", coords, to_cart, from_cart, stages)
+    return Chart("C", coords, to_cart, stages)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +102,6 @@ def chart_S() -> Chart:
     t, rho, P = _syms("t rho P")
     r_S, theta_S, phi = _syms("r_S theta_S phi")
     q_S, vartheta_S, varphi = _syms("q_S vartheta_S varphi")
-    x, y, z, u, v, w = _syms("x y z u v w")
     U = q_S * sp.cos(vartheta_S)
     V = q_S * sp.sin(vartheta_S) * sp.cos(varphi)
     W = q_S * sp.sin(vartheta_S) * sp.sin(varphi)
@@ -137,25 +118,6 @@ def chart_S() -> Chart:
         "rho": rho,
         "P": P,
     }
-    rr = sp.sqrt(x**2 + y**2 + z**2)
-    qq = sp.sqrt(u**2 + v**2 + w**2)
-    th = sp.acos(z / rr)
-    ph = sp.atan2(y, x)
-    A = u * sp.cos(ph) + v * sp.sin(ph)
-    US = A * sp.sin(th) + w * sp.cos(th)
-    VS = A * sp.cos(th) - w * sp.sin(th)
-    WS = -u * sp.sin(ph) + v * sp.cos(ph)
-    from_cart = {
-        "t": t,
-        "r_S": rr,
-        "theta_S": th,
-        "phi": ph,
-        "q_S": qq,
-        "vartheta_S": sp.acos(US / qq),
-        "varphi": sp.atan2(WS, VS),
-        "rho": rho,
-        "P": P,
-    }
     coords = ("t", "r_S", "theta_S", "phi", "q_S", "vartheta_S", "varphi", "rho", "P")
     stages = (
         (("t",), ("t",)),
@@ -164,7 +126,7 @@ def chart_S() -> Chart:
         (("x", "y", "z"), ("r_S", "theta_S", "phi")),
         (("u", "v", "w"), ("q_S", "vartheta_S", "varphi")),
     )
-    return Chart("S", coords, to_cart, from_cart, stages)
+    return Chart("S", coords, to_cart, stages)
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +135,6 @@ def chart_D_shift(b) -> Chart:
     b = sp.nsimplify(b, rational=True)
     t, x, y, z, u, rho, P = _syms("t x y z u rho P")
     qbar, varthetabar = _syms("qbar varthetabar")
-    v, w = _syms("v w")
     denom = t**2 + b**2
     vs = (t * y + b * z) / denom
     ws = (t * z - b * y) / denom
@@ -188,19 +149,6 @@ def chart_D_shift(b) -> Chart:
         "rho": rho,
         "P": P,
     }
-    dv = v - vs
-    dw = w - ws
-    from_cart = {
-        "t": t,
-        "x": x,
-        "y": y,
-        "z": z,
-        "u": u,
-        "qbar": sp.sqrt(dv**2 + dw**2),
-        "varthetabar": sp.atan2(dw, dv),
-        "rho": rho,
-        "P": P,
-    }
     coords = ("t", "x", "y", "z", "u", "qbar", "varthetabar", "rho", "P")
     stages = (
         (("t",), ("t",)),
@@ -212,7 +160,7 @@ def chart_D_shift(b) -> Chart:
         (("P",), ("P",)),
         (("v", "w"), ("qbar", "varthetabar")),
     )
-    return Chart(f"D-shift({b})", coords, to_cart, from_cart, stages)
+    return Chart(f"D-shift({b})", coords, to_cart, stages)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,16 +340,3 @@ def _stage_inverse(chart: Chart, stage: int) -> sp.Matrix:
     adj = block.adjugate()
     inv = adj.applyfunc(canonicalize) / det
     return inv.applyfunc(canonicalize)
-
-
-def roundtrip_point(chart: Chart, point: dict[str, float]) -> dict[str, float]:
-    """chart -> Cartesian -> chart, numerically (for domain tests)."""
-    subs = {sp.Symbol(k): v for k, v in point.items()}
-    cart = {c: float(sp.N(chart.to_cartesian[c].subs(subs)))
-            for c in CARTESIAN_COORDS}
-    csubs = {sp.Symbol(k): v for k, v in cart.items()}
-    back = {}
-    for c in chart.coords:
-        val = float(sp.N(chart.from_cartesian[c].subs(csubs)))
-        back[c] = val
-    return back

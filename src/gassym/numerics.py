@@ -13,12 +13,12 @@ arrays (see ``integrate``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
-from .submodel import FlowMap, Solution, jacobian_det, t, u0, x, x0, y, y0, z, z0
+from .submodel import FlowMap, Solution, jacobian_det, t, x, x0, y, y0, z, z0
 
 __all__ = [
     "SphereTransportReport",
@@ -42,7 +42,6 @@ class Trajectory:
 
     ts: np.ndarray
     points: np.ndarray  # shape (len(ts), 3)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.all(np.diff(self.ts) > 0):
@@ -68,7 +67,7 @@ def velocity_function(s: Solution, binding: dict):
     return sp.lambdify((t, (x, y, z)), tuple(vel), modules="math")
 
 
-def integrate(velocity, p0, t0: float, t1: float, h: float, metadata: dict | None = None) -> Trajectory:
+def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
     """Classical 4th-order Runge-Kutta at fixed step h on [t0, t1].
 
     ``velocity`` is a callable (t, p) -> 3-vector; ``p`` is passed as a
@@ -78,7 +77,8 @@ def integrate(velocity, p0, t0: float, t1: float, h: float, metadata: dict | Non
     The state is kept as three floats and each RK4 formula is evaluated
     per component in the order of its vector form, so the samples are
     bit-identical to a numpy RK4 on 3-vectors.  A failing velocity
-    evaluation or a non-finite state raises ``IntegrationError``.
+    evaluation, a non-finite state or a step too small for the sample
+    buffers to be allocated raises ``IntegrationError``.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -86,9 +86,12 @@ def integrate(velocity, p0, t0: float, t1: float, h: float, metadata: dict | Non
         raise ValueError("empty time range")
     # h steps plus a rounding-remainder step; rounding of tv can add more,
     # in which case the buffers grow below
-    n = math.ceil((t1 - t0) / h) + 2
-    ts = np.empty(n)
-    pts = np.empty((n, 3))
+    try:
+        n = math.ceil((t1 - t0) / h) + 2
+        ts = np.empty(n)
+        pts = np.empty((n, 3))
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise IntegrationError(f"cannot allocate samples for step size {h}: {exc}")
     px, py, pz = np.asarray(p0, dtype=float).tolist()
     tv = t0
     ts[0] = tv
@@ -120,7 +123,7 @@ def integrate(velocity, p0, t0: float, t1: float, h: float, metadata: dict | Non
         ts[i] = tv
         pts[i] = px, py, pz
         i += 1
-    return Trajectory(ts[:i], pts[:i], dict(metadata or {}))
+    return Trajectory(ts[:i], pts[:i])
 
 
 def _map_function(fm: FlowMap, binding: dict):

@@ -157,6 +157,20 @@ def test_group_closure_falls_back_per_binding():
     assert [r["closure_ok"] for r in reports] == [True, False]
 
 
+def test_group_closure_fails_where_the_basis_collapses():
+    # a*X3 vanishes at a = 0: X1, X2 and Y + X4 still close, but they
+    # span a three-dimensional subalgebra, not a four-dimensional one
+    ent = get_entry("4.77")
+    basis = [list(v) for v in ent.basis]
+    basis[2] = [sp.Symbol("a") * c for c in basis[2]]
+    generic, reports = catalog._verify_group(
+        dataclasses.replace(ent, basis=basis), [{"a": 1}, {"a": 0}], seed=0, tol=1e-9
+    )
+    assert generic["closure_ok"]
+    assert [r["closure_ok"] for r in reports] == [True, False]
+    assert [r["rank"] for r in reports] == [5, 5]
+
+
 def test_catalog_pass_instantiates_once_per_group(monkeypatch):
     # one group per unit-circle value: 25 entries without a circle, plus
     # 2 + 3 + 2 admissible circle points for 4.23.i, 4.42 and 4.71.i

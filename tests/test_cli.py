@@ -1,10 +1,11 @@
 """CLI tests: exit codes, report shape, determinism, CSV export."""
 
+import argparse
 import json
 
 import pytest
 
-from gassym.cli import main
+from gassym.cli import _build_parser, main
 
 TOP_KEYS = {
     "version",
@@ -121,6 +122,42 @@ def test_bad_seed_or_tolerance_is_usage_error(capsys, flag, value):
     assert f"argument {flag}: {value!r} is not" in out.err
 
 
+# every option that a subcommand accepts; adding one is a change to this table
+OPTIONS = {
+    "verify-algebra": {"--seed", "--format", "--out"},
+    "verify-invariants": {"--params", "--tol-zero", "--seed", "--format", "--out"},
+    "classify": {"--seed", "--format", "--out"},
+    "verify-solution": {"--seed", "--format", "--out"},
+    "trace": {"--x0", "--t0", "--t1", "--h", "--params", "--seed", "--format", "--out"},
+}
+
+
+def test_option_sets_are_pinned():
+    [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert options == OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-algebra"], ["classify", "4.77"], ["verify-solution"], ["trace", "isochoric-reduced"]],
+)
+def test_tol_zero_is_rejected_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol-zero", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-zero" in capsys.readouterr().err
+
+
+def test_tol_zero_is_accepted_by_verify_invariants(capsys):
+    code, out, _ = _run(capsys, ["verify-invariants", "4.77", "--tol-zero", "1e-6"])
+    assert code == 0
+    assert json.loads(out)["catalog"]["4.77"]["passed"]
+
+
 def test_classify_subset(capsys):
     code, out, _ = _run(capsys, ["classify", "4.1", "4.2", "4.77"])
     assert code == 0
@@ -174,7 +211,7 @@ def test_readme_trace_example_runs(capsys, tmp_path):
     code, out, _ = _run(
         capsys,
         [
-            "trace", "nonisochoric-reduced", "--x0=-1.905,0.995,0.995", "--u0", "1",
+            "trace", "nonisochoric-reduced", "--x0=-1.905,0.995,0.995",
             "--t0", "0.1", "--t1", "3", "--out", str(out_csv),
         ],
     )
@@ -237,6 +274,24 @@ def test_trace_nonpositive_step_is_usage_error(capsys, h):
     assert err.startswith("error: step size must be positive")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # 3e300 samples: the buffer size is refused before anything is allocated
+        (["--h", "1e-300"], "error: cannot allocate samples for step size 1e-300"),
+        # near 1e16 the time grid is 2 apart, so t + 0.5 == t
+        (["--t0", "1e16", "--t1", "1.0000000000000064e16", "--h", "0.5"],
+         "error: step size 0.5 is below the time resolution"),
+    ],
+    ids=["allocation", "time-resolution"],
+)
+def test_trace_step_too_small_is_usage_error(capsys, flags, message):
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_trace_integration_error_is_usage_error(capsys):
     # the non-isochoric velocity is singular at t = 0
     code, out, err = _run(
@@ -278,3 +333,15 @@ def test_report_written_to_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_file.read_text())["catalog"]["4.77"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "argv, name", [(["verify-algebra"], "x.json"), (["trace", "isochoric-reduced"], "x.csv")]
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, name):
+    path = tmp_path / "missing" / name
+    code, out, err = _run(capsys, [*argv, "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1

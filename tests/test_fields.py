@@ -1,6 +1,5 @@
 """Vector-field realization tests: charts, pushforwards, certification."""
 
-import numpy as np
 import pytest
 import sympy as sp
 
@@ -15,7 +14,6 @@ from gassym.fields import (
     realization_table_diff,
     realize,
     realize_combination,
-    roundtrip_point,
     vf_commutator,
 )
 from gassym.liealg import L12_LABELS
@@ -79,53 +77,6 @@ def test_commutator_transfers_to_shifted_chart(b):
     lhs = vf_commutator(realize("X4", ch), realize("X10", ch))
     rhs = (-1) * realize("X1", ch)
     assert lhs.equals(rhs.canonical())
-
-
-# --------------------------------------------------------------------------
-# numeric round trips
-
-
-def _sample_points(chart, n, seed):
-    rng = np.random.default_rng(seed)
-    boxes = {
-        "t": (0.3, 1.5),
-        "x": (0.2, 1.2),
-        "y": (0.2, 1.2),
-        "z": (0.2, 1.2),
-        "u": (0.2, 1.2),
-        "r": (0.4, 1.5),
-        "theta": (0.1, 1.3),
-        "q": (0.4, 1.5),
-        "vartheta": (0.1, 1.3),
-        "r_S": (0.4, 1.5),
-        "theta_S": (0.2, 1.3),
-        "phi": (0.1, 1.3),
-        "q_S": (0.4, 1.5),
-        "vartheta_S": (0.2, 1.3),
-        "varphi": (0.1, 1.3),
-        "qbar": (0.4, 1.5),
-        "varthetabar": (0.1, 1.3),
-        "rho": (0.5, 2.0),
-        "P": (0.5, 2.0),
-    }
-    pts = []
-    for _ in range(n):
-        pts.append(
-            {c: float(rng.uniform(*boxes[c])) for c in chart.coords}
-        )
-    return pts
-
-
-@pytest.mark.parametrize(
-    "chart_fn", [chart_C, chart_S, lambda: chart_D_shift(1)],
-    ids=["C", "S", "D-shift"],
-)
-def test_roundtrip_points(chart_fn):
-    chart = chart_fn()
-    for pt in _sample_points(chart, 50, seed=5):
-        back = roundtrip_point(chart, pt)
-        for c in chart.coords:
-            assert abs(back[c] - pt[c]) < 1e-10, (c, pt)
 
 
 # --------------------------------------------------------------------------
