@@ -35,7 +35,7 @@ from importlib import resources
 import sympy as sp
 import yaml
 
-from .exprs import canonicalize, is_zero
+from .exprs import is_zero
 from .fields import Chart, chart_C, chart_D, chart_D_shift, chart_S, realize_combination
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
 
@@ -233,7 +233,7 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
 def _instantiate(row: _Row, binding: dict) -> SubalgebraEntry:
     subs = row.subs(binding)
     chart = _chart(row.chart, row.chart_b.subs(subs))
-    invs = [canonicalize(inv.subs(subs)) for inv in row.invariants]
+    invs = [inv.subs(subs) for inv in row.invariants]
     params = {s.name: v for s, v in subs.items()}
     return SubalgebraEntry(row.id, params, row.basis.subs(subs).tolist(), chart, invs)
 

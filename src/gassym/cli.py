@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -204,7 +205,6 @@ def cmd_trace(args, report: dict) -> bool:
         raise UsageError(str(exc))
     if args.out:
         _write(args.out, lambda: numerics.write_csv(tr, args.out))
-    end = tr.points[-1]
     report["traces"] = [
         {
             "kind": args.kind,
@@ -212,8 +212,8 @@ def cmd_trace(args, report: dict) -> bool:
             "t0": args.t0,
             "t1": args.t1,
             "h": args.h,
-            "samples": int(len(tr.ts)),
-            "endpoint": [float(end[0]), float(end[1]), float(end[2])],
+            "samples": len(tr.ts),
+            "endpoint": list(tr.points[-1]),
             "csv": args.out,
         }
     ]
@@ -320,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ok = _COMMANDS[args.command](args, report)
         _emit(report, args)
+        sys.stdout.flush()
     except (
         UsageError,
         catalog.UnknownEntryError,
@@ -328,6 +329,11 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
+    except BrokenPipeError:
+        # the reader of stdout went away; point stdout at devnull so the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if ok else 1
 
 

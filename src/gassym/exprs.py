@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-import numpy as np
 import sympy as sp
 from sympy.core.sorting import default_sort_key
 
@@ -258,6 +257,8 @@ def is_zero(
         return ZeroVerdict(ZeroVerdict.NON_ZERO, witness={"value": float(e)})
     if dom is None:
         dom = {}
+    import numpy as np  # only the sampling fallback needs it
+
     free = sorted(e.free_symbols, key=lambda s: s.name)
     rng = np.random.default_rng(seed)
     funcs = dict(functions or {})

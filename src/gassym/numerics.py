@@ -6,16 +6,22 @@ the ellipsoid figure.  All sampling uses a seeded PRNG and every routine
 is deterministic.
 
 RK4 runs on Python floats: velocities are lambdified with the ``math``
-module, the state is three floats, and samples go into preallocated
-arrays (see ``integrate``).
+module, the state is three floats, and samples go into preallocated flat
+``array('d')`` buffers, one per column (see ``integrate``), so a trace
+holds no Python object per sample and never imports numpy.  numpy is
+imported only inside the float helpers ``compare_to_closed_form``,
+``convergence_order`` and ``sphere_transport``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import lt
+from typing import Sequence
 
-import numpy as np
 import sympy as sp
 
 from .submodel import FlowMap, Solution, jacobian_det, t, x, x0, y, y0, z, z0
@@ -36,18 +42,46 @@ class IntegrationError(RuntimeError):
     """The right-hand side failed to evaluate along the path."""
 
 
+class _Rows:
+    """Read-only (x, y, z) rows over three equal-length column buffers."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, xs, ys, zs):
+        self.columns = (xs, ys, zs)
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        xs, ys, zs = self.columns
+        return (xs[i], ys[i], zs[i])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled particle path."""
+    """Uniformly sampled particle path.
 
-    ts: np.ndarray
-    points: np.ndarray  # shape (len(ts), 3)
+    ``ts`` is a sequence of times and ``points`` a sequence of (x, y, z)
+    rows of the same length: the column buffers ``integrate`` fills or,
+    say, an (n, 3) numpy array.
+    """
+
+    ts: Sequence[float]
+    points: Sequence[Sequence[float]]
 
     def __post_init__(self):
-        if not np.all(np.diff(self.ts) > 0):
+        if not all(map(lt, self.ts, islice(self.ts, 1, None))):
             raise ValueError("time samples must be strictly increasing")
-        if not (np.all(np.isfinite(self.ts)) and np.all(np.isfinite(self.points))):
+        if not all(map(math.isfinite, chain(self.ts, *self.columns()))):
             raise ValueError("trajectory contains non-finite values")
+
+    def columns(self) -> tuple:
+        """The x, y and z columns of ``points``."""
+        return getattr(self.points, "columns", None) or tuple(zip(*self.points))
 
 
 def velocity_function(s: Solution, binding: dict):
@@ -76,9 +110,10 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
 
     The state is kept as three floats and each RK4 formula is evaluated
     per component in the order of its vector form, so the samples are
-    bit-identical to a numpy RK4 on 3-vectors.  A failing velocity
-    evaluation, a non-finite state or a step too small for the sample
-    buffers to be allocated raises ``IntegrationError``.
+    bit-identical to a numpy RK4 on 3-vectors.  Samples go into four
+    preallocated ``array('d')`` column buffers (t, x, y, z).  A failing
+    velocity evaluation, a non-finite state or a step too small for the
+    sample buffers to be allocated raises ``IntegrationError``.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -88,14 +123,12 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
     # in which case the buffers grow below
     try:
         n = math.ceil((t1 - t0) / h) + 2
-        ts = np.empty(n)
-        pts = np.empty((n, 3))
+        ts, xs, ys, zs = (array("d", [0.0]) * n for _ in range(4))
     except (OverflowError, ValueError, MemoryError) as exc:
         raise IntegrationError(f"cannot allocate samples for step size {h}: {exc}")
-    px, py, pz = np.asarray(p0, dtype=float).tolist()
+    px, py, pz = (float(v) for v in p0)
     tv = t0
-    ts[0] = tv
-    pts[0] = px, py, pz
+    ts[0], xs[0], ys[0], zs[0] = tv, px, py, pz
     i = 1
     t_stop = t1 - 1e-15 * max(1.0, abs(t1))
     while tv < t_stop:
@@ -118,12 +151,16 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
         if i == len(ts):
             if tv == ts[i - 1]:
                 raise ValueError(f"step size {h} is below the time resolution at t={tv}")
-            ts = np.concatenate((ts, np.empty_like(ts)))
-            pts = np.concatenate((pts, np.empty_like(pts)))
+            for buf in (ts, xs, ys, zs):
+                buf.extend(buf)
         ts[i] = tv
-        pts[i] = px, py, pz
+        xs[i] = px
+        ys[i] = py
+        zs[i] = pz
         i += 1
-    return Trajectory(ts[:i], pts[:i])
+    for buf in (ts, xs, ys, zs):
+        del buf[i:]
+    return Trajectory(ts, _Rows(xs, ys, zs))
 
 
 def _map_function(fm: FlowMap, binding: dict):
@@ -139,6 +176,8 @@ def compare_to_closed_form(tr: Trajectory, fm: FlowMap, binding: dict) -> float:
 
     ``binding`` must fix the map's constants and Lagrangian labels.
     """
+    import numpy as np
+
     fn = _map_function(fm, binding)
     err = 0.0
     for tv, p in zip(tr.ts, tr.points):
@@ -152,6 +191,8 @@ def convergence_order(velocity, p0, t0: float, t1: float, closed_form, hs=(1e-2,
 
     ``closed_form`` is a callable t -> exact 3-vector.
     """
+    import numpy as np
+
     errs = []
     exact = np.asarray(closed_form(t1), dtype=float)
     for h in hs:
@@ -187,6 +228,8 @@ def sphere_transport(fm: FlowMap, n: int, t_value, binding: dict, *, seed: int =
     enclosed volume is (4/3)*pi*|J| with J the map's Jacobian
     determinant.
     """
+    import numpy as np
+
     binding = {sp.sympify(k): sp.nsimplify(v) for k, v in binding.items()}
     comps = [sp.sympify(c).subs(binding) for c in fm.components()]
     t_exact = sp.nsimplify(t_value)
@@ -230,7 +273,7 @@ def sphere_transport(fm: FlowMap, n: int, t_value, binding: dict, *, seed: int =
 
 def write_csv(tr: Trajectory, path) -> None:
     """Trajectory CSV: header t,x,y,z, 17 significant digits per value."""
+    row = "%.17g,%.17g,%.17g,%.17g\n"
     with open(path, "w") as fh:
         fh.write("t,x,y,z\n")
-        for tv, p in zip(tr.ts, tr.points):
-            fh.write(f"{tv:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
+        fh.writelines(map(row.__mod__, zip(tr.ts, *tr.columns())))

@@ -2,9 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gassym
 from gassym.cli import _build_parser, main
 
 TOP_KEYS = {
@@ -345,3 +350,57 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, name):
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert err.count("\n") == 1
+
+
+# --------------------------------------------------------------------------
+# fresh interpreters
+
+
+def _spawn(args, **kwargs):
+    """Start ``python args...`` with ``gassym`` importable from this tree."""
+    src = str(Path(gassym.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-algebra"],
+        ["verify-invariants", "4.77"],
+        ["classify", "4.77"],
+        ["verify-solution", "isochoric-reduced"],
+        ["trace", "isochoric-reduced", "--t1", "0.1", "--h", "1e-2", "--out", "{tmp}"],
+    ],
+)
+def test_campaigns_do_not_import_numpy(tmp_path, argv):
+    argv = [a.format(tmp=tmp_path / "tr.csv") for a in argv]
+    code = (
+        "import sys; from gassym.cli import main; rc = main(sys.argv[1:]); "
+        "sys.exit(3 if 'numpy' in sys.modules else rc)"
+    )
+    proc = _spawn(["-c", code, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err or "numpy was imported"
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_closed_stdout_exits_without_traceback(lines_read):
+    # as `gassym verify-algebra --format text | head -1`: the reader
+    # closes its end of the pipe after ``lines_read`` lines
+    r, w = os.pipe()
+    if not lines_read:
+        os.close(r)
+    cmd = ["-u", "-m", "gassym.cli", "verify-algebra", "--format", "text"]
+    proc = _spawn(cmd, stdout=w, stderr=subprocess.PIPE, text=True)
+    os.close(w)
+    if lines_read:
+        with os.fdopen(r) as reader:
+            assert reader.readline().startswith("[")
+    _, err = proc.communicate(timeout=120)
+    assert err == ""
+    # a reader gone before the first line always makes the write fail;
+    # after one line the rest of the table may already sit in the pipe,
+    # and then nothing fails
+    assert proc.returncode in ((0, 1) if lines_read else (1,))

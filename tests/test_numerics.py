@@ -260,3 +260,24 @@ def test_write_csv_format(tmp_path):
     assert last[1] == pytest.approx(0.2, abs=1e-15)
     # 17 significant digits survive a round trip
     assert float(lines[1].split(",")[0]) == tr.ts[0]
+
+
+def _reference_csv(tr: Trajectory) -> str:
+    """The CSV as written row by row from numpy float64 values."""
+    lines = ["t,x,y,z\n"]
+    for tv, p in zip(np.asarray(tr.ts, dtype=np.float64), np.asarray(tr.points, dtype=np.float64)):
+        lines.append(f"{tv:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
+    return "".join(lines)
+
+
+def test_write_csv_bytes_match_numpy_reference(tmp_path):
+    # the README command `trace isochoric-reduced --x0 0,0,1 --t0 0 --t1 3 --h 1e-3`
+    s = solution_family("isochoric-reduced").subs(BINDING)
+    readme = integrate(velocity_function(s, {}), (0.0, 0.0, 1.0), 0.0, 3.0, 1e-3)
+    edge = [-0.0, 5e-324, 1e300, 1 / 3]
+    rows = [(edge * 2)[i : i + 3] for i in range(4)]
+    hand = Trajectory([-1.0, -0.0, 5e-324, 1 / 3], rows)
+    for tr in (readme, hand):
+        out = tmp_path / "tr.csv"
+        write_csv(tr, out)
+        assert out.read_bytes() == _reference_csv(tr).encode()
