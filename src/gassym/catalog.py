@@ -74,6 +74,9 @@ _DOMAINS = {
 }
 # rational points tried per binding before a rank below 5 is reported
 _RANK_POINTS = 10
+# verdicts that fail a report; a sampled test with no evaluated point
+# decides nothing
+_FAILING = {"NonZero", "Undecided"}
 
 
 class UnknownEntryError(KeyError):
@@ -289,10 +292,10 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         ok = self.closure_ok and self.rank == 5
-        ok = ok and all(v != "NonZero" for v in self.verdicts.values())
+        ok = ok and not _FAILING.intersection(self.verdicts.values())
         for s in self.samples:
             ok = ok and s["closure_ok"] and s["rank"] == 5
-            ok = ok and all(v != "NonZero" for v in s["verdicts"].values())
+            ok = ok and not _FAILING.intersection(s["verdicts"].values())
         return ok
 
 
@@ -397,7 +400,8 @@ def verify_entry(entry_id: str, *, seed: int = 0, tol: float = 1e-9) -> Verifica
     value with grid and choice parameters left as symbols.  An entry
     without a unit circle reports its group's symbolic verdicts, where a
     NonZero that vanishes on all samples is downgraded to a simplifier
-    gap; an entry with one reports its first sample's verdicts.
+    gap (an Undecided sample keeps it NonZero); an entry with one reports
+    its first sample's verdicts.
     """
     row = _row(entry_id)
     symbolic = row.grid + tuple(row.choices)
@@ -421,7 +425,8 @@ def verify_entry(entry_id: str, *, seed: int = 0, tol: float = 1e-9) -> Verifica
     verdicts = dict(samples[0]["verdicts"] if row.unit_circle else generic["verdicts"])
     gaps = [
         key for key, kind in verdicts.items()
-        if kind == "NonZero" and all(s["verdicts"][key] != "NonZero" for s in samples)
+        if kind == "NonZero"
+        and all(s["verdicts"][key] in ("SymbolicZero", "NumericZero") for s in samples)
     ]
     for key in gaps:
         verdicts[key] = "SIMPLIFIER-GAP"

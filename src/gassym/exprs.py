@@ -151,12 +151,25 @@ def evaluate(e, a: Assignment) -> float:
 
     ``log`` is applied to the absolute value of its argument.  Raises
     :class:`UnboundSymbolError` naming the missing symbol, and
-    :class:`DomainError` on division by zero or log/sqrt domain hits.
+    :class:`DomainError` on division by zero, log/sqrt domain hits and
+    any ``zoo``, ``nan`` or infinite node or value.
     """
     return _eval(sp.sympify(e), a)
 
 
 def _eval(e, a: Assignment) -> float:
+    if e is sp.zoo:
+        raise DomainError("complex infinity")
+    try:
+        val = _eval_node(e, a)
+    except OverflowError:  # float ** raises where * gives inf
+        raise DomainError(f"overflow in {e}") from None
+    if not math.isfinite(val):
+        raise DomainError(f"non-finite value {val} of {e}")
+    return val
+
+
+def _eval_node(e, a: Assignment) -> float:
     if e.is_Number:
         return float(e)
     if e.is_Symbol:
@@ -215,13 +228,14 @@ class ZeroVerdict:
     SYMBOLIC_ZERO = "SymbolicZero"
     NUMERIC_ZERO = "NumericZero"
     NON_ZERO = "NonZero"
+    UNDECIDED = "Undecided"  # no sample point could be evaluated
 
     def __init__(self, kind: str, witness: dict | None = None):
         self.kind = kind
         self.witness = witness
 
     def __bool__(self) -> bool:
-        return self.kind != self.NON_ZERO
+        return self.kind in (self.SYMBOLIC_ZERO, self.NUMERIC_ZERO)
 
     def __eq__(self, other):
         if isinstance(other, str):
@@ -243,12 +257,13 @@ def is_zero(
     tol: float = DEFAULT_ZERO_TOL,
     seed: int = 0,
 ) -> ZeroVerdict:
-    """Three-valued zero test: symbolic first, seeded sampling fallback.
+    """Zero test: symbolic first, seeded sampling fallback.
 
     ``dom`` gives one interval per free symbol, chosen off the singular
-    locus.  The fallback evaluates at ``n_points`` pseudo-random points and
-    returns NumericZero if all |values| < ``tol``, else NonZero with a
-    witness point.
+    locus.  The fallback evaluates at ``n_points`` pseudo-random points,
+    skipping points outside the domain, and returns NonZero with a
+    witness point if some |value| >= ``tol``, NumericZero if at least one
+    point evaluated, and Undecided (falsy) if none did.
     """
     e = canonicalize(e)
     if e == 0:
@@ -266,6 +281,7 @@ def is_zero(
         funcs.setdefault(("f", 0), lambda r: r * r)
         funcs.setdefault(("f", 1), lambda r: 2.0 * r)
         funcs.setdefault(("f", 2), lambda r: 2.0)
+    evaluated = False
     for _ in range(n_points):
         point = {}
         for s in free:
@@ -279,7 +295,8 @@ def is_zero(
             return ZeroVerdict(
                 ZeroVerdict.NON_ZERO, witness={"point": point, "value": val}
             )
-    return ZeroVerdict(ZeroVerdict.NUMERIC_ZERO)
+        evaluated = True
+    return ZeroVerdict(ZeroVerdict.NUMERIC_ZERO if evaluated else ZeroVerdict.UNDECIDED)
 
 
 # --------------------------------------------------------------------------

@@ -13,16 +13,24 @@ the Cartesian chart D we support:
                 w = (t*z - b*y)/(t^2 + b^2) + qbar*sin(varthetabar).
 
 Pushforward solves J_Psi * G = F o Psi where Psi maps chart coordinates to
-Cartesian ones, so no inverse trig functions enter symbolic work.
+Cartesian ones, so no inverse trig functions enter symbolic work.  The
+solve runs in the chart's rational function field over QQ: sin(a) and
+cos(a) of each angle become a generator pair (s_a, c_a), and numerators
+and denominators are reduced modulo s_a**2 + c_a**2 - 1, the Pythagorean
+relation ``exprs.canonicalize`` also uses.  The field and the inverted
+Jacobian blocks are built once per chart (``Chart.ring``); a field goes
+back to an Expr only once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import sympy as sp
+from sympy.polys.fields import field
+from sympy.polys.matrices import DomainMatrix
 
 from .exprs import canonicalize
 from .liealg import L12_LABELS
@@ -58,6 +66,11 @@ class Chart:
     # stages of (cartesian coords, chart coords) making the chart Jacobian
     # block triangular, so pushforwards reduce to tiny linear solves
     solve_order: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
+
+    @cached_property
+    def ring(self) -> "_ChartRing":
+        """The map over the chart's rational function field, built on first use."""
+        return _ChartRing(self)
 
 
 def _syms(names: str) -> list[sp.Symbol]:
@@ -297,8 +310,8 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
 
     Solves J_Psi * G = F o Psi stage by stage (Psi is the
     chart-to-Cartesian map and its Jacobian is block triangular in the
-    chart's declared stage order), then simplifies with the Pythagorean
-    rule.
+    chart's declared stage order) in the chart's rational function field,
+    reducing each solved value modulo the Pythagorean relations.
     """
     if F.chart.name != "D":
         raise ValueError("pushforward expects a field in chart D")
@@ -306,37 +319,84 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
         return F
     if not target.solve_order:
         raise ValueError(f"chart {target.name} has no solve stages")
-    subs = {sp.Symbol(c): target.to_cartesian[c] for c in CARTESIAN_COORDS}
-    rhs = {c: canonicalize(sp.sympify(F.coeff(c)).subs(subs)) for c in CARTESIAN_COORDS}
-    solved: dict[str, sp.Expr] = {}
-    for stage, (cart_coords, chart_coords) in enumerate(target.solve_order):
-        b = []
-        for cc in cart_coords:
-            expr = rhs[cc]
-            for prev, gval in solved.items():
-                d = sp.diff(target.to_cartesian[cc], sp.Symbol(prev))
-                if d != 0:
-                    expr -= d * gval
-            b.append(expr)
-        if all(x == 0 for x in b):
-            sol = [sp.Integer(0)] * len(chart_coords)
-        else:
-            sol = _stage_inverse(target, stage) * sp.Matrix(b)
-        for name, val in zip(chart_coords, sol):
-            solved[name] = canonicalize(val)
-    return VectorField(target, {c: solved[c] for c in target.coords})
+    ring = target.ring
+    rhs = {c: ring.compose(F.coeff(c)) for c in CARTESIAN_COORDS}
+    solved = {}
+    for (cart_coords, chart_coords), inverse, coupling in zip(
+        target.solve_order, ring.inverses, ring.couplings
+    ):
+        b = [
+            rhs[cc] - sum((d * solved[prev] for prev, d in coupling[cc]), ring.field.zero)
+            for cc in cart_coords
+        ]
+        for name, row in zip(chart_coords, inverse):
+            solved[name] = ring.reduce(sum((m * x for m, x in zip(row, b)), ring.field.zero))
+    return VectorField(target, {c: ring.to_expr(solved[c]) for c in target.coords})
 
 
-@lru_cache(maxsize=None)
-def _stage_inverse(chart: Chart, stage: int) -> sp.Matrix:
-    """Simplified inverse of one Jacobian block, computed once per chart."""
-    cart_coords, chart_coords = chart.solve_order[stage]
-    unknowns = [sp.Symbol(c) for c in chart_coords]
-    block = sp.Matrix([
-        [sp.diff(chart.to_cartesian[cc], xi) for xi in unknowns]
-        for cc in cart_coords
-    ])
-    det = canonicalize(block.det())
-    adj = block.adjugate()
-    inv = adj.applyfunc(canonicalize) / det
-    return inv.applyfunc(canonicalize)
+class _ChartRing:
+    """A chart's map to Cartesian coordinates over QQ(coords, params, s_a, c_a).
+
+    Each angle ``a`` under ``sin``/``cos`` becomes a generator pair
+    (s_a, c_a); rational functions are kept with numerator and
+    denominator reduced modulo {s_a**2 + c_a**2 - 1}, a Groebner basis in
+    lex order with s_a before c_a, since its leading terms s_a**2 are
+    pairwise coprime.  Holds the image
+    of each Cartesian coordinate, and per solve stage the inverse of the
+    Jacobian block (adjugate over the reduced determinant) and the
+    derivatives coupling it to earlier stages.
+    """
+
+    def __init__(self, chart: Chart):
+        maps = {c: sp.expand_trig(e) for c, e in chart.to_cartesian.items()}
+        coords = [sp.Symbol(c) for c in chart.coords]
+        args = {f.args[0] for e in maps.values() for f in e.atoms(sp.sin, sp.cos)}
+        pairs = {a: (sp.Dummy(f"s_{a}"), sp.Dummy(f"c_{a}")) for a in coords if a in args}
+        params = set().union(*(e.free_symbols for e in maps.values())) - set(coords)
+        gens = [x for x in coords if x not in pairs] + sorted(params, key=str)
+        gens += [g for pair in pairs.values() for g in pair]
+        self.field = K = field(gens, sp.QQ)[0]
+        self._gen = {x.name: K(x) for x in coords if x not in pairs}
+        self._angle = {a.name: (K(s), K(c)) for a, (s, c) in pairs.items()}
+        self._ideal = [K.ring(s) ** 2 + K.ring(c) ** 2 - 1 for s, c in pairs.values()]
+        self._trig = {}
+        for a, (s, c) in pairs.items():
+            self._trig.update({s: sp.sin(a), c: sp.cos(a)})
+        to_ring = {f: g for g, f in self._trig.items()}
+        self._cart = {sp.Symbol(c): e.xreplace(to_ring) for c, e in maps.items()}
+        images = {c: K.from_expr(e) for c, e in zip(maps, self._cart.values())}
+
+        self.inverses, self.couplings, earlier = [], [], []
+        for cart_coords, chart_coords in chart.solve_order:
+            block = DomainMatrix(
+                [[self.diff(images[cc], x) for x in chart_coords] for cc in cart_coords],
+                (len(cart_coords), len(chart_coords)),
+                K.to_domain(),
+            )
+            det = self.reduce(block.det())
+            adj = block.adjugate().to_list()
+            self.inverses.append([[self.reduce(m / det) for m in row] for row in adj])
+            self.couplings.append({
+                cc: [(prev, d) for prev in earlier if (d := self.diff(images[cc], prev))]
+                for cc in cart_coords
+            })
+            earlier += chart_coords
+
+    def diff(self, f, coord: str):
+        """d f / d coord; along an angle a it is c_a d/ds_a - s_a d/dc_a."""
+        if coord in self._angle:
+            s, c = self._angle[coord]
+            return c * f.diff(s) - s * f.diff(c)
+        return f.diff(self._gen[coord])
+
+    def compose(self, e):
+        """The Cartesian expression ``e`` composed with the chart map."""
+        return self.field.from_expr(e.xreplace(self._cart))
+
+    def reduce(self, f):
+        """``f`` with numerator and denominator reduced modulo the
+        Pythagorean relations."""
+        return self.field.new(f.numer.rem(self._ideal), f.denom.rem(self._ideal))
+
+    def to_expr(self, f) -> sp.Expr:
+        return f.as_expr().xreplace(self._trig)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain, islice
 from operator import lt
 from typing import Sequence
@@ -36,6 +36,11 @@ __all__ = [
     "velocity_function",
     "write_csv",
 ]
+
+
+# largest sample count ``integrate`` allocates: four float columns of
+# this length take 3.2 GB
+MAX_SAMPLES = 10**8
 
 
 class IntegrationError(RuntimeError):
@@ -67,21 +72,29 @@ class Trajectory:
 
     ``ts`` is a sequence of times and ``points`` a sequence of (x, y, z)
     rows of the same length: the column buffers ``integrate`` fills or,
-    say, an (n, 3) numpy array.
+    say, an (n, 3) numpy array.  Times must increase strictly and every
+    value must be finite; ``checked=True`` skips that walk for samples
+    already checked as they were made.
     """
 
     ts: Sequence[float]
     points: Sequence[Sequence[float]]
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        if not all(map(lt, self.ts, islice(self.ts, 1, None))):
-            raise ValueError("time samples must be strictly increasing")
-        if not all(map(math.isfinite, chain(self.ts, *self.columns()))):
-            raise ValueError("trajectory contains non-finite values")
+    def __post_init__(self, checked):
+        if not checked:
+            _check_samples(self.ts, self.columns())
 
     def columns(self) -> tuple:
         """The x, y and z columns of ``points``."""
         return getattr(self.points, "columns", None) or tuple(zip(*self.points))
+
+
+def _check_samples(ts, columns) -> None:
+    if not all(map(lt, ts, islice(ts, 1, None))):
+        raise ValueError("time samples must be strictly increasing")
+    if not all(map(math.isfinite, chain(ts, *columns))):
+        raise ValueError("trajectory contains non-finite values")
 
 
 def velocity_function(s: Solution, binding: dict):
@@ -112,8 +125,11 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
     per component in the order of its vector form, so the samples are
     bit-identical to a numpy RK4 on 3-vectors.  Samples go into four
     preallocated ``array('d')`` column buffers (t, x, y, z).  A failing
-    velocity evaluation, a non-finite state or a step too small for the
-    sample buffers to be allocated raises ``IntegrationError``.
+    velocity evaluation, a non-finite state, or a step so small that more
+    than ``MAX_SAMPLES`` samples (or more than can be allocated) would be
+    needed raises ``IntegrationError``.  Every state is checked finite as
+    it is made and time only advances, so the ``Trajectory`` is built
+    without a second check.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -123,6 +139,8 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
     # in which case the buffers grow below
     try:
         n = math.ceil((t1 - t0) / h) + 2
+        if n > MAX_SAMPLES:
+            raise ValueError(f"{n} samples exceed MAX_SAMPLES = {MAX_SAMPLES}")
         ts, xs, ys, zs = (array("d", [0.0]) * n for _ in range(4))
     except (OverflowError, ValueError, MemoryError) as exc:
         raise IntegrationError(f"cannot allocate samples for step size {h}: {exc}")
@@ -151,8 +169,10 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
         if i == len(ts):
             if tv == ts[i - 1]:
                 raise ValueError(f"step size {h} is below the time resolution at t={tv}")
+            if i >= MAX_SAMPLES:
+                raise IntegrationError(f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
             for buf in (ts, xs, ys, zs):
-                buf.extend(buf)
+                buf.extend(buf[: MAX_SAMPLES - i])
         ts[i] = tv
         xs[i] = px
         ys[i] = py
@@ -160,7 +180,7 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
         i += 1
     for buf in (ts, xs, ys, zs):
         del buf[i:]
-    return Trajectory(ts, _Rows(xs, ys, zs))
+    return Trajectory(ts, _Rows(xs, ys, zs), checked=True)
 
 
 def _map_function(fm: FlowMap, binding: dict):

@@ -368,6 +368,12 @@ def test_gate_8_mutations():
             _invariant_mutant_detected(eid, bad),
         ))
 
+    # a sampled zero test that evaluates no point is not a pass
+    xs = sp.Symbol("x")
+    for bad in (sp.sqrt(-1 - xs**2), sp.zoo * xs):
+        v = is_zero(bad, seed=0, tol=TOL_ZERO)
+        checks.append((f"{bad} is evaluable nowhere: {v.kind}", v.kind == "Undecided" and not v))
+
     # solution coefficient flips leave a nonzero residual
     iso = submodel.solution_family("isochoric-reduced")
     k0, m0, rho0, t = submodel.k0, submodel.m0, submodel.rho0, submodel.t

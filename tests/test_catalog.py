@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 from sympy.parsing import sympy_parser
 
-from gassym import catalog, liealg
+from gassym import catalog, exprs, fields, liealg
 from gassym.catalog import (
     ConstraintError,
     UnknownEntryError,
@@ -214,6 +214,43 @@ def test_catalog_pass_parses_each_string_once(monkeypatch):
     assert calls["parse"] == 0
 
 
+def test_catalog_pass_pushes_forward_in_the_ring(monkeypatch):
+    # fresh charts: each chart's ring is set up once, and no Expr-level
+    # canonicalize runs inside a pushforward
+    for cached in (fields.chart_C, fields.chart_S, fields.chart_D_shift, fields.realize):
+        cached.cache_clear()
+    setups, calls = {}, {"pushforward": 0, "canonicalize": 0}
+    inside = []
+
+    class CountedRing(fields._ChartRing):
+        def __init__(self, chart):
+            setups[chart.name] = setups.get(chart.name, 0) + 1
+            super().__init__(chart)
+
+    def pushforward(F, target):
+        calls["pushforward"] += 1
+        inside.append(True)
+        try:
+            return push(F, target)
+        finally:
+            inside.pop()
+
+    def canonicalize(e):
+        calls["canonicalize"] += bool(inside)
+        return canon(e)
+
+    push, canon = fields.pushforward, exprs.canonicalize
+    monkeypatch.setattr(fields, "_ChartRing", CountedRing)
+    monkeypatch.setattr(fields, "pushforward", pushforward)
+    monkeypatch.setattr(fields, "canonicalize", canonicalize)
+    monkeypatch.setattr(exprs, "canonicalize", canonicalize)
+    for eid in catalog_ids():
+        verify_entry(eid)
+    assert set(setups) == {"C", "S", "D-shift(0)", "D-shift(1)", "D-shift(4/5)"}
+    assert set(setups.values()) == {1}
+    assert calls == {"pushforward": 37, "canonicalize": 0}
+
+
 def test_get_entry_keeps_exact_values_unparsed(monkeypatch):
     calls = {"parse": 0}
     parse = sympy_parser.parse_expr
@@ -305,3 +342,31 @@ def test_outer_scaling_preserves_annihilation():
     basis[3] = [2 * c for c in basis[3]]
     scaled = dataclasses.replace(ent, basis=basis)
     assert verify_invariants(scaled).passed
+
+
+@pytest.mark.parametrize(
+    "sample_kind, gap", [("NumericZero", True), ("Undecided", False)]
+)
+def test_undecided_samples_are_not_a_simplifier_gap(monkeypatch, sample_kind, gap):
+    # mutant: a symbolic NonZero whose samples decide nothing must stay
+    # NonZero and fail; one that vanishes on every sample is a gap
+    key = (0, 0)
+
+    def fake_group(entry, bindings, *, seed, tol):
+        rep = {"closure_ok": True, "verdicts": {key: sample_kind}, "rank": 5}
+        return {"closure_ok": True, "verdicts": {key: "NonZero"}}, [rep] * len(bindings)
+
+    monkeypatch.setattr(catalog, "_verify_group", fake_group)
+    rep = verify_entry("4.34.i")
+    assert (rep.simplifier_gaps == [key]) is gap
+    assert rep.verdicts[key] == ("SIMPLIFIER-GAP" if gap else "NonZero")
+    assert rep.passed is gap
+
+
+def test_undecided_verdict_fails_a_report():
+    ok = {(0, 0): "SymbolicZero", (0, 1): "NumericZero", (0, 2): "SIMPLIFIER-GAP"}
+    assert catalog.VerificationReport("x", True, ok, 5).passed
+    bad = {**ok, (1, 0): "Undecided"}
+    assert not catalog.VerificationReport("x", True, bad, 5).passed
+    sample = {"closure_ok": True, "rank": 5, "verdicts": bad}
+    assert not catalog.VerificationReport("x", True, ok, 5, samples=[sample]).passed

@@ -297,6 +297,15 @@ def test_trace_step_too_small_is_usage_error(capsys, flags, message):
     assert err.startswith(message)
 
 
+def test_trace_sample_count_is_bounded(capsys, monkeypatch):
+    monkeypatch.setattr(gassym.numerics, "MAX_SAMPLES", 1_000)
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--h", "1e-3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot allocate samples for step size 0.001: 3002 samples")
+    assert err.count("\n") == 1
+
+
 def test_trace_integration_error_is_usage_error(capsys):
     # the non-isochoric velocity is singular at t = 0
     code, out, err = _run(

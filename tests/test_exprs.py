@@ -162,10 +162,16 @@ def test_evaluate_unbound_symbol_names_offender():
         evaluate(x + y, Assignment({"x": 1.0}))
 
 
-@pytest.mark.parametrize("expr", [1 / x, sp.log(x)])
+@pytest.mark.parametrize("expr", [1 / x, sp.log(x), sp.zoo * x, sp.nan * x, sp.oo * x])
 def test_evaluate_domain_errors(expr):
     with pytest.raises(DomainError):
         evaluate(expr, Assignment({"x": 0.0}))
+
+
+@pytest.mark.parametrize("expr", [x**5000, x**600 * (x + 1) ** 600], ids=["pow", "mul"])
+def test_evaluate_overflow_is_domain_error(expr):
+    with pytest.raises(DomainError):
+        evaluate(expr, Assignment({"x": 2.0}))
 
 
 def test_evaluate_trig():
@@ -195,6 +201,26 @@ def test_is_zero_nonzero_witness():
     v2 = is_zero(x, {"x": (0.5, 1.5)})
     assert v2.kind == ZeroVerdict.NON_ZERO
     assert "point" in v2.witness and "value" in v2.witness
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [sp.sqrt(-1 - x**2), sp.zoo * x],
+    ids=["negative-sqrt", "zoo"],
+)
+def test_is_zero_with_no_evaluated_point_is_undecided(expr):
+    # every sample is a domain miss: nothing was checked, so no pass
+    v = is_zero(expr, {"x": (0.5, 1.5)})
+    assert v.kind == ZeroVerdict.UNDECIDED
+    assert not v
+
+
+def test_is_zero_skips_domain_misses():
+    # sqrt(x - 1) is undefined on half of the box; the points that do
+    # evaluate decide
+    e = sp.sqrt(x - 1) * (sp.Abs(x) - x)
+    assert is_zero(e, {"x": (0.5, 1.5)}).kind == ZeroVerdict.NUMERIC_ZERO
+    assert is_zero(sp.sqrt(x - 1), {"x": (0.5, 1.5)}).kind == ZeroVerdict.NON_ZERO
 
 
 def test_is_zero_deterministic():

@@ -1,5 +1,7 @@
 """Vector-field realization tests: charts, pushforwards, certification."""
 
+import random
+
 import pytest
 import sympy as sp
 
@@ -121,3 +123,73 @@ def test_realize_combination_order_is_y_first():
     F = realize_combination([1] + [0] * 11)
     assert F.coeff("P") == 1
     assert all(F.coeff(c) == 0 for c in CARTESIAN_COORDS if c != "P")
+
+
+# --------------------------------------------------------------------------
+# the pushforward identity J_Psi * G = F o Psi, exactly at rational points
+
+# (cos, sin) on the unit circle with both entries rational and nonzero
+PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]
+PUSHFORWARD_CHARTS = [
+    chart_C, chart_S, lambda: chart_D_shift(0), lambda: chart_D_shift(1),
+    lambda: chart_D_shift(sp.Rational(4, 5)),
+]
+
+
+def _rational_point(chart, rng):
+    """Values for the chart's symbols and for sin/cos of its angles: each
+    angle sits where (cos, sin) is a signed Pythagorean pair, every other
+    coordinate in [1/32, 2], so no pole of the charts is hit."""
+    maps = [sp.expand_trig(e) for e in chart.to_cartesian.values()]
+    angles = {f.args[0] for e in maps for f in e.atoms(sp.sin, sp.cos)}
+    values = {}
+    for c in map(sp.Symbol, chart.coords):
+        if c in angles:
+            a, b, h = rng.choice(PYTHAGOREAN)
+            if rng.random() < 0.5:
+                a, b = b, a
+            values[sp.cos(c)] = sp.Rational(rng.choice((-a, a)), h)
+            values[sp.sin(c)] = sp.Rational(rng.choice((-b, b)), h)
+        else:
+            values[c] = sp.Rational(rng.randint(1, 64), 32)
+    return values
+
+
+def _identity_residual(F, G, point):
+    """J_Psi * G - F o Psi at ``point``, one rational per Cartesian coord."""
+    chart = G.chart
+    at = lambda e: sp.expand_trig(sp.sympify(e)).xreplace(point)
+    psi = {sp.Symbol(c): e for c, e in chart.to_cartesian.items()}
+    out = []
+    for cc in CARTESIAN_COORDS:
+        image = chart.to_cartesian[cc]
+        lhs = sum(at(sp.diff(image, sp.Symbol(c))) * at(G.coeff(c)) for c in chart.coords)
+        val = lhs - at(F.coeff(cc).xreplace(psi))
+        assert val.is_Rational, val
+        out.append(val)
+    return out
+
+
+@pytest.mark.parametrize("make_chart", PUSHFORWARD_CHARTS, ids=["C", "S", "Dshift0", "Dshift1", "Dshift4/5"])
+def test_pushforward_identity_holds_exactly(make_chart):
+    chart = make_chart()
+    rng = random.Random(0)
+    for _ in range(2):
+        point = _rational_point(chart, rng)
+        for label in L12_LABELS:
+            assert _identity_residual(realize(label), realize(label, chart), point) == [0] * 9
+
+
+@pytest.mark.parametrize("make_chart", PUSHFORWARD_CHARTS, ids=["C", "S", "Dshift0", "Dshift1", "Dshift4/5"])
+def test_pushforward_identity_catches_a_flipped_sign(make_chart):
+    # mutant: one realized coefficient of X8 with its sign flipped
+    chart = make_chart()
+    point = _rational_point(chart, random.Random(0))
+    G = realize("X8", chart)
+    c = next(c for c in chart.coords if G.coeff(c) != 0)
+    bad = VectorField(chart, {**G.coeffs, c: -G.coeff(c)})
+    assert any(_identity_residual(realize("X8"), bad, point))
+
+
+def test_realization_matches_table_cylindrical():
+    assert realization_table_diff(chart_C()) == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from gassym import numerics
 from gassym.numerics import (
     IntegrationError,
     Trajectory,
@@ -214,6 +215,41 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), np.array([[0, 0, 0], [np.nan, 0, 0]]))
+
+
+def test_integrate_checks_each_sample_once(monkeypatch):
+    # the RK4 loop checks every state as it is made; only a hand-built
+    # Trajectory walks its samples again
+    calls = []
+    check = numerics._check_samples
+    monkeypatch.setattr(
+        numerics, "_check_samples", lambda *a: calls.append(1) or check(*a)
+    )
+    tr = integrate(lambda tv, p: (1.0, 0.0, 0.0), [0.0, 0.0, 0.0], 0.0, 1.0, 0.01)
+    assert calls == []
+    Trajectory(tr.ts, tr.points)
+    assert calls == [1]
+    rows = [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)]
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory([0.0, 1.0], rows)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory([1.0, 1.0], rows[:1] * 2)
+
+
+def test_integrate_refuses_more_than_max_samples(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_SAMPLES", 1_000)
+    vel = lambda tv, p: (0.0, 0.0, 0.0)
+    assert len(integrate(vel, [0.0, 0.0, 0.0], 0.0, 1.0, 0.002).ts) == 501
+    with pytest.raises(IntegrationError, match="exceed MAX_SAMPLES"):
+        integrate(vel, [0.0, 0.0, 0.0], 0.0, 1.0, 1e-3)
+
+
+def test_buffer_growth_stops_at_max_samples(monkeypatch):
+    # near 1e15, t + 0.3 advances by 0.25: 102 samples are allocated and
+    # about 122 are needed, so the buffers grow, but not past 110
+    monkeypatch.setattr(numerics, "MAX_SAMPLES", 110)
+    with pytest.raises(IntegrationError, match="more than MAX_SAMPLES"):
+        integrate(lambda tv, p: (0.0, 0.0, 0.0), [0.0, 0.0, 0.0], 1e15, 1e15 + 30, 0.3)
 
 
 # --------------------------------------------------------------------------
