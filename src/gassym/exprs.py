@@ -201,14 +201,6 @@ def _eval_node(e, a: Assignment) -> float:
         return math.sin(_eval(e.args[0], a))
     if isinstance(e, sp.cos):
         return math.cos(_eval(e.args[0], a))
-    if isinstance(e, sp.atan2):
-        y = _eval(e.args[0], a)
-        x = _eval(e.args[1], a)
-        if x == 0.0 and y == 0.0:
-            raise DomainError(f"atan2(0, 0) in {e}")
-        return math.atan2(y, x)
-    if isinstance(e, sp.acos):
-        return math.acos(_eval(e.args[0], a))
     if isinstance(e, sp.Abs):
         return abs(_eval(e.args[0], a))
     if isinstance(e, _Opaque):
@@ -260,10 +252,13 @@ def is_zero(
     """Zero test: symbolic first, seeded sampling fallback.
 
     ``dom`` gives one interval per free symbol, chosen off the singular
-    locus.  The fallback evaluates at ``n_points`` pseudo-random points,
-    skipping points outside the domain, and returns NonZero with a
-    witness point if some |value| >= ``tol``, NumericZero if at least one
-    point evaluated, and Undecided (falsy) if none did.
+    locus.  Each jet f^(k)(g) of an opaque function without a ``functions``
+    override becomes a symbol of its own, one per distinct (k, g), sampled
+    like a coordinate: a pass then holds for every smooth f.  The
+    fallback evaluates at ``n_points`` pseudo-random points, skipping
+    points outside the domain, and returns NonZero with a witness point if
+    some |value| >= ``tol``, NumericZero if at least one point evaluated,
+    and Undecided (falsy) if none did.
     """
     e = canonicalize(e)
     if e == 0:
@@ -274,13 +269,14 @@ def is_zero(
         dom = {}
     import numpy as np  # only the sampling fallback needs it
 
+    funcs = functions or {}
+    jets = sorted(
+        (j for j in e.atoms(_Opaque) if (j.base_name, j.diff_order) not in funcs),
+        key=default_sort_key,
+    )
+    e = e.xreplace({j: sp.Symbol(f"{j}#{i}") for i, j in enumerate(jets)})
     free = sorted(e.free_symbols, key=lambda s: s.name)
     rng = np.random.default_rng(seed)
-    funcs = dict(functions or {})
-    if any(isinstance(n, _Opaque) for n in e.atoms(sp.Function)):
-        funcs.setdefault(("f", 0), lambda r: r * r)
-        funcs.setdefault(("f", 1), lambda r: 2.0 * r)
-        funcs.setdefault(("f", 2), lambda r: 2.0)
     evaluated = False
     for _ in range(n_points):
         point = {}
@@ -327,8 +323,6 @@ def _sexpr(e) -> str:
         return f"(ln {_sexpr(e.args[0])})"
     if isinstance(e, (sp.sin, sp.cos)):
         return f"({type(e).__name__} {_sexpr(e.args[0])})"
-    if isinstance(e, sp.atan2):
-        return f"(atan2 {_sexpr(e.args[0])} {_sexpr(e.args[1])})"
     if isinstance(e, _Opaque):
         return f"({e.base_name}^({e.diff_order}) {_sexpr(e.args[0])})"
     raise TypeError(f"cannot serialize node {type(e).__name__}: {e}")

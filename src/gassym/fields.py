@@ -14,18 +14,20 @@ the Cartesian chart D we support:
 
 Pushforward solves J_Psi * G = F o Psi where Psi maps chart coordinates to
 Cartesian ones, so no inverse trig functions enter symbolic work.  The
-solve runs in the chart's rational function field over QQ: sin(a) and
-cos(a) of each angle become a generator pair (s_a, c_a), and numerators
-and denominators are reduced modulo s_a**2 + c_a**2 - 1, the Pythagorean
-relation ``exprs.canonicalize`` also uses.  The field and the inverted
-Jacobian blocks are built once per chart (``Chart.ring``); a field goes
-back to an Expr only once, at the end.
+solve runs in the chart's rational function field over QQ (``Chart.ring``,
+built once per chart; chart D's has no angles): sin(a) and cos(a) of each
+angle become a generator pair (s_a, c_a), and numerators and denominators
+are reduced modulo s_a**2 + c_a**2 - 1.  Fields are also bracketed and
+compared there: two fields are equal when the reduced numerator of each
+coefficient difference is 0.  ``exprs.canonicalize`` serves only
+``VectorField.apply``, whose operands carry ``log`` and catalog parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Mapping
 
 import sympy as sp
@@ -196,46 +198,25 @@ class VectorField:
                 out += fc * sp.diff(e, sp.Symbol(c))
         return canonicalize(out)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if other.chart.name != self.chart.name:
-            raise ValueError("chart mismatch")
-        coords = self.chart.coords
-        return VectorField(
-            self.chart,
-            {c: sp.expand(self.coeff(c) + other.coeff(c)) for c in coords},
-        )
-
     def __rmul__(self, scalar) -> "VectorField":
-        return VectorField(
-            self.chart,
-            {c: sp.expand(sp.sympify(scalar) * self.coeff(c))
-             for c in self.chart.coords},
-        )
-
-    def canonical(self) -> "VectorField":
-        return VectorField(
-            self.chart,
-            {c: canonicalize(self.coeff(c)) for c in self.chart.coords},
-        )
+        scalar = sp.sympify(scalar)
+        return VectorField(self.chart, {c: scalar * self.coeff(c) for c in self.chart.coords})
 
     def equals(self, other: "VectorField") -> bool:
         if other.chart.name != self.chart.name:
             return False
-        return all(
-            canonicalize(self.coeff(c) - other.coeff(c)) == 0
-            for c in self.chart.coords
-        )
+        ring = self.chart.ring
+        f, g = ring.lift(self), ring.lift(other)
+        return all(ring.is_zero(f[c] - g[c]) for c in self.chart.coords)
 
 
 def vf_commutator(F: VectorField, G: VectorField) -> VectorField:
     """[F, G] with coefficients F(G_i) - G(F_i)."""
     if F.chart.name != G.chart.name:
         raise ValueError("chart mismatch")
-    coeffs = {
-        c: canonicalize(F.apply(G.coeff(c)) - G.apply(F.coeff(c)))
-        for c in F.chart.coords
-    }
-    return VectorField(F.chart, coeffs)
+    ring = F.chart.ring
+    h = ring.bracket(ring.lift(F), ring.lift(G))
+    return VectorField(F.chart, {c: ring.to_expr(h[c]) for c in F.chart.coords})
 
 
 # --------------------------------------------------------------------------
@@ -276,12 +257,11 @@ def realize(label: str, chart: Chart | None = None) -> VectorField:
 def realize_combination(coeffs, chart: Chart | None = None) -> VectorField:
     """Linear combination sum coeffs[i] * generator_i, (Y, X1..X11) order."""
     chart = chart or chart_D()
-    out = VectorField(chart, {})
-    for c, label in zip(coeffs, L12_LABELS):
-        c = sp.sympify(c)
-        if c != 0:
-            out = out + c * realize(label, chart)
-    return out.canonical()
+    terms = [(a, realize(label, chart))
+             for a, label in zip(map(sp.sympify, coeffs), L12_LABELS) if a != 0]
+    return VectorField(
+        chart, {c: sp.Add(*(a * F.coeff(c) for a, F in terms)) for c in chart.coords}
+    )
 
 
 def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
@@ -290,18 +270,17 @@ def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
     from .liealg import l12
 
     chart = chart or chart_D()
-    alg = l12()
-    realized = {lbl: realize(lbl, chart) for lbl in L12_LABELS}
+    ring, C = chart.ring, l12().C
+    lifted = [ring.lift(realize(lbl, chart)) for lbl in L12_LABELS]
     bad = []
-    for i, a in enumerate(L12_LABELS):
-        for j in range(i + 1, len(L12_LABELS)):
-            b = L12_LABELS[j]
-            lhs = vf_commutator(realized[a], realized[b])
-            rhs = realize_combination(
-                [alg.C[i][j][k] for k in range(alg.dim)], chart
-            )
-            if not lhs.equals(rhs):
-                bad.append((a, b))
+    for i, j in combinations(range(len(L12_LABELS)), 2):
+        lhs = ring.bracket(lifted[i], lifted[j])
+        terms = [(sp.QQ.from_sympy(a), g) for a, g in zip(C[i][j], lifted) if a]
+        if not all(
+            ring.is_zero(lhs[c] - sum((a * g[c] for a, g in terms), ring.field.zero))
+            for c in chart.coords
+        ):
+            bad.append((L12_LABELS[i], L12_LABELS[j]))
     return bad
 
 
@@ -341,10 +320,11 @@ class _ChartRing:
     (s_a, c_a); rational functions are kept with numerator and
     denominator reduced modulo {s_a**2 + c_a**2 - 1}, a Groebner basis in
     lex order with s_a before c_a, since its leading terms s_a**2 are
-    pairwise coprime.  Holds the image
-    of each Cartesian coordinate, and per solve stage the inverse of the
-    Jacobian block (adjugate over the reduced determinant) and the
-    derivatives coupling it to earlier stages.
+    pairwise coprime.  So a rational function vanishes on the chart
+    exactly when its numerator reduces to 0.  Holds the image of each
+    Cartesian coordinate, and per solve stage the inverse of the Jacobian
+    block (adjugate over the reduced determinant) and the derivatives
+    coupling it to earlier stages.
     """
 
     def __init__(self, chart: Chart):
@@ -362,8 +342,9 @@ class _ChartRing:
         self._trig = {}
         for a, (s, c) in pairs.items():
             self._trig.update({s: sp.sin(a), c: sp.cos(a)})
-        to_ring = {f: g for g, f in self._trig.items()}
-        self._cart = {sp.Symbol(c): e.xreplace(to_ring) for c, e in maps.items()}
+        self.coords = chart.coords
+        self._to_ring = {f: g for g, f in self._trig.items()}
+        self._cart = {sp.Symbol(c): e.xreplace(self._to_ring) for c, e in maps.items()}
         images = {c: K.from_expr(e) for c, e in zip(maps, self._cart.values())}
 
         self.inverses, self.couplings, earlier = [], [], []
@@ -388,6 +369,25 @@ class _ChartRing:
             s, c = self._angle[coord]
             return c * f.diff(s) - s * f.diff(c)
         return f.diff(self._gen[coord])
+
+    def lift(self, F: VectorField) -> dict:
+        """``F``'s coefficients in the field, via sin a -> s_a, cos a -> c_a."""
+        return {c: self.field.from_expr(F.coeff(c).xreplace(self._to_ring)) for c in self.coords}
+
+    def bracket(self, f: dict, g: dict) -> dict:
+        """[f, g] of two lifted fields: coefficients f(g_i) - g(f_i), reduced."""
+        zero = self.field.zero
+        active = [x for x in self.coords if f[x] or g[x]]
+        return {
+            c: self.reduce(sum(
+                (f[x] * self.diff(g[c], x) - g[x] * self.diff(f[c], x) for x in active), zero
+            ))
+            for c in self.coords
+        }
+
+    def is_zero(self, f) -> bool:
+        """The zero test for fields: the numerator reduces to 0."""
+        return not f.numer.rem(self._ideal)
 
     def compose(self, e):
         """The Cartesian expression ``e`` composed with the chart map."""

@@ -12,7 +12,7 @@ import sympy as sp
 import pytest
 
 from gassym import catalog, classify, numerics, submodel
-from gassym.exprs import canonicalize, is_zero
+from gassym.exprs import canonicalize, is_zero, opaque
 from gassym.fields import realization_table_diff, realize_combination, vf_commutator, realize
 from gassym.liealg import L12_LABELS, Subalgebra, apply_automorphism, inverse_params, l12
 
@@ -373,6 +373,11 @@ def test_gate_8_mutations():
     for bad in (sp.sqrt(-1 - xs**2), sp.zoo * xs):
         v = is_zero(bad, seed=0, tol=TOL_ZERO)
         checks.append((f"{bad} is evaluable nowhere: {v.kind}", v.kind == "Undecided" and not v))
+
+    # a residual that holds for the one choice f(rho) = rho**2 only is no zero
+    bad = opaque("f", 2)(sp.Symbol("rho")) - 2
+    v = is_zero(bad, seed=0, tol=TOL_ZERO)
+    checks.append((f"{bad} holds for one f only: {v.kind}", v.kind == "NonZero"))
 
     # solution coefficient flips leave a nonzero residual
     iso = submodel.solution_family("isochoric-reduced")

@@ -229,14 +229,24 @@ def test_is_zero_deterministic():
     assert a.kind == b.kind
 
 
-def test_is_zero_binds_default_state_function():
+def test_is_zero_samples_state_function_jets_freely():
     f = opaque("f")
     fp = opaque("f", 1)
-    # holds for the default binding f(r) = r^2 only
-    v = is_zero(fp(x) - 2 * x, {"x": (0.5, 1.5)})
+    fpp = opaque("f", 2)
+    # each holds for f(r) = r^2 only, so none is zero for every f
+    for e in (fp(x) - 2 * x, fpp(x) - 2, x * fp(x) - 2 * f(x), 4 * f(x / 2) - f(x)):
+        v = is_zero(e, {"x": (0.5, 1.5)})
+        assert v.kind == ZeroVerdict.NON_ZERO, e
+    assert is_zero(f(x) - x, {"x": (0.5, 1.5)}).kind == ZeroVerdict.NON_ZERO
+    # f(x) and f(x/2) are separate sample values
+    v = is_zero(4 * f(x / 2) - f(x), {"x": (0.5, 1.5)})
+    assert len([name for name in v.witness["point"] if name.startswith("f(")]) == 2
+
+
+def test_is_zero_honours_function_override():
+    fp = opaque("f", 1)
+    v = is_zero(fp(x) - 2 * x, {"x": (0.5, 1.5)}, functions={("f", 1): lambda r: 2.0 * r})
     assert v.kind == ZeroVerdict.NUMERIC_ZERO
-    v2 = is_zero(f(x) - x, {"x": (0.5, 1.5)})
-    assert v2.kind == ZeroVerdict.NON_ZERO
 
 
 # --------------------------------------------------------------------------
