@@ -3,9 +3,12 @@
 Entries live in ``data/catalog.yaml`` so they can be reviewed line by
 line.  Each entry is parsed once, on first use, into a row cached per
 id: the basis coefficient matrix and the invariants over the parameter
-symbols, the chart, the constraints and the parameter values.  Every
-binding of the parameters, numeric or symbolic, is a substitution into
-that row.  Verification of an entry checks three things:
+symbols, the chart, the constraints and the parameter values.  The
+strings of both data files are read by :func:`parse`, a whitelist over
+Python's ``ast`` that evaluates nothing, and a basis element is read
+off its tree as a coefficient vector.  Every binding of the parameters,
+numeric or symbolic, is a substitution into that row.  Verification of
+an entry checks three things:
 
   * the basis spans a subalgebra (closure under the bracket, exact);
   * each listed invariant (plus the implicit density) is annihilated by
@@ -25,8 +28,10 @@ invariance failure.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,7 +41,8 @@ import sympy as sp
 import yaml
 
 from .exprs import is_zero
-from .fields import Chart, chart_C, chart_D, chart_D_shift, chart_S, realize_combination
+from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, S_COORDS, Chart, chart_C,
+                     chart_D, chart_D_shift, chart_S, realize_combination)
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
 
 __all__ = [
@@ -49,6 +55,7 @@ __all__ = [
     "entry_schema",
     "get_entry",
     "parameter_samples",
+    "parse",
     "verify_entry",
     "verify_invariants",
 ]
@@ -87,24 +94,21 @@ class ConstraintError(ValueError):
     pass
 
 
-_GEN_SYMS = [sp.Symbol(lbl) for lbl in L12_LABELS]
 _PARAM_SYMS = {n: sp.Symbol(n) for n in ("a", "b", "c", "d", "eps")}
 _CHARTS = {"D": chart_D, "C": chart_C, "S": chart_S}
+_COORDS = {"D": CARTESIAN_COORDS, "C": C_COORDS, "S": S_COORDS, "Dshift": D_SHIFT_COORDS}
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _chart(name: str, b: sp.Expr) -> Chart:
     """Chart ``name`` of catalog.yaml; ``b`` is the shift of ``Dshift``."""
-    if name == "Dshift":
-        return chart_D_shift(b)
-    if name not in _CHARTS:
-        raise ValueError(f"unknown chart {name!r}")
-    return _CHARTS[name]()
+    return chart_D_shift(b) if name == "Dshift" else _CHARTS[name]()
 
 
 @lru_cache(maxsize=None)
 def _raw_entries() -> dict[str, dict]:
     text = resources.files("gassym").joinpath("data/catalog.yaml").read_text()
-    return {e["id"]: e for e in yaml.safe_load(text)["entries"]}
+    return {e["id"]: e for e in yaml.load(text, Loader=_YAML_LOADER)["entries"]}
 
 
 def catalog_ids() -> list[str]:
@@ -126,13 +130,66 @@ def entry_schema(entry_id: str) -> dict:
     }
 
 
-def _linear_coeffs(expr: sp.Expr, gens: list) -> list[sp.Expr]:
-    """Coefficients of ``expr`` on ``gens``; raises unless it is linear."""
-    expr = sp.expand(expr)
-    coeffs = [expr.coeff(g, 1) for g in gens]
-    if sp.expand(expr - sum(c * g for c, g in zip(coeffs, gens))) != 0:
-        raise ValueError(f"{expr} is not linear in {gens}")
-    return [sp.expand(c) for c in coeffs]
+_FUNCTIONS = {"log": sp.log, "Abs": sp.Abs}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
+
+
+def parse(where: str, text, names: dict, gens: tuple = ()):
+    """The sympy value of one data string, read off its Python ``ast``.
+
+    The grammar is a whitelist: the symbols in ``names``, integer
+    literals, binary + - * / **, unary -, calls of log and Abs, and a
+    whole string ``Ne(x, y)``.  Nothing is evaluated, so no other name
+    (``E``, ``I``, ``pi``, ...) becomes a sympy constant.  With ``gens``
+    the string must be a linear form in those names, and its coefficient
+    list is returned.  Anything else raises ValueError naming ``where``
+    and the string.
+    """
+    def fail(why: str):
+        raise ValueError(f"{where}: cannot read {text!r}: {why}")
+
+    def combine(op, a, b):  # a linear form is a list of coefficients
+        va, vb = isinstance(a, list), isinstance(b, list)
+        if op is operator.truediv and not vb and b == 0:
+            fail("division by zero")
+        if not (va or vb):
+            return op(a, b)
+        if va and vb and op in (operator.add, operator.sub):
+            return [op(x, y) for x, y in zip(a, b)]
+        if (op is operator.mul and va != vb) or (op is operator.truediv and not vb):
+            return [x if x == 0 else op(x, b) if va else a * x for x in (a if va else b)]
+        fail(f"not linear in {', '.join(gens)}")
+
+    def build(node):
+        match node:
+            case ast.Constant(value=int() as v) if not isinstance(v, bool):
+                return sp.Integer(v)
+            case ast.Name(id=name) if name in gens:
+                return [sp.Integer(name == g) for g in gens]
+            case ast.Name(id=name) if name in names:
+                return names[name]
+            case ast.UnaryOp(op=ast.USub(), operand=x):
+                return [-c for c in x] if isinstance(x := build(x), list) else -x
+            case ast.BinOp(left=a, op=op, right=b) if type(op) in _OPERATORS:
+                return combine(_OPERATORS[type(op)], build(a), build(b))
+            case ast.Call(func=ast.Name(id=f), args=[x], keywords=[]) if f in _FUNCTIONS:
+                if not isinstance(x := build(x), list):
+                    return _FUNCTIONS[f](x)
+        fail(f"{type(node).__name__} {ast.unparse(node)!r} is outside the grammar")
+
+    try:
+        tree = ast.parse(str(text), mode="eval").body
+    except SyntaxError:
+        fail("syntax error")
+    match tree:
+        case ast.Call(func=ast.Name(id="Ne"), args=[x, y], keywords=[]) if not gens:
+            value = sp.Ne(build(x), build(y))
+        case _:
+            value = build(tree)
+    if isinstance(value, list) != bool(gens):
+        fail(f"not linear in {', '.join(gens)}" if gens else "not a scalar")
+    return value
 
 
 @dataclass(frozen=True)
@@ -159,7 +216,7 @@ class _Row:
         raises :class:`ConstraintError` when one cannot be decided."""
         subs = self.subs(binding)
         for cond in self.constraints:
-            val = cond.subs(subs)
+            val = cond.xreplace(subs)
             if val == sp.false:
                 return False
             if val != sp.true:
@@ -173,21 +230,28 @@ def _row(entry_id: str) -> _Row:
     parameters is then a substitution into this row."""
     schema = entry_schema(entry_id)
     raw = _raw_entries()[entry_id]
+    where = f"entry {entry_id}"
     chart = raw.get("chart", "D")
-    chart_b = sp.sympify(raw.get("chart_b", 0), locals=_PARAM_SYMS)
-    loc = {s.name: s for s in _GEN_SYMS} | _PARAM_SYMS
-    basis = [_linear_coeffs(sp.sympify(b, locals=loc), _GEN_SYMS) for b in raw["basis"]]
+    if chart not in _COORDS:
+        raise ValueError(f"{where}: unknown chart {chart!r}")
+    coords = {c: sp.Symbol(c) for c in _COORDS[chart]}
+
+    def value(v):
+        return parse(where, v, _PARAM_SYMS)
+
     return _Row(
         id=entry_id,
-        basis=sp.ImmutableMatrix(basis),
+        basis=sp.ImmutableMatrix(
+            [parse(where, b, _PARAM_SYMS, L12_LABELS) for b in raw["basis"]]
+        ),
         chart=chart,
-        chart_b=chart_b,
-        invariants=tuple(sp.sympify(s, locals=_PARAM_SYMS) for s in raw["invariants"]),
-        constraints=tuple(sp.sympify(c, locals=_PARAM_SYMS) for c in schema["constraints"]),
+        chart_b=value(raw.get("chart_b", 0)),
+        invariants=tuple(parse(where, s, coords | _PARAM_SYMS) for s in raw["invariants"]),
+        constraints=tuple(value(c) for c in schema["constraints"]),
         grid=tuple(schema["grid"]),
-        choices={k: tuple(sp.nsimplify(v) for v in vs) for k, vs in schema["choices"].items()},
+        choices={k: tuple(value(v) for v in vs) for k, vs in schema["choices"].items()},
         unit_circle=tuple(schema["unit_circle"]),
-        fixed={k: sp.nsimplify(v) for k, v in schema["fixed"].items()},
+        fixed={k: value(v) for k, v in schema["fixed"].items()},
     )
 
 
@@ -238,7 +302,7 @@ def _instantiate(row: _Row, binding: dict) -> SubalgebraEntry:
     chart = _chart(row.chart, row.chart_b.subs(subs))
     invs = [inv.subs(subs) for inv in row.invariants]
     params = {s.name: v for s, v in subs.items()}
-    return SubalgebraEntry(row.id, params, row.basis.subs(subs).tolist(), chart, invs)
+    return SubalgebraEntry(row.id, params, row.basis.xreplace(subs).tolist(), chart, invs)
 
 
 def entry_basis(entry_id: str, binding: dict) -> list[list[sp.Expr]]:
@@ -248,7 +312,7 @@ def entry_basis(entry_id: str, binding: dict) -> list[list[sp.Expr]]:
     is how sign-split parameters reach the classification checks.
     """
     row = _row(entry_id)
-    return row.basis.subs(row.subs(binding)).tolist()
+    return row.basis.xreplace(row.subs(binding)).tolist()
 
 
 def parameter_bindings(entry_id: str, grid_values) -> list[dict]:

@@ -3,9 +3,12 @@
 Each catalog entry carries, in ``data/classes.yaml``, a class label from
 the Patera-Winternitz list of real Lie algebras of dimension at most
 four, a change of basis e1..e4 expressed in the catalog basis E1..E4,
-and the nonzero commutators the new basis must satisfy.  Verification
-recomputes the induced structure constants of the e-basis inside L12 and
-compares them with the stated table, exactly.
+and the nonzero commutators the new basis must satisfy.  Both are read
+by the catalog's whitelist parser into coefficient rows.  Verification
+takes each parameter case into QQ(params), the rational function field
+of its symbols: there it checks the determinant of the change of basis,
+solves for the induced structure constants of the e-basis inside L12
+and compares them with the stated table, all exactly.
 
 Coefficients involving ``|a|``-style absolute values are handled by
 case-splitting on the parameter sign: the parameter is replaced by a
@@ -23,18 +26,20 @@ from importlib import resources
 
 import sympy as sp
 import yaml
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.polyerrors import CoercionFailed
 
 from .catalog import (
     _PARAM_SYMS,
+    _YAML_LOADER,
     UnknownEntryError,
-    _linear_coeffs,
     _row,
     entry_basis,
     parameter_bindings,
     parameter_samples,
+    parse,
 )
-from .exprs import canonicalize
-from .liealg import Fingerprint, Subalgebra, fingerprint, l12
+from .liealg import Fingerprint, Subalgebra, fingerprint, induced_table, l12
 
 __all__ = [
     "ClassAssignment",
@@ -53,9 +58,9 @@ class NonInvertibleError(ValueError):
     """The stated change of basis is singular at admissible parameters."""
 
 
-_E_SYMS = [sp.Symbol(f"E{i}") for i in range(1, 5)]
-_e_SYMS = [sp.Symbol(f"e{i}") for i in range(1, 5)]
-_LOCALS = {s.name: s for s in _E_SYMS + _e_SYMS} | _PARAM_SYMS
+_E_NAMES = ("E1", "E2", "E3", "E4")
+_e_NAMES = ("e1", "e2", "e3", "e4")
+_ZERO = (sp.Integer(0),) * 4
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class ClassAssignment:
 
     entry_id: str
     label: str
-    basis_change: tuple  # four expressions in E1..E4
+    basis_change: tuple  # 4x4: row i holds e_{i+1}'s coefficients over E1..E4
     relations: dict  # (i, j) with i < j -> coefficient 4-vector over e1..e4
 
 
@@ -75,20 +80,23 @@ def _assignments() -> dict[str, ClassAssignment]:
         raw["id"]: ClassAssignment(
             entry_id=raw["id"],
             label=raw["label"],
-            basis_change=tuple(sp.sympify(s, locals=_LOCALS) for s in raw["basis_change"]),
-            relations=_parse_relations(raw.get("relations", {})),
+            basis_change=tuple(
+                tuple(parse(f"class row {raw['id']}", s, _PARAM_SYMS, _E_NAMES))
+                for s in raw["basis_change"]
+            ),
+            relations=_parse_relations(raw.get("relations", {}), f"class row {raw['id']}"),
         )
-        for raw in yaml.safe_load(text)["entries"]
+        for raw in yaml.load(text, Loader=_YAML_LOADER)["entries"]
     }
 
 
-def _parse_relations(raw: dict) -> dict:
+def _parse_relations(raw: dict, where: str) -> dict:
     rel = {}
     for key, text in raw.items():
         i_s, j_s = key.split(",")
         i = int(i_s.strip().lstrip("e")) - 1
         j = int(j_s.strip().lstrip("e")) - 1
-        vec = _linear_coeffs(sp.sympify(text, locals=_LOCALS), _e_SYMS)
+        vec = parse(where, text, _PARAM_SYMS, _e_NAMES)
         if i > j:
             i, j = j, i
             vec = [-c for c in vec]
@@ -129,14 +137,9 @@ class ClassReport:
 
 
 def _abs_params(asg: ClassAssignment) -> set[str]:
-    syms = set()
-    exprs = list(asg.basis_change)
-    for vec in asg.relations.values():
-        exprs += list(vec)
-    for e in exprs:
-        for node in sp.sympify(e).atoms(sp.Abs):
-            syms |= {s.name for s in node.free_symbols}
-    return syms
+    coeffs = [c for row in asg.basis_change for c in row]
+    coeffs += [c for vec in asg.relations.values() for c in vec]
+    return {s.name for c in coeffs for node in c.atoms(sp.Abs) for s in node.free_symbols}
 
 
 def _grid_cases(name: str, split: set[str], constraints: list) -> list:
@@ -164,34 +167,49 @@ def _parameter_cases(entry_id: str, asg: ClassAssignment) -> list[dict]:
     )
 
 
+def _parameter_field(entry_id: str, binding: dict, entries: list) -> tuple:
+    """QQ(params) over the symbols of ``entries``, and the entries in it;
+    an entry that is not a rational function of them raises ValueError."""
+    syms = sorted(set().union(*(e.free_symbols for e in entries)), key=str)
+    K = sp.QQ.frac_field(*syms) if syms else sp.QQ
+    try:
+        conv = {e: K.from_sympy(e) for e in set(entries)}
+    except (ValueError, CoercionFailed) as exc:
+        raise ValueError(
+            f"entry {entry_id}: not rational in the parameters at {binding}: {exc}"
+        ) from exc
+    return K, [conv[e] for e in entries]
+
+
 def verify_class(entry_id: str) -> ClassReport:
     """Check one row: change of basis reproduces the stated commutators.
 
-    Raises :class:`NonInvertibleError` when the change-of-basis matrix is
+    Each case's change of basis, catalog basis and target relations are
+    taken into QQ(params); the determinant, the induced constants and
+    their comparison with the targets are exact there.  Raises
+    :class:`NonInvertibleError` when the change-of-basis matrix is
     singular in some admissible case.
     """
     asg = get_assignment(entry_id)
     report = ClassReport(entry_id=entry_id, label=asg.label)
+    pairs = list(itertools.combinations(range(4), 2))
     for binding in _parameter_cases(entry_id, asg):
         subs = {_PARAM_SYMS[k]: v for k, v in binding.items()}
-        M = sp.Matrix(
-            [_linear_coeffs(e.subs(subs), _E_SYMS) for e in asg.basis_change]
-        )
-        det = canonicalize(M.det())
-        if det == 0:
+        change = [c.xreplace(subs) for row in asg.basis_change for c in row]
+        basis = [c for row in entry_basis(entry_id, binding) for c in row]
+        want = [c.xreplace(subs) for p in pairs for c in asg.relations.get(p, _ZERO)]
+        K, flat = _parameter_field(entry_id, binding, change + basis + want)
+        M = DomainMatrix.from_list_flat(flat[:16], (4, 4), K).to_sparse()
+        if not M.det():
             raise NonInvertibleError(
                 f"entry {entry_id}: singular change of basis at {binding}"
             )
-        B = sp.Matrix([list(v) for v in entry_basis(entry_id, binding)])
-        induced = Subalgebra(l12(), M * B).induced()
-        match = True
-        for i in range(4):
-            for j in range(i + 1, 4):
-                target = asg.relations.get((i, j), (0, 0, 0, 0))
-                for k in range(4):
-                    want = sp.sympify(target[k]).subs(subs)
-                    if canonicalize(induced[i][j][k] - want) != 0:
-                        match = False
+        B = DomainMatrix.from_list_flat(flat[16:64], (4, 12), K).to_sparse()
+        induced = induced_table(l12(), M * B)
+        match = induced is not None and all(
+            not (induced.get(p, {}).get(k, K.zero) - w)
+            for (p, k), w in zip(itertools.product(pairs, range(4)), flat[64:])
+        )
         report.cases.append({
             "params": {k: str(v) for k, v in binding.items()},
             "invertible": True,

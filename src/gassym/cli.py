@@ -99,14 +99,9 @@ def cmd_verify_algebra(args, report: dict) -> bool:
 def _print_bracket_table(alg) -> None:
     for i, a in enumerate(alg.labels):
         for j in range(i + 1, alg.dim):
-            vec = alg.bracket(
-                [sp.Integer(k == i) for k in range(alg.dim)],
-                [sp.Integer(k == j) for k in range(alg.dim)],
-            )
             terms = [
-                f"{'-' if c == -1 else '' if c == 1 else str(c) + '*'}{lbl}"
-                for c, lbl in zip(vec, alg.labels)
-                if c != 0
+                f"{'-' if c == -1 else '' if c == 1 else str(c) + '*'}{alg.labels[k]}"
+                for k, c in sorted(alg.table.get((i, j), {}).items())
             ]
             print(f"[{a}, {alg.labels[j]}] = {' + '.join(terms) if terms else '0'}")
 

@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 CARTESIAN_COORDS = ("t", "x", "y", "z", "u", "v", "w", "rho", "P")
+C_COORDS = ("t", "x", "r", "theta", "u", "q", "vartheta", "rho", "P")
+S_COORDS = ("t", "r_S", "theta_S", "phi", "q_S", "vartheta_S", "varphi", "rho", "P")
+D_SHIFT_COORDS = ("t", "x", "y", "z", "u", "qbar", "varthetabar", "rho", "P")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +102,6 @@ def chart_C() -> Chart:
         "rho": rho,
         "P": P,
     }
-    coords = ("t", "x", "r", "theta", "u", "q", "vartheta", "rho", "P")
     stages = (
         (("t",), ("t",)),
         (("x",), ("x",)),
@@ -109,7 +111,7 @@ def chart_C() -> Chart:
         (("y", "z"), ("r", "theta")),
         (("v", "w"), ("q", "vartheta")),
     )
-    return Chart("C", coords, to_cart, stages)
+    return Chart("C", C_COORDS, to_cart, stages)
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +135,6 @@ def chart_S() -> Chart:
         "rho": rho,
         "P": P,
     }
-    coords = ("t", "r_S", "theta_S", "phi", "q_S", "vartheta_S", "varphi", "rho", "P")
     stages = (
         (("t",), ("t",)),
         (("rho",), ("rho",)),
@@ -141,7 +142,7 @@ def chart_S() -> Chart:
         (("x", "y", "z"), ("r_S", "theta_S", "phi")),
         (("u", "v", "w"), ("q_S", "vartheta_S", "varphi")),
     )
-    return Chart("S", coords, to_cart, stages)
+    return Chart("S", S_COORDS, to_cart, stages)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +165,6 @@ def chart_D_shift(b) -> Chart:
         "rho": rho,
         "P": P,
     }
-    coords = ("t", "x", "y", "z", "u", "qbar", "varthetabar", "rho", "P")
     stages = (
         (("t",), ("t",)),
         (("x",), ("x",)),
@@ -175,7 +175,7 @@ def chart_D_shift(b) -> Chart:
         (("P",), ("P",)),
         (("v", "w"), ("qbar", "varthetabar")),
     )
-    return Chart(f"D-shift({b})", coords, to_cart, stages)
+    return Chart(f"D-shift({b})", D_SHIFT_COORDS, to_cart, stages)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,12 +270,12 @@ def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
     from .liealg import l12
 
     chart = chart or chart_D()
-    ring, C = chart.ring, l12().C
+    ring, table = chart.ring, l12().table
     lifted = [ring.lift(realize(lbl, chart)) for lbl in L12_LABELS]
     bad = []
     for i, j in combinations(range(len(L12_LABELS)), 2):
         lhs = ring.bracket(lifted[i], lifted[j])
-        terms = [(sp.QQ.from_sympy(a), g) for a, g in zip(C[i][j], lifted) if a]
+        terms = [(a, lifted[k]) for k, a in table.get((i, j), {}).items()]
         if not all(
             ring.is_zero(lhs[c] - sum((a * g[c] for a, g in terms), ring.field.zero))
             for c in chart.coords

@@ -4,17 +4,22 @@ The 12-dimensional symmetry algebra of the gas dynamics system with
 state equation P = f(rho) + S is the main instance: basis ordered
 (Y, X1, ..., X11) with Y the pressure translation at index 0.
 
-Subalgebras are row spans of coefficient matrices over this basis.
-Everything is exact (sympy rationals, symbols allowed for parametric
-subalgebras).  Closure, spans and ranks all run on one reduced row
-echelon form over the fraction field of the entries (:func:`_rref`);
-the Killing signature is counted exactly from the characteristic
-polynomial.
+An algebra holds its nonzero brackets as a sparse table
+``{(i, j): {k: c}}`` over QQ, both orientations, so L12 is 44 entries
+rather than a 12x12x12 tensor.  Internally vectors are sparse dicts
+``{k: c}`` over one domain, QQ or QQ(params) for parametric subalgebras,
+and brackets, Jacobi triples, series, centre and Killing form are sums
+over the table.  Subalgebras are row spans of coefficient matrices over
+the basis; closure, spans and ranks all run on one reduced row echelon
+form over the fraction field of the entries (:func:`_rref`), and the
+Killing signature is counted exactly from the characteristic polynomial.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import sympy as sp
@@ -38,96 +43,87 @@ class NotClosedError(ValueError):
     """Row span is not closed under the bracket."""
 
 
-class LieAlgebra:
-    """Lie algebra given by structure constants C[i][j][k], exact entries.
+def _rational(c):
+    """``c`` as an element of QQ."""
+    c = sp.sympify(c)
+    if not c.is_Rational:
+        raise ValueError(f"structure constants must be numeric, not {c}")
+    return sp.QQ.from_sympy(c)
 
-    [e_i, e_j] = sum_k C[i][j][k] e_k.  Antisymmetry is enforced at
-    construction; the Jacobi identity is checked by :meth:`jacobi_report`.
+
+def _bracket(table: dict, v: dict, w: dict) -> dict:
+    """[v, w] of sparse vectors {k: c} whose entries, sympy or domain
+    elements, multiply the QQ constants of ``table``."""
+    out = {}
+    for i, a in v.items():
+        for j, b in w.items():
+            for k, c in table.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: c for k, c in out.items() if c}
+
+
+class LieAlgebra:
+    """Lie algebra given by its structure constants over QQ.
+
+    [e_i, e_j] = sum_k table[(i, j)][k] e_k, with only nonzero entries
+    stored and (j, i) holding the negated (i, j) bracket.  Antisymmetry
+    of a dense tensor is checked at construction; the Jacobi identity is
+    checked by :meth:`jacobi_report`.
     """
 
     def __init__(self, labels: Sequence[str], constants):
-        self.labels = tuple(labels)
-        n = len(self.labels)
-        self.dim = n
-        C = [[[sp.nsimplify(constants[i][j][k], rational=True) for k in range(n)]
-              for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if sp.expand(C[i][j][k] + C[j][i][k]) != 0:
-                        raise ValueError(
-                            f"antisymmetry fails at C[{i}][{j}][{k}]"
-                        )
-        self.C = C
+        """From a dense tensor: [e_i, e_j] = sum_k constants[i][j][k] e_k."""
+        n = len(labels)
+        C = [[[_rational(c) for c in row] for row in plane] for plane in constants]
+        table = {}
+        for i, j, k in itertools.product(range(n), repeat=3):
+            if C[i][j][k] + C[j][i][k]:
+                raise ValueError(f"antisymmetry fails at C[{i}][{j}][{k}]")
+            if C[i][j][k]:
+                table.setdefault((i, j), {})[k] = C[i][j][k]
+        self.labels, self.dim, self.table = tuple(labels), n, table
 
     @classmethod
     def from_brackets(cls, labels: Sequence[str], brackets: dict) -> "LieAlgebra":
         """Build from a sparse table {(i, j): {k: coeff}} with i < j."""
-        n = len(labels)
-        C = [[[sp.Integer(0)] * n for _ in range(n)] for _ in range(n)]
+        alg = cls.__new__(cls)
+        alg.labels, alg.dim, alg.table = tuple(labels), len(labels), {}
         for (i, j), comps in brackets.items():
             for k, c in comps.items():
-                c = sp.nsimplify(c)
-                C[i][j][k] = c
-                C[j][i][k] = -c
-        return cls(labels, C)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def basis_vector(self, label: str) -> list:
-        v = [sp.Integer(0)] * self.dim
-        v[self.index(label)] = sp.Integer(1)
-        return v
+                if c := _rational(c):
+                    alg.table.setdefault((i, j), {})[k] = c
+                    alg.table.setdefault((j, i), {})[k] = -c
+        return alg
 
     def bracket(self, v: Sequence, w: Sequence) -> list:
-        """Bilinear extension of the structure constants."""
+        """Bilinear extension of the structure constants, on sympy vectors."""
         n = self.dim
         if len(v) != n or len(w) != n:
             raise ValueError(f"expected vectors of length {n}")
-        out = [sp.Integer(0)] * n
-        for i in range(n):
-            vi = sp.sympify(v[i])
-            if vi == 0:
-                continue
-            for j in range(n):
-                wj = sp.sympify(w[j])
-                if wj == 0:
-                    continue
-                row = self.C[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += vi * wj * row[k]
-        return [sp.expand(x) for x in out]
+        sparse = [{i: x for i, x in enumerate(map(sp.sympify, u)) if x != 0} for u in (v, w)]
+        out = _bracket(self.table, *sparse)
+        return [sp.expand(out.get(k, sp.Integer(0))) for k in range(n)]
 
     def jacobi_report(self) -> list[tuple[int, int, int]]:
         """All basis triples violating the Jacobi identity (empty = pass)."""
-        n = self.dim
-        basis = [self.basis_vector(lbl) for lbl in self.labels]
+        T = self.table
         bad = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = self.bracket(basis[i], basis[j])
-                for k in range(j + 1, n):
-                    s = self.bracket(bij, basis[k])
-                    bjk = self.bracket(basis[j], basis[k])
-                    s2 = self.bracket(bjk, basis[i])
-                    bki = self.bracket(basis[k], basis[i])
-                    s3 = self.bracket(bki, basis[j])
-                    if any(sp.expand(a + b + c) != 0
-                           for a, b, c in zip(s, s2, s3)):
-                        bad.append((i, j, k))
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            total = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in _bracket(T, T.get((a, b), {}), {c: sp.QQ.one}).items():
+                    total[m] = total.get(m, 0) + x
+            if any(total.values()):
+                bad.append((i, j, k))
         return bad
 
     def mutated(self, i: int, j: int, k: int, value) -> "LieAlgebra":
-        """Copy with C[i][j][k] (and its antisymmetric mate) replaced."""
-        n = self.dim
-        C = [[[self.C[a][b][c] for c in range(n)] for b in range(n)]
-             for a in range(n)]
-        value = sp.nsimplify(value)
-        C[i][j][k] = value
-        C[j][i][k] = -value
-        return LieAlgebra(self.labels, C)
+        """Copy with C[i][j][k] (and its antisymmetric mate) replaced; a
+        zero value removes both entries."""
+        brackets = {key: dict(comps) for key, comps in self.table.items() if key[0] < key[1]}
+        lo, hi, sign = (i, j, 1) if i < j else (j, i, -1)
+        brackets.setdefault((lo, hi), {})[k] = sign * _rational(value)
+        return LieAlgebra.from_brackets(self.labels, brackets)
 
 
 @dataclass(frozen=True)
@@ -140,12 +136,17 @@ class Subalgebra:
     def __post_init__(self):
         if self.basis.cols != self.ambient.dim:
             raise ValueError("basis width must equal ambient dimension")
-        if len(_rref(self.basis)[1]) != self.basis.rows:
+        if len(_rref(self._domain_basis)[1]) != self.basis.rows:
             raise ValueError("basis rows are linearly dependent")
 
     @property
     def dim(self) -> int:
         return self.basis.rows
+
+    @cached_property
+    def _domain_basis(self) -> DomainMatrix:
+        """The basis over the fraction field of its entries."""
+        return DomainMatrix.from_Matrix(self.basis).to_field()
 
     def is_closed(self) -> tuple[bool, list | None]:
         """Closure under bracket; on success also the induced constants.
@@ -153,19 +154,15 @@ class Subalgebra:
         Returns ``(True, C_ind)`` with C_ind[i][j][k] such that
         [row_i, row_j] = sum_k C_ind[i][j][k] row_k, or ``(False, None)``.
         """
-        m, n = self.basis.rows, self.basis.cols
-        rows = [list(self.basis.row(i)) for i in range(m)]
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        brackets = [self.ambient.bracket(rows[i], rows[j]) for i, j in pairs]
-        rhs = sp.Matrix(len(pairs), n, sum(brackets, [])).T  # one column per pair
-        sol = _solve_exact(self.basis.T, rhs)
-        if sol is None:
+        induced = induced_table(self.ambient, self._domain_basis)
+        if induced is None:
             return False, None
+        m, K = self.dim, self._domain_basis.domain
         C = [[[sp.Integer(0)] * m for _ in range(m)] for _ in range(m)]
-        for col, (i, j) in enumerate(pairs):
-            for k in range(m):
-                C[i][j][k] = sol[k, col]
-                C[j][i][k] = -sol[k, col]
+        for (i, j), comps in induced.items():
+            for k, c in comps.items():
+                C[i][j][k] = K.to_sympy(c)
+                C[j][i][k] = K.to_sympy(-c)
         return True, C
 
     def induced(self) -> list:
@@ -175,20 +172,42 @@ class Subalgebra:
         return C
 
 
-def _rref(M: sp.Matrix) -> tuple[sp.Matrix, tuple[int, ...]]:
-    """Reduced row echelon form of ``M`` over the fraction field of its
-    entries (QQ, or QQ(params) for parametric ones), plus the pivots."""
-    R, pivots = DomainMatrix.from_Matrix(M).to_field().rref()
-    return R.to_Matrix(), pivots
-
-
-def _solve_exact(A: sp.Matrix, B: sp.Matrix):
-    """Exact X with A X = B for A of full column rank, or None if some
-    column of B is outside the column span of A."""
-    R, pivots = _rref(A.row_join(B))
-    if any(p >= A.cols for p in pivots):
+def induced_table(ambient: LieAlgebra, rows: DomainMatrix) -> dict | None:
+    """The structure constants {(i, j): {k: c}}, i < j, that the row span
+    of ``rows`` (over a field containing QQ) inherits from ``ambient``,
+    in the domain of ``rows``; None when the span is not closed or the
+    rows are dependent.  All brackets are solved for in one exact solve."""
+    m, n = rows.shape
+    K, vecs = rows.domain, rows.to_sdm()
+    pairs = list(itertools.combinations(range(m), 2))
+    rhs = {}
+    for col, (i, j) in enumerate(pairs):
+        for k, c in _bracket(ambient.table, vecs.get(i, {}), vecs.get(j, {})).items():
+            rhs.setdefault(k, {})[col] = c
+    sol = _solve_exact(rows.transpose(), DomainMatrix(rhs, (n, len(pairs)), K))
+    if sol is None:
         return None
-    return R[: A.cols, A.cols:]
+    cols = sol.transpose().to_sdm()
+    return {pair: dict(cols[col]) for col, pair in enumerate(pairs) if col in cols}
+
+
+def _rref(M) -> tuple[DomainMatrix, tuple[int, ...]]:
+    """Reduced row echelon form of ``M`` (a sympy or domain matrix) over
+    the fraction field of its entries (QQ, or QQ(params) for parametric
+    ones), plus the pivots."""
+    if not isinstance(M, DomainMatrix):
+        M = DomainMatrix.from_Matrix(M)
+    return M.to_field().rref()
+
+
+def _solve_exact(A: DomainMatrix, B: DomainMatrix) -> DomainMatrix | None:
+    """The unique X with A X = B, or None if A is not of full column rank
+    or some column of B is outside the column span of A."""
+    m = A.shape[1]
+    R, pivots = _rref(A.hstack(B))
+    if tuple(pivots) != tuple(range(m)):
+        return None
+    return R[:m, m:]
 
 
 # --------------------------------------------------------------------------
@@ -341,30 +360,25 @@ def _tensor_algebra(C) -> LieAlgebra:
     return LieAlgebra([f"e{i+1}" for i in range(len(C))], C)
 
 
-def _span(vectors: list, n: int) -> sp.Matrix:
-    if not vectors:
-        return sp.zeros(0, n)
-    R, pivots = _rref(sp.Matrix([list(v) for v in vectors]))
-    return R[: len(pivots), :]
-
-
-def _bracket_span(alg: LieAlgebra, V: sp.Matrix, W: sp.Matrix) -> sp.Matrix:
-    vecs = []
-    for i in range(V.rows):
-        for j in range(W.rows):
-            vecs.append(alg.bracket(list(V.row(i)), list(W.row(j))))
-    return _span(vecs, alg.dim)
+def _span(vectors: list, n: int) -> list:
+    """Sparse rows of the reduced echelon basis of the span of ``vectors``."""
+    rows = {r: v for r, v in enumerate(vectors) if v}
+    if not rows:
+        return []
+    R, pivots = _rref(DomainMatrix(rows, (len(vectors), n), sp.QQ))
+    sdm = R.to_sdm()
+    return [sdm[r] for r in range(len(pivots))]
 
 
 def _series(n: int, step) -> tuple[int, ...]:
     """Dimensions of V_0 = span(e_1..e_n), V_{i+1} = step(V_i), up to the
     first V that is zero or no smaller than its predecessor."""
     dims = [n]
-    cur = sp.eye(n)
+    cur = [{i: sp.QQ.one} for i in range(n)]
     while True:
         nxt = step(cur)
-        dims.append(nxt.rows)
-        if nxt.rows == 0 or nxt.rows == cur.rows:
+        dims.append(len(nxt))
+        if not nxt or len(nxt) == len(cur):
             return tuple(dims)
         cur = nxt
 
@@ -372,27 +386,34 @@ def _series(n: int, step) -> tuple[int, ...]:
 def fingerprint(C_or_alg) -> Fingerprint:
     """Fingerprint of a structure-constant tensor (or LieAlgebra)."""
     alg = C_or_alg if isinstance(C_or_alg, LieAlgebra) else _tensor_algebra(C_or_alg)
-    n = alg.dim
-    derived = _series(n, lambda V: _bracket_span(alg, V, V))
-    lower = _series(n, lambda V: _bracket_span(alg, sp.eye(n), V))
+    n, T = alg.dim, alg.table
+    basis = [{i: sp.QQ.one} for i in range(n)]
 
-    # center: x with [x, e_j] = 0 for all j
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([alg.C[i][j][k] for i in range(n)])
-    center_dim = n - len(_rref(sp.Matrix(rows))[1])
+    def bracket_span(V, W):
+        return _span([_bracket(T, v, w) for v in V for w in W], n)
 
-    # Killing form K(i,j) = tr(ad e_i  ad e_j).  K is real symmetric, so
-    # its characteristic polynomial has only real roots and Descartes'
-    # rule of signs counts the positive ones exactly.
-    ad = [sp.Matrix(n, n, lambda k, j, i=i: alg.C[i][j][k]) for i in range(n)]
-    K = sp.Matrix(n, n, lambda i, j: sp.expand(sp.trace(ad[i] * ad[j])))
-    if K.free_symbols:
-        raise ValueError("Killing signature needs numeric structure constants")
-    coeffs = K.charpoly().all_coeffs()
-    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
-    signs = [c.is_positive for c in coeffs if c != 0]
+    derived = _series(n, lambda V: bracket_span(V, V))
+    lower = _series(n, lambda V: bracket_span(basis, V))
+
+    # center: x with [x, e_j] = 0 for all j, one row per (j, k)
+    rows = {}
+    for (i, j), comps in T.items():
+        for k, c in comps.items():
+            rows.setdefault((j, k), {})[i] = c
+    center_dim = n - len(_span(list(rows.values()), n))
+
+    # Killing form K(i,j) = tr(ad e_i  ad e_j) = sum C[i][l][k] C[j][k][l].
+    # K is real symmetric, so its characteristic polynomial has only real
+    # roots and Descartes' rule of signs counts the positive ones exactly.
+    killing = [
+        [sum((c * T.get((j, k), {}).get(l, sp.QQ.zero)
+              for l in range(n) for k, c in T.get((i, l), {}).items()), sp.QQ.zero)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    coeffs = DomainMatrix(killing, (n, n), sp.QQ).charpoly()
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c)
+    signs = [c > 0 for c in coeffs if c]
     pos = sum(a != b for a, b in zip(signs, signs[1:]))
     rank = n - zero
     return Fingerprint(

@@ -145,12 +145,7 @@ _SIGN_SAMPLES = {
 def _row_matches_at(entry_id: str, binding: dict) -> bool:
     asg = classify.get_assignment(entry_id)
     subs = {sp.Symbol(k): sp.nsimplify(v) for k, v in binding.items()}
-    E = [sp.Symbol(f"E{i}") for i in range(1, 5)]
-    e = [sp.Symbol(f"e{i}") for i in range(1, 5)]
-    M = sp.Matrix([
-        [sp.expand(sp.sympify(expr).subs(subs)).coeff(Ei, 1) for Ei in E]
-        for expr in asg.basis_change
-    ])
+    M = sp.Matrix(asg.basis_change).subs(subs)  # row i: e_{i+1} over E1..E4
     B = sp.Matrix([list(vec) for vec in catalog.entry_basis(entry_id, binding)])
     induced = Subalgebra(l12(), M * B).induced()
     for i in range(4):
@@ -426,11 +421,7 @@ def test_gate_8_mutations():
         basis_change=asg.basis_change,
         relations={(1, 2): (-1, 0, 0, 0)},  # claims [e2,e3] = -e1
     )
-    E = [sp.Symbol(f"E{i}") for i in range(1, 5)]
-    M = sp.Matrix([
-        [sp.expand(sp.sympify(expr)).coeff(Ei, 1) for Ei in E]
-        for expr in mutated.basis_change
-    ])
+    M = sp.Matrix(mutated.basis_change)
     B = sp.Matrix([list(v) for v in catalog.entry_basis("4.21", {})])
     induced = Subalgebra(l12(), M * B).induced()
     mismatch = any(

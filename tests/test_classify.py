@@ -1,5 +1,7 @@
 """Isomorphism-class tests: assignments, case splitting, fingerprints."""
 
+import dataclasses
+
 import pytest
 import sympy as sp
 
@@ -74,22 +76,34 @@ def test_undecidable_constraint_raises(monkeypatch):
         verify_class("4.34.i")
 
 
+def test_coefficient_outside_the_parameter_field_raises(monkeypatch):
+    # log(a) is no rational function of a: the check refuses the case
+    # instead of comparing in an expression domain
+    asg = get_assignment("4.3")
+    zero = sp.Integer(0)
+    change = ((zero, zero, -sp.log(sp.Symbol("a")), zero),) + asg.basis_change[1:]
+    tampered = dataclasses.replace(asg, basis_change=change)
+    monkeypatch.setattr(classify, "_assignments", lambda: {"4.3": tampered})
+    with pytest.raises(ValueError, match=r"entry 4\.3: not rational in the parameters"):
+        verify_class("4.3")
+
+
 # --------------------------------------------------------------------------
 # relation parsing
 
 
 def test_parse_relations_normalizes_reversed_keys():
-    rel = _parse_relations({"e3,e1": "e2"})
+    rel = _parse_relations({"e3,e1": "e2"}, "row")
     assert rel == {(0, 2): (0, -1, 0, 0)}
 
 
 def test_parse_relations_rejects_duplicates():
     with pytest.raises(ValueError):
-        _parse_relations({"e1,e2": "e3", "e2,e1": "-e3"})
+        _parse_relations({"e1,e2": "e3", "e2,e1": "-e3"}, "row")
 
 
 def test_parse_relations_parametric_coefficient():
-    rel = _parse_relations({"e1,e4": "e1/Abs(b)"})
+    rel = _parse_relations({"e1,e4": "e1/Abs(b)"}, "row")
     vec = rel[(0, 3)]
     assert vec[0] == 1 / sp.Abs(sp.Symbol("b"))
     assert vec[1:] == (0, 0, 0)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +209,27 @@ def test_trace_writes_csv(capsys, tmp_path):
     assert len(lines) == 52  # 50 steps + endpoint + header
     report = json.loads(out)
     assert report["traces"][0]["samples"] == 51
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the ``gassym`` lines in README's CLI block,
+    with continuation lines joined and comments dropped."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in lines if line.startswith("gassym ")]
+
+
+def test_readme_lists_every_subcommand():
+    assert {argv[0] for argv in _readme_commands()} == set(OPTIONS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, tmp_path, argv):
+    # every documented command runs as written, its --out moved into tmp_path
+    argv = [str(tmp_path / a) if prev == "--out" else a for prev, a in zip([""] + argv, argv)]
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_readme_trace_example_runs(capsys, tmp_path):

@@ -295,3 +295,28 @@ def test_fingerprint_is_hashable():
     fp = fingerprint(_heisenberg_plus_line())
     assert isinstance(fp, Fingerprint)
     assert len({fp, fp}) == 1
+
+
+# --------------------------------------------------------------------------
+# the sparse table
+
+
+def test_l12_table_holds_22_brackets_and_their_mates():
+    table = l12().table
+    assert sum(i < j for i, j in table) == 22
+    for (i, j), comps in table.items():
+        assert comps and all(comps.values())
+        assert table[(j, i)] == {k: -c for k, c in comps.items()}
+
+
+def test_mutated_to_zero_removes_entry_and_mate():
+    i, j, k = (L12_LABELS.index(lbl) for lbl in ("X7", "X8", "X9"))
+    alg = l12().mutated(i, j, k, 0)
+    assert (i, j) not in alg.table and (j, i) not in alg.table
+    assert sum(a < b for a, b in alg.table) == 21
+    assert l12().table[(i, j)] == {k: -1}
+
+
+def test_benchmark_mutant_has_four_jacobi_failures():
+    # C[X1][X8][X3] = -2 in place of -1
+    assert len(l12().mutated(1, 8, 3, -2).jacobi_report()) == 4
