@@ -432,12 +432,8 @@ def _verify_group(
     reports = []
     for binding, rank in zip(bindings, ranks):
         subs = {_PARAM_SYMS[n]: v for n, v in binding.items()}
-        try:  # Subalgebra rejects a basis that loses rank at this binding
-            here = Subalgebra(l12(), generic_sub.basis.xreplace(subs))
-        except ValueError:
-            closed_here = False
-        else:
-            closed_here = closed or (bool(subs) and here.is_closed()[0])
+        here = Subalgebra(l12(), generic_sub.basis.xreplace(subs))
+        closed_here = here.rank == here.dim and (closed or (bool(subs) and here.is_closed()[0]))
         reports.append({
             "closure_ok": closed_here,
             "verdicts": verdicts(subs) if subs else generic["verdicts"],

@@ -6,9 +6,11 @@ four, a change of basis e1..e4 expressed in the catalog basis E1..E4,
 and the nonzero commutators the new basis must satisfy.  Both are read
 by the catalog's whitelist parser into coefficient rows.  Verification
 takes each parameter case into QQ(params), the rational function field
-of its symbols: there it checks the determinant of the change of basis,
-solves for the induced structure constants of the e-basis inside L12
-and compares them with the stated table, all exactly.
+of its symbols, through the one strict converter
+:func:`gassym.liealg.to_domain`: there it checks the determinant of the
+change of basis, closes the e-basis inside L12 with
+:meth:`Subalgebra.is_closed` (the closure check the catalog uses) and
+compares the induced table with the stated one, all exactly.
 
 Coefficients involving ``|a|``-style absolute values are handled by
 case-splitting on the parameter sign: the parameter is replaced by a
@@ -27,7 +29,6 @@ from importlib import resources
 import sympy as sp
 import yaml
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.polyerrors import CoercionFailed
 
 from .catalog import (
     _PARAM_SYMS,
@@ -39,7 +40,7 @@ from .catalog import (
     parameter_samples,
     parse,
 )
-from .liealg import Fingerprint, Subalgebra, fingerprint, induced_table, l12
+from .liealg import Fingerprint, LieAlgebra, Subalgebra, fingerprint, l12, to_domain
 
 __all__ = [
     "ClassAssignment",
@@ -167,27 +168,14 @@ def _parameter_cases(entry_id: str, asg: ClassAssignment) -> list[dict]:
     )
 
 
-def _parameter_field(entry_id: str, binding: dict, entries: list) -> tuple:
-    """QQ(params) over the symbols of ``entries``, and the entries in it;
-    an entry that is not a rational function of them raises ValueError."""
-    syms = sorted(set().union(*(e.free_symbols for e in entries)), key=str)
-    K = sp.QQ.frac_field(*syms) if syms else sp.QQ
-    try:
-        conv = {e: K.from_sympy(e) for e in set(entries)}
-    except (ValueError, CoercionFailed) as exc:
-        raise ValueError(
-            f"entry {entry_id}: not rational in the parameters at {binding}: {exc}"
-        ) from exc
-    return K, [conv[e] for e in entries]
-
-
 def verify_class(entry_id: str) -> ClassReport:
     """Check one row: change of basis reproduces the stated commutators.
 
     Each case's change of basis, catalog basis and target relations are
-    taken into QQ(params); the determinant, the induced constants and
-    their comparison with the targets are exact there.  Raises
-    :class:`NonInvertibleError` when the change-of-basis matrix is
+    taken into QQ(params) by :func:`to_domain` (anything else raises
+    ValueError); the determinant, the closure of the e-basis and the
+    comparison of its induced constants with the targets are exact there.
+    Raises :class:`NonInvertibleError` when the change-of-basis matrix is
     singular in some admissible case.
     """
     asg = get_assignment(entry_id)
@@ -198,15 +186,19 @@ def verify_class(entry_id: str) -> ClassReport:
         change = [c.xreplace(subs) for row in asg.basis_change for c in row]
         basis = [c for row in entry_basis(entry_id, binding) for c in row]
         want = [c.xreplace(subs) for p in pairs for c in asg.relations.get(p, _ZERO)]
-        K, flat = _parameter_field(entry_id, binding, change + basis + want)
+        try:
+            D = to_domain(sp.Matrix([change + basis + want]))
+        except ValueError as exc:
+            raise ValueError(f"entry {entry_id}: {exc} at {binding}") from exc
+        K, flat = D.domain, D.to_list_flat()
         M = DomainMatrix.from_list_flat(flat[:16], (4, 4), K).to_sparse()
         if not M.det():
             raise NonInvertibleError(
                 f"entry {entry_id}: singular change of basis at {binding}"
             )
         B = DomainMatrix.from_list_flat(flat[16:64], (4, 12), K).to_sparse()
-        induced = induced_table(l12(), M * B)
-        match = induced is not None and all(
+        closed, induced = Subalgebra(l12(), M * B).is_closed()
+        match = closed and all(
             not (induced.get(p, {}).get(k, K.zero) - w)
             for (p, k), w in zip(itertools.product(pairs, range(4)), flat[64:])
         )
@@ -226,7 +218,7 @@ def entry_fingerprint(entry_id: str) -> Fingerprint:
     """Fingerprint of the entry's subalgebra at a representative sample."""
     binding = parameter_samples(entry_id)[0]
     B = sp.Matrix([list(v) for v in entry_basis(entry_id, binding)])
-    return fingerprint(Subalgebra(l12(), B).induced())
+    return fingerprint(LieAlgebra(_e_NAMES, Subalgebra(l12(), B).induced()))
 
 
 @dataclass

@@ -21,11 +21,13 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import sympy as sp
 
 from . import __version__, catalog, classify, numerics, submodel
+from .exprs import rational
 from .fields import realization_table_diff
 from .liealg import l12
 
@@ -58,13 +60,12 @@ def _parse_params(text: str | None) -> dict:
         if "=" not in item:
             raise UsageError(f"bad parameter {item!r}; expected k=v")
         k, v = item.split("=", 1)
-        try:
-            val = sp.nsimplify(v.strip())
-            if not (isinstance(val, sp.Rational) and math.isfinite(float(val))):
-                raise ValueError
-        except (sp.SympifyError, ValueError, OverflowError):
+        try:  # read as a literal, never evaluated; float() bounds the size
+            val = Fraction(v.strip())
+            float(val)
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise UsageError(f"parameter value {v!r} is not a finite number")
-        out[k.strip()] = val
+        out[k.strip()] = rational(val)
     return out
 
 

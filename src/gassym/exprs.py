@@ -2,9 +2,10 @@
 
 Expressions are plain immutable sympy objects over exact rationals.  This
 module pins down the handful of operations the rest of the package relies
-on: differentiation, a canonical form strong enough to reduce every
-residual we care about to a literal 0, numeric evaluation with explicit
-bindings, and a zero test with a seeded numeric fallback.
+on: opaque functions whose derivatives ``sp.diff`` takes by the chain rule,
+a canonical form strong enough to reduce every residual we care about to
+a literal 0, numeric evaluation with explicit bindings, exact rationals,
+and a zero test with a seeded numeric fallback.
 
 Conventions:
   * ``log`` always means ``ln|.|``; numeric evaluation applies ``abs`` to
@@ -30,7 +31,6 @@ __all__ = [
     "UnboundSymbolError",
     "ZeroVerdict",
     "canonicalize",
-    "differentiate",
     "evaluate",
     "is_zero",
     "opaque",
@@ -65,7 +65,7 @@ _opaque_cache: dict[tuple[str, int], type] = {}
 
 
 def opaque(name: str, order: int = 0):
-    """Unary opaque function symbol ``name`` differentiated ``order`` times.
+    """Unary opaque function symbol ``name``, or its ``order``-th derivative.
 
     ``opaque("f")(rho)`` stands for f(rho) with f arbitrary;
     ``opaque("f", 1)`` is f'.  Chain rule is wired in, so
@@ -119,17 +119,6 @@ def _sin_reduce(p: sp.Expr) -> sp.Expr:
     if repl:
         p = sp.expand(p.xreplace(repl))
     return p
-
-
-def differentiate(e, v) -> sp.Expr:
-    """Canonical derivative of ``e`` with respect to variable ``v``.
-
-    Symbols other than ``v`` are treated as constants (parameters
-    differentiate to zero); opaque f(g) differentiates to f'(g)*g'.
-    """
-    e = sp.sympify(e)
-    v = sp.Symbol(v) if isinstance(v, str) else v
-    return canonicalize(sp.diff(e, v))
 
 
 @dataclass(frozen=True)

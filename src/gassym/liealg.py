@@ -4,15 +4,19 @@ The 12-dimensional symmetry algebra of the gas dynamics system with
 state equation P = f(rho) + S is the main instance: basis ordered
 (Y, X1, ..., X11) with Y the pressure translation at index 0.
 
-An algebra holds its nonzero brackets as a sparse table
-``{(i, j): {k: c}}`` over QQ, both orientations, so L12 is 44 entries
-rather than a 12x12x12 tensor.  Internally vectors are sparse dicts
-``{k: c}`` over one domain, QQ or QQ(params) for parametric subalgebras,
-and brackets, Jacobi triples, series, centre and Killing form are sums
-over the table.  Subalgebras are row spans of coefficient matrices over
-the basis; closure, spans and ranks all run on one reduced row echelon
-form over the fraction field of the entries (:func:`_rref`), and the
-Killing signature is counted exactly from the characteristic polynomial.
+Structure constants have one format, the sparse table
+``{(i, j): {k: c}}``: an algebra is built from its i < j brackets and
+stores both orientations over QQ, so L12 is 44 entries rather than a
+12x12x12 tensor.  Vectors are sparse dicts ``{k: c}`` over one domain,
+QQ or QQ(params) for parametric subalgebras, and brackets, Jacobi
+triples, series, centre and Killing form are sums over the table.
+Subalgebras are row spans of coefficient matrices over the basis; a
+sympy matrix reaches exact linear algebra only through
+:func:`to_domain`, which admits QQ and QQ(symbols) and nothing else.
+Closure is one exact solve in :meth:`Subalgebra.is_closed`, which also
+returns the induced table; ranks and spans use one reduced row echelon
+form (:func:`_rref`), and the Killing signature is counted exactly from
+the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "apply_automorphism",
     "l12",
     "fingerprint",
+    "to_domain",
 ]
 
 L12_LABELS = ("Y",) + tuple(f"X{i}" for i in range(1, 12))
@@ -66,34 +71,21 @@ class LieAlgebra:
     """Lie algebra given by its structure constants over QQ.
 
     [e_i, e_j] = sum_k table[(i, j)][k] e_k, with only nonzero entries
-    stored and (j, i) holding the negated (i, j) bracket.  Antisymmetry
-    of a dense tensor is checked at construction; the Jacobi identity is
-    checked by :meth:`jacobi_report`.
+    stored and (j, i) holding the negated (i, j) bracket, so antisymmetry
+    holds by construction; the Jacobi identity is checked by
+    :meth:`jacobi_report`.
     """
 
-    def __init__(self, labels: Sequence[str], constants):
-        """From a dense tensor: [e_i, e_j] = sum_k constants[i][j][k] e_k."""
-        n = len(labels)
-        C = [[[_rational(c) for c in row] for row in plane] for plane in constants]
-        table = {}
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if C[i][j][k] + C[j][i][k]:
-                raise ValueError(f"antisymmetry fails at C[{i}][{j}][{k}]")
-            if C[i][j][k]:
-                table.setdefault((i, j), {})[k] = C[i][j][k]
-        self.labels, self.dim, self.table = tuple(labels), n, table
-
-    @classmethod
-    def from_brackets(cls, labels: Sequence[str], brackets: dict) -> "LieAlgebra":
-        """Build from a sparse table {(i, j): {k: coeff}} with i < j."""
-        alg = cls.__new__(cls)
-        alg.labels, alg.dim, alg.table = tuple(labels), len(labels), {}
+    def __init__(self, labels: Sequence[str], brackets: dict):
+        """From the brackets {(i, j): {k: coeff}}, i < j only."""
+        self.labels, self.dim, self.table = tuple(labels), len(labels), {}
         for (i, j), comps in brackets.items():
+            if i >= j:
+                raise ValueError(f"bracket key {(i, j)} must have i < j")
             for k, c in comps.items():
                 if c := _rational(c):
-                    alg.table.setdefault((i, j), {})[k] = c
-                    alg.table.setdefault((j, i), {})[k] = -c
-        return alg
+                    self.table.setdefault((i, j), {})[k] = c
+                    self.table.setdefault((j, i), {})[k] = -c
 
     def bracket(self, v: Sequence, w: Sequence) -> list:
         """Bilinear extension of the structure constants, on sympy vectors."""
@@ -123,81 +115,79 @@ class LieAlgebra:
         brackets = {key: dict(comps) for key, comps in self.table.items() if key[0] < key[1]}
         lo, hi, sign = (i, j, 1) if i < j else (j, i, -1)
         brackets.setdefault((lo, hi), {})[k] = sign * _rational(value)
-        return LieAlgebra.from_brackets(self.labels, brackets)
+        return LieAlgebra(self.labels, brackets)
 
 
 @dataclass(frozen=True)
 class Subalgebra:
-    """Row span of ``basis`` (m x n sympy Matrix) inside ``ambient``."""
+    """Row span of ``basis`` (m x n sympy or domain matrix) inside ``ambient``."""
 
     ambient: LieAlgebra
-    basis: sp.Matrix
+    basis: sp.Matrix | DomainMatrix
 
     def __post_init__(self):
-        if self.basis.cols != self.ambient.dim:
+        if self.basis.shape[1] != self.ambient.dim:
             raise ValueError("basis width must equal ambient dimension")
-        if len(_rref(self._domain_basis)[1]) != self.basis.rows:
-            raise ValueError("basis rows are linearly dependent")
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return self.basis.shape[0]
 
     @cached_property
     def _domain_basis(self) -> DomainMatrix:
-        """The basis over the fraction field of its entries."""
-        return DomainMatrix.from_Matrix(self.basis).to_field()
+        """The basis over QQ or QQ(params) (see :func:`to_domain`)."""
+        B = self.basis
+        return B if isinstance(B, DomainMatrix) else to_domain(B)
 
-    def is_closed(self) -> tuple[bool, list | None]:
+    @property
+    def rank(self) -> int:
+        return len(_rref(self._domain_basis)[1])
+
+    def is_closed(self) -> tuple[bool, dict | None]:
         """Closure under bracket; on success also the induced constants.
 
-        Returns ``(True, C_ind)`` with C_ind[i][j][k] such that
-        [row_i, row_j] = sum_k C_ind[i][j][k] row_k, or ``(False, None)``.
+        Returns ``(True, table)`` with the sparse table {(i, j): {k: c}},
+        i < j, such that [row_i, row_j] = sum_k c row_k, in the domain of
+        the basis; ``(False, None)`` when the span is not closed or the
+        rows are dependent.  All brackets are solved for in one exact solve.
         """
-        induced = induced_table(self.ambient, self._domain_basis)
-        if induced is None:
+        rows = self._domain_basis
+        m, n = rows.shape
+        vecs = rows.to_sdm()
+        pairs = list(itertools.combinations(range(m), 2))
+        rhs = {}
+        for col, (i, j) in enumerate(pairs):
+            for k, c in _bracket(self.ambient.table, vecs.get(i, {}), vecs.get(j, {})).items():
+                rhs.setdefault(k, {})[col] = c
+        sol = _solve_exact(rows.transpose(), DomainMatrix(rhs, (n, len(pairs)), rows.domain))
+        if sol is None:
             return False, None
-        m, K = self.dim, self._domain_basis.domain
-        C = [[[sp.Integer(0)] * m for _ in range(m)] for _ in range(m)]
-        for (i, j), comps in induced.items():
-            for k, c in comps.items():
-                C[i][j][k] = K.to_sympy(c)
-                C[j][i][k] = K.to_sympy(-c)
-        return True, C
+        cols = sol.transpose().to_sdm()
+        return True, {pair: dict(cols[col]) for col, pair in enumerate(pairs) if col in cols}
 
-    def induced(self) -> list:
-        ok, C = self.is_closed()
+    def induced(self) -> dict:
+        ok, table = self.is_closed()
         if not ok:
             raise NotClosedError("subalgebra is not closed under the bracket")
-        return C
+        return table
 
 
-def induced_table(ambient: LieAlgebra, rows: DomainMatrix) -> dict | None:
-    """The structure constants {(i, j): {k: c}}, i < j, that the row span
-    of ``rows`` (over a field containing QQ) inherits from ``ambient``,
-    in the domain of ``rows``; None when the span is not closed or the
-    rows are dependent.  All brackets are solved for in one exact solve."""
-    m, n = rows.shape
-    K, vecs = rows.domain, rows.to_sdm()
-    pairs = list(itertools.combinations(range(m), 2))
-    rhs = {}
-    for col, (i, j) in enumerate(pairs):
-        for k, c in _bracket(ambient.table, vecs.get(i, {}), vecs.get(j, {})).items():
-            rhs.setdefault(k, {})[col] = c
-    sol = _solve_exact(rows.transpose(), DomainMatrix(rhs, (n, len(pairs)), K))
-    if sol is None:
-        return None
-    cols = sol.transpose().to_sdm()
-    return {pair: dict(cols[col]) for col, pair in enumerate(pairs) if col in cols}
+def to_domain(M: sp.Matrix) -> DomainMatrix:
+    """``M`` as a domain matrix over QQ or QQ(symbols); entries that are
+    not rational functions of plain symbols (``Abs(a)``, ``log(a)``,
+    ``sqrt(2)``, ``pi``, floats) raise ValueError."""
+    D = DomainMatrix.from_Matrix(M).to_field()
+    K = D.domain
+    if not (K.is_QQ or K.is_FractionField and (K.domain.is_ZZ or K.domain.is_QQ)
+            and all(isinstance(g, sp.Symbol) for g in K.symbols)):
+        raise ValueError(f"not rational in the parameters (domain {K})")
+    return D
 
 
 def _rref(M) -> tuple[DomainMatrix, tuple[int, ...]]:
-    """Reduced row echelon form of ``M`` (a sympy or domain matrix) over
-    the fraction field of its entries (QQ, or QQ(params) for parametric
-    ones), plus the pivots."""
-    if not isinstance(M, DomainMatrix):
-        M = DomainMatrix.from_Matrix(M)
-    return M.to_field().rref()
+    """Reduced row echelon form of ``M`` (a sympy matrix, taken through
+    :func:`to_domain`, or a domain matrix), plus the pivots."""
+    return (M if isinstance(M, DomainMatrix) else to_domain(M)).rref()
 
 
 def _solve_exact(A: DomainMatrix, B: DomainMatrix) -> DomainMatrix | None:
@@ -261,7 +251,7 @@ def l12() -> LieAlgebra:
     """The 12-dimensional symmetry algebra, basis (Y, X1, ..., X11)."""
     global _L12
     if _L12 is None:
-        _L12 = LieAlgebra.from_brackets(L12_LABELS, _l12_brackets())
+        _L12 = LieAlgebra(L12_LABELS, _l12_brackets())
     return _L12
 
 
@@ -356,10 +346,6 @@ class Fingerprint:
     killing_signature: tuple[int, int, int]  # (n+, n-, n0)
 
 
-def _tensor_algebra(C) -> LieAlgebra:
-    return LieAlgebra([f"e{i+1}" for i in range(len(C))], C)
-
-
 def _span(vectors: list, n: int) -> list:
     """Sparse rows of the reduced echelon basis of the span of ``vectors``."""
     rows = {r: v for r, v in enumerate(vectors) if v}
@@ -383,9 +369,8 @@ def _series(n: int, step) -> tuple[int, ...]:
         cur = nxt
 
 
-def fingerprint(C_or_alg) -> Fingerprint:
-    """Fingerprint of a structure-constant tensor (or LieAlgebra)."""
-    alg = C_or_alg if isinstance(C_or_alg, LieAlgebra) else _tensor_algebra(C_or_alg)
+def fingerprint(alg: LieAlgebra) -> Fingerprint:
+    """Fingerprint of a Lie algebra over QQ."""
     n, T = alg.dim, alg.table
     basis = [{i: sp.QQ.one} for i in range(n)]
 

@@ -153,7 +153,7 @@ def _row_matches_at(entry_id: str, binding: dict) -> bool:
             target = asg.relations.get((i, j), (0, 0, 0, 0))
             for k in range(4):
                 want = sp.sympify(target[k]).subs(subs)
-                if canonicalize(induced[i][j][k] - want) != 0:
+                if canonicalize(sp.sympify(induced.get((i, j), {}).get(k, 0)) - want) != 0:
                     return False
     return True
 
@@ -425,7 +425,10 @@ def test_gate_8_mutations():
     B = sp.Matrix([list(v) for v in catalog.entry_basis("4.21", {})])
     induced = Subalgebra(l12(), M * B).induced()
     mismatch = any(
-        canonicalize(induced[i][j][k] - sp.sympify(mutated.relations.get((i, j), (0,) * 4)[k])) != 0
+        canonicalize(
+            sp.sympify(induced.get((i, j), {}).get(k, 0))
+            - sp.sympify(mutated.relations.get((i, j), (0,) * 4)[k])
+        ) != 0
         for i in range(4) for j in range(i + 1, 4) for k in range(4)
     )
     checks.append(("4.21 with mutated target relation", mismatch))

@@ -1,12 +1,14 @@
 """Isomorphism-class tests: assignments, case splitting, fingerprints."""
 
 import dataclasses
+import sys
 
 import pytest
 import sympy as sp
 
-from gassym import classify
+from gassym import classify, liealg
 from gassym.catalog import ConstraintError, UnknownEntryError, catalog_ids
+from gassym.cli import main
 from gassym.classify import (
     _parameter_cases,
     _parse_relations,
@@ -133,3 +135,21 @@ def test_fingerprint_consistency_passes():
 def test_known_collision_is_informational():
     cons = fingerprint_consistency()
     assert ("A_{3,6}+A_1", "A_{3,7}^{1/|a|}+A_1") in cons.collisions
+
+
+def test_classify_all_solves_only_inside_is_closed(monkeypatch, capsys):
+    # one closure path: every exact solve of `classify all`, for the 41
+    # class cases and the 28 fingerprints alike, is Subalgebra.is_closed's
+    callers = []
+    solve = liealg._solve_exact
+
+    def recorded(*args):
+        frame = sys._getframe(1)
+        callers.append((type(frame.f_locals.get("self")).__name__, frame.f_code.co_name))
+        return solve(*args)
+
+    monkeypatch.setattr(liealg, "_solve_exact", recorded)
+    assert main(["classify", "all"]) == 0
+    capsys.readouterr()
+    assert len(callers) == 41 + 28
+    assert set(callers) == {("Subalgebra", "is_closed")}

@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy as sp
 
 import gassym
-from gassym.cli import _build_parser, main
+from gassym.cli import _build_parser, _parse_params, main
 
 TOP_KEYS = {
     "version",
@@ -105,6 +106,30 @@ def test_non_finite_param_value_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: parameter value")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3/5", (3, 5)), ("0.6", (3, 5)), ("-1", (-1, 1)), ("1e-3", (1, 1000))],
+)
+def test_param_values_are_exact_literals(text, value):
+    assert _parse_params(f"a={text}") == {"a": sp.Rational(*value)}
+
+
+@pytest.mark.parametrize(
+    "value", ["1/0", "inf", "nan", "2**3", 'print("EVALUATED") or 1']
+)
+@pytest.mark.parametrize(
+    "prefix", [["verify-invariants", "4.3"], ["trace", "isochoric-reduced"]],
+    ids=["verify-invariants", "trace"],
+)
+def test_param_value_is_never_evaluated(capsys, prefix, value):
+    name = "a" if prefix[0] == "verify-invariants" else "k0"
+    code, out, err = _run(capsys, [*prefix, "--params", f"{name}={value},b=1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parameter value") and err.count("\n") == 1
+    assert "EVALUATED" not in err.replace(value, "")
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from gassym.liealg import (
     fingerprint,
     inverse_params,
     l12,
+    to_domain,
 )
 
 
@@ -82,11 +83,12 @@ def test_mutated_breaks_jacobi():
     assert bad.jacobi_report() != []
 
 
-def test_antisymmetry_enforced():
-    C = [[[sp.Integer(0)] * 2 for _ in range(2)] for _ in range(2)]
-    C[0][1][0] = sp.Integer(1)  # missing the mirrored -1
-    with pytest.raises(ValueError):
-        LieAlgebra(("a", "b"), C)
+def test_unordered_bracket_keys_rejected():
+    # only i < j is given: (j, i) is derived from it and (i, i) is zero,
+    # so antisymmetry holds by construction
+    for key in [(0, 0), (1, 0)]:
+        with pytest.raises(ValueError, match="i < j"):
+            LieAlgebra(("a", "b"), {key: {0: 1}})
 
 
 # --------------------------------------------------------------------------
@@ -102,23 +104,44 @@ def test_entry_477_basis_is_closed_abelian():
             _label_vec(Y=1, X4=1),
         ]
     )
-    closed, C = Subalgebra(l12(), basis).is_closed()
-    assert closed
-    assert all(c == 0 for plane in C for row in plane for c in row)
+    assert Subalgebra(l12(), basis).is_closed() == (True, {})
 
 
 def test_not_closed_detected():
     basis = sp.Matrix([_label_vec(X4=1), _label_vec(X10=1)])
     sub = Subalgebra(l12(), basis)
-    closed, C = sub.is_closed()
-    assert not closed and C is None
+    assert sub.is_closed() == (False, None)
     with pytest.raises(NotClosedError):
         sub.induced()
 
 
 def test_dependent_basis_rejected():
-    with pytest.raises(ValueError):
-        Subalgebra(l12(), sp.Matrix([_label_vec(X1=1), _label_vec(X1=2)]))
+    sub = Subalgebra(l12(), sp.Matrix([_label_vec(X1=1), _label_vec(X1=2)]))
+    assert sub.is_closed() == (False, None)
+    assert sub.rank == 1
+
+
+def test_induced_table_in_the_basis_field():
+    # [X1, a*X4 + X11] = X1: the constant is 1 for every a, in QQ(a)
+    a = sp.Symbol("a")
+    sub = Subalgebra(l12(), sp.Matrix([_label_vec(X1=1), _label_vec(X4=a, X11=1)]))
+    closed, table = sub.is_closed()
+    K = to_domain(sub.basis).domain
+    assert closed and table == {(0, 1): {0: K.one}}
+
+
+@pytest.mark.parametrize(
+    "c",
+    [sp.Abs(sp.Symbol("a")), sp.log(sp.Symbol("a")), sp.sqrt(2), sp.pi],
+    ids=["Abs", "log", "sqrt2", "pi"],
+)
+def test_coefficient_outside_qq_params_raises(c):
+    # rows a*X1 + X2 and c*X1 + X2: with c = Abs(a) they coincide for a > 0,
+    # yet an expression domain would count them independent and closed
+    a = sp.Symbol("a")
+    sub = Subalgebra(l12(), sp.Matrix([_label_vec(X1=a, X2=1), _label_vec(X1=c, X2=1)]))
+    with pytest.raises(ValueError, match="not rational in the parameters"):
+        sub.is_closed()
 
 
 # --------------------------------------------------------------------------
@@ -201,10 +224,7 @@ def test_outer_scaling_touches_only_c0():
 
 def _heisenberg_plus_line():
     # [e2, e3] = e1 plus a central e4
-    C = [[[sp.Integer(0)] * 4 for _ in range(4)] for _ in range(4)]
-    C[1][2][0] = sp.Integer(1)
-    C[2][1][0] = sp.Integer(-1)
-    return C
+    return LieAlgebra(("e1", "e2", "e3", "e4"), {(1, 2): {0: 1}})
 
 
 def test_fingerprint_heisenberg():
@@ -216,18 +236,15 @@ def test_fingerprint_heisenberg():
 
 
 def test_fingerprint_abelian():
-    C = [[[sp.Integer(0)] * 4 for _ in range(4)] for _ in range(4)]
-    fp = fingerprint(C)
+    fp = fingerprint(LieAlgebra(("e1", "e2", "e3", "e4"), {}))
     assert fp.center_dim == 4
     assert fp.derived_series == (4, 0)
 
 
 def test_fingerprint_so3_killing_signature():
-    C = [[[sp.Integer(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for (i, j, k, s) in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1)]:
-        C[i][j][k] = sp.Integer(s)
-        C[j][i][k] = sp.Integer(-s)
-    fp = fingerprint(C)
+    # [e1, e2] = e3, [e2, e3] = e1, [e1, e3] = -e2
+    so3 = LieAlgebra(("e1", "e2", "e3"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    fp = fingerprint(so3)
     assert fp.killing_rank == 3
     assert fp.killing_signature == (0, 3, 0)
 
@@ -246,30 +263,22 @@ def test_fingerprint_so3_killing_signature():
 )
 def test_fingerprint_sl2_killing_signature(rows):
     # sl(2, R) in the basis (h, e, f): [h, e] = 2e, [h, f] = -2f, [e, f] = h
-    sl2 = LieAlgebra.from_brackets(
-        ("h", "e", "f"), {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
-    )
-    fp = fingerprint(Subalgebra(sl2, sp.Matrix(rows)).induced())
+    labels = ("h", "e", "f")
+    sl2 = LieAlgebra(labels, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    fp = fingerprint(LieAlgebra(labels, Subalgebra(sl2, sp.Matrix(rows)).induced()))
     assert fp.killing_rank == 3
     assert fp.killing_signature == (2, 1, 0)
 
 
 def test_fingerprint_symbolic_killing_form_raises():
     # [e1, e2] = a e1: K(e2, e2) = a**2 has no sign to count
-    C = [[[sp.Integer(0)] * 2 for _ in range(2)] for _ in range(2)]
-    C[0][1][0] = sp.Symbol("a")
-    C[1][0][0] = -sp.Symbol("a")
     with pytest.raises(ValueError, match="numeric"):
-        fingerprint(C)
+        fingerprint(LieAlgebra(("e1", "e2"), {(0, 1): {0: sp.Symbol("a")}}))
 
 
 def test_fingerprint_basis_invariant():
     base = _heisenberg_plus_line()
     want = fingerprint(base)
-    alg = None
-    from gassym.liealg import _tensor_algebra
-
-    alg = _tensor_algebra(base)
     rng = np.random.default_rng(13)
     trials = 0
     while trials < 20:
@@ -281,14 +290,12 @@ def test_fingerprint_basis_invariant():
         trials += 1
         Minv = M.inv()
         rows = [list(M.row(i)) for i in range(4)]
-        C2 = [[[sp.Integer(0)] * 4 for _ in range(4)] for _ in range(4)]
+        brackets = {}
         for i in range(4):
-            for j in range(4):
-                br = alg.bracket(rows[i], rows[j])
-                coeffs = Minv.T * sp.Matrix(br)
-                for k in range(4):
-                    C2[i][j][k] = sp.expand(coeffs[k])
-        assert fingerprint(C2) == want
+            for j in range(i + 1, 4):
+                coeffs = Minv.T * sp.Matrix(base.bracket(rows[i], rows[j]))
+                brackets[(i, j)] = {k: sp.expand(coeffs[k]) for k in range(4)}
+        assert fingerprint(LieAlgebra(base.labels, brackets)) == want
 
 
 def test_fingerprint_is_hashable():

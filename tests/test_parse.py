@@ -67,6 +67,14 @@ def test_sympy_constant_names_rejected(tamper, name):
         catalog.get_entry("4.77")
 
 
+def test_basis_outside_the_parameter_field_raises(tamper):
+    # the grammar reads Abs(a), but closure must not pass over an
+    # expression domain, where Abs(a) is a free generator
+    tamper("basis", 0, "Abs(a)*X1 + X2")
+    with pytest.raises(ValueError, match="not rational in the parameters"):
+        catalog.verify_entry("4.77")
+
+
 def test_tampered_class_relation_rejected():
     with pytest.raises(ValueError, match=r"class row 4\.21: cannot read 'I\*e1'"):
         classify._parse_relations({"e2,e3": "I*e1"}, "class row 4.21")
