@@ -40,7 +40,7 @@ from importlib import resources
 import sympy as sp
 import yaml
 
-from .exprs import is_zero
+from .exprs import exact_number, is_zero
 from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, S_COORDS, Chart, chart_C,
                      chart_D, chart_D_shift, chart_S, realize_combination)
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
@@ -283,7 +283,10 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
     for k, v in params.items():
         if k not in free:
             raise ConstraintError(f"entry {entry_id} takes no parameter {k!r}")
-        binding[k] = sp.nsimplify(v, rational=True)
+        try:
+            binding[k] = exact_number(v, rational=True)
+        except ValueError as exc:
+            raise ConstraintError(f"entry {entry_id}, parameter {k!r}: {exc}") from None
     missing = [k for k in free if k not in binding]
     if missing:
         raise ConstraintError(f"entry {entry_id} needs parameters {missing}")

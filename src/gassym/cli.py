@@ -16,20 +16,36 @@ and configuration.
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
-import os
-import sys
-from fractions import Fraction
-from pathlib import Path
+import atexit
+import gc
 
-import sympy as sp
+# The objects that sympy and gassym build at import time (about 100k with
+# the interpreter's own) live until exit.  Keep the cyclic collector off
+# while they are built, then freeze them so that no later collection walks
+# them; freezing again at exit spares the interpreter's shutdown
+# collections everything main built.
+gc.disable()
+try:
+    import argparse
+    import json
+    import math
+    import os
+    import re
+    import sys
+    from fractions import Fraction
+    from pathlib import Path
 
-from . import __version__, catalog, classify, numerics, submodel
-from .exprs import rational
-from .fields import realization_table_diff
-from .liealg import l12
+    import sympy as sp
+
+    from . import __version__, catalog, classify, numerics, submodel
+    from .exprs import rational
+    from .fields import realization_table_diff
+    from .liealg import l12
+
+    gc.freeze()
+finally:
+    gc.enable()
+atexit.register(gc.freeze)
 
 __all__ = ["main"]
 
@@ -232,6 +248,23 @@ def _checked(convert, ok, what: str):
     return parse
 
 
+_NEGATIVE_START = re.compile(r"-[0-9.]")
+
+
+def _attach_x0(argv: list[str]) -> list[str]:
+    """``--x0 -1,0,1`` as ``--x0=-1,0,1``.  argparse reads a separate
+    value that starts with '-' as an option unless it is a single number."""
+    out, rest = [], list(argv)
+    while rest:
+        tok = rest.pop(0)
+        if tok == "--":
+            return out + [tok] + rest
+        if tok == "--x0" and rest and _NEGATIVE_START.match(rest[0]):
+            tok = f"--x0={rest.pop(0)}"
+        out.append(tok)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gassym",
@@ -311,7 +344,7 @@ def _emit(report: dict, args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_x0(sys.argv[1:] if argv is None else argv))
     report = _empty_report(args.seed)
     try:
         ok = _COMMANDS[args.command](args, report)

@@ -32,6 +32,7 @@ __all__ = [
     "ZeroVerdict",
     "canonicalize",
     "evaluate",
+    "exact_number",
     "is_zero",
     "opaque",
     "to_sexpr",
@@ -315,6 +316,18 @@ def _sexpr(e) -> str:
     if isinstance(e, _Opaque):
         return f"({e.base_name}^({e.diff_order}) {_sexpr(e.args[0])})"
     raise TypeError(f"cannot serialize node {type(e).__name__}: {e}")
+
+
+def exact_number(v, **kwargs) -> sp.Expr:
+    """``sp.nsimplify(v, **kwargs)`` of a caller's number.  A ``str`` must
+    be a number literal such as ``1``, ``3/5`` or ``0.6``, read exactly by
+    ``Fraction``: nsimplify would pass it to ``sympify``, which evaluates it."""
+    if isinstance(v, str):
+        try:
+            return rational(Fraction(v))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{v!r} is not a number literal") from None
+    return sp.nsimplify(v, **kwargs)
 
 
 def rational(p, q=1) -> sp.Rational:

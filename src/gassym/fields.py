@@ -34,7 +34,7 @@ import sympy as sp
 from sympy.polys.fields import field
 from sympy.polys.matrices import DomainMatrix
 
-from .exprs import canonicalize
+from .exprs import canonicalize, exact_number
 from .liealg import L12_LABELS
 
 __all__ = [
@@ -148,7 +148,7 @@ def chart_S() -> Chart:
 @lru_cache(maxsize=None)
 def chart_D_shift(b) -> Chart:
     """Cartesian chart with (v, w) traded for the shifted polar pair."""
-    b = sp.nsimplify(b, rational=True)
+    b = exact_number(b, rational=True)
     t, x, y, z, u, rho, P = _syms("t x y z u rho P")
     qbar, varthetabar = _syms("qbar varthetabar")
     denom = t**2 + b**2

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import sympy as sp
 
+from .exprs import exact_number
 from .submodel import FlowMap, Solution, jacobian_det, t, x, x0, y, y0, z, z0
 
 __all__ = [
@@ -250,9 +251,9 @@ def sphere_transport(fm: FlowMap, n: int, t_value, binding: dict, *, seed: int =
     """
     import numpy as np
 
-    binding = {sp.sympify(k): sp.nsimplify(v) for k, v in binding.items()}
+    binding = {sp.sympify(k): exact_number(v) for k, v in binding.items()}
     comps = [sp.sympify(c).subs(binding) for c in fm.components()]
-    t_exact = sp.nsimplify(t_value)
+    t_exact = exact_number(t_value)
     at_t = [c.subs(t, t_exact) for c in comps]
     sol = sp.solve(
         [sp.Eq(x, at_t[0]), sp.Eq(y, at_t[1]), sp.Eq(z, at_t[2])],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .exprs import canonicalize, opaque
+from .exprs import canonicalize, exact_number, opaque
 
 __all__ = [
     "CONSTANTS",
@@ -319,10 +319,10 @@ def geometry_checks(s: Solution, binding: dict | None = None) -> dict:
     """
     if binding is None:
         binding = {k0: 1, m0: 1, rho0: 1}
-    binding = {sp.sympify(k): sp.nsimplify(v) for k, v in binding.items()}
+    binding = {sp.sympify(k): exact_number(v) for k, v in binding.items()}
     fm = flow_map(s)
     X, Yc, Zc = (c.subs(binding) for c in fm.components())
-    kv, mv, rv = (sp.nsimplify(binding.get(c, c)) for c in (k0, m0, rho0))
+    kv, mv, rv = (exact_number(binding.get(c, c)) for c in (k0, m0, rho0))
     report = {}
 
     def record(name, residual):

@@ -58,6 +58,14 @@ def test_missing_parameter_rejected():
         get_entry("4.3", a=1)  # b missing
 
 
+def test_string_parameter_is_never_evaluated(capsys):
+    with pytest.raises(ConstraintError, match="parameter 'a'"):
+        get_entry("4.3", a='print("EVALUATED") or 1', b=1)
+    assert capsys.readouterr() == ("", "")
+    # a number literal is read exactly, as perfbench passes choice values
+    assert get_entry("4.3", a="-1/2", b="1").basis == get_entry("4.3", a=sp.Rational(-1, 2), b=1).basis
+
+
 def test_unit_circle_enforced():
     with pytest.raises(ConstraintError):
         get_entry("4.23.i", a=1, b=1)

@@ -236,6 +236,15 @@ def test_trace_writes_csv(capsys, tmp_path):
     assert report["traces"][0]["samples"] == 51
 
 
+def test_trace_x0_takes_a_negative_start_in_either_form(capsys):
+    argv = ["trace", "isochoric-reduced", "--t1", "0.1", "--h", "1e-2"]
+    spaced = _run(capsys, argv + ["--x0", "-1,0,1"])
+    attached = _run(capsys, argv + ["--x0=-1,0,1"])
+    assert spaced == attached
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["traces"][0]["initial"] == [-1.0, 0.0, 1.0]
+
+
 def _readme_commands() -> list[list[str]]:
     """The argument lists of the ``gassym`` lines in README's CLI block,
     with continuation lines joined and comments dropped."""
@@ -460,3 +469,31 @@ def test_closed_stdout_exits_without_traceback(lines_read):
     # after one line the rest of the table may already sit in the pipe,
     # and then nothing fails
     assert proc.returncode in ((0, 1) if lines_read else (1,))
+
+
+# --------------------------------------------------------------------------
+# the cyclic collector around the import of gassym.cli
+
+
+@pytest.mark.parametrize(
+    "prelude, want",
+    [
+        # every import ran: the import-time heap is frozen, collection is on
+        ("", "True True"),
+        # an import failed: collection is on again and nothing was frozen
+        ("import sys; sys.modules['gassym.numerics'] = None\n", "ImportError True False"),
+    ],
+)
+def test_import_restores_the_collector(prelude, want):
+    code = prelude + (
+        "import gc\n"
+        "try:\n"
+        "    import gassym.cli\n"
+        "except ImportError:\n"
+        "    print('ImportError', gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        "else:\n"
+        "    print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    proc = _spawn(["-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out.strip()) == (0, want), err

@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gassym import fields, numerics, submodel
 from gassym.exprs import (
     Assignment,
     DomainError,
@@ -14,6 +15,7 @@ from gassym.exprs import (
     ZeroVerdict,
     canonicalize,
     evaluate,
+    exact_number,
     is_zero,
     opaque,
     rational,
@@ -264,3 +266,36 @@ def test_to_sexpr_rational_and_functions():
 
 def test_rational_exact():
     assert rational(2, 4) == sp.Rational(1, 2)
+
+
+@pytest.mark.parametrize("value", [0.6, "0.6", "3/5", sp.Rational(3, 5)])
+def test_exact_number_reads_numbers_and_literals_exactly(value):
+    assert exact_number(value, rational=True) == sp.Rational(3, 5)
+
+
+_FAM = submodel.solution_family("isochoric-reduced")
+_BINDING = {submodel.k0: 1, submodel.m0: 1, submodel.rho0: 1}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(exact_number, id="exact_number"),
+        pytest.param(fields.chart_D_shift, id="chart_D_shift"),
+        pytest.param(
+            lambda v: submodel.geometry_checks(_FAM, {**_BINDING, submodel.k0: v}), id="geometry_checks"
+        ),
+        pytest.param(
+            lambda v: numerics.sphere_transport(submodel.flow_map(_FAM), 2, 1, {**_BINDING, submodel.k0: v}),
+            id="sphere_transport-binding",
+        ),
+        pytest.param(
+            lambda v: numerics.sphere_transport(submodel.flow_map(_FAM), 2, v, _BINDING), id="sphere_transport-t"
+        ),
+    ],
+)
+def test_string_values_are_never_evaluated(capsys, call):
+    # sp.nsimplify would hand a str to sympify, which evaluates it
+    with pytest.raises(ValueError, match="not a number literal"):
+        call('print("EVALUATED") or 1')
+    assert capsys.readouterr() == ("", "")

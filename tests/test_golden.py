@@ -9,10 +9,14 @@ a report fails here; regenerate a file only for an intended change of
 the report.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gassym
 from gassym.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,3 +45,18 @@ def test_report_matches_golden(capsys, name, argv):
     assert code == 0
     suffix = ".txt" if "text" in argv else ".json"
     assert capsys.readouterr().out == (GOLDEN / f"{name}{suffix}").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, argv", [("verify-algebra", ["verify-algebra"]), ("classify", ["classify", "all"])]
+)
+def test_process_report_matches_golden(name, argv):
+    # a real `python -m gassym.cli` process: it runs the import window and
+    # the exit-time freeze of gassym.cli, which main() in-process does not
+    src = str(Path(gassym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gassym.cli", *argv, "--seed", "0"], env=env, capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
