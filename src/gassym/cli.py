@@ -210,7 +210,7 @@ def cmd_trace(args, report: dict) -> bool:
         raise UsageError(f"bad initial point {args.x0!r}")
     if len(p0) != 3:
         raise UsageError("initial point must be x,y,z")
-    vel = numerics.velocity_function(s, {})
+    vel = numerics.velocity_function(s)
     try:
         tr = numerics.integrate(vel, p0, args.t0, args.t1, args.h)
     except ValueError as exc:  # a step below the time resolution

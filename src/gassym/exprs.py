@@ -94,7 +94,7 @@ def canonicalize(e) -> sp.Expr:
     modulo the Pythagorean ideal.  Idempotent; two expressions equal under
     ring axioms plus the Pythagorean relation map to the same tree.
     """
-    e = sp.sympify(e)
+    e = sp.sympify(e, strict=True)
     if e.has(sp.sin, sp.cos):
         e = sp.expand_trig(e)
         num, den = sp.fraction(sp.together(e))
@@ -144,7 +144,7 @@ def evaluate(e, a: Assignment) -> float:
     :class:`DomainError` on division by zero, log/sqrt domain hits and
     any ``zoo``, ``nan`` or infinite node or value.
     """
-    return _eval(sp.sympify(e), a)
+    return _eval(sp.sympify(e, strict=True), a)
 
 
 def _eval(e, a: Assignment) -> float:

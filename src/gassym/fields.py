@@ -12,8 +12,11 @@ the Cartesian chart D we support:
                 v = (t*y + b*z)/(t^2 + b^2) + qbar*cos(varthetabar),
                 w = (t*z - b*y)/(t^2 + b^2) + qbar*sin(varthetabar).
 
-Pushforward solves J_Psi * G = F o Psi where Psi maps chart coordinates to
-Cartesian ones, so no inverse trig functions enter symbolic work.  The
+A chart declares only the Cartesian coordinates it moves (``_chart``); every
+other one maps to itself and is solved by a 1x1 stage ahead of the chart's
+own blocks.  Pushforward solves J_Psi * G = F o Psi where Psi maps chart
+coordinates to Cartesian ones, so no inverse trig functions enter symbolic
+work.  The
 solve runs in the chart's rational function field over QQ (``Chart.ring``,
 built once per chart; chart D's has no angles): sin(a) and cos(a) of each
 angle become a generator pair (s_a, c_a), and numerators and denominators
@@ -78,8 +81,13 @@ class Chart:
         return _ChartRing(self)
 
 
-def _syms(names: str) -> list[sp.Symbol]:
-    return sp.symbols(names)
+def _chart(name: str, coords: tuple[str, ...], moved: Mapping[str, sp.Expr], blocks=()) -> Chart:
+    """A chart that maps every Cartesian coordinate not in ``moved`` to
+    itself.  Its stages are a 1x1 stage per such coordinate, in Cartesian
+    order, followed by the ``blocks`` that solve for the moved ones."""
+    kept = [c for c in CARTESIAN_COORDS if c not in moved]
+    to_cart = {c: moved.get(c, sp.Symbol(c)) for c in CARTESIAN_COORDS}
+    return Chart(name, coords, to_cart, tuple(((c,), (c,)) for c in kept) + blocks)
 
 
 @lru_cache(maxsize=None)
@@ -89,41 +97,25 @@ def chart_D() -> Chart:
 
 @lru_cache(maxsize=None)
 def chart_C() -> Chart:
-    t, x, u, rho, P = _syms("t x u rho P")
-    r, theta, q, vartheta = _syms("r theta q vartheta")
-    to_cart = {
-        "t": t,
-        "x": x,
+    r, theta, q, vartheta = sp.symbols("r theta q vartheta")
+    moved = {
         "y": r * sp.cos(theta),
         "z": r * sp.sin(theta),
-        "u": u,
         "v": q * sp.cos(theta + vartheta),
         "w": q * sp.sin(theta + vartheta),
-        "rho": rho,
-        "P": P,
     }
-    stages = (
-        (("t",), ("t",)),
-        (("x",), ("x",)),
-        (("u",), ("u",)),
-        (("rho",), ("rho",)),
-        (("P",), ("P",)),
-        (("y", "z"), ("r", "theta")),
-        (("v", "w"), ("q", "vartheta")),
-    )
-    return Chart("C", C_COORDS, to_cart, stages)
+    blocks = ((("y", "z"), ("r", "theta")), (("v", "w"), ("q", "vartheta")))
+    return _chart("C", C_COORDS, moved, blocks)
 
 
 @lru_cache(maxsize=None)
 def chart_S() -> Chart:
-    t, rho, P = _syms("t rho P")
-    r_S, theta_S, phi = _syms("r_S theta_S phi")
-    q_S, vartheta_S, varphi = _syms("q_S vartheta_S varphi")
+    r_S, theta_S, phi = sp.symbols("r_S theta_S phi")
+    q_S, vartheta_S, varphi = sp.symbols("q_S vartheta_S varphi")
     U = q_S * sp.cos(vartheta_S)
     V = q_S * sp.sin(vartheta_S) * sp.cos(varphi)
     W = q_S * sp.sin(vartheta_S) * sp.sin(varphi)
-    to_cart = {
-        "t": t,
+    moved = {
         "x": r_S * sp.sin(theta_S) * sp.cos(phi),
         "y": r_S * sp.sin(theta_S) * sp.sin(phi),
         "z": r_S * sp.cos(theta_S),
@@ -132,50 +124,25 @@ def chart_S() -> Chart:
         "v": (U * sp.sin(theta_S) + V * sp.cos(theta_S)) * sp.sin(phi)
         + W * sp.cos(phi),
         "w": U * sp.cos(theta_S) - V * sp.sin(theta_S),
-        "rho": rho,
-        "P": P,
     }
-    stages = (
-        (("t",), ("t",)),
-        (("rho",), ("rho",)),
-        (("P",), ("P",)),
+    blocks = (
         (("x", "y", "z"), ("r_S", "theta_S", "phi")),
         (("u", "v", "w"), ("q_S", "vartheta_S", "varphi")),
     )
-    return Chart("S", S_COORDS, to_cart, stages)
+    return _chart("S", S_COORDS, moved, blocks)
 
 
 @lru_cache(maxsize=None)
 def chart_D_shift(b) -> Chart:
     """Cartesian chart with (v, w) traded for the shifted polar pair."""
     b = exact_number(b, rational=True)
-    t, x, y, z, u, rho, P = _syms("t x y z u rho P")
-    qbar, varthetabar = _syms("qbar varthetabar")
+    t, y, z, qbar, varthetabar = sp.symbols("t y z qbar varthetabar")
     denom = t**2 + b**2
-    vs = (t * y + b * z) / denom
-    ws = (t * z - b * y) / denom
-    to_cart = {
-        "t": t,
-        "x": x,
-        "y": y,
-        "z": z,
-        "u": u,
-        "v": vs + qbar * sp.cos(varthetabar),
-        "w": ws + qbar * sp.sin(varthetabar),
-        "rho": rho,
-        "P": P,
+    moved = {
+        "v": (t * y + b * z) / denom + qbar * sp.cos(varthetabar),
+        "w": (t * z - b * y) / denom + qbar * sp.sin(varthetabar),
     }
-    stages = (
-        (("t",), ("t",)),
-        (("x",), ("x",)),
-        (("y",), ("y",)),
-        (("z",), ("z",)),
-        (("u",), ("u",)),
-        (("rho",), ("rho",)),
-        (("P",), ("P",)),
-        (("v", "w"), ("qbar", "varthetabar")),
-    )
-    return Chart(f"D-shift({b})", D_SHIFT_COORDS, to_cart, stages)
+    return _chart(f"D-shift({b})", D_SHIFT_COORDS, moved, ((("v", "w"), ("qbar", "varthetabar")),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +153,11 @@ class VectorField:
     coeffs: Mapping[str, sp.Expr]
 
     def coeff(self, coord: str) -> sp.Expr:
-        return sp.sympify(self.coeffs.get(coord, 0))
+        return sp.sympify(self.coeffs.get(coord, 0), strict=True)
 
     def apply(self, e) -> sp.Expr:
         """Directional derivative sum_i F_i * d(e)/dx_i, canonicalized."""
-        e = sp.sympify(e)
+        e = sp.sympify(e, strict=True)
         out = sp.Integer(0)
         for c in self.chart.coords:
             fc = self.coeff(c)
@@ -199,7 +166,7 @@ class VectorField:
         return canonicalize(out)
 
     def __rmul__(self, scalar) -> "VectorField":
-        scalar = sp.sympify(scalar)
+        scalar = sp.sympify(scalar, strict=True)
         return VectorField(self.chart, {c: scalar * self.coeff(c) for c in self.chart.coords})
 
     def equals(self, other: "VectorField") -> bool:
@@ -224,7 +191,7 @@ def vf_commutator(F: VectorField, G: VectorField) -> VectorField:
 
 
 def _cartesian_generators() -> dict[str, dict[str, sp.Expr]]:
-    t, x, y, z, u, v, w = _syms("t x y z u v w")
+    t, x, y, z, u, v, w = sp.symbols("t x y z u v w")
     one = sp.Integer(1)
     return {
         "X1": {"x": one},
@@ -257,8 +224,8 @@ def realize(label: str, chart: Chart | None = None) -> VectorField:
 def realize_combination(coeffs, chart: Chart | None = None) -> VectorField:
     """Linear combination sum coeffs[i] * generator_i, (Y, X1..X11) order."""
     chart = chart or chart_D()
-    terms = [(a, realize(label, chart))
-             for a, label in zip(map(sp.sympify, coeffs), L12_LABELS) if a != 0]
+    coeffs = [sp.sympify(a, strict=True) for a in coeffs]
+    terms = [(a, realize(label, chart)) for a, label in zip(coeffs, L12_LABELS) if a != 0]
     return VectorField(
         chart, {c: sp.Add(*(a * F.coeff(c) for a, F in terms)) for c in chart.coords}
     )

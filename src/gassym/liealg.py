@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import sympy as sp
@@ -48,9 +48,14 @@ class NotClosedError(ValueError):
     """Row span is not closed under the bracket."""
 
 
+# a caller's number or expression as a sympy object: a str raises
+# SympifyError, where plain sympify would evaluate it
+_strict = partial(sp.sympify, strict=True)
+
+
 def _rational(c):
     """``c`` as an element of QQ."""
-    c = sp.sympify(c)
+    c = _strict(c)
     if not c.is_Rational:
         raise ValueError(f"structure constants must be numeric, not {c}")
     return sp.QQ.from_sympy(c)
@@ -92,7 +97,7 @@ class LieAlgebra:
         n = self.dim
         if len(v) != n or len(w) != n:
             raise ValueError(f"expected vectors of length {n}")
-        sparse = [{i: x for i, x in enumerate(map(sp.sympify, u)) if x != 0} for u in (v, w)]
+        sparse = [{i: x for i, x in enumerate(map(_strict, u)) if x != 0} for u in (v, w)]
         out = _bracket(self.table, *sparse)
         return [sp.expand(out.get(k, sp.Integer(0))) for k in range(n)]
 
@@ -259,6 +264,11 @@ def l12() -> LieAlgebra:
 # automorphisms
 
 
+def _matrix(rows) -> sp.Matrix:
+    """A 3x3 matrix of ``_strict`` entries, from rows or a Matrix."""
+    return sp.Matrix(3, 3, [_strict(x) for x in sp.flatten(rows)])
+
+
 def apply_automorphism(variant: str, v: Sequence, param=None) -> list:
     """Image of the coefficient vector ``v = (c0, c1..c11)`` under one
     automorphism of L12.
@@ -270,7 +280,7 @@ def apply_automorphism(variant: str, v: Sequence, param=None) -> list:
     """
     if len(v) != 12:
         raise ValueError("expected a 12-vector (c0, c1..c11)")
-    c = [sp.sympify(x) for x in v]
+    c = [_strict(x) for x in v]
     c0 = c[0]
     c1 = sp.Matrix(c[1:4])
     c2 = sp.Matrix(c[4:7])
@@ -278,23 +288,23 @@ def apply_automorphism(variant: str, v: Sequence, param=None) -> list:
     c10, c11 = c[10], c[11]
 
     if variant == "ST":
-        a = sp.Matrix([sp.sympify(x) for x in param])
+        a = sp.Matrix([_strict(x) for x in param])
         c1 = c1 + c11 * a - a.cross(c3)
     elif variant == "GT":
-        b = sp.Matrix([sp.sympify(x) for x in param])
+        b = sp.Matrix([_strict(x) for x in param])
         c1 = c1 - c10 * b
         c2 = c2 - b.cross(c3)
     elif variant == "R":
-        R = sp.Matrix(param)
+        R = _matrix(param)
         if sp.simplify(R.T * R - sp.eye(3)) != sp.zeros(3) or sp.simplify(R.det() - 1) != 0:
             raise ValueError("R must be a rotation (orthogonal, det 1)")
         c1, c2, c3 = R * c1, R * c2, R * c3
     elif variant == "TT":
-        tau = sp.sympify(param)
+        tau = _strict(param)
         c1 = c1 + tau * c2
         c10 = c10 + tau * c11
     elif variant == "D":
-        lam = sp.sympify(param)
+        lam = _strict(param)
         if lam == 0:
             raise ValueError("dilation parameter must be nonzero")
         c1 = lam * c1
@@ -305,7 +315,7 @@ def apply_automorphism(variant: str, v: Sequence, param=None) -> list:
         c2 = -c2
         c10 = -c10
     elif variant == "OuterScale":
-        mu = sp.sympify(param)
+        mu = _strict(param)
         if mu == 0:
             raise ValueError("outer scaling must be nonzero")
         c0 = mu * c0
@@ -319,13 +329,13 @@ def apply_automorphism(variant: str, v: Sequence, param=None) -> list:
 def inverse_params(variant: str, param):
     """Parameter of the inverse automorphism of the same variant."""
     if variant in ("ST", "GT"):
-        return [-sp.sympify(x) for x in param]
+        return [-_strict(x) for x in param]
     if variant == "R":
-        return sp.Matrix(param).T
+        return _matrix(param).T
     if variant == "TT":
-        return -sp.sympify(param)
+        return -_strict(param)
     if variant in ("D", "OuterScale"):
-        return 1 / sp.sympify(param)
+        return 1 / _strict(param)
     if variant in ("I1", "I2"):
         return None
     raise ValueError(f"unknown automorphism variant {variant!r}")

@@ -98,15 +98,15 @@ def _check_samples(ts, columns) -> None:
         raise ValueError("trajectory contains non-finite values")
 
 
-def velocity_function(s: Solution, binding: dict):
+def velocity_function(s: Solution):
     """Numeric velocity of a solution family as a callable (t, p) -> 3-tuple.
 
     ``p`` is the position as a 3-tuple of floats.  Components are
     evaluated with the ``math`` module, so a domain or overflow error
     raises (``ValueError``, ``ArithmeticError``) instead of returning nan
-    or inf.
+    or inf.  Bind the family's constants first, with ``Solution.subs``.
     """
-    vel = [sp.sympify(g).subs(binding) for g in (s.u, s.v, s.w)]
+    vel = (s.u, s.v, s.w)
     extra = set().union(*(g.free_symbols for g in vel)) - {t, x, y, z}
     if extra:
         raise ValueError(f"velocity has unbound constants: {sorted(map(str, extra))}")
@@ -185,7 +185,7 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
 
 
 def _map_function(fm: FlowMap, binding: dict):
-    comps = [sp.sympify(c).subs(binding) for c in fm.components()]
+    comps = [c.subs(binding) for c in fm.components()]
     extra = set().union(*(c.free_symbols for c in comps)) - {t}
     if extra:
         raise ValueError(f"flow map has unbound symbols: {sorted(map(str, extra))}")
@@ -251,8 +251,8 @@ def sphere_transport(fm: FlowMap, n: int, t_value, binding: dict, *, seed: int =
     """
     import numpy as np
 
-    binding = {sp.sympify(k): exact_number(v) for k, v in binding.items()}
-    comps = [sp.sympify(c).subs(binding) for c in fm.components()]
+    binding = {sp.sympify(k, strict=True): exact_number(v) for k, v in binding.items()}
+    comps = [c.subs(binding) for c in fm.components()]
     t_exact = exact_number(t_value)
     at_t = [c.subs(t, t_exact) for c in comps]
     sol = sp.solve(

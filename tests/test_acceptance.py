@@ -234,7 +234,7 @@ def test_gate_6_trajectories():
     fm_iso = submodel.flow_map(submodel.solution_family("isochoric-reduced"))
     labels = {x0s: 0, y0s: 0, z0s: 1}
     cf = _closed_form(fm_iso, labels)
-    vel = numerics.velocity_function(iso, {})
+    vel = numerics.velocity_function(iso)
     tr = numerics.integrate(vel, np.asarray(cf(0.0), dtype=float), 0.0, 3.0, 1e-3)
     err = numerics.compare_to_closed_form(
         tr, fm_iso, {**_FIG_BINDING, **labels}
@@ -247,7 +247,7 @@ def test_gate_6_trajectories():
     fm_non = submodel.flow_map(submodel.solution_family("nonisochoric-reduced"))
     labels = {u0s: 1, y0s: 1, z0s: 1}
     cf = _closed_form(fm_non, labels)
-    vel = numerics.velocity_function(non, {})
+    vel = numerics.velocity_function(non)
     start = np.asarray(cf(0.1), dtype=float)
     tr = numerics.integrate(vel, start, 0.1, 3.0, 1e-3)
     err = numerics.compare_to_closed_form(tr, fm_non, {**_FIG_BINDING, **labels})
@@ -284,7 +284,7 @@ def test_gate_7_figures():
     # Fig. 2: four particles from (-2, 1, 1) with u0 in {0, 1, 2, 3}
     non = submodel.solution_family("nonisochoric-reduced").subs(_FIG_BINDING)
     fm_non = submodel.flow_map(submodel.solution_family("nonisochoric-reduced"))
-    vel = numerics.velocity_function(non, {})
+    vel = numerics.velocity_function(non)
     u0s = [0.0, 1.0, 2.0, 3.0]
     endpoints = []
     for u0v in u0s:

@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gassym import fields, numerics, submodel
+from gassym import fields, liealg, numerics, submodel
 from gassym.exprs import (
     Assignment,
     DomainError,
@@ -298,4 +298,39 @@ def test_string_values_are_never_evaluated(capsys, call):
     # sp.nsimplify would hand a str to sympify, which evaluates it
     with pytest.raises(ValueError, match="not a number literal"):
         call('print("EVALUATED") or 1')
+    assert capsys.readouterr() == ("", "")
+
+
+_EVIL = 'print("EVALUATED") or 1'
+_E1 = [1] + [0] * 11
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda v: liealg.apply_automorphism("TT", [v] + [0] * 11, 1), id="apply_automorphism-v"),
+        pytest.param(lambda v: liealg.apply_automorphism("TT", _E1, v), id="apply_automorphism-param"),
+        pytest.param(
+            lambda v: liealg.apply_automorphism("R", _E1, [[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            id="apply_automorphism-R",
+        ),
+        pytest.param(lambda v: liealg.inverse_params("TT", v), id="inverse_params"),
+        pytest.param(lambda v: liealg.l12().bracket([v] + [0] * 11, _E1), id="bracket"),
+        pytest.param(canonicalize, id="canonicalize"),
+        pytest.param(fields.realize("X1").apply, id="VectorField.apply"),
+        pytest.param(lambda v: fields.realize_combination([v] + [0] * 11), id="realize_combination"),
+        pytest.param(lambda v: evaluate(v, Assignment({})), id="evaluate"),
+        pytest.param(
+            lambda v: submodel.geometry_checks(_FAM, {**_BINDING, v: 1}), id="geometry_checks-key"
+        ),
+        pytest.param(
+            lambda v: numerics.sphere_transport(submodel.flow_map(_FAM), 2, 1, {**_BINDING, v: 1}),
+            id="sphere_transport-key",
+        ),
+    ],
+)
+def test_expression_strings_are_refused_unevaluated(capsys, call):
+    # plain sympify would evaluate the string; strict sympify refuses a str
+    with pytest.raises(sp.SympifyError):
+        call(_EVIL)
     assert capsys.readouterr() == ("", "")

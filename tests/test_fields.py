@@ -204,6 +204,23 @@ def test_realization_matches_table(make_chart):
     assert realization_table_diff(make_chart()) == []
 
 
+MOVED = {"C": ("y", "z", "v", "w"), "S": ("x", "y", "z", "u", "v", "w"), "Dshift(b)": ("v", "w")}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_CHARTS))
+def test_chart_keeps_every_unmoved_coordinate(name):
+    # each coordinate a chart does not move maps to itself and is solved
+    # by a 1x1 stage, in Cartesian order, ahead of the chart's own blocks
+    chart = CERTIFIED_CHARTS[name]()
+    kept = [c for c in CARTESIAN_COORDS if c not in MOVED[name]]
+    assert tuple(chart.to_cartesian) == CARTESIAN_COORDS
+    assert [c for c, e in chart.to_cartesian.items() if e == sp.Symbol(c)] == kept
+    assert chart.solve_order[: len(kept)] == tuple(((c,), (c,)) for c in kept)
+    blocks = chart.solve_order[len(kept):]
+    assert all(len(cart) > 1 for cart, _ in blocks)
+    assert sorted(c for cart, _ in blocks for c in cart) == sorted(MOVED[name])
+
+
 MUTANT_CHARTS = {
     "D": chart_D, "C": chart_C, "S": chart_S,
     "Dshift4/5": lambda: chart_D_shift(sp.Rational(4, 5)),

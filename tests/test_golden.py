@@ -9,6 +9,8 @@ a report fails here; regenerate a file only for an intended change of
 the report.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -60,3 +62,31 @@ def test_process_report_matches_golden(name, argv):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# The trace commands of README's CLI block, with --out moved into tmp_path.
+# tests/golden/trace.sha256 holds the sha256 of each CSV and of each JSON
+# report, the report's "csv" path masked as "CSV".
+_TRACES = {
+    "iso-0-0-1": ["isochoric-reduced", "--x0", "0,0,1", "--t0", "0", "--t1", "3", "--h", "1e-3"],
+    "iso-neg": ["isochoric-reduced", "--x0", "-1,0,1", "--t1", "1"],
+    "noniso-fig2": ["nonisochoric-reduced", "--x0=-1.905,0.995,0.995", "--t0", "0.1", "--t1", "3"],
+}
+
+
+def _trace_digests(name: str, tmp_path: Path, capsys) -> dict[str, str]:
+    csv = tmp_path / f"{name}.csv"
+    assert main(["trace", *_TRACES[name], "--out", str(csv)]) == 0
+    report = capsys.readouterr().out.replace(json.dumps(str(csv)), '"CSV"')
+    return {
+        f"{name}.csv": hashlib.sha256(csv.read_bytes()).hexdigest(),
+        f"{name}.json": hashlib.sha256(report.encode()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_TRACES))
+def test_trace_matches_golden_digest(capsys, tmp_path, name):
+    lines = (GOLDEN / "trace.sha256").read_text().split("\n")
+    golden = dict(reversed(line.split("  ")) for line in lines if line)
+    digests = _trace_digests(name, tmp_path, capsys)
+    assert digests == {k: golden[k] for k in digests}

@@ -63,13 +63,13 @@ def _non_setup():
 
 def test_rk4_matches_isochoric_flow():
     s, fm, full, start = _iso_setup()
-    tr = integrate(velocity_function(s, {}), start, 0.5, 2.5, 1e-3)
+    tr = integrate(velocity_function(s), start, 0.5, 2.5, 1e-3)
     assert compare_to_closed_form(tr, fm, full) < 1e-6
 
 
 def test_rk4_matches_nonisochoric_flow():
     s, fm, full, start = _non_setup()
-    tr = integrate(velocity_function(s, {}), start, 0.5, 2.5, 1e-3)
+    tr = integrate(velocity_function(s), start, 0.5, 2.5, 1e-3)
     assert compare_to_closed_form(tr, fm, full) < 1e-6
 
 
@@ -82,7 +82,7 @@ def test_rk4_zero_velocity_is_stationary():
 def test_rk4_halving_reduces_error():
     # ~16x per halving on a problem RK4 does not integrate exactly
     s, fm, full, start = _non_setup()
-    vel = velocity_function(s, {})
+    vel = velocity_function(s)
 
     def endpoint_err(h):
         tr = integrate(vel, start, 0.5, 2.0, h)
@@ -97,7 +97,7 @@ def test_rk4_convergence_order():
     fn = sp.lambdify(
         sp.Symbol("t"), [c.subs(full) for c in fm.components()], modules="numpy"
     )
-    order = convergence_order(velocity_function(s, {}), start, 0.5, 2.0, fn)
+    order = convergence_order(velocity_function(s), start, 0.5, 2.0, fn)
     assert 3.7 <= order <= 4.3
 
 
@@ -136,7 +136,7 @@ def test_rk4_bit_identical_to_vector_reference(kind, t0, t1, h):
     # h does not divide t1 - t0, so the last step is a remainder step
     s = solution_family(kind).subs(BINDING)
     p0 = [0.3, -0.7, 1.1]
-    tr = integrate(velocity_function(s, {}), p0, t0, t1, h)
+    tr = integrate(velocity_function(s), p0, t0, t1, h)
     ts, pts = _reference_rk4(_numpy_velocity(s), p0, t0, t1, h)
     assert len(tr.ts) == math.ceil((t1 - t0) / h) + 1
     assert tr.ts[-1] - tr.ts[-2] < h
@@ -182,9 +182,9 @@ def test_rk4_rejects_step_below_time_resolution():
 def test_rk4_overflow_is_integration_error():
     # mutant: dx/dt = x^2 from x = 1 blows up at t = 1; the math-module
     # velocity raises OverflowError there, which must not escape raw
-    blowup = Solution("blowup", x**2, 0, 0, 1, 0)
+    blowup = Solution("blowup", x**2, sp.S.Zero, sp.S.Zero, sp.S.One, sp.S.Zero)
     with pytest.raises(IntegrationError):
-        integrate(velocity_function(blowup, {}), [1.0, 0.0, 0.0], 0.0, 2.0, 1e-3)
+        integrate(velocity_function(blowup), [1.0, 0.0, 0.0], 0.0, 2.0, 1e-3)
 
 
 def test_integrate_validates_arguments():
@@ -198,7 +198,7 @@ def test_integrate_validates_arguments():
 def test_integrate_flags_singular_start():
     # the non-isochoric velocity has a 1/t pole at t = 0
     s, _, _, _ = _non_setup()
-    vel = velocity_function(s, {})
+    vel = velocity_function(s)
     with pytest.raises(IntegrationError):
         with np.errstate(all="raise"):
             integrate(vel, [0.5, 1.0, -0.3], 0.0, 1.0, 0.1)
@@ -207,7 +207,7 @@ def test_integrate_flags_singular_start():
 def test_velocity_function_rejects_unbound_constants():
     s = solution_family("isochoric-reduced")
     with pytest.raises(ValueError):
-        velocity_function(s, {})
+        velocity_function(s)
 
 
 def test_trajectory_validation():
@@ -309,7 +309,7 @@ def _reference_csv(tr: Trajectory) -> str:
 def test_write_csv_bytes_match_numpy_reference(tmp_path):
     # the README command `trace isochoric-reduced --x0 0,0,1 --t0 0 --t1 3 --h 1e-3`
     s = solution_family("isochoric-reduced").subs(BINDING)
-    readme = integrate(velocity_function(s, {}), (0.0, 0.0, 1.0), 0.0, 3.0, 1e-3)
+    readme = integrate(velocity_function(s), (0.0, 0.0, 1.0), 0.0, 3.0, 1e-3)
     edge = [-0.0, 5e-324, 1e300, 1 / 3]
     rows = [(edge * 2)[i : i + 3] for i in range(4)]
     hand = Trajectory([-1.0, -0.0, 5e-324, 1 / 3], rows)

@@ -1,13 +1,17 @@
 """Submodel tests: residuals, flow maps, reductions, trajectory geometry."""
 
 import dataclasses
+import json
 
 import pytest
 import sympy as sp
 
+from gassym import cli, submodel
 from gassym.exprs import canonicalize, opaque
 from gassym.submodel import (
+    P0,
     FlowMap,
+    Solution,
     flow_consistency,
     flow_map,
     full_residuals,
@@ -17,6 +21,7 @@ from gassym.submodel import (
     k0,
     lagrangian_fields,
     m0,
+    n0,
     pressure_shift,
     reduce_general,
     reduced_residuals,
@@ -24,7 +29,9 @@ from gassym.submodel import (
     solution_family,
     t,
     u0,
+    v0,
     vorticity,
+    w0,
     x,
     x0,
     y,
@@ -161,11 +168,59 @@ def test_flow_map_rejects_general_kinds():
         flow_map(solution_family("isochoric-general"))
 
 
-def test_flow_map_rejects_inconsistent_velocity():
-    s = solution_family("isochoric-reduced")
-    bad = dataclasses.replace(s, u=s.u + 1)
-    with pytest.raises(ValueError):
-        flow_map(bad)
+def _patch_family(monkeypatch, kind, make):
+    """``solution_family`` with ``kind`` replaced by ``make(original)``."""
+    family = submodel.solution_family
+    monkeypatch.setattr(
+        submodel, "solution_family", lambda k: make(family(k)) if k == kind else family(k)
+    )
+
+
+def test_inconsistent_flow_map_fails_the_verdict(monkeypatch, capsys):
+    # u + 1 leaves the stated flow map behind: a failing verdict, not a raise
+    _patch_family(monkeypatch, "isochoric-reduced", lambda s: dataclasses.replace(s, u=s.u + 1))
+    entry = submodel.verify_solution("isochoric-reduced")
+    assert entry["flow_consistent"] is False
+    assert entry["passed"] is False
+    assert cli.main(["verify-solution", "isochoric-reduced"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["solutions"]["isochoric-reduced"]["flow_consistent"] is False
+    assert err == ""
+
+
+def test_off_ansatz_solution_fails_the_reduced_check(monkeypatch):
+    # v = y/t solves the full system, but depends on y: not the 4.77 ansatz
+    off = Solution("isochoric-general", sp.S.Zero, y / t, sp.S.Zero, rho0 / t,
+                   opaque("f")(rho0 / t))
+    assert full_residuals(off) == [0] * 5
+    _patch_family(monkeypatch, "isochoric-general", lambda s: off)
+    entry = submodel.verify_solution("isochoric-general")
+    assert entry["full_residuals_zero"] is True
+    assert entry["reduced_residuals_zero"] is False
+    assert entry["passed"] is False
+
+
+def test_verify_solution_checks_each_claim_once(monkeypatch):
+    calls = {"full_residuals": 0, "flow_consistency": 0}
+    for name in calls:
+        fn = getattr(submodel, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(submodel, name, counted)
+    assert all(submodel.verify_solution(kind)["passed"] for kind in KINDS)
+    assert calls == {"full_residuals": 4, "flow_consistency": 2}
+
+
+@pytest.mark.parametrize("kind", REDUCED)
+def test_reduced_family_is_general_at_zero_constants(kind):
+    g = solution_family(kind.replace("reduced", "general"))
+    zero = {c: 0 for c in (n0, v0, w0, P0)}
+    at_zero = [sp.srepr(e.subs(zero)) for e in (g.u, g.v, g.w, g.rho, g.P)]
+    r = solution_family(kind)
+    assert [sp.srepr(e) for e in (r.u, r.v, r.w, r.rho, r.P)] == at_zero
 
 
 def test_wrong_flow_map_has_residual():
