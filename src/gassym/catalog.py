@@ -21,9 +21,18 @@ a list of bindings of its symbolic parameters.  A single entry is the
 one-binding group ``[{}]``.  A catalog id is verified as one group per
 unit-circle value, with grid and choice parameters left as symbols: the
 symbolic closure and residuals are computed once and every admissible
-sample is checked by substitution.  A symbolic NonZero verdict that
-vanishes on every sample is reported as a simplifier gap, not an
-invariance failure.
+sample is checked by substitution.
+
+Every annihilation verdict is exact.  A catalog residual is rational in
+the chart coordinates, the parameters, the bare angles and sin/cos of
+the chart angles, and ``canonicalize`` reduces its numerator modulo
+sin^2 + cos^2 - 1.  That ideal is prime and its real points are dense,
+so the canonical form is 0 exactly when the residual vanishes: a
+SymbolicZero is a proof, and no simplifier gap can occur.  A NonZero
+shows a failure at some admissible value, except where the residual
+vanishes at each listed value of a choice parameter; that residual, and
+any outside the class above (a leftover ``log``), fails conservatively.
+A wrong invariant never passes.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from importlib import resources
 import sympy as sp
 import yaml
 
-from .exprs import exact_number, is_zero
+from .exprs import canonicalize, exact_number
 from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, S_COORDS, Chart, chart_C,
                      chart_D, chart_D_shift, chart_S, realize_combination)
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
@@ -67,8 +76,8 @@ UNIT_CIRCLE = [
     (sp.Integer(0), sp.Integer(1)),
 ]
 
-# sampling boxes per chart coordinate, chosen off the singular loci and
-# inside one branch of the angle coordinates
+# boxes of the rank points per chart coordinate, chosen off the singular
+# loci and inside one branch of the angle coordinates
 _DOMAINS = {
     "t": (0.5, 1.5), "x": (0.5, 1.5), "y": (0.5, 1.5), "z": (0.5, 1.5),
     "u": (0.5, 1.5), "v": (0.5, 1.5), "w": (0.5, 1.5),
@@ -81,9 +90,6 @@ _DOMAINS = {
 }
 # rational points tried per binding before a rank below 5 is reported
 _RANK_POINTS = 10
-# verdicts that fail a report; a sampled test with no evaluated point
-# decides nothing
-_FAILING = {"NonZero", "Undecided"}
 
 
 class UnknownEntryError(KeyError):
@@ -354,16 +360,14 @@ class VerificationReport:
     verdicts: dict  # (generator idx, invariant idx) -> verdict string
     rank: int
     samples: list = field(default_factory=list)
-    simplifier_gaps: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        ok = self.closure_ok and self.rank == 5
-        ok = ok and not _FAILING.intersection(self.verdicts.values())
-        for s in self.samples:
-            ok = ok and s["closure_ok"] and s["rank"] == 5
-            ok = ok and not _FAILING.intersection(s["verdicts"].values())
-        return ok
+        """Closure, rank 5 and every verdict SymbolicZero, for the symbolic
+        verdicts and for each sample."""
+        reports = [vars(self), *self.samples]
+        return all(r["closure_ok"] and r["rank"] == 5
+                   and set(r["verdicts"].values()) <= {"SymbolicZero"} for r in reports)
 
 
 def _rational_point(coords: list, rng: random.Random) -> dict:
@@ -401,7 +405,7 @@ def _group_ranks(
 
 
 def _verify_group(
-    entry: SubalgebraEntry, bindings: list[dict], *, seed: int, tol: float
+    entry: SubalgebraEntry, bindings: list[dict], *, seed: int
 ) -> tuple[dict, list[dict]]:
     """Closure, annihilation verdicts and rank of ``entry`` at each binding
     of its symbolic parameters (all bindings share one set of names).
@@ -425,8 +429,8 @@ def _verify_group(
 
     def verdicts(subs: dict) -> dict:
         return {
-            key: "SymbolicZero" if res == 0
-            else is_zero(res.subs(subs), _DOMAINS, seed=seed, tol=tol).kind
+            key: "SymbolicZero" if res == 0 or canonicalize(res.xreplace(subs)) == 0
+            else "NonZero"
             for key, res in residuals.items()
         }
 
@@ -445,26 +449,21 @@ def _verify_group(
     return generic, reports
 
 
-def verify_invariants(
-    entry: SubalgebraEntry, *, seed: int = 0, tol: float = 1e-9
-) -> VerificationReport:
+def verify_invariants(entry: SubalgebraEntry, *, seed: int = 0) -> VerificationReport:
     """Closure + annihilation + independence for one instantiated entry."""
     coords = {sp.Symbol(c) for c in entry.chart.coords}
     if any(v.free_symbols - coords for v in entry.invariants):
         raise ConstraintError("rank requires numeric parameters")
-    _, [rep] = _verify_group(entry, [{}], seed=seed, tol=tol)
+    _, [rep] = _verify_group(entry, [{}], seed=seed)
     return VerificationReport(entry.id, rep["closure_ok"], rep["verdicts"], rep["rank"])
 
 
-def verify_entry(entry_id: str, *, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
+def verify_entry(entry_id: str, *, seed: int = 0) -> VerificationReport:
     """Full verification campaign for one catalog id.
 
     Every admissible sample is checked, in one group per unit-circle
-    value with grid and choice parameters left as symbols.  An entry
-    without a unit circle reports its group's symbolic verdicts, where a
-    NonZero that vanishes on all samples is downgraded to a simplifier
-    gap (an Undecided sample keeps it NonZero); an entry with one reports
-    its first sample's verdicts.
+    value with grid and choice parameters left as symbols.  The entry's
+    verdicts are its groups' symbolic ones, NonZero where any group's is.
     """
     row = _row(entry_id)
     symbolic = row.grid + tuple(row.choices)
@@ -473,31 +472,25 @@ def verify_entry(entry_id: str, *, seed: int = 0, tol: float = 1e-9) -> Verifica
         groups.setdefault(tuple(binding[n] for n in row.unit_circle), []).append(binding)
 
     closure_ok = True
+    verdicts: dict = {}
     samples = []
     for bindings in groups.values():
         generic_binding = {**bindings[0], **{n: _PARAM_SYMS[n] for n in symbolic}}
         entry = _instantiate(row, generic_binding)
         generic, reports = _verify_group(
-            entry, [{n: b[n] for n in symbolic} for b in bindings], seed=seed, tol=tol
+            entry, [{n: b[n] for n in symbolic} for b in bindings], seed=seed
         )
         closure_ok = closure_ok and generic["closure_ok"]
+        for key, kind in generic["verdicts"].items():
+            if verdicts.get(key) != "NonZero":
+                verdicts[key] = kind
         for binding, rep in zip(bindings, reports):
             samples.append({"params": {k: str(v) for k, v in binding.items()}, **rep})
 
-    # without a unit circle there is one group, the last one run
-    verdicts = dict(samples[0]["verdicts"] if row.unit_circle else generic["verdicts"])
-    gaps = [
-        key for key, kind in verdicts.items()
-        if kind == "NonZero"
-        and all(s["verdicts"][key] in ("SymbolicZero", "NumericZero") for s in samples)
-    ]
-    for key in gaps:
-        verdicts[key] = "SIMPLIFIER-GAP"
     return VerificationReport(
         entry_id=entry_id,
         closure_ok=closure_ok and all(s["closure_ok"] for s in samples),
         verdicts=verdicts,
         rank=max(s["rank"] for s in samples),
         samples=samples,
-        simplifier_gaps=gaps,
     )

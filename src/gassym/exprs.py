@@ -5,7 +5,9 @@ module pins down the handful of operations the rest of the package relies
 on: opaque functions whose derivatives ``sp.diff`` takes by the chain rule,
 a canonical form strong enough to reduce every residual we care about to
 a literal 0, numeric evaluation with explicit bindings, exact rationals,
-and a zero test with a seeded numeric fallback.
+and a zero test with a seeded numeric fallback.  That sampled test,
+``is_zero``, serves only the mutation checks of acceptance gate 8; no
+campaign calls it, since every campaign verdict is exact.
 
 Conventions:
   * ``log`` always means ``ln|.|``; numeric evaluation applies ``abs`` to

@@ -32,7 +32,6 @@ __all__ = [
     "galilean_shift",
     "geometry_checks",
     "jacobian_det",
-    "lagrangian_fields",
     "pressure_shift",
     "reduce_general",
     "reduced_residuals",
@@ -213,35 +212,6 @@ def jacobian_det(fm: FlowMap) -> sp.Expr:
     """det d(x,y,z)/d(labels), canonicalized."""
     J = sp.Matrix([[sp.diff(c, s0) for s0 in fm.labels] for c in fm.components()])
     return canonicalize(J.det())
-
-
-@dataclass(frozen=True)
-class LagrangianFields:
-    """Gas-dynamic fields along particle world lines."""
-
-    velocity: tuple
-    acceleration: tuple
-    rho: sp.Expr
-    P: sp.Expr
-    S: sp.Expr
-
-
-def lagrangian_fields(s: Solution) -> LagrangianFields:
-    """Substitute the flow map into the Eulerian fields.
-
-    Velocity and acceleration come from time derivatives of the map.
-    """
-    fm = flow_map(s)
-    along = {x: fm.x, y: fm.y, z: fm.z}
-    vel = tuple(canonicalize(sp.diff(c, t)) for c in fm.components())
-    acc = tuple(canonicalize(sp.diff(c, t, 2)) for c in fm.components())
-    return LagrangianFields(
-        velocity=vel,
-        acceleration=acc,
-        rho=canonicalize(s.rho.subs(along)),
-        P=canonicalize(s.P.subs(along)),
-        S=canonicalize(s.S.subs(along)),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the gate lines.
 Tolerances are fixed here and nowhere else.
 """
 
+import dataclasses
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import sympy as sp
@@ -108,7 +110,7 @@ def test_gate_2_automorphisms():
 def test_gate_3_catalog():
     t0 = time.perf_counter()
     reports = [
-        catalog.verify_entry(eid, seed=0, tol=TOL_ZERO)
+        catalog.verify_entry(eid, seed=0)
         for eid in catalog.catalog_ids()
     ]
     elapsed = time.perf_counter() - t0
@@ -325,6 +327,18 @@ def _invariant_mutant_detected(entry_id: str, bad_invariant) -> bool:
     return False
 
 
+def _catalog_mutant_nonzero(entry_id: str, index: int, term) -> list | None:
+    """Failing verdicts of ``verify_entry`` with ``term`` added to the
+    entry's invariant ``index``; None if the mutant passes."""
+    row = catalog._row(entry_id)
+    invs = list(row.invariants)
+    invs[index] += term
+    mutant = dataclasses.replace(row, invariants=tuple(invs))
+    with mock.patch.object(catalog, "_row", lambda eid: mutant):
+        rep = catalog.verify_entry(entry_id)
+    return None if rep.passed else sorted(k for k, v in rep.verdicts.items() if v == "NonZero")
+
+
 def test_gate_8_mutations():
     alg = l12()
     checks = []
@@ -362,6 +376,15 @@ def test_gate_8_mutations():
             f"{eid} mutant invariant {bad!r}",
             _invariant_mutant_detected(eid, bad),
         ))
+
+    # a term that vanishes at every grid value of a, not at a = 3, is caught
+    a = sp.Symbol("a")
+    term = (a**2 - 4) * (a**2 - 1) * (4 * a**2 - 1) * sp.Symbol("x")
+    nonzero = _catalog_mutant_nonzero("4.34.i", 1, term)
+    checks.append((
+        f"4.34.i mutant invariant q + {term}: NonZero at {nonzero}",
+        nonzero == [(0, 1), (1, 1), (3, 1)],
+    ))
 
     # a sampled zero test that evaluates no point is not a pass
     xs = sp.Symbol("x")

@@ -131,8 +131,7 @@ def test_verify_entry_477_passes():
     assert rep.passed
     assert rep.closure_ok
     assert rep.rank == 5
-    assert rep.simplifier_gaps == []
-    assert all(v in ("SymbolicZero", "NumericZero") for v in rep.verdicts.values())
+    assert set(rep.verdicts.values()) == {"SymbolicZero"}
 
 
 def test_verify_entry_parametric_fixed_branch():
@@ -159,7 +158,7 @@ def test_group_closure_falls_back_per_binding():
     basis = [list(v) for v in ent.basis]
     basis[0][L12_LABELS.index("X10")] = sp.Symbol("a")
     generic, reports = catalog._verify_group(
-        dataclasses.replace(ent, basis=basis), [{"a": 0}, {"a": 1}], seed=0, tol=1e-9
+        dataclasses.replace(ent, basis=basis), [{"a": 0}, {"a": 1}], seed=0
     )
     assert not generic["closure_ok"]
     assert [r["closure_ok"] for r in reports] == [True, False]
@@ -172,7 +171,7 @@ def test_group_closure_fails_where_the_basis_collapses():
     basis = [list(v) for v in ent.basis]
     basis[2] = [sp.Symbol("a") * c for c in basis[2]]
     generic, reports = catalog._verify_group(
-        dataclasses.replace(ent, basis=basis), [{"a": 1}, {"a": 0}], seed=0, tol=1e-9
+        dataclasses.replace(ent, basis=basis), [{"a": 1}, {"a": 0}], seed=0
     )
     assert generic["closure_ok"]
     assert [r["closure_ok"] for r in reports] == [True, False]
@@ -349,28 +348,35 @@ def test_outer_scaling_preserves_annihilation():
 
 
 @pytest.mark.parametrize(
-    "sample_kind, gap", [("NumericZero", True), ("Undecided", False)]
+    "entry_id, nonzero",
+    [("4.34.i", [(0, 1), (1, 1), (3, 1)]), ("4.71.i", [(0, 1), (2, 1), (3, 1)])],
+    ids=["4.34.i", "4.71.i"],
 )
-def test_undecided_samples_are_not_a_simplifier_gap(monkeypatch, sample_kind, gap):
-    # mutant: a symbolic NonZero whose samples decide nothing must stay
-    # NonZero and fail; one that vanishes on every sample is a gap
-    key = (0, 0)
-
-    def fake_group(entry, bindings, *, seed, tol):
-        rep = {"closure_ok": True, "verdicts": {key: sample_kind}, "rank": 5}
-        return {"closure_ok": True, "verdicts": {key: "NonZero"}}, [rep] * len(bindings)
-
-    monkeypatch.setattr(catalog, "_verify_group", fake_group)
-    rep = verify_entry("4.34.i")
-    assert (rep.simplifier_gaps == [key]) is gap
-    assert rep.verdicts[key] == ("SIMPLIFIER-GAP" if gap else "NonZero")
-    assert rep.passed is gap
+def test_invariant_vanishing_on_the_grid_fails(monkeypatch, entry_id, nonzero):
+    # mutant: a term that vanishes at every grid value of a, but not at
+    # the admissible a = 3, makes the second invariant wrong; each sample
+    # is a SymbolicZero, so only the symbolic verdict can catch it
+    a, x = sp.symbols("a x")
+    row = catalog._row(entry_id)
+    invs = list(row.invariants)
+    invs[1] += (a**2 - 4) * (a**2 - 1) * (4 * a**2 - 1) * x
+    mutant = dataclasses.replace(row, invariants=tuple(invs))
+    monkeypatch.setattr(catalog, "_row", lambda eid: mutant)
+    rep = verify_entry(entry_id)
+    assert not rep.passed
+    assert sorted(k for k, v in rep.verdicts.items() if v != "SymbolicZero") == nonzero
+    assert {rep.verdicts[k] for k in nonzero} == {"NonZero"}
+    assert all(v == "SymbolicZero" for s in rep.samples for v in s["verdicts"].values())
 
 
 def test_undecided_verdict_fails_a_report():
-    ok = {(0, 0): "SymbolicZero", (0, 1): "NumericZero", (0, 2): "SIMPLIFIER-GAP"}
-    assert catalog.VerificationReport("x", True, ok, 5).passed
-    bad = {**ok, (1, 0): "Undecided"}
-    assert not catalog.VerificationReport("x", True, bad, 5).passed
-    sample = {"closure_ok": True, "rank": 5, "verdicts": bad}
-    assert not catalog.VerificationReport("x", True, ok, 5, samples=[sample]).passed
+    # only a SymbolicZero passes: any other verdict fails the report, in
+    # the symbolic verdicts and in a sample alike
+    ok = {(0, 0): "SymbolicZero", (0, 1): "SymbolicZero"}
+    sample = {"closure_ok": True, "rank": 5, "verdicts": ok}
+    assert catalog.VerificationReport("x", True, ok, 5, samples=[sample]).passed
+    for kind in ("NonZero", "Undecided", "NumericZero", "SIMPLIFIER-GAP"):
+        bad = {**ok, (1, 0): kind}
+        assert not catalog.VerificationReport("x", True, bad, 5).passed
+        bad_sample = {**sample, "verdicts": bad}
+        assert not catalog.VerificationReport("x", True, ok, 5, samples=[bad_sample]).passed

@@ -50,7 +50,12 @@ def test_report_matches_golden(capsys, name, argv):
 
 
 @pytest.mark.parametrize(
-    "name, argv", [("verify-algebra", ["verify-algebra"]), ("classify", ["classify", "all"])]
+    "name, argv",
+    [
+        ("verify-algebra", ["verify-algebra"]),
+        ("classify", ["classify", "all"]),
+        ("verify-invariants", ["verify-invariants", "all"]),
+    ],
 )
 def test_process_report_matches_golden(name, argv):
     # a real `python -m gassym.cli` process: it runs the import window and

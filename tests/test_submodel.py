@@ -19,7 +19,6 @@ from gassym.submodel import (
     geometry_checks,
     jacobian_det,
     k0,
-    lagrangian_fields,
     m0,
     n0,
     pressure_shift,
@@ -228,23 +227,6 @@ def test_wrong_flow_map_has_residual():
     fm = flow_map(s)
     wrong = FlowMap(fm.kind, fm.x + t, fm.y, fm.z)
     assert any(r != 0 for r in flow_consistency(s, wrong))
-
-
-# --------------------------------------------------------------------------
-# Lagrangian fields
-
-
-def test_lagrangian_fields_isochoric():
-    lf = lagrangian_fields(solution_family("isochoric-reduced"))
-    assert lf.acceleration == (0, -k0 / rho0, -m0 / rho0)
-    assert lf.rho == rho0
-    assert sp.diff(lf.S, t) == 0  # entropy constant along world lines
-
-
-def test_lagrangian_fields_nonisochoric():
-    lf = lagrangian_fields(solution_family("nonisochoric-reduced"))
-    assert lf.acceleration == (-1 / rho0, -k0 / rho0, -m0 / rho0)
-    assert lf.S == u0  # the label itself is the entropy invariant
 
 
 # --------------------------------------------------------------------------
