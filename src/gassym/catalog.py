@@ -17,21 +17,22 @@ an entry checks three things:
     has rank 5 over QQ at a seeded rational point, which proves it.
 
 One core, ``_verify_group``, does all three for an instantiated entry at
-a list of bindings of its symbolic parameters.  A single entry is the
+a list of bindings of its grid parameters.  A single entry is the
 one-binding group ``[{}]``.  A catalog id is verified as one group per
-unit-circle value, with grid and choice parameters left as symbols: the
-symbolic closure and residuals are computed once and every admissible
-sample is checked by substitution.
+unit-circle point and choice value, with only the grid parameters left
+as symbols: closure and the residuals are decided once per group, and
+each sample checks only the ranks that substitution can change.
 
 Every annihilation verdict is exact.  A catalog residual is rational in
 the chart coordinates, the parameters, the bare angles and sin/cos of
 the chart angles, and ``canonicalize`` reduces its numerator modulo
 sin^2 + cos^2 - 1.  That ideal is prime and its real points are dense,
 so the canonical form is 0 exactly when the residual vanishes: a
-SymbolicZero is a proof, and no simplifier gap can occur.  A NonZero
-shows a failure at some admissible value, except where the residual
-vanishes at each listed value of a choice parameter; that residual, and
-any outside the class above (a leftover ``log``), fails conservatively.
+SymbolicZero is a proof, and no simplifier gap can occur.  The group's
+verdicts hold for each of its samples.  A grid parameter ranges over an
+interval, so a residual that is not identically 0, or a span that is
+not closed, fails at all but finitely many of its values; a choice
+parameter takes only its listed values, each in a group of its own.
 A wrong invariant never passes.
 """
 
@@ -49,7 +50,7 @@ from importlib import resources
 import sympy as sp
 import yaml
 
-from .exprs import canonicalize, exact_number
+from .exprs import exact_number
 from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, S_COORDS, Chart, chart_C,
                      chart_D, chart_D_shift, chart_S, realize_combination)
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
@@ -404,49 +405,32 @@ def _group_ranks(
     return ranks
 
 
-def _verify_group(
-    entry: SubalgebraEntry, bindings: list[dict], *, seed: int
-) -> tuple[dict, list[dict]]:
+def _verify_group(entry: SubalgebraEntry, bindings: list[dict], *, seed: int) -> list[dict]:
     """Closure, annihilation verdicts and rank of ``entry`` at each binding
     of its symbolic parameters (all bindings share one set of names).
 
-    Closure and the residuals are computed once, symbolically.  A binding
-    where ``entry.basis`` substituted loses rank is not closed; otherwise
-    the symbolic closure holds there, and only when it fails does the
-    binding fall back to its own exact closure check.  Returns the
-    unsubstituted closure and verdicts, and one report per binding.
+    Closure and the verdicts are decided once, over the symbols.  Per
+    binding only the ranks are checked: the basis is closed there when
+    the symbolic span is closed and the substituted basis keeps its
+    dimension.  Returns one report per binding.
     """
-    syms = [_PARAM_SYMS[n] for n in bindings[0]]
-    generic_sub = entry.subalgebra()
-    closed, _ = generic_sub.is_closed()
-
-    residuals = {}
-    realized = entry.realized_basis()
+    sub = entry.subalgebra()
+    closed = sub.is_closed()[0]
     invs = entry.invariants_with_density()
-    for gi, g in enumerate(realized):
-        for ii, inv in enumerate(invs):
-            residuals[(gi, ii)] = g.apply(inv)
-
-    def verdicts(subs: dict) -> dict:
-        return {
-            key: "SymbolicZero" if res == 0 or canonicalize(res.xreplace(subs)) == 0
-            else "NonZero"
-            for key, res in residuals.items()
-        }
-
-    generic = {"closure_ok": closed, "verdicts": verdicts({})}
+    verdicts = {
+        (gi, ii): "SymbolicZero" if g.apply(inv) == 0 else "NonZero"
+        for gi, g in enumerate(entry.realized_basis())
+        for ii, inv in enumerate(invs)
+    }
+    syms = [_PARAM_SYMS[n] for n in bindings[0]]
     ranks = _group_ranks(entry, syms, bindings, seed=seed)
     reports = []
     for binding, rank in zip(bindings, ranks):
         subs = {_PARAM_SYMS[n]: v for n, v in binding.items()}
-        here = Subalgebra(l12(), generic_sub.basis.xreplace(subs))
-        closed_here = here.rank == here.dim and (closed or (bool(subs) and here.is_closed()[0]))
-        reports.append({
-            "closure_ok": closed_here,
-            "verdicts": verdicts(subs) if subs else generic["verdicts"],
-            "rank": rank,
-        })
-    return generic, reports
+        here = Subalgebra(l12(), sub.basis.xreplace(subs))
+        reports.append({"closure_ok": closed and here.rank == here.dim,
+                        "verdicts": verdicts, "rank": rank})
+    return reports
 
 
 def verify_invariants(entry: SubalgebraEntry, *, seed: int = 0) -> VerificationReport:
@@ -454,7 +438,7 @@ def verify_invariants(entry: SubalgebraEntry, *, seed: int = 0) -> VerificationR
     coords = {sp.Symbol(c) for c in entry.chart.coords}
     if any(v.free_symbols - coords for v in entry.invariants):
         raise ConstraintError("rank requires numeric parameters")
-    _, [rep] = _verify_group(entry, [{}], seed=seed)
+    [rep] = _verify_group(entry, [{}], seed=seed)
     return VerificationReport(entry.id, rep["closure_ok"], rep["verdicts"], rep["rank"])
 
 
@@ -462,35 +446,28 @@ def verify_entry(entry_id: str, *, seed: int = 0) -> VerificationReport:
     """Full verification campaign for one catalog id.
 
     Every admissible sample is checked, in one group per unit-circle
-    value with grid and choice parameters left as symbols.  The entry's
-    verdicts are its groups' symbolic ones, NonZero where any group's is.
+    point and choice value with the grid parameters left as symbols.
+    Each sample carries its group's verdicts; the entry's verdict is
+    NonZero where any sample's is, and its rank is the least sample rank.
     """
     row = _row(entry_id)
-    symbolic = row.grid + tuple(row.choices)
     groups: dict[tuple, list[dict]] = {}
     for binding in parameter_samples(entry_id):
-        groups.setdefault(tuple(binding[n] for n in row.unit_circle), []).append(binding)
+        key = tuple(binding[n] for n in row.unit_circle + tuple(row.choices))
+        groups.setdefault(key, []).append(binding)
 
-    closure_ok = True
-    verdicts: dict = {}
     samples = []
     for bindings in groups.values():
-        generic_binding = {**bindings[0], **{n: _PARAM_SYMS[n] for n in symbolic}}
-        entry = _instantiate(row, generic_binding)
-        generic, reports = _verify_group(
-            entry, [{n: b[n] for n in symbolic} for b in bindings], seed=seed
-        )
-        closure_ok = closure_ok and generic["closure_ok"]
-        for key, kind in generic["verdicts"].items():
-            if verdicts.get(key) != "NonZero":
-                verdicts[key] = kind
+        entry = _instantiate(row, {**bindings[0], **{n: _PARAM_SYMS[n] for n in row.grid}})
+        reports = _verify_group(entry, [{n: b[n] for n in row.grid} for b in bindings], seed=seed)
         for binding, rep in zip(bindings, reports):
             samples.append({"params": {k: str(v) for k, v in binding.items()}, **rep})
 
     return VerificationReport(
         entry_id=entry_id,
-        closure_ok=closure_ok and all(s["closure_ok"] for s in samples),
-        verdicts=verdicts,
-        rank=max(s["rank"] for s in samples),
+        closure_ok=all(s["closure_ok"] for s in samples),
+        verdicts={key: "NonZero" if any(s["verdicts"][key] == "NonZero" for s in samples)
+                  else "SymbolicZero" for key in samples[0]["verdicts"]},
+        rank=min(s["rank"] for s in samples),
         samples=samples,
     )

@@ -27,6 +27,7 @@ import gc
 gc.disable()
 try:
     import argparse
+    import dataclasses
     import json
     import math
     import os
@@ -163,16 +164,7 @@ def cmd_classify(args, report: dict) -> bool:
             }
             for rep in reports
         },
-        "fingerprints": {
-            eid: {
-                "derived_series": list(fp.derived_series),
-                "lower_central_series": list(fp.lower_central_series),
-                "center_dim": fp.center_dim,
-                "killing_rank": fp.killing_rank,
-                "killing_signature": list(fp.killing_signature),
-            }
-            for eid, fp in cons.fingerprints.items()
-        },
+        "fingerprints": {eid: dataclasses.asdict(fp) for eid, fp in cons.fingerprints.items()},
         "label_consistency": cons.label_ok,
         "collisions": [list(p) for p in cons.collisions],
         "passed": all(rep.passed for rep in reports) and cons.passed,

@@ -237,7 +237,6 @@ def is_zero(
     dom: Mapping[str, tuple[float, float]] | None = None,
     *,
     functions: Mapping[tuple[str, int], Callable[[float], float]] | None = None,
-    n_points: int = DEFAULT_NUM_POINTS,
     tol: float = DEFAULT_ZERO_TOL,
     seed: int = 0,
 ) -> ZeroVerdict:
@@ -247,10 +246,10 @@ def is_zero(
     locus.  Each jet f^(k)(g) of an opaque function without a ``functions``
     override becomes a symbol of its own, one per distinct (k, g), sampled
     like a coordinate: a pass then holds for every smooth f.  The
-    fallback evaluates at ``n_points`` pseudo-random points, skipping
-    points outside the domain, and returns NonZero with a witness point if
-    some |value| >= ``tol``, NumericZero if at least one point evaluated,
-    and Undecided (falsy) if none did.
+    fallback evaluates at ``DEFAULT_NUM_POINTS`` pseudo-random points,
+    skipping points outside the domain, and returns NonZero with a witness
+    point if some |value| >= ``tol``, NumericZero if at least one point
+    evaluated, and Undecided (falsy) if none did.
     """
     e = canonicalize(e)
     if e == 0:
@@ -270,7 +269,7 @@ def is_zero(
     free = sorted(e.free_symbols, key=lambda s: s.name)
     rng = np.random.default_rng(seed)
     evaluated = False
-    for _ in range(n_points):
+    for _ in range(DEFAULT_NUM_POINTS):
         point = {}
         for s in free:
             lo, hi = dom.get(s.name, (0.5, 1.5))

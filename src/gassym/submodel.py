@@ -298,13 +298,7 @@ def geometry_checks(s: Solution, binding: dict | None = None) -> dict:
         if kv != 0:
             record("line_yz_slope", Zc - (mv / kv) * (Yc - y0) - z0)
         record("vertex_xy", (X.subs(t, 0) - x0) + (Yc.subs(t, 0) - y0))
-        vertex_slope = canonicalize(
-            sp.diff(Yc, t).subs(t, 0) / sp.diff(X, t).subs(t, 0)
-        )
-        report["vertex_slope_zero"] = {
-            "ok": vertex_slope == 0,
-            "residual": str(vertex_slope),
-        }
+        record("vertex_slope_zero", sp.diff(Yc, t).subs(t, 0) / sp.diff(X, t).subs(t, 0))
     elif s.kind == "nonisochoric-reduced":
         record("plane_at_t0", X.subs(t, 0) + kv * Yc.subs(t, 0) + mv * Zc.subs(t, 0))
         record("line_yz", mv * (Yc - y0) - kv * (Zc - z0))

@@ -151,17 +151,17 @@ def test_independence_rank_needs_numeric_params():
         verify_invariants(bad)
 
 
-def test_group_closure_falls_back_per_binding():
-    # X1 + a*X10 closes with X2, X3, Y + X4 only at a = 0: the symbolic
-    # check fails, so each binding is checked on its own substituted basis
+def test_group_closure_is_decided_once_over_the_grid():
+    # X1 + a*X10 closes with X2, X3, Y + X4 only at a = 0: a grid
+    # parameter ranges over an interval, so the span is not closed at
+    # all but finitely many of its values, and every sample fails
     ent = get_entry("4.77")
     basis = [list(v) for v in ent.basis]
     basis[0][L12_LABELS.index("X10")] = sp.Symbol("a")
-    generic, reports = catalog._verify_group(
+    reports = catalog._verify_group(
         dataclasses.replace(ent, basis=basis), [{"a": 0}, {"a": 1}], seed=0
     )
-    assert not generic["closure_ok"]
-    assert [r["closure_ok"] for r in reports] == [True, False]
+    assert [r["closure_ok"] for r in reports] == [False, False]
 
 
 def test_group_closure_fails_where_the_basis_collapses():
@@ -170,17 +170,17 @@ def test_group_closure_fails_where_the_basis_collapses():
     ent = get_entry("4.77")
     basis = [list(v) for v in ent.basis]
     basis[2] = [sp.Symbol("a") * c for c in basis[2]]
-    generic, reports = catalog._verify_group(
+    reports = catalog._verify_group(
         dataclasses.replace(ent, basis=basis), [{"a": 1}, {"a": 0}], seed=0
     )
-    assert generic["closure_ok"]
     assert [r["closure_ok"] for r in reports] == [True, False]
     assert [r["rank"] for r in reports] == [5, 5]
 
 
 def test_catalog_pass_instantiates_once_per_group(monkeypatch):
-    # one group per unit-circle value: 25 entries without a circle, plus
-    # 2 + 3 + 2 admissible circle points for 4.23.i, 4.42 and 4.71.i
+    # one group per unit-circle point and choice value: 22 entries with
+    # neither, 2 each for eps of 4.38, 4.45 and 4.65, 2 and 2 circle
+    # points for 4.23.i and 4.71.i, and 3 circle points times 2 for 4.42
     calls = {"instantiate": 0, "is_closed": 0, "solve": 0}
 
     def counted(name, fn):
@@ -197,7 +197,7 @@ def test_catalog_pass_instantiates_once_per_group(monkeypatch):
     for eid in catalog_ids():
         verify_entry(eid)
     # one exact solve per closure check, for all six brackets at once
-    assert calls == {"instantiate": 32, "is_closed": 32, "solve": 32}
+    assert calls == {"instantiate": 38, "is_closed": 38, "solve": 38}
 
 
 def test_catalog_pass_parses_each_string_once(monkeypatch):
@@ -354,8 +354,8 @@ def test_outer_scaling_preserves_annihilation():
 )
 def test_invariant_vanishing_on_the_grid_fails(monkeypatch, entry_id, nonzero):
     # mutant: a term that vanishes at every grid value of a, but not at
-    # the admissible a = 3, makes the second invariant wrong; each sample
-    # is a SymbolicZero, so only the symbolic verdict can catch it
+    # the admissible a = 3, makes the second invariant wrong; each group
+    # decides it with a left symbolic, so every sample carries the NonZero
     a, x = sp.symbols("a x")
     row = catalog._row(entry_id)
     invs = list(row.invariants)
@@ -366,7 +366,7 @@ def test_invariant_vanishing_on_the_grid_fails(monkeypatch, entry_id, nonzero):
     assert not rep.passed
     assert sorted(k for k, v in rep.verdicts.items() if v != "SymbolicZero") == nonzero
     assert {rep.verdicts[k] for k in nonzero} == {"NonZero"}
-    assert all(v == "SymbolicZero" for s in rep.samples for v in s["verdicts"].values())
+    assert all(s["verdicts"] == rep.verdicts for s in rep.samples)
 
 
 def test_undecided_verdict_fails_a_report():
@@ -380,3 +380,55 @@ def test_undecided_verdict_fails_a_report():
         assert not catalog.VerificationReport("x", True, bad, 5).passed
         bad_sample = {**sample, "verdicts": bad}
         assert not catalog.VerificationReport("x", True, ok, 5, samples=[bad_sample]).passed
+
+def _mutant(monkeypatch, entry_id, *, invariant=None, basis=None):
+    """verify_entry on ``entry_id`` with a term added to its second
+    invariant, or to the X10 coefficient of its first basis element."""
+    row = catalog._row(entry_id)
+    invs, B = list(row.invariants), row.basis.as_mutable()
+    if invariant is not None:
+        invs[1] += invariant
+    if basis is not None:
+        B[0, L12_LABELS.index("X10")] += basis
+    mutant = dataclasses.replace(row, invariants=tuple(invs), basis=sp.ImmutableMatrix(B))
+    monkeypatch.setattr(catalog, "_row", lambda eid: mutant)
+    return verify_entry(entry_id)
+
+
+EPS, T = sp.symbols("eps t")
+
+
+@pytest.mark.parametrize(
+    "entry_id, change, passed",
+    [
+        ("4.38", {"invariant": EPS * (EPS - 1) * T}, True),
+        ("4.38", {"basis": EPS * (EPS - 1)}, True),
+        ("4.45", {"basis": EPS * (EPS - 1)}, True),
+        ("4.38", {"invariant": EPS * T}, False),
+        ("4.38", {"basis": EPS}, False),
+    ],
+    ids=["4.38-invariant-both", "4.38-basis-both", "4.45-basis-both",
+         "4.38-invariant-eps", "4.38-basis-eps"],
+)
+def test_choice_value_mutant(monkeypatch, entry_id, change, passed):
+    # eps takes only its listed values 0 and 1, each in a group of its
+    # own: a term that vanishes at both changes nothing, and one that
+    # does not fails
+    rep = _mutant(monkeypatch, entry_id, **change)
+    assert rep.passed == passed
+    if "invariant" in change:
+        assert ("NonZero" in rep.verdicts.values()) != passed
+    else:
+        assert rep.closure_ok == passed
+
+
+def test_entry_rank_is_the_least_sample_rank(monkeypatch):
+    # (a - 1)*r/t vanishes at a = 1, where only four invariants are left
+    a, r, t = sp.symbols("a r t")
+    row = catalog._row("4.3")
+    assert row.invariants[0] == r / t
+    mutant = dataclasses.replace(row, invariants=((a - 1) * r / t, *row.invariants[1:]))
+    monkeypatch.setattr(catalog, "_row", lambda eid: mutant)
+    rep = verify_entry("4.3")
+    assert rep.rank == 4
+    assert not rep.passed
