@@ -14,7 +14,7 @@ an entry checks three things:
   * each listed invariant (plus the implicit density) is annihilated by
     every basis generator realized in the entry's chart;
   * the five invariants are functionally independent: their Jacobian
-    has rank 5 over QQ at a seeded rational point, which proves it.
+    has rank 5 over QQ(coordinates), decided exactly.
 
 One core, ``_verify_group``, does all three for an instantiated entry at
 a list of bindings of its grid parameters.  A single entry is the
@@ -40,9 +40,7 @@ from __future__ import annotations
 
 import ast
 import itertools
-import math
 import operator
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -76,21 +74,6 @@ UNIT_CIRCLE = [
     (sp.Rational(3, 5), sp.Rational(4, 5)),
     (sp.Integer(0), sp.Integer(1)),
 ]
-
-# boxes of the rank points per chart coordinate, chosen off the singular
-# loci and inside one branch of the angle coordinates
-_DOMAINS = {
-    "t": (0.5, 1.5), "x": (0.5, 1.5), "y": (0.5, 1.5), "z": (0.5, 1.5),
-    "u": (0.5, 1.5), "v": (0.5, 1.5), "w": (0.5, 1.5),
-    "rho": (0.5, 1.5), "P": (0.5, 1.5),
-    "r": (0.5, 1.5), "theta": (0.2, 1.2), "q": (0.5, 1.5),
-    "vartheta": (0.2, 1.2),
-    "r_S": (0.5, 1.5), "theta_S": (0.3, 1.2), "phi": (0.2, 1.2),
-    "q_S": (0.5, 1.5), "vartheta_S": (0.3, 1.2), "varphi": (0.2, 1.2),
-    "qbar": (0.5, 1.5), "varthetabar": (0.2, 1.2),
-}
-# rational points tried per binding before a rank below 5 is reported
-_RANK_POINTS = 10
 
 
 class UnknownEntryError(KeyError):
@@ -299,7 +282,7 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
         raise ConstraintError(f"entry {entry_id} needs parameters {missing}")
     if row.unit_circle:
         p, q = row.unit_circle
-        if sp.simplify(binding[p] ** 2 + binding[q] ** 2 - 1) != 0:
+        if binding[p] ** 2 + binding[q] ** 2 != 1:
             raise ConstraintError(f"entry {entry_id}: {p}^2 + {q}^2 must be 1")
     if not row.admits(binding):
         full = {**row.fixed, **binding}
@@ -371,41 +354,34 @@ class VerificationReport:
                    and set(r["verdicts"].values()) <= {"SymbolicZero"} for r in reports)
 
 
-def _rational_point(coords: list, rng: random.Random) -> dict:
-    """A seeded point inside the ``_DOMAINS`` boxes, on the grid (1/64)Z."""
-    boxes = [(c, *_DOMAINS[c.name]) for c in coords]
-    return {c: sp.Rational(rng.randint(math.ceil(lo * 64), math.floor(hi * 64)), 64)
-            for c, lo, hi in boxes}
+def _rank_point(coords: list) -> dict:
+    """The one rational point of the rank check: the k-th coordinate
+    (from 0) at (k + 3)/(k + 2), off every pole of the catalog."""
+    return {c: sp.Rational(k + 3, k + 2) for k, c in enumerate(coords)}
 
 
-def _group_ranks(
-    entry: SubalgebraEntry, grid_syms: list, bindings: list[dict], *, seed: int
-) -> list[int]:
-    """Exact rank over QQ of the 5x9 invariant Jacobian at seeded rational
-    points, for each binding of ``grid_syms``.  The invariants use only
-    ``log``, so the entries are rational and the rank at one point is a
-    proven lower bound on the generic rank.  Points on a pole are skipped;
-    returns the largest rank seen within ``_RANK_POINTS`` points."""
+def _group_ranks(entry: SubalgebraEntry, grid_syms: list, bindings: list[dict]) -> list[int]:
+    """Exact generic rank of the 5x9 invariant Jacobian over QQ(coords),
+    for each binding of ``grid_syms``.  The invariants use only ``log``, so
+    the entries are rational, and the rank at a point is a lower bound on
+    the generic rank: rank 5 at ``_rank_point`` proves it.  Below 5, or
+    where that point is on a pole, the Jacobian's rref over QQ(coords)
+    gives the rank."""
     coords = [sp.Symbol(c) for c in entry.chart.coords]
     invs = entry.invariants_with_density()
     jac = sp.Matrix([[sp.diff(i, c) for c in coords] for i in invs])
+    point = _rank_point(coords)
     ranks = []
     for binding in bindings:
         at_binding = jac.xreplace({s: binding[s.name] for s in grid_syms})
-        rng = random.Random(seed)
-        best = 0
-        for _ in range(_RANK_POINTS):
-            J = at_binding.xreplace(_rational_point(coords, rng))
-            if J.has(sp.zoo, sp.nan):
-                continue
-            best = max(best, len(_rref(J)[1]))
-            if best == len(invs):
-                break
-        ranks.append(best)
+        J = at_binding.xreplace(point)
+        if J.has(sp.zoo, sp.nan) or (rank := len(_rref(J)[1])) < len(invs):
+            rank = len(_rref(at_binding)[1])
+        ranks.append(rank)
     return ranks
 
 
-def _verify_group(entry: SubalgebraEntry, bindings: list[dict], *, seed: int) -> list[dict]:
+def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     """Closure, annihilation verdicts and rank of ``entry`` at each binding
     of its symbolic parameters (all bindings share one set of names).
 
@@ -423,7 +399,7 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict], *, seed: int) ->
         for ii, inv in enumerate(invs)
     }
     syms = [_PARAM_SYMS[n] for n in bindings[0]]
-    ranks = _group_ranks(entry, syms, bindings, seed=seed)
+    ranks = _group_ranks(entry, syms, bindings)
     reports = []
     for binding, rank in zip(bindings, ranks):
         subs = {_PARAM_SYMS[n]: v for n, v in binding.items()}
@@ -433,16 +409,16 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict], *, seed: int) ->
     return reports
 
 
-def verify_invariants(entry: SubalgebraEntry, *, seed: int = 0) -> VerificationReport:
+def verify_invariants(entry: SubalgebraEntry) -> VerificationReport:
     """Closure + annihilation + independence for one instantiated entry."""
     coords = {sp.Symbol(c) for c in entry.chart.coords}
     if any(v.free_symbols - coords for v in entry.invariants):
         raise ConstraintError("rank requires numeric parameters")
-    [rep] = _verify_group(entry, [{}], seed=seed)
+    [rep] = _verify_group(entry, [{}])
     return VerificationReport(entry.id, rep["closure_ok"], rep["verdicts"], rep["rank"])
 
 
-def verify_entry(entry_id: str, *, seed: int = 0) -> VerificationReport:
+def verify_entry(entry_id: str) -> VerificationReport:
     """Full verification campaign for one catalog id.
 
     Every admissible sample is checked, in one group per unit-circle
@@ -459,7 +435,7 @@ def verify_entry(entry_id: str, *, seed: int = 0) -> VerificationReport:
     samples = []
     for bindings in groups.values():
         entry = _instantiate(row, {**bindings[0], **{n: _PARAM_SYMS[n] for n in row.grid}})
-        reports = _verify_group(entry, [{n: b[n] for n in row.grid} for b in bindings], seed=seed)
+        reports = _verify_group(entry, [{n: b[n] for n in row.grid} for b in bindings])
         for binding, rep in zip(bindings, reports):
             samples.append({"params": {k: str(v) for k, v in binding.items()}, **rep})
 

@@ -10,8 +10,8 @@ Subcommands:
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage
 error (unknown entry id, empty time range, non-positive or too small
 step, bad parameters, a trace the velocity cannot be evaluated along,
-an unwritable ``--out``).  Reports are deterministic for a fixed seed
-and configuration.
+an unwritable ``--out``).  Reports are deterministic: no subcommand
+reads ``--seed``, and every report only echoes it.
 """
 
 from __future__ import annotations
@@ -130,13 +130,11 @@ def cmd_verify_invariants(args, report: dict) -> bool:
     ids = _resolve_ids(args.entries, catalog.catalog_ids())
     params = _parse_params(args.params)
     if params and len(ids) == 1:
-        ent = catalog.get_entry(ids[0], **{k: v for k, v in params.items()})
-        rep = catalog.verify_invariants(ent, seed=args.seed)
-        reports = [rep]
+        reports = [catalog.verify_invariants(catalog.get_entry(ids[0], **params))]
     else:
         if params:
             raise UsageError("--params requires exactly one entry id")
-        reports = [catalog.verify_entry(eid, seed=args.seed) for eid in ids]
+        reports = [catalog.verify_entry(eid) for eid in ids]
     report["catalog"] = {
         rep.entry_id: {
             "passed": rep.passed,

@@ -1,7 +1,6 @@
 """Catalog tests: entry loading, parameter grids, verification verdicts."""
 
 import dataclasses
-import random
 
 import pytest
 import sympy as sp
@@ -159,7 +158,7 @@ def test_group_closure_is_decided_once_over_the_grid():
     basis = [list(v) for v in ent.basis]
     basis[0][L12_LABELS.index("X10")] = sp.Symbol("a")
     reports = catalog._verify_group(
-        dataclasses.replace(ent, basis=basis), [{"a": 0}, {"a": 1}], seed=0
+        dataclasses.replace(ent, basis=basis), [{"a": 0}, {"a": 1}]
     )
     assert [r["closure_ok"] for r in reports] == [False, False]
 
@@ -171,7 +170,7 @@ def test_group_closure_fails_where_the_basis_collapses():
     basis = [list(v) for v in ent.basis]
     basis[2] = [sp.Symbol("a") * c for c in basis[2]]
     reports = catalog._verify_group(
-        dataclasses.replace(ent, basis=basis), [{"a": 1}, {"a": 0}], seed=0
+        dataclasses.replace(ent, basis=basis), [{"a": 1}, {"a": 0}]
     )
     assert [r["closure_ok"] for r in reports] == [True, False]
     assert [r["rank"] for r in reports] == [5, 5]
@@ -299,14 +298,15 @@ def test_dependent_invariants_lose_rank(mutate):
 
 
 def test_rank_skips_point_on_a_pole(monkeypatch):
-    # move a pole of the Jacobian onto the first point drawn at seed 0
+    # move a pole of the Jacobian onto the rank point: the rank is then
+    # the exact one over QQ(coords), from one rref of the symbolic Jacobian
     ent = get_entry("4.77")
     coords = [sp.Symbol(c) for c in ent.chart.coords]
     x = sp.Symbol("x")
-    first = catalog._rational_point(coords, random.Random(0))
+    point = catalog._rank_point(coords)
     invs = list(ent.invariants)
-    invs[0] = invs[0] + 1 / (x - first[x])
-    assert sp.diff(invs[0], x).xreplace(first) == sp.zoo
+    invs[0] = invs[0] + 1 / (x - point[x])
+    assert sp.diff(invs[0], x).xreplace(point) == sp.zoo
     bad = dataclasses.replace(ent, invariants=invs)
 
     ranked = []
@@ -317,8 +317,43 @@ def test_rank_skips_point_on_a_pole(monkeypatch):
         return rref(M)
 
     monkeypatch.setattr(catalog, "_rref", recorded)
-    assert catalog._group_ranks(bad, [], [{}], seed=0) == [5]
+    assert catalog._group_ranks(bad, [], [{}]) == [5]
     assert len(ranked) == 1 and not ranked[0].has(sp.zoo, sp.nan)
+
+
+def _critical_on_a_grid(v, v_p):
+    # G'(v) = prod (64 v - k), k = 32..96, vanishes on every point of
+    # (1/64)Z in [1/2, 3/2]: no point of that grid shows rank 5
+    return sp.Poly(sp.prod([64 * v - k for k in range(32, 97)]), v).integrate().as_expr()
+
+
+@pytest.mark.parametrize(
+    "g, rrefs",
+    [
+        (_critical_on_a_grid, 1),  # rank 5 at the rank point proves it
+        (lambda v, v_p: (v - v_p) ** 2, 2),  # rank 4 there: the exact rref decides
+    ],
+    ids=["critical-on-a-grid", "critical-at-the-point"],
+)
+def test_reparametrized_invariant_keeps_rank_five(monkeypatch, g, rrefs):
+    # 4.77 with its invariant v replaced by g(v): still a complete set
+    ent = get_entry("4.77")
+    v = sp.Symbol("v")
+    assert ent.invariants[1] == v
+    v_p = catalog._rank_point([sp.Symbol(c) for c in ent.chart.coords])[v]
+    ent = dataclasses.replace(ent, invariants=[i.xreplace({v: g(v, v_p)}) for i in ent.invariants])
+    calls = {"rref": 0}
+    rref = catalog._rref
+
+    def counted(M):
+        calls["rref"] += 1
+        return rref(M)
+
+    monkeypatch.setattr(catalog, "_rref", counted)
+    rep = verify_invariants(ent)
+    assert rep.rank == 5
+    assert rep.passed
+    assert calls["rref"] == rrefs
 
 
 def test_tampered_invariant_detected():
