@@ -21,7 +21,8 @@ a list of bindings of its grid parameters.  A single entry is the
 one-binding group ``[{}]``.  A catalog id is verified as one group per
 unit-circle point and choice value, with only the grid parameters left
 as symbols: closure and the residuals are decided once per group, and
-each sample checks only the ranks that substitution can change.
+each sample checks only the ranks that substitution can change.  Both
+the residuals and the ranks read the group's one invariant Jacobian.
 
 Every annihilation verdict is exact.  A catalog residual is rational in
 the chart coordinates, the parameters, the bare angles and sin/cos of
@@ -261,9 +262,6 @@ class SubalgebraEntry:
     def realized_basis(self) -> list:
         return [realize_combination(v, self.chart) for v in self.basis]
 
-    def invariants_with_density(self) -> list:
-        return list(self.invariants) + [sp.Symbol("rho")]
-
 
 def get_entry(entry_id: str, **params) -> SubalgebraEntry:
     """Instantiate a catalog entry, validating parameter constraints."""
@@ -280,6 +278,9 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
     missing = [k for k in free if k not in binding]
     if missing:
         raise ConstraintError(f"entry {entry_id} needs parameters {missing}")
+    for k, values in row.choices.items():
+        if binding[k] not in values:
+            raise ConstraintError(f"entry {entry_id}: {k} must be in {sp.FiniteSet(*values)}")
     if row.unit_circle:
         p, q = row.unit_circle
         if binding[p] ** 2 + binding[q] ** 2 != 1:
@@ -360,23 +361,19 @@ def _rank_point(coords: list) -> dict:
     return {c: sp.Rational(k + 3, k + 2) for k, c in enumerate(coords)}
 
 
-def _group_ranks(entry: SubalgebraEntry, grid_syms: list, bindings: list[dict]) -> list[int]:
-    """Exact generic rank of the 5x9 invariant Jacobian over QQ(coords),
-    for each binding of ``grid_syms``.  The invariants use only ``log``, so
-    the entries are rational, and the rank at a point is a lower bound on
-    the generic rank: rank 5 at ``_rank_point`` proves it.  Below 5, or
-    where that point is on a pole, the Jacobian's rref over QQ(coords)
-    gives the rank."""
-    coords = [sp.Symbol(c) for c in entry.chart.coords]
-    invs = entry.invariants_with_density()
-    jac = sp.Matrix([[sp.diff(i, c) for c in coords] for i in invs])
-    point = _rank_point(coords)
+def _group_ranks(jac: sp.Matrix, coords: list, grids: list[dict]) -> list[int]:
+    """Exact generic rank of the invariant Jacobian over QQ(coords), for
+    each substitution in ``grids`` of the grid symbols.  The invariants
+    use only ``log``, so the entries are rational, and the rank at a point
+    is a lower bound on the generic rank: rank 5 at ``_rank_point`` proves
+    it.  The point is substituted once, then each grid.  Below 5, or on a
+    pole, the rref of ``jac`` at the grid over QQ(coords) decides."""
+    at_point = jac.xreplace(_rank_point(coords))
     ranks = []
-    for binding in bindings:
-        at_binding = jac.xreplace({s: binding[s.name] for s in grid_syms})
-        J = at_binding.xreplace(point)
-        if J.has(sp.zoo, sp.nan) or (rank := len(_rref(J)[1])) < len(invs):
-            rank = len(_rref(at_binding)[1])
+    for grid in grids:
+        J = at_point.xreplace(grid)
+        if J.has(sp.zoo, sp.nan) or (rank := len(_rref(J)[1])) < jac.rows:
+            rank = len(_rref(jac.xreplace(grid))[1])
         ranks.append(rank)
     return ranks
 
@@ -385,25 +382,25 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     """Closure, annihilation verdicts and rank of ``entry`` at each binding
     of its symbolic parameters (all bindings share one set of names).
 
-    Closure and the verdicts are decided once, over the symbols.  Per
-    binding only the ranks are checked: the basis is closed there when
-    the symbolic span is closed and the substituted basis keeps its
-    dimension.  Returns one report per binding.
+    The invariant Jacobian (rho included) is taken once: each verdict is
+    a row of it along a generator.  Closure and the verdicts are decided
+    once, over the symbols.  Per binding only the ranks are checked: the
+    basis is closed there when the symbolic span is closed and the
+    substituted basis keeps its dimension.  Returns one report per binding.
     """
     sub = entry.subalgebra()
     closed = sub.is_closed()[0]
-    invs = entry.invariants_with_density()
+    coords = [sp.Symbol(c) for c in entry.chart.coords]
+    jac = sp.Matrix([*entry.invariants, sp.Symbol("rho")]).jacobian(coords)
     verdicts = {
-        (gi, ii): "SymbolicZero" if g.apply(inv) == 0 else "NonZero"
+        (gi, ii): "SymbolicZero" if g.along(jac.row(ii)) == 0 else "NonZero"
         for gi, g in enumerate(entry.realized_basis())
-        for ii, inv in enumerate(invs)
+        for ii in range(jac.rows)
     }
-    syms = [_PARAM_SYMS[n] for n in bindings[0]]
-    ranks = _group_ranks(entry, syms, bindings)
+    grids = [{_PARAM_SYMS[n]: v for n, v in b.items()} for b in bindings]
     reports = []
-    for binding, rank in zip(bindings, ranks):
-        subs = {_PARAM_SYMS[n]: v for n, v in binding.items()}
-        here = Subalgebra(l12(), sub.basis.xreplace(subs))
+    for grid, rank in zip(grids, _group_ranks(jac, coords, grids)):
+        here = Subalgebra(l12(), sub.basis.xreplace(grid))
         reports.append({"closure_ok": closed and here.rank == here.dim,
                         "verdicts": verdicts, "rank": rank})
     return reports

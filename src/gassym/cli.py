@@ -183,6 +183,8 @@ def cmd_trace(args, report: dict) -> bool:
         raise UsageError("empty time range: need t1 > t0")
     if not args.h > 0:
         raise UsageError(f"step size must be positive, not {args.h}")
+    if args.kind == "nonisochoric-reduced" and args.t0 < 0:
+        raise UsageError(f"{args.kind} holds only for t > 0, not from t0={args.t0}")
     family = submodel.solution_family(args.kind)
     velocity = sp.Matrix([family.u, family.v, family.w])
     constants = {c.name: c for c in submodel.CONSTANTS if c in velocity.free_symbols}

@@ -23,7 +23,7 @@ angle become a generator pair (s_a, c_a), and numerators and denominators
 are reduced modulo s_a**2 + c_a**2 - 1.  Fields are also bracketed and
 compared there: two fields are equal when the reduced numerator of each
 coefficient difference is 0.  ``exprs.canonicalize`` serves only
-``VectorField.apply``, whose operands carry ``log`` and catalog parameters.
+``VectorField.along``, whose operands carry ``log`` and catalog parameters.
 """
 
 from __future__ import annotations
@@ -155,15 +155,16 @@ class VectorField:
     def coeff(self, coord: str) -> sp.Expr:
         return sp.sympify(self.coeffs.get(coord, 0), strict=True)
 
+    def along(self, grad) -> sp.Expr:
+        """sum_i F_i * grad[i], canonicalized; ``grad`` is over ``chart.coords``."""
+        coeffs = (self.coeff(c) for c in self.chart.coords)
+        terms = (fc * dc for fc, dc in zip(coeffs, grad) if fc != 0)
+        return canonicalize(sum(terms, sp.Integer(0)))
+
     def apply(self, e) -> sp.Expr:
         """Directional derivative sum_i F_i * d(e)/dx_i, canonicalized."""
         e = sp.sympify(e, strict=True)
-        out = sp.Integer(0)
-        for c in self.chart.coords:
-            fc = self.coeff(c)
-            if fc != 0:
-                out += fc * sp.diff(e, sp.Symbol(c))
-        return canonicalize(out)
+        return self.along([sp.diff(e, sp.Symbol(c)) for c in self.chart.coords])
 
     def __rmul__(self, scalar) -> "VectorField":
         scalar = sp.sympify(scalar, strict=True)

@@ -16,6 +16,7 @@ The state function f stays opaque in every symbolic check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import sympy as sp
 
@@ -52,10 +53,6 @@ _f = opaque("f")
 _fp = opaque("f", 1)
 
 
-def _D(g, u, v, w):
-    return sp.diff(g, t) + u * sp.diff(g, x) + v * sp.diff(g, y) + w * sp.diff(g, z)
-
-
 @dataclass(frozen=True)
 class Solution:
     """One exact solution family of the full system."""
@@ -68,6 +65,15 @@ class Solution:
     P: sp.Expr
 
     @property
+    def state(self) -> tuple:
+        return (self.u, self.v, self.w, self.rho, self.P)
+
+    @cached_property
+    def jacobian(self) -> sp.Matrix:
+        """d(u, v, w, rho, P)/d(t, x, y, z), taken once per solution."""
+        return sp.Matrix(self.state).jacobian((t, *_SPACE))
+
+    @property
     def P1(self) -> sp.Expr:
         return canonicalize(self.P - self.u)
 
@@ -76,10 +82,7 @@ class Solution:
         return canonicalize(self.P - _f(self.rho))
 
     def subs(self, binding: dict) -> "Solution":
-        return Solution(
-            self.kind,
-            *(g.subs(binding) for g in (self.u, self.v, self.w, self.rho, self.P)),
-        )
+        return Solution(self.kind, *(g.subs(binding) for g in self.state))
 
 
 SOLUTION_KINDS = (
@@ -96,7 +99,7 @@ def solution_family(kind: str) -> Solution:
     if kind in ("isochoric-reduced", "nonisochoric-reduced"):
         g = solution_family(kind.replace("reduced", "general"))
         zero = {c: sp.S.Zero for c in (n0, v0, w0, P0)}
-        return Solution(kind, *(e.xreplace(zero) for e in (g.u, g.v, g.w, g.rho, g.P)))
+        return Solution(kind, *(e.xreplace(zero) for e in g.state))
     if kind == "isochoric-general":
         u = (
             k0 * y + m0 * z
@@ -121,14 +124,15 @@ def solution_family(kind: str) -> Solution:
 def full_residuals(s: Solution) -> list[sp.Expr]:
     """Residuals of the gas dynamics system with P = f(rho) + S at the
     solution; expected all zero."""
-    u, v, w, rho, P = s.u, s.v, s.w, s.rho, s.P
-    div = sp.diff(u, x) + sp.diff(v, y) + sp.diff(w, z)
+    J, rho = s.jacobian, s.rho
+    D = J * sp.Matrix([1, s.u, s.v, s.w])  # material derivatives
+    div = J[0, 1] + J[1, 2] + J[2, 3]
     return [
-        canonicalize(_D(u, u, v, w) + sp.diff(P, x) / rho),
-        canonicalize(_D(v, u, v, w) + sp.diff(P, y) / rho),
-        canonicalize(_D(w, u, v, w) + sp.diff(P, z) / rho),
-        canonicalize(_D(rho, u, v, w) + rho * div),
-        canonicalize(_D(P, u, v, w) + rho * _fp(rho) * div),
+        canonicalize(D[0] + J[4, 1] / rho),
+        canonicalize(D[1] + J[4, 2] / rho),
+        canonicalize(D[2] + J[4, 3] / rho),
+        canonicalize(D[3] + rho * div),
+        canonicalize(D[4] + rho * _fp(rho) * div),
     ]
 
 
@@ -143,11 +147,12 @@ def reduced_residuals(u, v, w, rho, P1) -> list[sp.Expr]:
 
 
 def vorticity(s: Solution) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
-    """rot u = (w_y - v_z, u_z - w_x, v_x - u_y)."""
+    """rot u = (w_y - v_z, u_z - w_x, v_x - u_y), read off the Jacobian."""
+    J = s.jacobian
     return (
-        canonicalize(sp.diff(s.w, y) - sp.diff(s.v, z)),
-        canonicalize(sp.diff(s.u, z) - sp.diff(s.w, x)),
-        canonicalize(sp.diff(s.v, x) - sp.diff(s.u, y)),
+        canonicalize(J[2, 2] - J[1, 3]),
+        canonicalize(J[0, 3] - J[2, 1]),
+        canonicalize(J[1, 1] - J[0, 2]),
     )
 
 
@@ -210,8 +215,7 @@ def flow_consistency(s: Solution, fm: FlowMap) -> list[sp.Expr]:
 
 def jacobian_det(fm: FlowMap) -> sp.Expr:
     """det d(x,y,z)/d(labels), canonicalized."""
-    J = sp.Matrix([[sp.diff(c, s0) for s0 in fm.labels] for c in fm.components()])
-    return canonicalize(J.det())
+    return canonicalize(sp.Matrix(fm.components()).jacobian(fm.labels).det())
 
 
 # --------------------------------------------------------------------------
@@ -221,14 +225,14 @@ def jacobian_det(fm: FlowMap) -> sp.Expr:
 def galilean_shift(s: Solution, b1, b2, b3) -> Solution:
     """Act on the solution by the Galilean translation with vector b."""
     comp = {x: x - b1 * t, y: y - b2 * t, z: z - b3 * t}
-    u, v, w, rho, P = (g.subs(comp, simultaneous=True) for g in (s.u, s.v, s.w, s.rho, s.P))
+    u, v, w, rho, P = (g.subs(comp, simultaneous=True) for g in s.state)
     return Solution(s.kind, u + b1, v + b2, w + b3, rho, P)
 
 
 def space_shift(s: Solution, a1, a2, a3) -> Solution:
     """Act on the solution by the space translation with vector a."""
     comp = {x: x - a1, y: y - a2, z: z - a3}
-    return Solution(s.kind, *(g.subs(comp, simultaneous=True) for g in (s.u, s.v, s.w, s.rho, s.P)))
+    return Solution(s.kind, *(g.subs(comp, simultaneous=True) for g in s.state))
 
 
 def pressure_shift(s: Solution, s0) -> Solution:
@@ -360,11 +364,7 @@ def verify_solution(kind: str) -> dict:
         red, _ = reduce_general(kind)
         target = solution_family(kind.replace("general", "reduced"))
         entry["reduction_exact"] = all(
-            canonicalize(a - b) == 0
-            for a, b in zip(
-                (red.u, red.v, red.w, red.rho, red.P),
-                (target.u, target.v, target.w, target.rho, target.P),
-            )
+            canonicalize(a - b) == 0 for a, b in zip(red.state, target.state)
         )
         checks.append(entry["reduction_exact"])
     entry["passed"] = all(checks)

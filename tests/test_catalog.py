@@ -253,6 +253,25 @@ def test_catalog_pass_pushes_forward_in_the_ring(monkeypatch):
     assert calls == {"pushforward": 37, "canonicalize": 0}
 
 
+def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
+    # every verdict reads a row of its group's one invariant Jacobian:
+    # 38 groups x 4 generators x 5 invariants, and no Lie derivative of
+    # an expression
+    calls = {"along": 0, "apply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fields.VectorField, name, counted(name, getattr(fields.VectorField, name)))
+    for eid in catalog_ids():
+        verify_entry(eid)
+    assert calls == {"along": 760, "apply": 0}
+
+
 def test_get_entry_keeps_exact_values_unparsed(monkeypatch):
     calls = {"parse": 0}
     parse = sympy_parser.parse_expr
@@ -317,7 +336,8 @@ def test_rank_skips_point_on_a_pole(monkeypatch):
         return rref(M)
 
     monkeypatch.setattr(catalog, "_rref", recorded)
-    assert catalog._group_ranks(bad, [], [{}]) == [5]
+    jac = sp.Matrix([*bad.invariants, sp.Symbol("rho")]).jacobian(coords)
+    assert catalog._group_ranks(jac, coords, [{}]) == [5]
     assert len(ranked) == 1 and not ranked[0].has(sp.zoo, sp.nan)
 
 

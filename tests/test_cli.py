@@ -109,6 +109,21 @@ def test_non_finite_param_value_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-invariants", "4.38", "--params", "a=2,eps=5"],
+        ["verify-invariants", "4.42", "--params", "a=3/5,b=4/5,eps=7"],
+    ],
+)
+def test_unlisted_choice_value_is_usage_error(capsys, argv):
+    # a choice parameter takes only its listed values
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: entry {argv[1]}: eps must be in {{0, 1}}\n"
+
+
+@pytest.mark.parametrize(
     "text, value",
     [("3/5", (3, 5)), ("0.6", (3, 5)), ("-1", (-1, 1)), ("1e-3", (1, 1000))],
 )
@@ -382,6 +397,20 @@ def test_trace_integration_error_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: velocity evaluation failed at t=0.0")
+
+
+def test_nonisochoric_trace_cannot_start_before_time_zero(capsys, tmp_path):
+    # the family holds only for t > 0: RK4 must not step across t = 0
+    out_csv = tmp_path / "t.csv"
+    code, out, err = _run(
+        capsys,
+        ["trace", "nonisochoric-reduced", "--t0", "-1", "--t1", "1", "--out", str(out_csv)],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: nonisochoric-reduced holds only for t > 0")
+    assert err.count("\n") == 1
+    assert not out_csv.exists()
 
 
 # --------------------------------------------------------------------------
