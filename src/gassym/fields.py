@@ -22,7 +22,9 @@ built once per chart; chart D's has no angles): sin(a) and cos(a) of each
 angle become a generator pair (s_a, c_a), and numerators and denominators
 are reduced modulo s_a**2 + c_a**2 - 1.  Fields are also bracketed and
 compared there: two fields are equal when the reduced numerator of each
-coefficient difference is 0.  ``exprs.canonicalize`` serves only
+coefficient difference is 0.  The ring's kernel is sparse: a structural
+zero is never differentiated, multiplied, composed or cancelled, and a 1x1
+stage is inverted without a determinant.  ``exprs.canonicalize`` serves only
 ``VectorField.along``, whose operands carry ``log`` and catalog parameters.
 """
 
@@ -266,18 +268,18 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
         return F
     if not target.solve_order:
         raise ValueError(f"chart {target.name} has no solve stages")
-    ring = target.ring
+    ring, zero = target.ring, target.ring.field.zero
     rhs = {c: ring.compose(F.coeff(c)) for c in CARTESIAN_COORDS}
     solved = {}
     for (cart_coords, chart_coords), inverse, coupling in zip(
         target.solve_order, ring.inverses, ring.couplings
     ):
         b = [
-            rhs[cc] - sum((d * solved[prev] for prev, d in coupling[cc]), ring.field.zero)
+            rhs[cc] - sum((d * solved[p] for p, d in coupling[cc] if solved[p]), zero)
             for cc in cart_coords
         ]
         for name, row in zip(chart_coords, inverse):
-            solved[name] = ring.reduce(sum((m * x for m, x in zip(row, b)), ring.field.zero))
+            solved[name] = ring.reduce(sum((m * x for m, x in zip(row, b) if m and x), zero))
     return VectorField(target, {c: ring.to_expr(solved[c]) for c in target.coords})
 
 
@@ -291,8 +293,14 @@ class _ChartRing:
     pairwise coprime.  So a rational function vanishes on the chart
     exactly when its numerator reduces to 0.  Holds the image of each
     Cartesian coordinate, and per solve stage the inverse of the Jacobian
-    block (adjugate over the reduced determinant) and the derivatives
-    coupling it to earlier stages.
+    block (1/J for a 1x1 block, else adjugate over the reduced
+    determinant) and the derivatives coupling it to earlier stages.
+
+    The kernel is sparse: a structural zero is never differentiated,
+    multiplied, composed or cancelled (``diff`` runs the quotient rule only
+    on the parts that involve the coordinate, and ``reduce`` is the
+    identity on a chart with no angles); each result is the canonical
+    element the dense formulas give.
     """
 
     def __init__(self, chart: Chart):
@@ -304,9 +312,9 @@ class _ChartRing:
         gens = [x for x in coords if x not in pairs] + sorted(params, key=str)
         gens += [g for pair in pairs.values() for g in pair]
         self.field = K = field(gens, sp.QQ)[0]
-        self._gen = {x.name: K(x) for x in coords if x not in pairs}
-        self._angle = {a.name: (K(s), K(c)) for a, (s, c) in pairs.items()}
-        self._ideal = [K.ring(s) ** 2 + K.ring(c) ** 2 - 1 for s, c in pairs.values()]
+        self._gen = {x.name: K.ring(x) for x in coords if x not in pairs}
+        self._angle = {a.name: (K.ring(s), K.ring(c)) for a, (s, c) in pairs.items()}
+        self._ideal = [s**2 + c**2 - 1 for s, c in self._angle.values()]
         self._trig = {}
         for a, (s, c) in pairs.items():
             self._trig.update({s: sp.sin(a), c: sp.cos(a)})
@@ -317,13 +325,13 @@ class _ChartRing:
 
         self.inverses, self.couplings, earlier = [], [], []
         for cart_coords, chart_coords in chart.solve_order:
-            block = DomainMatrix(
-                [[self.diff(images[cc], x) for x in chart_coords] for cc in cart_coords],
-                (len(cart_coords), len(chart_coords)),
-                K.to_domain(),
-            )
-            det = self.reduce(block.det())
-            adj = block.adjugate().to_list()
+            jac = [[self.diff(images[cc], x) for x in chart_coords] for cc in cart_coords]
+            if len(jac) == 1:
+                adj, det = [[K.one]], jac[0][0]
+            else:
+                block = DomainMatrix(jac, (len(jac), len(jac)), K.to_domain())
+                adj, det = block.adjugate().to_list(), block.det()
+            det = self.reduce(det)
             self.inverses.append([[self.reduce(m / det) for m in row] for row in adj])
             self.couplings.append({
                 cc: [(prev, d) for prev in earlier if (d := self.diff(images[cc], prev))]
@@ -331,27 +339,36 @@ class _ChartRing:
             })
             earlier += chart_coords
 
-    def diff(self, f, coord: str):
-        """d f / d coord; along an angle a it is c_a d/ds_a - s_a d/dc_a."""
+    def _derive(self, p, coord: str):
+        """d p / d coord of a polynomial; along an angle a it is
+        c_a d/ds_a - s_a d/dc_a."""
         if coord in self._angle:
             s, c = self._angle[coord]
-            return c * f.diff(s) - s * f.diff(c)
-        return f.diff(self._gen[coord])
+            return c * p.diff(s) - s * p.diff(c)
+        return p.diff(self._gen[coord])
+
+    def diff(self, f, coord: str):
+        """d f / d coord by the quotient rule, run only on the parts of
+        ``f`` that involve ``coord``."""
+        n, d = f.numer, f.denom
+        dn, dd = self._derive(n, coord), self._derive(d, coord)
+        if not dd:
+            return self.field.new(dn, d)
+        return self.field.new(dn * d - n * dd, d**2)
 
     def lift(self, F: VectorField) -> dict:
         """``F``'s coefficients in the field, via sin a -> s_a, cos a -> c_a."""
-        return {c: self.field.from_expr(F.coeff(c).xreplace(self._to_ring)) for c in self.coords}
+        return {c: self._element(F.coeff(c), self._to_ring) for c in self.coords}
 
     def bracket(self, f: dict, g: dict) -> dict:
-        """[f, g] of two lifted fields: coefficients f(g_i) - g(f_i), reduced."""
-        zero = self.field.zero
-        active = [x for x in self.coords if f[x] or g[x]]
-        return {
-            c: self.reduce(sum(
-                (f[x] * self.diff(g[c], x) - g[x] * self.diff(f[c], x) for x in active), zero
-            ))
-            for c in self.coords
-        }
+        """[f, g] of two lifted fields: coefficients f(g_c) - g(f_c), reduced;
+        a term f_x * d(g_c)/dx is formed only when f_x and g_c are nonzero."""
+        out = {}
+        for c in self.coords:
+            terms = [f[x] * self.diff(g[c], x) for x in self.coords if f[x] and g[c]]
+            terms += [-g[x] * self.diff(f[c], x) for x in self.coords if g[x] and f[c]]
+            out[c] = self.reduce(sum(terms, self.field.zero))
+        return out
 
     def is_zero(self, f) -> bool:
         """The zero test for fields: the numerator reduces to 0."""
@@ -359,11 +376,17 @@ class _ChartRing:
 
     def compose(self, e):
         """The Cartesian expression ``e`` composed with the chart map."""
-        return self.field.from_expr(e.xreplace(self._cart))
+        return self._element(e, self._cart)
+
+    def _element(self, e, subs):
+        """``e.xreplace(subs)`` in the field; a zero ``e`` is not converted."""
+        return self.field.from_expr(e.xreplace(subs)) if e != 0 else self.field.zero
 
     def reduce(self, f):
         """``f`` with numerator and denominator reduced modulo the
-        Pythagorean relations."""
+        Pythagorean relations; on a chart with no angles, ``f`` itself."""
+        if not self._ideal:
+            return f
         return self.field.new(f.numer.rem(self._ideal), f.denom.rem(self._ideal))
 
     def to_expr(self, f) -> sp.Expr:

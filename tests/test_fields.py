@@ -1,10 +1,13 @@
 """Vector-field realization tests: charts, pushforwards, certification."""
 
 import random
+from itertools import combinations
 
 import pytest
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
+from gassym import fields
 from gassym.fields import (
     CARTESIAN_COORDS,
     VectorField,
@@ -234,3 +237,102 @@ def test_flipped_table_entry_is_caught(make_chart):
     lhs = vf_commutator(realize("X1", ch), realize("X9", ch))
     assert lhs.equals(realize("X2", ch))
     assert not lhs.equals(-1 * realize("X2", ch))
+
+
+FLIPPED_X9 = {
+    "D": (chart_D, "u", [("X5", "X9"), ("X7", "X8"), ("X7", "X9"), ("X8", "X9")]),
+    "S": (chart_S, "phi", [
+        ("X1", "X9"), ("X2", "X9"), ("X4", "X9"), ("X5", "X9"),
+        ("X7", "X8"), ("X7", "X9"), ("X8", "X9"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(FLIPPED_X9))
+def test_certification_names_the_pairs_a_flipped_generator_breaks(monkeypatch, name):
+    # mutant: realized X9 with one coefficient's sign flipped; exactly the
+    # brackets that differentiate that coefficient, or that the table
+    # writes through X9, disagree
+    make_chart, coord, pairs = FLIPPED_X9[name]
+    chart, real = make_chart(), fields.realize
+
+    def realize_flipped(label, ch=None):
+        G = real(label, ch)
+        if label != "X9":
+            return G
+        return VectorField(G.chart, {**G.coeffs, coord: -G.coeff(coord)})
+
+    monkeypatch.setattr(fields, "realize", realize_flipped)
+    assert realization_table_diff(chart) == pairs
+
+
+# --------------------------------------------------------------------------
+# the sparse chart-ring kernel against the dense formulas
+
+REFERENCE_CHARTS = {
+    "D": chart_D, "C": chart_C, "S": chart_S,
+    "Dshift(b)": lambda: chart_D_shift(sp.Symbol("b")),
+    "Dshift4/5": lambda: chart_D_shift(sp.Rational(4, 5)),
+}
+
+
+def _dense_diff(ring, h, coord):
+    """d h / d coord by FracElement.diff, (n'd - nd')/d**2, on every part."""
+    K = ring.field
+    if coord in ring._angle:
+        s, c = map(K, ring._angle[coord])
+        return c * h.diff(s) - s * h.diff(c)
+    return h.diff(K(ring._gen[coord]))
+
+
+def _dense_reduce(ring, h):
+    return ring.field.new(h.numer.rem(ring._ideal), h.denom.rem(ring._ideal))
+
+
+@pytest.mark.parametrize("make_chart", REFERENCE_CHARTS.values(), ids=list(REFERENCE_CHARTS))
+def test_sparse_ring_kernel_matches_dense_formulas(make_chart):
+    # diff and bracket skip structural zeros; on every realized generator
+    # they give the same canonical elements as the dense formulas
+    chart = make_chart()
+    ring, coords, zero = chart.ring, chart.coords, chart.ring.field.zero
+    lifted = [ring.lift(realize(label, chart)) for label in L12_LABELS]
+    dense = []
+    for f in lifted:
+        d = {(c, x): _dense_diff(ring, f[c], x) for c in coords for x in coords}
+        assert {cx: ring.diff(f[cx[0]], cx[1]) for cx in d} == d
+        dense.append(d)
+    for i, j in combinations(range(len(lifted)), 2):
+        f, g = lifted[i], lifted[j]
+        want = {
+            c: _dense_reduce(ring, sum(
+                (f[x] * dense[j][c, x] - g[x] * dense[i][c, x] for x in coords), zero
+            ))
+            for c in coords
+        }
+        assert ring.bracket(f, g) == want, (L12_LABELS[i], L12_LABELS[j])
+
+
+def test_ring_kernel_skips_structural_zeros(monkeypatch):
+    # the table on chart D differentiates only nonzero coefficients along
+    # nonzero ones, and of the five catalog charts' stages only the seven
+    # larger than 1x1 take an adjugate
+    calls = {"diff": 0, "adjugate": 0}
+    diff, adjugate = fields._ChartRing.diff, DomainMatrix.adjugate
+
+    def counted_diff(self, f, coord):
+        calls["diff"] += 1
+        return diff(self, f, coord)
+
+    def counted_adjugate(self):
+        calls["adjugate"] += 1
+        return adjugate(self)
+
+    monkeypatch.setattr(fields._ChartRing, "diff", counted_diff)
+    monkeypatch.setattr(DomainMatrix, "adjugate", counted_adjugate)
+    assert realization_table_diff(chart_D()) == []
+    assert calls["diff"] == 648
+    for cached in (fields.chart_C, fields.chart_S, fields.chart_D_shift, fields.realize):
+        cached.cache_clear()
+    for chart in (chart_C(), chart_S(), *map(chart_D_shift, (0, 1, sp.Rational(4, 5)))):
+        chart.ring
+    assert calls["adjugate"] == 7
