@@ -272,7 +272,7 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
         if k not in free:
             raise ConstraintError(f"entry {entry_id} takes no parameter {k!r}")
         try:
-            binding[k] = exact_number(v, rational=True)
+            binding[k] = exact_number(v)
         except ValueError as exc:
             raise ConstraintError(f"entry {entry_id}, parameter {k!r}: {exc}") from None
     missing = [k for k in free if k not in binding]

@@ -181,10 +181,11 @@ def verify_class(entry_id: str) -> ClassReport:
     asg = get_assignment(entry_id)
     report = ClassReport(entry_id=entry_id, label=asg.label)
     pairs = list(itertools.combinations(range(4), 2))
+    row = _row(entry_id)
     for binding in _parameter_cases(entry_id, asg):
-        subs = {_PARAM_SYMS[k]: v for k, v in binding.items()}
-        change = [c.xreplace(subs) for row in asg.basis_change for c in row]
-        basis = [c for row in entry_basis(entry_id, binding) for c in row]
+        subs = row.subs(binding)  # the fixed values included
+        change = [c.xreplace(subs) for r in asg.basis_change for c in r]
+        basis = list(row.basis.xreplace(subs))
         want = [c.xreplace(subs) for p in pairs for c in asg.relations.get(p, _ZERO)]
         try:
             D = to_domain(sp.Matrix([change + basis + want]))

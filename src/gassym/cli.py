@@ -33,13 +33,12 @@ try:
     import os
     import re
     import sys
-    from fractions import Fraction
     from pathlib import Path
 
     import sympy as sp
 
     from . import __version__, catalog, classify, numerics, submodel
-    from .exprs import rational
+    from .exprs import exact_number
     from .fields import realization_table_diff
     from .liealg import l12
 
@@ -79,12 +78,12 @@ def _parse_params(text: str | None) -> dict:
         k, v = item.split("=", 1)
         if (k := k.strip()) in out:
             raise UsageError(f"parameter {k!r} is given twice")
-        try:  # read as a literal, never evaluated; float() bounds the size
-            val = Fraction(v.strip())
-            float(val)
-        except (ValueError, ZeroDivisionError, OverflowError):
+        try:  # read exactly, never evaluated; float() of a huge value is inf
+            out[k] = exact_number(v.strip())
+            if not math.isfinite(float(out[k])):
+                raise ValueError
+        except ValueError:
             raise UsageError(f"parameter value {v!r} is not a finite number")
-        out[k] = rational(val)
     return out
 
 

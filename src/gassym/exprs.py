@@ -319,16 +319,19 @@ def _sexpr(e) -> str:
     raise TypeError(f"cannot serialize node {type(e).__name__}: {e}")
 
 
-def exact_number(v, **kwargs) -> sp.Expr:
-    """``sp.nsimplify(v, **kwargs)`` of a caller's number.  A ``str`` must
-    be a number literal such as ``1``, ``3/5`` or ``0.6``, read exactly by
-    ``Fraction``: nsimplify would pass it to ``sympify``, which evaluates it."""
-    if isinstance(v, str):
-        try:
-            return rational(Fraction(v))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{v!r} is not a number literal") from None
-    return sp.nsimplify(v, **kwargs)
+def exact_number(v) -> sp.Expr:
+    """A caller's number, exactly.  A sympy ``Rational``, or an expression
+    with free symbols, is returned as it is.  Anything else, sympy
+    ``Float`` included, is read by ``Fraction`` from its decimal text
+    ``str(v)``: ``0.6`` is 3/5, and a float is the number it prints as.
+    Nothing is guessed or evaluated, so ``sqrt(2)``, ``pi``, ``inf`` and
+    any text that is not a number literal raise ``ValueError``."""
+    if isinstance(v, sp.Basic) and (v.is_Rational or v.free_symbols):
+        return v
+    try:
+        return rational(Fraction(str(v)))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{v!r} is not a number literal") from None
 
 
 def rational(p, q=1) -> sp.Rational:

@@ -16,11 +16,10 @@ A chart declares only the Cartesian coordinates it moves (``_chart``); every
 other one maps to itself and is solved by a 1x1 stage ahead of the chart's
 own blocks.  Pushforward solves J_Psi * G = F o Psi where Psi maps chart
 coordinates to Cartesian ones, so no inverse trig functions enter symbolic
-work.  The
-solve runs in the chart's rational function field over QQ (``Chart.ring``,
-built once per chart; chart D's has no angles): sin(a) and cos(a) of each
-angle become a generator pair (s_a, c_a), and numerators and denominators
-are reduced modulo s_a**2 + c_a**2 - 1.  Fields are also bracketed and
+work.  The solve runs in the chart's rational function field over QQ
+(``Chart.ring``, built once per chart; chart D's has no angles): for each
+angle a, sin(a), cos(a) are the generators, and numerators and denominators
+are reduced modulo sin(a)**2 + cos(a)**2 - 1.  Fields are also bracketed and
 compared there: two fields are equal when the reduced numerator of each
 coefficient difference is 0.  The ring's kernel is sparse: a structural
 zero is never differentiated, multiplied, composed or cancelled, and a 1x1
@@ -137,7 +136,7 @@ def chart_S() -> Chart:
 @lru_cache(maxsize=None)
 def chart_D_shift(b) -> Chart:
     """Cartesian chart with (v, w) traded for the shifted polar pair."""
-    b = exact_number(b, rational=True)
+    b = exact_number(b)
     t, y, z, qbar, varthetabar = sp.symbols("t y z qbar varthetabar")
     denom = t**2 + b**2
     moved = {
@@ -186,7 +185,7 @@ def vf_commutator(F: VectorField, G: VectorField) -> VectorField:
         raise ValueError("chart mismatch")
     ring = F.chart.ring
     h = ring.bracket(ring.lift(F), ring.lift(G))
-    return VectorField(F.chart, {c: ring.to_expr(h[c]) for c in F.chart.coords})
+    return VectorField(F.chart, {c: h[c].as_expr() for c in F.chart.coords})
 
 
 # --------------------------------------------------------------------------
@@ -280,18 +279,19 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
         ]
         for name, row in zip(chart_coords, inverse):
             solved[name] = ring.reduce(sum((m * x for m, x in zip(row, b) if m and x), zero))
-    return VectorField(target, {c: ring.to_expr(solved[c]) for c in target.coords})
+    return VectorField(target, {c: solved[c].as_expr() for c in target.coords})
 
 
 class _ChartRing:
-    """A chart's map to Cartesian coordinates over QQ(coords, params, s_a, c_a).
+    """A chart's map to Cartesian coordinates over
+    QQ(coords, params, sin(a), cos(a)).
 
-    Each angle ``a`` under ``sin``/``cos`` becomes a generator pair
-    (s_a, c_a); rational functions are kept with numerator and
-    denominator reduced modulo {s_a**2 + c_a**2 - 1}, a Groebner basis in
-    lex order with s_a before c_a, since its leading terms s_a**2 are
-    pairwise coprime.  So a rational function vanishes on the chart
-    exactly when its numerator reduces to 0.  Holds the image of each
+    For each angle ``a`` under ``sin``/``cos``, sin(a), cos(a) are the
+    generators, in place of ``a``; rational functions are kept with
+    numerator and denominator reduced modulo {sin(a)**2 + cos(a)**2 - 1},
+    a Groebner basis in lex order with sin(a) before cos(a), since its
+    leading terms sin(a)**2 are pairwise coprime.  So a rational function
+    vanishes on the chart exactly when its numerator reduces to 0.  Holds the image of each
     Cartesian coordinate, and per solve stage the inverse of the Jacobian
     block (1/J for a 1x1 block, else adjugate over the reduced
     determinant) and the derivatives coupling it to earlier stages.
@@ -307,21 +307,18 @@ class _ChartRing:
         maps = {c: sp.expand_trig(e) for c, e in chart.to_cartesian.items()}
         coords = [sp.Symbol(c) for c in chart.coords]
         args = {f.args[0] for e in maps.values() for f in e.atoms(sp.sin, sp.cos)}
-        pairs = {a: (sp.Dummy(f"s_{a}"), sp.Dummy(f"c_{a}")) for a in coords if a in args}
+        angles = [a for a in coords if a in args]
         params = set().union(*(e.free_symbols for e in maps.values())) - set(coords)
-        gens = [x for x in coords if x not in pairs] + sorted(params, key=str)
-        gens += [g for pair in pairs.values() for g in pair]
+        gens = [x for x in coords if x not in args] + sorted(params, key=str)
+        gens += [f(a) for a in angles for f in (sp.sin, sp.cos)]
         self.field = K = field(gens, sp.QQ)[0]
-        self._gen = {x.name: K.ring(x) for x in coords if x not in pairs}
-        self._angle = {a.name: (K.ring(s), K.ring(c)) for a, (s, c) in pairs.items()}
-        self._ideal = [s**2 + c**2 - 1 for s, c in self._angle.values()]
-        self._trig = {}
-        for a, (s, c) in pairs.items():
-            self._trig.update({s: sp.sin(a), c: sp.cos(a)})
+        self._gen = {x.name: gens.index(x) for x in coords if x not in args}
+        self._angle = {a.name: (gens.index(sp.sin(a)), gens.index(sp.cos(a))) for a in angles}
+        g = K.ring.gens
+        self._ideal = [g[s] ** 2 + g[c] ** 2 - 1 for s, c in self._angle.values()]
         self.coords = chart.coords
-        self._to_ring = {f: g for g, f in self._trig.items()}
-        self._cart = {sp.Symbol(c): e.xreplace(self._to_ring) for c, e in maps.items()}
-        images = {c: K.from_expr(e) for c, e in zip(maps, self._cart.values())}
+        self._cart = {sp.Symbol(c): e for c, e in maps.items()}
+        images = {c: K.from_expr(e) for c, e in maps.items()}
 
         self.inverses, self.couplings, earlier = [], [], []
         for cart_coords, chart_coords in chart.solve_order:
@@ -341,10 +338,12 @@ class _ChartRing:
 
     def _derive(self, p, coord: str):
         """d p / d coord of a polynomial; along an angle a it is
-        c_a d/ds_a - s_a d/dc_a."""
+        cos(a) d/dsin(a) - sin(a) d/dcos(a).  A generator is passed to
+        ``PolyElement.diff`` by index, which skips a search by equality."""
         if coord in self._angle:
             s, c = self._angle[coord]
-            return c * p.diff(s) - s * p.diff(c)
+            g = p.ring.gens
+            return g[c] * p.diff(s) - g[s] * p.diff(c)
         return p.diff(self._gen[coord])
 
     def diff(self, f, coord: str):
@@ -357,8 +356,9 @@ class _ChartRing:
         return self.field.new(dn * d - n * dd, d**2)
 
     def lift(self, F: VectorField) -> dict:
-        """``F``'s coefficients in the field, via sin a -> s_a, cos a -> c_a."""
-        return {c: self._element(F.coeff(c), self._to_ring) for c in self.coords}
+        """``F``'s coefficients in the field; sin(a), cos(a) are the
+        generators, so each coefficient converts as it is."""
+        return {c: self._element(F.coeff(c)) for c in self.coords}
 
     def bracket(self, f: dict, g: dict) -> dict:
         """[f, g] of two lifted fields: coefficients f(g_c) - g(f_c), reduced;
@@ -376,11 +376,11 @@ class _ChartRing:
 
     def compose(self, e):
         """The Cartesian expression ``e`` composed with the chart map."""
-        return self._element(e, self._cart)
+        return self._element(e.xreplace(self._cart))
 
-    def _element(self, e, subs):
-        """``e.xreplace(subs)`` in the field; a zero ``e`` is not converted."""
-        return self.field.from_expr(e.xreplace(subs)) if e != 0 else self.field.zero
+    def _element(self, e):
+        """``e`` in the field; a zero ``e`` is not converted."""
+        return self.field.from_expr(e) if e != 0 else self.field.zero
 
     def reduce(self, f):
         """``f`` with numerator and denominator reduced modulo the
@@ -388,6 +388,3 @@ class _ChartRing:
         if not self._ideal:
             return f
         return self.field.new(f.numer.rem(self._ideal), f.denom.rem(self._ideal))
-
-    def to_expr(self, f) -> sp.Expr:
-        return f.as_expr().xreplace(self._trig)

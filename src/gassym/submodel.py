@@ -20,7 +20,7 @@ from functools import cached_property
 
 import sympy as sp
 
-from .exprs import canonicalize, exact_number, opaque
+from .exprs import canonicalize, opaque
 
 __all__ = [
     "CONSTANTS",
@@ -262,20 +262,14 @@ def reduce_general(kind: str) -> tuple[Solution, dict]:
 # trajectory geometry
 
 
-def geometry_checks(s: Solution, binding: dict | None = None) -> dict:
+def geometry_checks(s: Solution) -> dict:
     """The paper's trajectory case analysis, as named residual checks.
 
-    ``binding`` supplies numeric constants (defaults: the figure values
-    rho0 = k0 = m0 = 1).  Each report item carries the canonicalized
-    residual; ``ok`` means it is identically zero (or the stated
-    property holds).
+    The constants k0, m0 and rho0 stay symbols, so each check covers
+    every value of them.  Each report item carries the canonicalized
+    residual; ``ok`` means it is identically zero.
     """
-    if binding is None:
-        binding = {k0: 1, m0: 1, rho0: 1}
-    binding = {sp.sympify(k, strict=True): exact_number(v) for k, v in binding.items()}
-    fm = flow_map(s)
-    X, Yc, Zc = (c.subs(binding) for c in fm.components())
-    kv, mv, rv = (exact_number(binding.get(c, c)) for c in (k0, m0, rho0))
+    X, Yc, Zc = flow_map(s).components()
     report = {}
 
     def record(name, residual):
@@ -284,28 +278,28 @@ def geometry_checks(s: Solution, binding: dict | None = None) -> dict:
 
     if s.kind == "isochoric-reduced":
         # on k0*y0 + m0*z0 = 0 the trajectory is a line in the plane x = x0
-        on_plane = {y0: mv, z0: -kv}
+        on_plane = {y0: m0, z0: -k0}
         record("line_in_plane_x", X.subs(on_plane) - x0)
         record(
             "line_equation",
-            (mv * (Yc - y0) - kv * (Zc - z0)).subs(on_plane),
+            (m0 * (Yc - y0) - k0 * (Zc - z0)).subs(on_plane),
         )
-        denom = 2 * rv * (kv * y0 + mv * z0) ** 2
+        denom = 2 * rho0 * (k0 * y0 + m0 * z0) ** 2
         record(
             "parabola_xy",
-            Yc - (y0 - kv * (X - x0) ** 2 / denom),
+            Yc - (y0 - k0 * (X - x0) ** 2 / denom),
         )
         record(
             "parabola_xz",
-            Zc - (z0 - mv * (X - x0) ** 2 / denom),
+            Zc - (z0 - m0 * (X - x0) ** 2 / denom),
         )
-        if kv != 0:
-            record("line_yz_slope", Zc - (mv / kv) * (Yc - y0) - z0)
+        # an identity in QQ(k0, m0, rho0, ...): it holds wherever k0 != 0
+        record("line_yz_slope", Zc - (m0 / k0) * (Yc - y0) - z0)
         record("vertex_xy", (X.subs(t, 0) - x0) + (Yc.subs(t, 0) - y0))
         record("vertex_slope_zero", sp.diff(Yc, t).subs(t, 0) / sp.diff(X, t).subs(t, 0))
     elif s.kind == "nonisochoric-reduced":
-        record("plane_at_t0", X.subs(t, 0) + kv * Yc.subs(t, 0) + mv * Zc.subs(t, 0))
-        record("line_yz", mv * (Yc - y0) - kv * (Zc - z0))
+        record("plane_at_t0", X.subs(t, 0) + k0 * Yc.subs(t, 0) + m0 * Zc.subs(t, 0))
+        record("line_yz", m0 * (Yc - y0) - k0 * (Zc - z0))
         # particles sharing a start differ affinely in x at fixed t
         record("x_affine_in_u0", sp.diff(X, u0) - t)
         record("yz_free_of_u0", sp.diff(Yc, u0) + sp.diff(Zc, u0))

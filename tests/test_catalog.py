@@ -65,6 +65,12 @@ def test_string_parameter_is_never_evaluated(capsys):
     assert get_entry("4.3", a="-1/2", b="1").basis == get_entry("4.3", a=sp.Rational(-1, 2), b=1).basis
 
 
+def test_float_parameter_binds_the_number_it_prints_as():
+    # all 17 digits, not a 14-digit truncation or a guessed sqrt(2)
+    ent = get_entry("4.3", a=1.4142135623730951, b=1)
+    assert ent.params["a"] == sp.Rational(14142135623730951, 10**16)
+
+
 def test_unit_circle_enforced():
     with pytest.raises(ConstraintError):
         get_entry("4.23.i", a=1, b=1)

@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from gassym import classify, liealg
-from gassym.catalog import ConstraintError, UnknownEntryError, catalog_ids
+from gassym.catalog import _PARAM_SYMS, ConstraintError, UnknownEntryError, catalog_ids
 from gassym.cli import main
 from gassym.classify import (
     _parameter_cases,
@@ -88,6 +88,17 @@ def test_coefficient_outside_the_parameter_field_raises(monkeypatch):
     monkeypatch.setattr(classify, "_assignments", lambda: {"4.3": tampered})
     with pytest.raises(ValueError, match=r"entry 4\.3: not rational in the parameters"):
         verify_class("4.3")
+
+
+def test_class_row_reads_the_entry_fixed_values(monkeypatch):
+    # 4.23.ii fixes b = 1: a change of basis written with b reads it as 1,
+    # as the catalog basis does, so -b*E1 is the shipped -E1
+    asg = get_assignment("4.23.ii")
+    first = tuple(_PARAM_SYMS["b"] * c for c in asg.basis_change[0])
+    tampered = dataclasses.replace(asg, basis_change=(first,) + asg.basis_change[1:])
+    monkeypatch.setattr(classify, "_assignments", lambda: {"4.23.ii": tampered})
+    rep = verify_class("4.23.ii")
+    assert rep.passed, rep.cases
 
 
 # --------------------------------------------------------------------------

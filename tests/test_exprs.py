@@ -1,6 +1,8 @@
 """Expression-layer tests: canonical forms, derivatives, evaluation."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -270,7 +272,37 @@ def test_rational_exact():
 
 @pytest.mark.parametrize("value", [0.6, "0.6", "3/5", sp.Rational(3, 5)])
 def test_exact_number_reads_numbers_and_literals_exactly(value):
-    assert exact_number(value, rational=True) == sp.Rational(3, 5)
+    assert exact_number(value) == sp.Rational(3, 5)
+
+
+def test_exact_number_reads_a_float_as_the_number_it_prints_as():
+    # no guess: not sqrt(2), not E, and not a truncation to 14 digits
+    assert exact_number(1.4142135623730951) == sp.Rational(14142135623730951, 10**16)
+    e = exact_number(2.718281828459045)
+    assert e.is_Rational and e == sp.Rational(2718281828459045, 10**15)
+    assert exact_number(sp.Float(0.6)) == sp.Rational(3, 5)
+
+
+@pytest.mark.parametrize(
+    "value", [sp.sqrt(2), sp.pi, math.inf, math.nan, sp.oo], ids=["sqrt2", "pi", "inf", "nan", "oo"]
+)
+def test_exact_number_refuses_what_is_not_a_number_literal(value):
+    with pytest.raises(ValueError, match="not a number literal"):
+        exact_number(value)
+
+
+def test_no_module_calls_nsimplify():
+    # nsimplify guesses a closed form for a float; every number is read
+    # by exact_number instead
+    calls = []
+    for path in sorted(Path(fields.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "nsimplify":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 _FAM = submodel.solution_family("isochoric-reduced")
@@ -282,9 +314,6 @@ _BINDING = {submodel.k0: 1, submodel.m0: 1, submodel.rho0: 1}
     [
         pytest.param(exact_number, id="exact_number"),
         pytest.param(fields.chart_D_shift, id="chart_D_shift"),
-        pytest.param(
-            lambda v: submodel.geometry_checks(_FAM, {**_BINDING, submodel.k0: v}), id="geometry_checks"
-        ),
         pytest.param(
             lambda v: numerics.sphere_transport(submodel.flow_map(_FAM), 2, 1, {**_BINDING, submodel.k0: v}),
             id="sphere_transport-binding",
@@ -320,9 +349,6 @@ _E1 = [1] + [0] * 11
         pytest.param(fields.realize("X1").apply, id="VectorField.apply"),
         pytest.param(lambda v: fields.realize_combination([v] + [0] * 11), id="realize_combination"),
         pytest.param(lambda v: evaluate(v, Assignment({})), id="evaluate"),
-        pytest.param(
-            lambda v: submodel.geometry_checks(_FAM, {**_BINDING, v: 1}), id="geometry_checks-key"
-        ),
         pytest.param(
             lambda v: numerics.sphere_transport(submodel.flow_map(_FAM), 2, 1, {**_BINDING, v: 1}),
             id="sphere_transport-key",

@@ -279,10 +279,11 @@ REFERENCE_CHARTS = {
 def _dense_diff(ring, h, coord):
     """d h / d coord by FracElement.diff, (n'd - nd')/d**2, on every part."""
     K = ring.field
+    gens = K.ring.gens
     if coord in ring._angle:
-        s, c = map(K, ring._angle[coord])
+        s, c = (K(gens[i]) for i in ring._angle[coord])
         return c * h.diff(s) - s * h.diff(c)
-    return h.diff(K(ring._gen[coord]))
+    return h.diff(K(gens[ring._gen[coord]]))
 
 
 def _dense_reduce(ring, h):

@@ -267,11 +267,18 @@ def test_geometry_checks_default_binding(kind):
     assert all(item["ok"] for item in report.values()), report
 
 
-def test_geometry_checks_custom_binding():
-    report = geometry_checks(
-        solution_family("isochoric-reduced"), {k0: 1, m0: 2, rho0: 3}
-    )
-    assert all(item["ok"] for item in report.values()), report
+def test_geometry_checks_cover_every_value_of_the_constants(monkeypatch):
+    # a y that agrees with the stated map only at k0 = 1 fails each check
+    # that reads y, so no check fixes the constants at the figure's values
+    stated = submodel.flow_map
+
+    def flow_map_k0_squared(s):
+        return dataclasses.replace(stated(s), y=-k0**2 / (2 * rho0) * t**2 + y0)
+
+    monkeypatch.setattr(submodel, "flow_map", flow_map_k0_squared)
+    report = geometry_checks(solution_family("isochoric-reduced"))
+    failed = {name for name, item in report.items() if not item["ok"]}
+    assert failed == {"parabola_xy", "line_equation", "line_yz_slope"}
 
 
 def test_geometry_checks_reject_general():
