@@ -24,12 +24,12 @@ as symbols: closure and the residuals are decided once per group, and
 each sample checks only the ranks that substitution can change.  Both
 the residuals and the ranks read the group's one invariant Jacobian.
 
-Every annihilation verdict is exact.  A catalog residual is rational in
-the chart coordinates, the parameters, the bare angles and sin/cos of
-the chart angles, and ``canonicalize`` reduces its numerator modulo
-sin^2 + cos^2 - 1.  That ideal is prime and its real points are dense,
-so the canonical form is 0 exactly when the residual vanishes: a
-SymbolicZero is a proof, and no simplifier gap can occur.  The group's
+Every annihilation verdict is exact.  A residual sum_c F_c * J_ic lives in
+the chart's field over the coordinates, the bare angles with their sin and
+cos, and the parameters; ``ring.is_zero`` reduces its numerator modulo
+sin^2 + cos^2 - 1.  That ideal is prime, its real points are dense and an
+angle is transcendental over the rest, so the reduced numerator is 0
+exactly when the residual vanishes: a SymbolicZero is a proof.  The group's
 verdicts hold for each of its samples.  A grid parameter ranges over an
 interval, so a residual that is not identically 0, or a span that is
 not closed, fails at all but finitely many of its values; a choice
@@ -50,8 +50,8 @@ import sympy as sp
 import yaml
 
 from .exprs import exact_number
-from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, S_COORDS, Chart, chart_C,
-                     chart_D, chart_D_shift, chart_S, realize_combination)
+from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, PARAM_SYMBOLS, S_COORDS, Chart,
+                     chart_C, chart_D, chart_D_shift, chart_S, realize_combination)
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
 
 __all__ = [
@@ -85,7 +85,7 @@ class ConstraintError(ValueError):
     pass
 
 
-_PARAM_SYMS = {n: sp.Symbol(n) for n in ("a", "b", "c", "d", "eps")}
+_PARAM_SYMS = {s.name: s for s in PARAM_SYMBOLS}
 _CHARTS = {"D": chart_D, "C": chart_C, "S": chart_S}
 _COORDS = {"D": CARTESIAN_COORDS, "C": C_COORDS, "S": S_COORDS, "Dshift": D_SHIFT_COORDS}
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -382,20 +382,30 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     """Closure, annihilation verdicts and rank of ``entry`` at each binding
     of its symbolic parameters (all bindings share one set of names).
 
-    The invariant Jacobian (rho included) is taken once: each verdict is
-    a row of it along a generator.  Closure and the verdicts are decided
-    once, over the symbols.  Per binding only the ranks are checked: the
-    basis is closed there when the symbolic span is closed and the
-    substituted basis keeps its dimension.  Returns one report per binding.
+    The invariant Jacobian (rho included) is taken once, its nonzero entries
+    lifted into the chart's field: each verdict is a row of it along a
+    generator.  Closure and the verdicts are decided once, over the symbols.
+    Per binding only the ranks are checked: the basis is closed there when
+    the symbolic span is closed and the substituted basis keeps its dimension.
+    Returns one report per binding.
     """
     sub = entry.subalgebra()
     closed = sub.is_closed()[0]
-    coords = [sp.Symbol(c) for c in entry.chart.coords]
-    jac = sp.Matrix([*entry.invariants, sp.Symbol("rho")]).jacobian(coords)
+    ring, coords = entry.chart.ring, [sp.Symbol(c) for c in entry.chart.coords]
+    invariants = [*entry.invariants, sp.Symbol("rho")]
+    jac = sp.Matrix(invariants).jacobian(coords)
+    rows = []
+    for inv, jrow in zip(invariants, jac.tolist()):
+        try:
+            rows.append([(c.name, ring.element(e)) for c, e in zip(coords, jrow) if e != 0])
+        except ValueError:
+            raise ValueError(f"entry {entry.id}: invariant {inv} has a Jacobian entry "
+                             "that is not rational in the chart's field") from None
     verdicts = {
-        (gi, ii): "SymbolicZero" if g.along(jac.row(ii)) == 0 else "NonZero"
-        for gi, g in enumerate(entry.realized_basis())
-        for ii in range(jac.rows)
+        (gi, ii): "SymbolicZero" if ring.is_zero(
+            sum((F[c] * e for c, e in row if F[c]), ring.field.zero)) else "NonZero"
+        for gi, F in enumerate(g.coeffs for g in entry.realized_basis())
+        for ii, row in enumerate(rows)
     }
     grids = [{_PARAM_SYMS[n]: v for n, v in b.items()} for b in bindings]
     reports = []

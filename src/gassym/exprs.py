@@ -319,16 +319,25 @@ def _sexpr(e) -> str:
     raise TypeError(f"cannot serialize node {type(e).__name__}: {e}")
 
 
+# CPython's default limit on the digits of an int read from text
+_MAX_EXPONENT = 4300
+
+
 def exact_number(v) -> sp.Expr:
     """A caller's number, exactly.  A sympy ``Rational``, or an expression
     with free symbols, is returned as it is.  Anything else, sympy
     ``Float`` included, is read by ``Fraction`` from its decimal text
     ``str(v)``: ``0.6`` is 3/5, and a float is the number it prints as.
     Nothing is guessed or evaluated, so ``sqrt(2)``, ``pi``, ``inf`` and
-    any text that is not a number literal raise ``ValueError``."""
+    any text that is not a number literal raise ``ValueError``.  So does a
+    decimal exponent beyond +-4300, CPython's default limit on the digits
+    of an int read from text, before ``Fraction`` builds its power of 10."""
     if isinstance(v, sp.Basic) and (v.is_Rational or v.free_symbols):
         return v
+    _, e, exponent = str(v).lower().partition("e")
     try:
+        if e and abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError
         return rational(Fraction(str(v)))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{v!r} is not a number literal") from None

@@ -16,15 +16,15 @@ A chart declares only the Cartesian coordinates it moves (``_chart``); every
 other one maps to itself and is solved by a 1x1 stage ahead of the chart's
 own blocks.  Pushforward solves J_Psi * G = F o Psi where Psi maps chart
 coordinates to Cartesian ones, so no inverse trig functions enter symbolic
-work.  The solve runs in the chart's rational function field over QQ
-(``Chart.ring``, built once per chart; chart D's has no angles): for each
-angle a, sin(a), cos(a) are the generators, and numerators and denominators
-are reduced modulo sin(a)**2 + cos(a)**2 - 1.  Fields are also bracketed and
-compared there: two fields are equal when the reduced numerator of each
-coefficient difference is 0.  The ring's kernel is sparse: a structural
-zero is never differentiated, multiplied, composed or cancelled, and a 1x1
-stage is inverted without a determinant.  ``exprs.canonicalize`` serves only
-``VectorField.along``, whose operands carry ``log`` and catalog parameters.
+work.  Field coefficients live in the chart's rational function field over
+QQ (``Chart.ring``, built once per chart): its generators are the
+coordinates, each angle a followed by sin(a) and cos(a), then the catalog
+parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets, equality and
+the catalog's annihilation verdicts run there, with one zero test: the
+numerator reduced modulo sin(a)**2 + cos(a)**2 - 1 is 0.  The ring's kernel
+is sparse: a structural zero is never differentiated, multiplied, composed
+or cancelled, and a 1x1 stage is inverted without a determinant.
+``exprs.canonicalize`` serves only ``VectorField.apply``.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ CARTESIAN_COORDS = ("t", "x", "y", "z", "u", "v", "w", "rho", "P")
 C_COORDS = ("t", "x", "r", "theta", "u", "q", "vartheta", "rho", "P")
 S_COORDS = ("t", "r_S", "theta_S", "phi", "q_S", "vartheta_S", "varphi", "rho", "P")
 D_SHIFT_COORDS = ("t", "x", "y", "z", "u", "qbar", "varthetabar", "rho", "P")
+PARAM_SYMBOLS = sp.symbols("a b c d eps")  # the catalog's parameters
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,44 +149,40 @@ def chart_D_shift(b) -> Chart:
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
-    """First-order differential operator on a chart: coord -> coefficient."""
+    """First-order differential operator on a chart: coord -> element of ``chart.ring.field``."""
 
     chart: Chart
-    coeffs: Mapping[str, sp.Expr]
+    coeffs: Mapping[str, object]
+
+    def __post_init__(self):
+        coeffs = {c: self.chart.ring.element(self.coeffs.get(c, 0)) for c in self.chart.coords}
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, coord: str) -> sp.Expr:
-        return sp.sympify(self.coeffs.get(coord, 0), strict=True)
-
-    def along(self, grad) -> sp.Expr:
-        """sum_i F_i * grad[i], canonicalized; ``grad`` is over ``chart.coords``."""
-        coeffs = (self.coeff(c) for c in self.chart.coords)
-        terms = (fc * dc for fc, dc in zip(coeffs, grad) if fc != 0)
-        return canonicalize(sum(terms, sp.Integer(0)))
+        return self.coeffs[coord].as_expr()
 
     def apply(self, e) -> sp.Expr:
         """Directional derivative sum_i F_i * d(e)/dx_i, canonicalized."""
         e = sp.sympify(e, strict=True)
-        return self.along([sp.diff(e, sp.Symbol(c)) for c in self.chart.coords])
+        terms = (self.coeff(c) * sp.diff(e, sp.Symbol(c)) for c, f in self.coeffs.items() if f)
+        return canonicalize(sum(terms, sp.Integer(0)))
 
     def __rmul__(self, scalar) -> "VectorField":
-        scalar = sp.sympify(scalar, strict=True)
-        return VectorField(self.chart, {c: scalar * self.coeff(c) for c in self.chart.coords})
+        k = self.chart.ring.element(sp.sympify(scalar, strict=True))
+        return VectorField(self.chart, {c: k * f for c, f in self.coeffs.items()})
 
     def equals(self, other: "VectorField") -> bool:
         if other.chart.name != self.chart.name:
             return False
         ring = self.chart.ring
-        f, g = ring.lift(self), ring.lift(other)
-        return all(ring.is_zero(f[c] - g[c]) for c in self.chart.coords)
+        return all(ring.is_zero(f - other.coeffs[c]) for c, f in self.coeffs.items())
 
 
 def vf_commutator(F: VectorField, G: VectorField) -> VectorField:
     """[F, G] with coefficients F(G_i) - G(F_i)."""
     if F.chart.name != G.chart.name:
         raise ValueError("chart mismatch")
-    ring = F.chart.ring
-    h = ring.bracket(ring.lift(F), ring.lift(G))
-    return VectorField(F.chart, {c: h[c].as_expr() for c in F.chart.coords})
+    return VectorField(F.chart, F.chart.ring.bracket(F.coeffs, G.coeffs))
 
 
 # --------------------------------------------------------------------------
@@ -226,11 +223,11 @@ def realize(label: str, chart: Chart | None = None) -> VectorField:
 def realize_combination(coeffs, chart: Chart | None = None) -> VectorField:
     """Linear combination sum coeffs[i] * generator_i, (Y, X1..X11) order."""
     chart = chart or chart_D()
-    coeffs = [sp.sympify(a, strict=True) for a in coeffs]
-    terms = [(a, realize(label, chart)) for a, label in zip(coeffs, L12_LABELS) if a != 0]
-    return VectorField(
-        chart, {c: sp.Add(*(a * F.coeff(c) for a, F in terms)) for c in chart.coords}
-    )
+    ring = chart.ring
+    terms = [(ring.element(sp.sympify(a, strict=True)), realize(label, chart).coeffs)
+             for a, label in zip(coeffs, L12_LABELS) if a != 0]
+    sums = {c: sum((a * F[c] for a, F in terms if F[c]), ring.field.zero) for c in chart.coords}
+    return VectorField(chart, sums)
 
 
 def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
@@ -240,11 +237,11 @@ def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
 
     chart = chart or chart_D()
     ring, table = chart.ring, l12().table
-    lifted = [ring.lift(realize(lbl, chart)) for lbl in L12_LABELS]
+    fields = [realize(lbl, chart).coeffs for lbl in L12_LABELS]
     bad = []
     for i, j in combinations(range(len(L12_LABELS)), 2):
-        lhs = ring.bracket(lifted[i], lifted[j])
-        terms = [(a, lifted[k]) for k, a in table.get((i, j), {}).items()]
+        lhs = ring.bracket(fields[i], fields[j])
+        terms = [(a, fields[k]) for k, a in table.get((i, j), {}).items()]
         if not all(
             ring.is_zero(lhs[c] - sum((a * g[c] for a, g in terms), ring.field.zero))
             for c in chart.coords
@@ -279,19 +276,19 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
         ]
         for name, row in zip(chart_coords, inverse):
             solved[name] = ring.reduce(sum((m * x for m, x in zip(row, b) if m and x), zero))
-    return VectorField(target, {c: solved[c].as_expr() for c in target.coords})
+    return VectorField(target, solved)
 
 
 class _ChartRing:
     """A chart's map to Cartesian coordinates over
-    QQ(coords, params, sin(a), cos(a)).
+    QQ(coords, sin(a), cos(a), params).
 
-    For each angle ``a`` under ``sin``/``cos``, sin(a), cos(a) are the
-    generators, in place of ``a``; rational functions are kept with
-    numerator and denominator reduced modulo {sin(a)**2 + cos(a)**2 - 1},
-    a Groebner basis in lex order with sin(a) before cos(a), since its
-    leading terms sin(a)**2 are pairwise coprime.  So a rational function
-    vanishes on the chart exactly when its numerator reduces to 0.  Holds the image of each
+    Each angle ``a`` under ``sin``/``cos`` is a generator followed by
+    sin(a) and cos(a); rational functions are kept with numerator and
+    denominator reduced modulo {sin(a)**2 + cos(a)**2 - 1}, a Groebner
+    basis in lex order with sin(a) before cos(a), since its leading terms
+    sin(a)**2 are pairwise coprime.  a is transcendental over the rest, so
+    an element vanishes exactly when its numerator reduces to 0.  Holds the image of each
     Cartesian coordinate, and per solve stage the inverse of the Jacobian
     block (1/J for a 1x1 block, else adjugate over the reduced
     determinant) and the derivatives coupling it to earlier stages.
@@ -308,11 +305,9 @@ class _ChartRing:
         coords = [sp.Symbol(c) for c in chart.coords]
         args = {f.args[0] for e in maps.values() for f in e.atoms(sp.sin, sp.cos)}
         angles = [a for a in coords if a in args]
-        params = set().union(*(e.free_symbols for e in maps.values())) - set(coords)
-        gens = [x for x in coords if x not in args] + sorted(params, key=str)
-        gens += [f(a) for a in angles for f in (sp.sin, sp.cos)]
-        self.field = K = field(gens, sp.QQ)[0]
-        self._gen = {x.name: gens.index(x) for x in coords if x not in args}
+        gens = [g for x in coords for g in ((x, sp.sin(x), sp.cos(x)) if x in args else (x,))]
+        self.field = K = field(gens + list(PARAM_SYMBOLS), sp.QQ)[0]
+        self._gen = {x.name: gens.index(x) for x in coords}
         self._angle = {a.name: (gens.index(sp.sin(a)), gens.index(sp.cos(a))) for a in angles}
         g = K.ring.gens
         self._ideal = [g[s] ** 2 + g[c] ** 2 - 1 for s, c in self._angle.values()]
@@ -338,13 +333,14 @@ class _ChartRing:
 
     def _derive(self, p, coord: str):
         """d p / d coord of a polynomial; along an angle a it is
-        cos(a) d/dsin(a) - sin(a) d/dcos(a).  A generator is passed to
-        ``PolyElement.diff`` by index, which skips a search by equality."""
+        d/da + cos(a) d/dsin(a) - sin(a) d/dcos(a).  A generator is passed
+        to ``PolyElement.diff`` by index, which skips a search by equality."""
+        dp = p.diff(self._gen[coord])
         if coord in self._angle:
             s, c = self._angle[coord]
             g = p.ring.gens
-            return g[c] * p.diff(s) - g[s] * p.diff(c)
-        return p.diff(self._gen[coord])
+            dp += g[c] * p.diff(s) - g[s] * p.diff(c)
+        return dp
 
     def diff(self, f, coord: str):
         """d f / d coord by the quotient rule, run only on the parts of
@@ -355,13 +351,8 @@ class _ChartRing:
             return self.field.new(dn, d)
         return self.field.new(dn * d - n * dd, d**2)
 
-    def lift(self, F: VectorField) -> dict:
-        """``F``'s coefficients in the field; sin(a), cos(a) are the
-        generators, so each coefficient converts as it is."""
-        return {c: self._element(F.coeff(c)) for c in self.coords}
-
     def bracket(self, f: dict, g: dict) -> dict:
-        """[f, g] of two lifted fields: coefficients f(g_c) - g(f_c), reduced;
+        """[f, g] of two fields' coefficients: f(g_c) - g(f_c), reduced;
         a term f_x * d(g_c)/dx is formed only when f_x and g_c are nonzero."""
         out = {}
         for c in self.coords:
@@ -371,16 +362,16 @@ class _ChartRing:
         return out
 
     def is_zero(self, f) -> bool:
-        """The zero test for fields: the numerator reduces to 0."""
+        """The zero test of fields and verdicts: the numerator reduces to 0."""
         return not f.numer.rem(self._ideal)
 
     def compose(self, e):
         """The Cartesian expression ``e`` composed with the chart map."""
-        return self._element(e.xreplace(self._cart))
+        return self.element(e.xreplace(self._cart))
 
-    def _element(self, e):
-        """``e`` in the field; a zero ``e`` is not converted."""
-        return self.field.from_expr(e) if e != 0 else self.field.zero
+    def element(self, e):
+        """``e``, a number, expression or element, in the field; zero is not converted."""
+        return self.field(e) if e != 0 else self.field.zero
 
     def reduce(self, f):
         """``f`` with numerator and denominator reduced modulo the

@@ -223,9 +223,10 @@ def test_catalog_pass_parses_each_string_once(monkeypatch):
 
 
 def test_catalog_pass_pushes_forward_in_the_ring(monkeypatch):
-    # fresh charts: each chart's ring is set up once, and no Expr-level
+    # fresh charts: each chart's ring, chart D's included, is set up once,
+    # each realized generator is pushed forward once, and no Expr-level
     # canonicalize runs inside a pushforward
-    for cached in (fields.chart_C, fields.chart_S, fields.chart_D_shift, fields.realize):
+    for cached in (fields.chart_D, fields.chart_C, fields.chart_S, fields.chart_D_shift, fields.realize):
         cached.cache_clear()
     setups, calls = {}, {"pushforward": 0, "canonicalize": 0}
     inside = []
@@ -254,16 +255,16 @@ def test_catalog_pass_pushes_forward_in_the_ring(monkeypatch):
     monkeypatch.setattr(exprs, "canonicalize", canonicalize)
     for eid in catalog_ids():
         verify_entry(eid)
-    assert set(setups) == {"C", "S", "D-shift(0)", "D-shift(1)", "D-shift(4/5)"}
+    assert set(setups) == {"D", "C", "S", "D-shift(0)", "D-shift(1)", "D-shift(4/5)"}
     assert set(setups.values()) == {1}
     assert calls == {"pushforward": 37, "canonicalize": 0}
 
 
 def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
-    # every verdict reads a row of its group's one invariant Jacobian:
-    # 38 groups x 4 generators x 5 invariants, and no Lie derivative of
-    # an expression
-    calls = {"along": 0, "apply": 0}
+    # every verdict is one ring zero test of a row of its group's one
+    # invariant Jacobian: 38 groups x 4 generators x 5 invariants, with no
+    # Lie derivative of an expression and no Expr canonical form
+    calls = {"is_zero": 0, "apply": 0, "canonicalize": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -271,11 +272,14 @@ def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(fields.VectorField, name, counted(name, getattr(fields.VectorField, name)))
+    monkeypatch.setattr(fields._ChartRing, "is_zero", counted("is_zero", fields._ChartRing.is_zero))
+    monkeypatch.setattr(fields.VectorField, "apply", counted("apply", fields.VectorField.apply))
+    canonicalize = counted("canonicalize", exprs.canonicalize)
+    monkeypatch.setattr(fields, "canonicalize", canonicalize)
+    monkeypatch.setattr(exprs, "canonicalize", canonicalize)
     for eid in catalog_ids():
         verify_entry(eid)
-    assert calls == {"along": 760, "apply": 0}
+    assert calls == {"is_zero": 760, "apply": 0, "canonicalize": 0}
 
 
 def test_get_entry_keeps_exact_values_unparsed(monkeypatch):
@@ -430,6 +434,18 @@ def test_invariant_vanishing_on_the_grid_fails(monkeypatch, entry_id, nonzero):
     assert all(s["verdicts"] == rep.verdicts for s in rep.samples)
 
 
+def test_non_rational_jacobian_entry_is_refused():
+    # d/dt of t*log(t) keeps log(t), which the chart's field cannot hold:
+    # one ValueError names the entry and the invariant
+    ent = get_entry("4.1")
+    t, P = sp.symbols("t P")
+    assert ent.invariants[3] == P - sp.log(t)
+    bad = P - sp.log(t) - t * sp.log(t)
+    mutant = dataclasses.replace(ent, invariants=[*ent.invariants[:3], bad])
+    with pytest.raises(ValueError, match=r"entry 4\.1: invariant P - t\*log\(t\) - log\(t\) has a Jacobian entry"):
+        verify_invariants(mutant)
+
+
 def test_undecided_verdict_fails_a_report():
     # only a SymbolicZero passes: any other verdict fails the report, in
     # the symbolic verdicts and in a sample alike
@@ -481,6 +497,21 @@ def test_choice_value_mutant(monkeypatch, entry_id, change, passed):
         assert ("NonZero" in rep.verdicts.values()) != passed
     else:
         assert rep.closure_ok == passed
+
+
+@pytest.mark.parametrize(
+    "entry_id, angle, nonzero",
+    [("4.45", "varthetabar", [(3, 1)]), ("4.65", "theta", [(0, 1), (1, 1), (3, 1)])],
+    ids=["4.45", "4.65"],
+)
+def test_bare_angle_mutant_fails(monkeypatch, entry_id, angle, nonzero):
+    # mutant: eps*angle/t on the second invariant; the bare angle is a
+    # generator of the chart's field beside its sin and cos, so the
+    # verdicts that move it are NonZero, in the eps = 1 groups
+    rep = _mutant(monkeypatch, entry_id, invariant=EPS * sp.Symbol(angle) / T)
+    assert not rep.passed
+    assert sorted(k for k, v in rep.verdicts.items() if v != "SymbolicZero") == nonzero
+    assert {rep.verdicts[k] for k in nonzero} == {"NonZero"}
 
 
 def test_entry_rank_is_the_least_sample_rank(monkeypatch):

@@ -96,6 +96,9 @@ def test_bad_param_value_is_usage_error(capsys):
         ["verify-invariants", "4.3", "--params", "a=1/0,b=1"],
         ["verify-invariants", "4.3", "--params", "a=nan,b=1"],
         ["verify-invariants", "4.3", "--params", "a=1e400,b=1"],
+        # refused before a 10**9-digit power of 10 is built
+        ["verify-invariants", "4.3", "--params", "a=1e1000000000,b=1"],
+        ["verify-invariants", "4.3", "--params", "a=1e-1000000000,b=1"],
         # x is a chart coordinate, not a number
         ["verify-invariants", "4.3", "--params", "a=x,b=1"],
         ["trace", "isochoric-reduced", "--params", "k0=abc"],
@@ -106,6 +109,7 @@ def test_non_finite_param_value_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: parameter value")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

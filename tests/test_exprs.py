@@ -291,6 +291,16 @@ def test_exact_number_refuses_what_is_not_a_number_literal(value):
         exact_number(value)
 
 
+def test_exact_number_bounds_the_decimal_exponent():
+    # an exponent up to CPython's default int-string limit reads; beyond
+    # it the text is refused before Fraction builds its power of 10
+    assert exact_number("1e4300") == sp.Integer(10) ** 4300
+    assert exact_number("-2.5E-4300") == sp.Rational(-5, 2 * 10**4300)
+    for text in ("1e4301", "1e-4301", "1e1000000000", "1e-1000000000"):
+        with pytest.raises(ValueError, match="not a number literal"):
+            exact_number(text)
+
+
 def test_no_module_calls_nsimplify():
     # nsimplify guesses a closed form for a float; every number is read
     # by exact_number instead
@@ -303,6 +313,34 @@ def test_no_module_calls_nsimplify():
                 if name == "nsimplify":
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_catalog_and_fields_verdicts_never_canonicalize():
+    # annihilation verdicts, brackets and field equality all take the
+    # chart ring's zero test: catalog.py names no canonicalize, and in
+    # fields.py only VectorField.apply, the Lie derivative of an
+    # expression, calls it
+    package = Path(fields.__file__).parent
+    names = [
+        f"catalog.py:{node.lineno}"
+        for node in ast.walk(ast.parse((package / "catalog.py").read_text()))
+        if "canonicalize" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None))
+    ]
+    assert names == []
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "canonicalize":
+                    callers.append(".".join(scope))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse((package / "fields.py").read_text()), ())
+    assert callers == ["VectorField.apply"]
 
 
 _FAM = submodel.solution_family("isochoric-reduced")

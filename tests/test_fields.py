@@ -277,40 +277,57 @@ REFERENCE_CHARTS = {
 
 
 def _dense_diff(ring, h, coord):
-    """d h / d coord by FracElement.diff, (n'd - nd')/d**2, on every part."""
+    """d h / d coord by FracElement.diff, (n'd - nd')/d**2, on every part;
+    along an angle, the bare angle and its sin and cos all move."""
     K = ring.field
     gens = K.ring.gens
+    d = h.diff(K(gens[ring._gen[coord]]))
     if coord in ring._angle:
         s, c = (K(gens[i]) for i in ring._angle[coord])
-        return c * h.diff(s) - s * h.diff(c)
-    return h.diff(K(gens[ring._gen[coord]]))
+        d += c * h.diff(s) - s * h.diff(c)
+    return d
 
 
 def _dense_reduce(ring, h):
     return ring.field.new(h.numer.rem(ring._ideal), h.denom.rem(ring._ideal))
 
 
+def _probe(chart):
+    """A field whose coefficients carry a bare angle, its sin and cos, and
+    a parameter, as the catalog's invariant Jacobians do."""
+    t, rho, eps = sp.symbols("t rho eps")
+    angle = next(iter(chart.ring._angle), None)
+    e = eps * rho / t
+    if angle is None:
+        return VectorField(chart, {"t": e})
+    a = sp.Symbol(angle)
+    e += a * sp.sin(a) - a**2 * sp.cos(a) / t
+    return VectorField(chart, {"t": e, angle: e})
+
+
 @pytest.mark.parametrize("make_chart", REFERENCE_CHARTS.values(), ids=list(REFERENCE_CHARTS))
 def test_sparse_ring_kernel_matches_dense_formulas(make_chart):
-    # diff and bracket skip structural zeros; on every realized generator
-    # they give the same canonical elements as the dense formulas
+    # diff and bracket skip structural zeros; on every realized generator,
+    # and on a probe with a bare angle and a parameter, they give the same
+    # canonical elements as the dense formulas
     chart = make_chart()
     ring, coords, zero = chart.ring, chart.coords, chart.ring.field.zero
-    lifted = [ring.lift(realize(label, chart)) for label in L12_LABELS]
+    names = [*L12_LABELS, "probe"]
+    fields = [realize(label, chart).coeffs for label in L12_LABELS] + [_probe(chart).coeffs]
     dense = []
-    for f in lifted:
+    for f in fields:
         d = {(c, x): _dense_diff(ring, f[c], x) for c in coords for x in coords}
         assert {cx: ring.diff(f[cx[0]], cx[1]) for cx in d} == d
         dense.append(d)
-    for i, j in combinations(range(len(lifted)), 2):
-        f, g = lifted[i], lifted[j]
+    for i, j in combinations(range(len(fields)), 2):
+        f, g = fields[i], fields[j]
         want = {
             c: _dense_reduce(ring, sum(
                 (f[x] * dense[j][c, x] - g[x] * dense[i][c, x] for x in coords), zero
             ))
             for c in coords
         }
-        assert ring.bracket(f, g) == want, (L12_LABELS[i], L12_LABELS[j])
+        assert ring.bracket(f, g) == want, (names[i], names[j])
 
 
 def test_ring_kernel_skips_structural_zeros(monkeypatch):

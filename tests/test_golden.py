@@ -40,6 +40,10 @@ GOLDEN = Path(__file__).parent / "golden"
             "verify-invariants-4.71.i",
             ["verify-invariants", "4.71.i", "--params", "c=-15/17,d=8/17,a=-1,b=1/4"],
         ),
+        (
+            "verify-invariants-4.42",
+            ["verify-invariants", "4.42", "--params", "a=3/5,b=4/5,eps=1"],
+        ),
     ],
 )
 def test_report_matches_golden(capsys, name, argv):
