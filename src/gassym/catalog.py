@@ -23,6 +23,8 @@ unit-circle point and choice value, with only the grid parameters left
 as symbols: closure and the residuals are decided once per group, and
 each sample checks only the ranks that substitution can change.  Both
 the residuals and the ranks read the group's one invariant Jacobian.
+:func:`verify_entries` verifies many ids, one task per chart family, in
+forked workers when more than one CPU is usable.
 
 Every annihilation verdict is exact.  A residual sum_c F_c * J_ic lives in
 the chart's field over the coordinates, the bare angles with their sin and
@@ -41,7 +43,10 @@ from __future__ import annotations
 
 import ast
 import itertools
+import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -65,6 +70,7 @@ __all__ = [
     "get_entry",
     "parameter_samples",
     "parse",
+    "verify_entries",
     "verify_entry",
     "verify_invariants",
 ]
@@ -454,3 +460,57 @@ def verify_entry(entry_id: str) -> VerificationReport:
         rank=min(s["rank"] for s in samples),
         samples=samples,
     )
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _chart_tasks(ids: list[str]) -> list[tuple[str, ...]]:
+    """The ids grouped by their catalog.yaml chart family (C, D, Dshift,
+    S), each id once, so that the rings and realized generators of the
+    family's charts are built in one task.  Longest first: ranked by the
+    ids' unit-circle points times choice values, the number of sample
+    groups before the constraints drop any."""
+    families: dict[str, list[str]] = {}
+    for eid in dict.fromkeys(ids):
+        families.setdefault(_raw_entries()[eid].get("chart", "D"), []).append(eid)
+
+    def groups(eid: str) -> int:
+        schema = entry_schema(eid)
+        points = len(UNIT_CIRCLE) if schema["unit_circle"] else 1
+        return points * math.prod(len(v) for v in schema["choices"].values())
+
+    tasks = [tuple(family) for family in families.values()]
+    return sorted(tasks, key=lambda task: -sum(map(groups, task)))
+
+
+def _verify_task(ids: tuple[str, ...]) -> list[VerificationReport]:
+    return [verify_entry(eid) for eid in ids]
+
+
+def verify_entries(ids: list[str]) -> list[VerificationReport]:
+    """:func:`verify_entry` of each id, in the order of ``ids``.
+
+    No entry's verdict reads another's, so the chart families of
+    :func:`_chart_tasks` are independent tasks.  With more than one task,
+    more than one usable CPU and no other thread in this process, they
+    run in a pool of min(tasks, CPUs) workers forked from this process:
+    a fork shares the import-time heap copy-on-write, where a spawned
+    worker would import sympy again, and forking is unsafe only with
+    other threads.  Otherwise the same tasks run here, one after another.
+    """
+    tasks = _chart_tasks(ids)
+    workers = min(len(tasks), _usable_cpus())
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            done = pool.map(_verify_task, tasks, chunksize=1)
+            pool.close()  # let the workers exit on their own, not by SIGTERM
+            pool.join()
+    else:
+        done = map(_verify_task, tasks)
+    reports = {rep.entry_id: rep for reps in done for rep in reps}
+    return [reports[eid] for eid in ids]

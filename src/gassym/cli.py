@@ -38,7 +38,7 @@ try:
     import sympy as sp
 
     from . import __version__, catalog, classify, numerics, submodel
-    from .exprs import exact_number
+    from .exprs import MAX_DIGITS, exact_number
     from .fields import realization_table_diff
     from .liealg import l12
 
@@ -133,7 +133,7 @@ def cmd_verify_invariants(args, report: dict) -> bool:
     else:
         if params:
             raise UsageError("--params requires exactly one entry id")
-        reports = [catalog.verify_entry(eid) for eid in ids]
+        reports = catalog.verify_entries(ids)
     report["catalog"] = {
         rep.entry_id: {
             "passed": rep.passed,
@@ -175,6 +175,16 @@ def cmd_verify_solution(args, report: dict) -> bool:
     return all(e["passed"] for e in report["solutions"].values())
 
 
+_PRINTABLE = 10**MAX_DIGITS
+
+
+def _unprintable(s: submodel.Solution) -> bool:
+    """Whether a rational in the velocity of ``s`` has more digits than an
+    int may have as text, so that no evaluator of it can be generated."""
+    return any(max(abs(r.p), r.q) >= _PRINTABLE
+               for g in (s.u, s.v, s.w) for r in g.atoms(sp.Rational))
+
+
 def cmd_trace(args, report: dict) -> bool:
     if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
         raise UsageError(f"times must be finite, not t0={args.t0}, t1={args.t1}")
@@ -187,14 +197,18 @@ def cmd_trace(args, report: dict) -> bool:
     family = submodel.solution_family(args.kind)
     velocity = sp.Matrix([family.u, family.v, family.w])
     constants = {c.name: c for c in submodel.CONSTANTS if c in velocity.free_symbols}
-    binding = {c: 1 for c in constants.values()}
-    for k, v in _parse_params(args.params).items():
+    default = {c: 1 for c in constants.values()}
+    given = _parse_params(args.params)
+    for k, v in given.items():
         if k not in constants:
             raise UsageError(f"unknown constant {k!r}; expected one of {sorted(constants)}")
         if constants[k].is_positive and not v > 0:
             raise UsageError(f"constant {k} must be positive, not {v}")
-        binding[constants[k]] = v
-    s = family.subs(binding)
+    s = family.subs({**default, **{constants[k]: v for k, v in given.items()}})
+    if _unprintable(s):
+        alone = [k for k, v in given.items() if _unprintable(family.subs({**default, constants[k]: v}))]
+        raise UsageError(f"the value of {' and '.join(alone or given)} makes a velocity "
+                         f"coefficient longer than {MAX_DIGITS} digits")
     try:
         p0 = tuple(float(v) for v in args.x0.split(","))
     except ValueError:

@@ -319,8 +319,8 @@ def _sexpr(e) -> str:
     raise TypeError(f"cannot serialize node {type(e).__name__}: {e}")
 
 
-# CPython's default limit on the digits of an int read from text
-_MAX_EXPONENT = 4300
+# CPython's default limit on the digits of an int read from or printed as text
+MAX_DIGITS = 4300
 
 
 def exact_number(v) -> sp.Expr:
@@ -336,7 +336,7 @@ def exact_number(v) -> sp.Expr:
         return v
     _, e, exponent = str(v).lower().partition("e")
     try:
-        if e and abs(int(exponent)) > _MAX_EXPONENT:
+        if e and abs(int(exponent)) > MAX_DIGITS:
             raise ValueError
         return rational(Fraction(str(v)))
     except (ValueError, ZeroDivisionError):

@@ -1,6 +1,10 @@
 """Catalog tests: entry loading, parameter grids, verification verdicts."""
 
 import dataclasses
+import multiprocessing
+import multiprocessing.util
+import os
+import threading
 
 import pytest
 import sympy as sp
@@ -524,3 +528,104 @@ def test_entry_rank_is_the_least_sample_rank(monkeypatch):
     rep = verify_entry("4.3")
     assert rep.rank == 4
     assert not rep.passed
+
+
+# --------------------------------------------------------------------------
+# many ids: one task per chart family, in forked workers
+
+
+def test_chart_tasks_partition_the_ids_by_chart():
+    # each id in one task, one task per chart, the family with the most
+    # unit-circle points times choice values first (17, 12, 9 and 2)
+    tasks = catalog._chart_tasks(list(reversed(ALL_IDS)))
+    assert sorted(eid for task in tasks for eid in task) == sorted(ALL_IDS)
+    assert [{catalog._row(eid).chart for eid in task} for task in tasks] == [
+        {"C"}, {"Dshift"}, {"D"}, {"S"}]
+    assert [len(task) for task in tasks] == [13, 6, 7, 2]
+    assert catalog._chart_tasks(["4.1", "4.42", "4.1"]) == [("4.42",), ("4.1",)]
+
+
+def _stub_verify_entry(monkeypatch, cpus: int, fail_on: str | None = None):
+    """Usable CPUs patched to ``cpus``, and verify_entry to a passing
+    report that carries the pid of the process that made it."""
+    def stub(eid):
+        if eid == fail_on:
+            raise ConstraintError(f"entry {eid}: stub failure")
+        rep = catalog.VerificationReport(eid, True, {}, 5)
+        rep.pid = os.getpid()
+        return rep
+
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(catalog, "verify_entry", stub)
+
+
+def _assert_no_worker_left(pids=()):
+    assert multiprocessing.active_children() == []
+    for pid in pids:  # exited and reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_entries_runs_the_chart_families_in_workers(monkeypatch, cpus):
+    _stub_verify_entry(monkeypatch, cpus)
+    ids = list(reversed(ALL_IDS))
+    reports = catalog.verify_entries(ids)
+    assert [rep.entry_id for rep in reports] == ids
+    pid = {rep.entry_id: rep.pid for rep in reports}
+    workers = set(pid.values()) - {os.getpid()}
+    assert len(workers) <= 2 and (workers == set(pid.values())) == (cpus > 1)
+    for task in catalog._chart_tasks(ids):
+        assert len({pid[eid] for eid in task}) == 1
+    _assert_no_worker_left(workers)
+
+
+def test_workers_exit_through_their_finalizers(monkeypatch, tmp_path):
+    # a worker that ends on its own runs multiprocessing's finalizers,
+    # where a per-process record can be saved; SIGTERM would skip them
+    def verify_entry(eid):
+        if not (mark := tmp_path / str(os.getpid())).exists():
+            mark.write_text("running")
+            multiprocessing.util.Finalize(None, mark.write_text, args=("finalized",), exitpriority=0)
+        return catalog.VerificationReport(eid, True, {}, 5)
+
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(catalog, "verify_entry", verify_entry)
+    catalog.verify_entries(ALL_IDS)
+    marks = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert marks and str(os.getpid()) not in marks
+    assert set(marks.values()) == {"finalized"}
+    _assert_no_worker_left(map(int, marks))
+
+
+def test_verify_entries_does_not_fork_beside_another_thread(monkeypatch):
+    _stub_verify_entry(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        reports = catalog.verify_entries(ALL_IDS)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert {rep.pid for rep in reports} == {os.getpid()}
+
+
+def test_error_in_a_worker_reaches_the_caller(monkeypatch):
+    _stub_verify_entry(monkeypatch, 2, fail_on="4.42")
+    with pytest.raises(ConstraintError, match="entry 4.42: stub failure"):
+        catalog.verify_entries(ALL_IDS)
+    _assert_no_worker_left()
+
+
+def test_non_rational_jacobian_entry_is_refused_in_a_worker(monkeypatch):
+    t, P = sp.symbols("t P")
+    row, row_of = catalog._row("4.1"), catalog._row
+    assert row.invariants[3] == P - sp.log(t)
+    mutant = dataclasses.replace(row, invariants=(*row.invariants[:3], P - sp.log(t) - t * sp.log(t)))
+    monkeypatch.setattr(catalog, "_row", lambda eid: mutant if eid == "4.1" else row_of(eid))
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match=r"entry 4\.1: invariant P - t\*log\(t\) - log\(t\) has a Jacobian entry"):
+        catalog.verify_entries(["4.1", "4.77"])
+    _assert_no_worker_left()

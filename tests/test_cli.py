@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import multiprocessing
+import multiprocessing.pool
 import os
 import shlex
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 import sympy as sp
 
 import gassym
+from gassym import catalog
 from gassym.cli import _build_parser, _parse_params, main
 
 TOP_KEYS = {
@@ -352,6 +355,30 @@ def test_trace_bad_constant_is_usage_error(capsys, params, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "params, names",
+    [
+        # k0**2 doubles the digits of k0
+        ("k0=1e-4300", "k0"),
+        ("k0=1e-4299", "k0"),
+        ("k0=1.5e-4299", "k0"),
+        # neither alone passes 4300 digits, (k0**2 + 1)/(2*rho0) does
+        ("k0=1e-2100,rho0=1e200", "k0 and rho0"),
+    ],
+)
+def test_trace_constant_too_long_to_print_is_usage_error(capsys, params, names):
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--params", params, "--t1", "0.001"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the value of {names} makes a velocity coefficient longer than 4300 digits\n"
+
+
+def test_trace_takes_a_constant_of_hundreds_of_digits(capsys):
+    code, out, _ = _run(capsys, ["trace", "isochoric-reduced", "--params", "k0=1e-400", "--t1", "0.001"])
+    assert code == 0
+    assert json.loads(out)["traces"][0]["samples"] == 2
+
+
 def test_trace_bad_point_is_usage_error(capsys):
     code, _, _ = _run(capsys, ["trace", "isochoric-reduced", "--x0", "1,2"])
     assert code == 2
@@ -462,6 +489,49 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, name):
 
 
 # --------------------------------------------------------------------------
+# verify-invariants over many ids: the chart families in forked workers
+
+
+def test_verify_invariants_all_is_the_same_on_one_and_two_cpus(capsys, monkeypatch):
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
+        runs.append(_run(capsys, ["verify-invariants", "all"]))
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+def test_constraint_error_in_a_worker_is_usage_error(capsys, monkeypatch):
+    def verify_entry(eid):
+        if eid == "4.42":
+            raise catalog.ConstraintError(f"entry {eid}: cannot decide")
+        return catalog.VerificationReport(eid, True, {}, 5)
+
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(catalog, "verify_entry", verify_entry)
+    code, out, err = _run(capsys, ["verify-invariants", "all"])
+    assert (code, out, err) == (2, "", "error: entry 4.42: cannot decide\n")
+    assert multiprocessing.active_children() == []
+
+
+class _PoolMade(Exception):
+    pass
+
+
+def test_one_chart_family_or_params_run_in_process(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise _PoolMade
+
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+    for argv in (["4.77"], ["4.1", "4.2"], ["4.42", "--params", "a=3/5,b=4/5,eps=1"]):
+        assert _run(capsys, ["verify-invariants", *argv])[0] == 0
+    with pytest.raises(_PoolMade):  # two chart families
+        main(["verify-invariants", "4.1", "4.77"])
+
+
+# --------------------------------------------------------------------------
 # fresh interpreters
 
 
@@ -513,6 +583,13 @@ def test_closed_stdout_exits_without_traceback(lines_read):
     # after one line the rest of the table may already sit in the pipe,
     # and then nothing fails
     assert proc.returncode in ((0, 1) if lines_read else (1,))
+
+
+def test_import_leaves_multiprocessing_out():
+    code = "import sys, gassym.cli; print('multiprocessing' in sys.modules)"
+    proc = _spawn(["-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out.strip()) == (0, "False"), err
 
 
 # --------------------------------------------------------------------------
