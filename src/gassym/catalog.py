@@ -389,8 +389,9 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     of its symbolic parameters (all bindings share one set of names).
 
     The invariant Jacobian (rho included) is taken once, its nonzero entries
-    lifted into the chart's field: each verdict is a row of it along a
-    generator.  Closure and the verdicts are decided once, over the symbols.
+    lifted into the chart's field (``ring.gradient``): each verdict is a row of
+    it along a generator (``ring.lie_derivative``, as in ``VectorField.apply``).
+    Closure and the verdicts are decided once, over the symbols.
     Per binding only the ranks are checked: the basis is closed there when
     the symbolic span is closed and the substituted basis keeps its dimension.
     Returns one report per binding.
@@ -400,18 +401,14 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     ring, coords = entry.chart.ring, [sp.Symbol(c) for c in entry.chart.coords]
     invariants = [*entry.invariants, sp.Symbol("rho")]
     jac = sp.Matrix(invariants).jacobian(coords)
-    rows = []
-    for inv, jrow in zip(invariants, jac.tolist()):
-        try:
-            rows.append([(c.name, ring.element(e)) for c, e in zip(coords, jrow) if e != 0])
-        except ValueError:
-            raise ValueError(f"entry {entry.id}: invariant {inv} has a Jacobian entry "
-                             "that is not rational in the chart's field") from None
+    try:
+        grads = [ring.gradient(inv, jrow) for inv, jrow in zip(invariants, jac.tolist())]
+    except ValueError as exc:
+        raise ValueError(f"entry {entry.id}: invariant {exc}") from None
     verdicts = {
-        (gi, ii): "SymbolicZero" if ring.is_zero(
-            sum((F[c] * e for c, e in row if F[c]), ring.field.zero)) else "NonZero"
+        (gi, ii): "SymbolicZero" if ring.is_zero(ring.lie_derivative(F, grad)) else "NonZero"
         for gi, F in enumerate(g.coeffs for g in entry.realized_basis())
-        for ii, row in enumerate(rows)
+        for ii, grad in enumerate(grads)
     }
     grids = [{_PARAM_SYMS[n]: v for n, v in b.items()} for b in bindings]
     reports = []

@@ -8,10 +8,11 @@ Subcommands:
   trace              RK4 particle trajectory exported as CSV
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage
-error (unknown entry id, empty time range, non-positive or too small
-step, bad parameters, a trace the velocity cannot be evaluated along,
-an unwritable ``--out``).  Reports are deterministic: no subcommand
-reads ``--seed``, and every report only echoes it.
+error (unknown entry id or solution kind, empty time range, non-positive
+or too small step, bad parameters, a non-finite initial point, a trace
+the velocity cannot be evaluated along, an unwritable ``--out``).
+Reports are deterministic: no subcommand reads ``--seed``, and every
+report only echoes it.
 """
 
 from __future__ import annotations
@@ -87,12 +88,12 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
-def _resolve_ids(requested: list[str], known: list[str]) -> list[str]:
+def _resolve_ids(requested: list[str], known: list[str], what: str = "entry ids") -> list[str]:
     if not requested or requested == ["all"]:
         return list(known)
     unknown = [eid for eid in requested if eid not in known]
     if unknown:
-        raise UsageError(f"unknown entry ids: {unknown}")
+        raise UsageError(f"unknown {what}: {unknown}; known {what}: {', '.join(known)}")
     return list(requested)
 
 
@@ -170,7 +171,7 @@ def cmd_classify(args, report: dict) -> bool:
 
 
 def cmd_verify_solution(args, report: dict) -> bool:
-    kinds = _resolve_ids(args.kinds, list(submodel.SOLUTION_KINDS))
+    kinds = _resolve_ids(args.kinds, list(submodel.SOLUTION_KINDS), "solution kinds")
     report["solutions"] = {kind: submodel.verify_solution(kind) for kind in kinds}
     return all(e["passed"] for e in report["solutions"].values())
 
@@ -215,6 +216,8 @@ def cmd_trace(args, report: dict) -> bool:
         raise UsageError(f"bad initial point {args.x0!r}")
     if len(p0) != 3:
         raise UsageError("initial point must be x,y,z")
+    if not all(map(math.isfinite, p0)):
+        raise UsageError(f"initial point {args.x0!r} is not finite")
     vel = numerics.velocity_function(s)
     try:
         tr = numerics.integrate(vel, p0, args.t0, args.t1, args.h)

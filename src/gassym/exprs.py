@@ -3,11 +3,12 @@
 Expressions are plain immutable sympy objects over exact rationals.  This
 module pins down the handful of operations the rest of the package relies
 on: opaque functions whose derivatives ``sp.diff`` takes by the chain rule,
-a canonical form strong enough to reduce every residual we care about to
-a literal 0, numeric evaluation with explicit bindings, exact rationals,
-and a zero test with a seeded numeric fallback.  That sampled test,
-``is_zero``, serves only the mutation checks of acceptance gate 8; no
-campaign calls it, since every campaign verdict is exact.
+the Pythagorean relations and the reduction modulo them (shared with the
+chart rings of ``fields``), a reduced form of an expression in the field
+over its atoms, numeric evaluation, exact rationals, and a zero test with
+a seeded numeric fallback.  That sampled test, ``is_zero``, serves only the
+mutation checks of acceptance gate 8; no campaign calls it, since every
+campaign verdict is exact.
 
 Conventions:
   * ``log`` always means ``ln|.|``; numeric evaluation applies ``abs`` to
@@ -26,6 +27,7 @@ from typing import Callable, Mapping
 
 import sympy as sp
 from sympy.core.sorting import default_sort_key
+from sympy.polys.fields import sfield
 
 __all__ = [
     "Assignment",
@@ -37,6 +39,8 @@ __all__ = [
     "exact_number",
     "is_zero",
     "opaque",
+    "pythagorean_ideal",
+    "pythagorean_reduce",
     "to_sexpr",
 ]
 
@@ -87,41 +91,31 @@ def opaque(name: str, order: int = 0):
 # core operations
 
 
+def pythagorean_ideal(ring) -> list:
+    """sin(a)**2 + cos(a)**2 - 1 for each pair of generators sin(a), cos(a)
+    of a polynomial ``ring``.  In any monomial order their leading terms are
+    powers of distinct generators, so they are a Groebner basis (Buchberger's
+    first criterion) and ``rem`` by them is 0 exactly on their ideal."""
+    gens = dict(zip(ring.symbols, ring.gens))
+    return [g**2 + gens[sp.cos(s.args[0])] ** 2 - 1 for s, g in gens.items()
+            if isinstance(s, sp.sin) and sp.cos(s.args[0]) in gens]
+
+
+def pythagorean_reduce(f, ideal: list):
+    """``f`` with numerator and denominator reduced modulo ``ideal``."""
+    return f.new(f.numer.rem(ideal), f.denom.rem(ideal)) if ideal else f
+
+
 def canonicalize(e) -> sp.Expr:
-    """Canonical form: flatten/sort/fold, rational normal form, and the
-    Pythagorean reduction sin^2 + cos^2 -> 1.
-
-    Trig arguments are first expanded to single angles; even powers of
-    sine are then rewritten through cosine, which is a confluent reduction
-    modulo the Pythagorean ideal.  Idempotent; two expressions equal under
-    ring axioms plus the Pythagorean relation map to the same tree.
-    """
-    e = sp.sympify(e, strict=True)
-    if e.has(sp.sin, sp.cos):
-        e = sp.expand_trig(e)
-        num, den = sp.fraction(sp.together(e))
-        e = sp.cancel(_sin_reduce(num) / _sin_reduce(den))
-    else:
-        e = sp.cancel(sp.expand(e))
-    return e
-
-
-def _sin_reduce(p: sp.Expr) -> sp.Expr:
-    """Rewrite sin(x)**n (n >= 2) as (1 - cos(x)**2)**(n//2) * sin(x)**(n%2)."""
-    p = sp.expand(p)
-    repl = {}
-    for pw in p.atoms(sp.Pow):
-        if (
-            isinstance(pw.base, sp.sin)
-            and pw.exp.is_Integer
-            and pw.exp >= 2
-        ):
-            x = pw.base.args[0]
-            k, r = divmod(int(pw.exp), 2)
-            repl[pw] = (1 - sp.cos(x) ** 2) ** k * sp.sin(x) ** r
-    if repl:
-        p = sp.expand(p.xreplace(repl))
-    return p
+    """``e`` with trig arguments expanded to single angles, read into the
+    field over QQ whose generators are its atoms (symbols, sin and cos, log,
+    Abs, jets of f) and reduced there.  Idempotent.  Equal expressions need
+    not give one tree ((1 - cos(x)**2)/sin(x) and sin(x) stay apart): test
+    equality through the difference, which reduces to 0 exactly when it
+    lies in the Pythagorean ideal with the atoms taken as independent."""
+    e = sp.expand_trig(sp.sympify(e, strict=True))
+    K, f = sfield(e, domain=sp.QQ)
+    return pythagorean_reduce(f, pythagorean_ideal(K.ring)).as_expr()
 
 
 @dataclass(frozen=True)
@@ -302,8 +296,6 @@ def _sexpr(e) -> str:
         return str(int(e))
     if e.is_Rational:
         return f"{e.p}/{e.q}"
-    if e.is_Float:
-        return repr(float(e))
     if e.is_Add or e.is_Mul:
         op = "+" if e.is_Add else "*"
         parts = sorted((_sexpr(t) for t in e.args), key=str)

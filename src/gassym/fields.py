@@ -21,16 +21,17 @@ QQ (``Chart.ring``, built once per chart): its generators are the
 coordinates, each angle a followed by sin(a) and cos(a), then the catalog
 parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets, equality and
 the catalog's annihilation verdicts run there, with one zero test: the
-numerator reduced modulo sin(a)**2 + cos(a)**2 - 1 is 0.  The ring's kernel
-is sparse: a structural zero is never differentiated, multiplied, composed
-or cancelled, and a 1x1 stage is inverted without a determinant.
-``exprs.canonicalize`` serves only ``VectorField.apply``.
+numerator reduced modulo sin(a)**2 + cos(a)**2 - 1 (``exprs``) is 0.  The
+ring's kernel is sparse: a structural zero is never differentiated,
+multiplied, composed or cancelled, and a 1x1 stage is inverted without a
+determinant.  ``VectorField.apply`` sums F_c * d_c e in the field, on the
+path of the annihilation verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Mapping
 
@@ -38,7 +39,7 @@ import sympy as sp
 from sympy.polys.fields import field
 from sympy.polys.matrices import DomainMatrix
 
-from .exprs import canonicalize, exact_number
+from .exprs import exact_number, pythagorean_ideal, pythagorean_reduce
 from .liealg import L12_LABELS
 
 __all__ = [
@@ -162,10 +163,11 @@ class VectorField:
         return self.coeffs[coord].as_expr()
 
     def apply(self, e) -> sp.Expr:
-        """Directional derivative sum_i F_i * d(e)/dx_i, canonicalized."""
-        e = sp.sympify(e, strict=True)
-        terms = (self.coeff(c) * sp.diff(e, sp.Symbol(c)) for c, f in self.coeffs.items() if f)
-        return canonicalize(sum(terms, sp.Integer(0)))
+        """Directional derivative sum_c F_c * d(e)/dc, reduced in the
+        chart's field by the path of the catalog's verdicts."""
+        e, ring = sp.sympify(e, strict=True), self.chart.ring
+        grad = ring.gradient(e, [sp.diff(e, sp.Symbol(c)) for c in self.chart.coords])
+        return ring.reduce(ring.lie_derivative(self.coeffs, grad)).as_expr()
 
     def __rmul__(self, scalar) -> "VectorField":
         k = self.chart.ring.element(sp.sympify(scalar, strict=True))
@@ -285,13 +287,12 @@ class _ChartRing:
 
     Each angle ``a`` under ``sin``/``cos`` is a generator followed by
     sin(a) and cos(a); rational functions are kept with numerator and
-    denominator reduced modulo {sin(a)**2 + cos(a)**2 - 1}, a Groebner
-    basis in lex order with sin(a) before cos(a), since its leading terms
-    sin(a)**2 are pairwise coprime.  a is transcendental over the rest, so
-    an element vanishes exactly when its numerator reduces to 0.  Holds the image of each
-    Cartesian coordinate, and per solve stage the inverse of the Jacobian
-    block (1/J for a 1x1 block, else adjugate over the reduced
-    determinant) and the derivatives coupling it to earlier stages.
+    denominator reduced (``reduce``) modulo ``exprs.pythagorean_ideal``.
+    a is transcendental over the rest, so an element vanishes exactly when
+    its numerator reduces to 0.  Holds the image of each Cartesian
+    coordinate, and per solve stage the inverse of the Jacobian block (1/J
+    for a 1x1 block, else adjugate over the reduced determinant) and the
+    derivatives coupling it to earlier stages.
 
     The kernel is sparse: a structural zero is never differentiated,
     multiplied, composed or cancelled (``diff`` runs the quotient rule only
@@ -309,8 +310,8 @@ class _ChartRing:
         self.field = K = field(gens + list(PARAM_SYMBOLS), sp.QQ)[0]
         self._gen = {x.name: gens.index(x) for x in coords}
         self._angle = {a.name: (gens.index(sp.sin(a)), gens.index(sp.cos(a))) for a in angles}
-        g = K.ring.gens
-        self._ideal = [g[s] ** 2 + g[c] ** 2 - 1 for s, c in self._angle.values()]
+        self._ideal = pythagorean_ideal(K.ring)
+        self.reduce = partial(pythagorean_reduce, ideal=self._ideal)
         self.coords = chart.coords
         self._cart = {sp.Symbol(c): e for c, e in maps.items()}
         images = {c: K.from_expr(e) for c, e in maps.items()}
@@ -361,6 +362,19 @@ class _ChartRing:
             out[c] = self.reduce(sum(terms, self.field.zero))
         return out
 
+    def gradient(self, e, partials) -> list:
+        """(coord, element) for each nonzero partial derivative of ``e`` in
+        ``partials``; a ValueError names ``e`` if one is not in the field."""
+        try:
+            return [(c, self.element(d)) for c, d in zip(self.coords, partials) if d != 0]
+        except ValueError:
+            raise ValueError(f"{e} has a Jacobian entry that is not rational "
+                             "in the chart's field") from None
+
+    def lie_derivative(self, F: dict, gradient: list):
+        """sum_c F_c * d_c e over the ``gradient`` of e, where F_c is nonzero."""
+        return sum((F[c] * d for c, d in gradient if F[c]), self.field.zero)
+
     def is_zero(self, f) -> bool:
         """The zero test of fields and verdicts: the numerator reduces to 0."""
         return not f.numer.rem(self._ideal)
@@ -372,10 +386,3 @@ class _ChartRing:
     def element(self, e):
         """``e``, a number, expression or element, in the field; zero is not converted."""
         return self.field(e) if e != 0 else self.field.zero
-
-    def reduce(self, f):
-        """``f`` with numerator and denominator reduced modulo the
-        Pythagorean relations; on a chart with no angles, ``f`` itself."""
-        if not self._ideal:
-            return f
-        return self.field.new(f.numer.rem(self._ideal), f.denom.rem(self._ideal))

@@ -141,7 +141,7 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
     try:
         n = math.ceil((t1 - t0) / h) + 2
         if n > MAX_SAMPLES:
-            raise ValueError(f"{n} samples exceed MAX_SAMPLES = {MAX_SAMPLES}")
+            raise ValueError(f"{n:.6g} samples exceed MAX_SAMPLES = {MAX_SAMPLES}")
         ts, xs, ys, zs = (array("d", [0.0]) * n for _ in range(4))
     except (OverflowError, ValueError, MemoryError) as exc:
         raise IntegrationError(f"cannot allocate samples for step size {h}: {exc}")

@@ -255,7 +255,6 @@ def test_catalog_pass_pushes_forward_in_the_ring(monkeypatch):
     push, canon = fields.pushforward, exprs.canonicalize
     monkeypatch.setattr(fields, "_ChartRing", CountedRing)
     monkeypatch.setattr(fields, "pushforward", pushforward)
-    monkeypatch.setattr(fields, "canonicalize", canonicalize)
     monkeypatch.setattr(exprs, "canonicalize", canonicalize)
     for eid in catalog_ids():
         verify_entry(eid)
@@ -278,9 +277,7 @@ def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
 
     monkeypatch.setattr(fields._ChartRing, "is_zero", counted("is_zero", fields._ChartRing.is_zero))
     monkeypatch.setattr(fields.VectorField, "apply", counted("apply", fields.VectorField.apply))
-    canonicalize = counted("canonicalize", exprs.canonicalize)
-    monkeypatch.setattr(fields, "canonicalize", canonicalize)
-    monkeypatch.setattr(exprs, "canonicalize", canonicalize)
+    monkeypatch.setattr(exprs, "canonicalize", counted("canonicalize", exprs.canonicalize))
     for eid in catalog_ids():
         verify_entry(eid)
     assert calls == {"is_zero": 760, "apply": 0, "canonicalize": 0}
@@ -448,6 +445,36 @@ def test_non_rational_jacobian_entry_is_refused():
     mutant = dataclasses.replace(ent, invariants=[*ent.invariants[:3], bad])
     with pytest.raises(ValueError, match=r"entry 4\.1: invariant P - t\*log\(t\) - log\(t\) has a Jacobian entry"):
         verify_invariants(mutant)
+
+
+def test_non_rational_entry_is_refused_by_apply():
+    # VectorField.apply lifts each partial derivative as the verdicts do,
+    # and refuses the same entry with one ValueError naming the expression
+    t, P = sp.symbols("t P")
+    bad = P - sp.log(t) - t * sp.log(t)
+    for g in get_entry("4.1").realized_basis():
+        if g.coeffs["t"]:
+            with pytest.raises(ValueError, match=r"^P - t\*log\(t\) - log\(t\) has a Jacobian entry"):
+                g.apply(bad)
+            return
+    pytest.fail("no generator of 4.1 moves t")
+
+
+@pytest.mark.parametrize("logarithm", ["log(t**2)/2", "log(2*t)"])
+def test_log_invariant_in_another_form_passes(monkeypatch, logarithm):
+    # P - log(t**2)/2 and P - log(2*t) differ from 4.1's P - log(t) by a
+    # constant, so each is an invariant: rank 5, and every Lie derivative
+    # is a symbolic zero
+    t, P = sp.symbols("t P")
+    inv = P - sp.sympify(logarithm, locals={"t": t})
+    row, row_of = catalog._row("4.1"), catalog._row
+    assert row.invariants[3] == P - sp.log(t)
+    mutant = dataclasses.replace(row, invariants=(*row.invariants[:3], inv))
+    monkeypatch.setattr(catalog, "_row", lambda eid: mutant if eid == "4.1" else row_of(eid))
+    rep = verify_entry("4.1")
+    assert rep.passed and rep.rank == 5
+    for g in get_entry("4.1").realized_basis():
+        assert exprs.is_zero(g.apply(inv)).kind == "SymbolicZero"
 
 
 def test_undecided_verdict_fails_a_report():

@@ -62,6 +62,15 @@ def test_unknown_entry_is_usage_error(capsys):
     assert "4.99" in err
 
 
+def test_unknown_solution_kind_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["verify-solution", "bogus"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: unknown solution kinds: ['bogus']; known solution kinds: "
+                   "isochoric-general, isochoric-reduced, nonisochoric-general, "
+                   "nonisochoric-reduced\n")
+
+
 def test_params_need_single_entry(capsys):
     code, _, err = _run(capsys, ["verify-invariants", "4.3", "4.77", "--params", "a=1"])
     assert code == 2
@@ -384,6 +393,18 @@ def test_trace_bad_point_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("x0", ["nan,0,0", "inf,0,0", "0,-inf,0"])
+def test_trace_non_finite_point_is_refused_before_integrating(capsys, monkeypatch, x0):
+    def integrate(*args):
+        raise AssertionError("integrated from a non-finite point")
+
+    monkeypatch.setattr(gassym.numerics, "integrate", integrate)
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--x0", x0])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: initial point {x0!r} is not finite\n"
+
+
 @pytest.mark.parametrize("h", ["0", "-1"])
 def test_trace_nonpositive_step_is_usage_error(capsys, h):
     code, out, err = _run(capsys, ["trace", "isochoric-reduced", f"--h={h}"])
@@ -408,6 +429,14 @@ def test_trace_step_too_small_is_usage_error(capsys, flags, message):
     assert code == 2
     assert out == ""
     assert err.startswith(message)
+
+
+def test_trace_huge_sample_count_prints_short(capsys):
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--h", "1e-300", "--t1", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: cannot allocate samples for step size 1e-300: "
+                   f"1e+300 samples exceed MAX_SAMPLES = {gassym.numerics.MAX_SAMPLES}\n")
 
 
 def test_trace_sample_count_is_bounded(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from gassym.exprs import (
     exact_number,
     is_zero,
     opaque,
+    pythagorean_ideal,
     rational,
     to_sexpr,
 )
@@ -39,6 +40,8 @@ x, y = sp.symbols("x y")
         sp.cos(x) ** 4 - (1 - sp.sin(x) ** 2) ** 2,
         (x**2 - 1) / (x - 1) - (x + 1),
         sp.sin(x + y) - sp.sin(x) * sp.cos(y) - sp.cos(x) * sp.sin(y),
+        (1 - sp.cos(x) ** 2) / sp.sin(x) - sp.sin(x),
+        sp.sin(x + y) ** 2 + sp.cos(x + y) ** 2 - 1,
     ],
 )
 def test_canonicalize_kills_identities(expr):
@@ -316,10 +319,10 @@ def test_no_module_calls_nsimplify():
 
 
 def test_catalog_and_fields_verdicts_never_canonicalize():
-    # annihilation verdicts, brackets and field equality all take the
-    # chart ring's zero test: catalog.py names no canonicalize, and in
-    # fields.py only VectorField.apply, the Lie derivative of an
-    # expression, calls it
+    # annihilation verdicts, brackets, field equality and the Lie
+    # derivative of an expression all take the chart ring's zero test:
+    # neither catalog.py nor fields.py calls canonicalize, and each chart
+    # ring reduces modulo the one Pythagorean ideal that canonicalize uses
     package = Path(fields.__file__).parent
     names = [
         f"catalog.py:{node.lineno}"
@@ -340,7 +343,10 @@ def test_catalog_and_fields_verdicts_never_canonicalize():
             visit(child, scope + (child.name,) if named else scope)
 
     visit(ast.parse((package / "fields.py").read_text()), ())
-    assert callers == ["VectorField.apply"]
+    assert callers == []
+    for chart in (fields.chart_C(), fields.chart_S(), fields.chart_D_shift(1)):
+        ring = chart.ring
+        assert ring._ideal and ring._ideal == pythagorean_ideal(ring.field.ring)
 
 
 _FAM = submodel.solution_family("isochoric-reduced")
