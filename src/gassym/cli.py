@@ -187,12 +187,6 @@ def _unprintable(s: submodel.Solution) -> bool:
 
 
 def cmd_trace(args, report: dict) -> bool:
-    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
-        raise UsageError(f"times must be finite, not t0={args.t0}, t1={args.t1}")
-    if args.t1 <= args.t0:
-        raise UsageError("empty time range: need t1 > t0")
-    if not args.h > 0:
-        raise UsageError(f"step size must be positive, not {args.h}")
     if args.kind == "nonisochoric-reduced" and args.t0 < 0:
         raise UsageError(f"{args.kind} holds only for t > 0, not from t0={args.t0}")
     family = submodel.solution_family(args.kind)
@@ -221,7 +215,7 @@ def cmd_trace(args, report: dict) -> bool:
     vel = numerics.velocity_function(s)
     try:
         tr = numerics.integrate(vel, p0, args.t0, args.t1, args.h)
-    except ValueError as exc:  # a step below the time resolution
+    except ValueError as exc:  # a bad time range or step
         raise UsageError(str(exc))
     if args.out:
         _write(args.out, lambda: numerics.write_csv(tr, args.out))
@@ -257,18 +251,20 @@ def _checked(convert, ok, what: str):
 
 
 _NEGATIVE_START = re.compile(r"-[0-9.]")
+_NUMERIC_OPTIONS = ("--x0", "--t0", "--t1", "--h")
 
 
-def _attach_x0(argv: list[str]) -> list[str]:
-    """``--x0 -1,0,1`` as ``--x0=-1,0,1``.  argparse reads a separate
-    value that starts with '-' as an option unless it is a single number."""
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """``--t0 -1e-3`` as ``--t0=-1e-3``, for each of ``_NUMERIC_OPTIONS``.
+    argparse reads a separate value that starts with '-' as an option
+    unless it matches its negative-number pattern, which misses exponents."""
     out, rest = [], list(argv)
     while rest:
         tok = rest.pop(0)
         if tok == "--":
             return out + [tok] + rest
-        if tok == "--x0" and rest and _NEGATIVE_START.match(rest[0]):
-            tok = f"--x0={rest.pop(0)}"
+        if tok in _NUMERIC_OPTIONS and rest and _NEGATIVE_START.match(rest[0]):
+            tok = f"{tok}={rest.pop(0)}"
         out.append(tok)
     return out
 
@@ -350,7 +346,7 @@ def _emit(report: dict, args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(_attach_x0(sys.argv[1:] if argv is None else argv))
+    args = _build_parser().parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     report = _empty_report(args.seed)
     try:
         ok = _COMMANDS[args.command](args, report)

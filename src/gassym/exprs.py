@@ -41,7 +41,6 @@ __all__ = [
     "opaque",
     "pythagorean_ideal",
     "pythagorean_reduce",
-    "to_sexpr",
 ]
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -278,37 +277,6 @@ def is_zero(
             )
         evaluated = True
     return ZeroVerdict(ZeroVerdict.NUMERIC_ZERO if evaluated else ZeroVerdict.UNDECIDED)
-
-
-# --------------------------------------------------------------------------
-# serialization
-
-
-def to_sexpr(e) -> str:
-    """Deterministic S-expression text form (for report embedding)."""
-    return _sexpr(canonicalize(e))
-
-
-def _sexpr(e) -> str:
-    if e.is_Symbol:
-        return e.name
-    if e.is_Integer:
-        return str(int(e))
-    if e.is_Rational:
-        return f"{e.p}/{e.q}"
-    if e.is_Add or e.is_Mul:
-        op = "+" if e.is_Add else "*"
-        parts = sorted((_sexpr(t) for t in e.args), key=str)
-        return f"({op} " + " ".join(parts) + ")"
-    if e.is_Pow:
-        return f"(^ {_sexpr(e.base)} {_sexpr(e.exp)})"
-    if isinstance(e, sp.log):
-        return f"(ln {_sexpr(e.args[0])})"
-    if isinstance(e, (sp.sin, sp.cos)):
-        return f"({type(e).__name__} {_sexpr(e.args[0])})"
-    if isinstance(e, _Opaque):
-        return f"({e.base_name}^({e.diff_order}) {_sexpr(e.args[0])})"
-    raise TypeError(f"cannot serialize node {type(e).__name__}: {e}")
 
 
 # CPython's default limit on the digits of an int read from or printed as text

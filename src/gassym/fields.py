@@ -12,20 +12,19 @@ the Cartesian chart D we support:
                 v = (t*y + b*z)/(t^2 + b^2) + qbar*cos(varthetabar),
                 w = (t*z - b*y)/(t^2 + b^2) + qbar*sin(varthetabar).
 
-A chart declares only the Cartesian coordinates it moves (``_chart``); every
-other one maps to itself and is solved by a 1x1 stage ahead of the chart's
-own blocks.  Pushforward solves J_Psi * G = F o Psi where Psi maps chart
-coordinates to Cartesian ones, so no inverse trig functions enter symbolic
-work.  Field coefficients live in the chart's rational function field over
-QQ (``Chart.ring``, built once per chart): its generators are the
-coordinates, each angle a followed by sin(a) and cos(a), then the catalog
-parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets, equality and
+A chart declares only the Cartesian coordinates it moves and the blocks
+that solve for them (``_chart``); every other one maps to itself, and the
+chart's ring lists it as ``kept``.  Pushforward solves J_Psi * G = F o Psi,
+where Psi maps chart coordinates to Cartesian ones, so no inverse trig
+functions enter symbolic work.  Field coefficients live in the chart's
+rational function field over QQ (``Chart.ring``, built once per chart):
+its generators are the coordinates, each angle a followed by sin(a) and
+cos(a), then the catalog parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets, equality and
 the catalog's annihilation verdicts run there, with one zero test: the
 numerator reduced modulo sin(a)**2 + cos(a)**2 - 1 (``exprs``) is 0.  The
 ring's kernel is sparse: a structural zero is never differentiated,
-multiplied, composed or cancelled, and a 1x1 stage is inverted without a
-determinant.  ``VectorField.apply`` sums F_c * d_c e in the field, on the
-path of the annihilation verdicts.
+multiplied, composed or cancelled.  ``VectorField.apply`` sums F_c * d_c e
+in the field, on the path of the annihilation verdicts.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ class Chart:
     name: str
     coords: tuple[str, ...]
     to_cartesian: Mapping[str, sp.Expr]
-    # stages of (cartesian coords, chart coords) making the chart Jacobian
-    # block triangular, so pushforwards reduce to tiny linear solves
+    # blocks of (cartesian coords, chart coords) that solve for the moved
+    # ones, in an order making the Jacobian block triangular: tiny solves
     solve_order: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
 
     @cached_property
@@ -86,16 +85,14 @@ class Chart:
 
 def _chart(name: str, coords: tuple[str, ...], moved: Mapping[str, sp.Expr], blocks=()) -> Chart:
     """A chart that maps every Cartesian coordinate not in ``moved`` to
-    itself.  Its stages are a 1x1 stage per such coordinate, in Cartesian
-    order, followed by the ``blocks`` that solve for the moved ones."""
-    kept = [c for c in CARTESIAN_COORDS if c not in moved]
+    itself; its stages are the ``blocks`` that solve for the moved ones."""
     to_cart = {c: moved.get(c, sp.Symbol(c)) for c in CARTESIAN_COORDS}
-    return Chart(name, coords, to_cart, tuple(((c,), (c,)) for c in kept) + blocks)
+    return Chart(name, coords, to_cart, blocks)
 
 
 @lru_cache(maxsize=None)
 def chart_D() -> Chart:
-    return Chart("D", CARTESIAN_COORDS, {c: sp.Symbol(c) for c in CARTESIAN_COORDS})
+    return _chart("D", CARTESIAN_COORDS, {})
 
 
 @lru_cache(maxsize=None)
@@ -255,10 +252,10 @@ def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
 def pushforward(F: VectorField, target: Chart) -> VectorField:
     """Express a Cartesian field in ``target`` chart coordinates.
 
-    Solves J_Psi * G = F o Psi stage by stage (Psi is the
-    chart-to-Cartesian map and its Jacobian is block triangular in the
-    chart's declared stage order) in the chart's rational function field,
-    reducing each solved value modulo the Pythagorean relations.
+    Solves J_Psi * G = F o Psi in the chart's rational function field
+    (Psi is the chart-to-Cartesian map): a kept coordinate takes F's
+    coefficient, then the declared blocks are solved in order.  Each value
+    is reduced modulo the Pythagorean relations.
     """
     if F.chart.name != "D":
         raise ValueError("pushforward expects a field in chart D")
@@ -268,7 +265,7 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
         raise ValueError(f"chart {target.name} has no solve stages")
     ring, zero = target.ring, target.ring.field.zero
     rhs = {c: ring.compose(F.coeff(c)) for c in CARTESIAN_COORDS}
-    solved = {}
+    solved = {c: ring.reduce(rhs[c]) for c in ring.kept}
     for (cart_coords, chart_coords), inverse, coupling in zip(
         target.solve_order, ring.inverses, ring.couplings
     ):
@@ -289,10 +286,10 @@ class _ChartRing:
     sin(a) and cos(a); rational functions are kept with numerator and
     denominator reduced (``reduce``) modulo ``exprs.pythagorean_ideal``.
     a is transcendental over the rest, so an element vanishes exactly when
-    its numerator reduces to 0.  Holds the image of each Cartesian
-    coordinate, and per solve stage the inverse of the Jacobian block (1/J
-    for a 1x1 block, else adjugate over the reduced determinant) and the
-    derivatives coupling it to earlier stages.
+    its numerator reduces to 0.  Holds the Cartesian coordinates the chart
+    keeps (``kept``, each its own image), and per solve stage the inverse
+    of the Jacobian block (adjugate over the reduced determinant) and the
+    derivatives coupling it to the kept coordinates and earlier stages.
 
     The kernel is sparse: a structural zero is never differentiated,
     multiplied, composed or cancelled (``diff`` runs the quotient rule only
@@ -313,18 +310,15 @@ class _ChartRing:
         self._ideal = pythagorean_ideal(K.ring)
         self.reduce = partial(pythagorean_reduce, ideal=self._ideal)
         self.coords = chart.coords
+        self.kept = tuple(c for c, e in chart.to_cartesian.items() if e == sp.Symbol(c))
         self._cart = {sp.Symbol(c): e for c, e in maps.items()}
         images = {c: K.from_expr(e) for c, e in maps.items()}
 
-        self.inverses, self.couplings, earlier = [], [], []
+        self.inverses, self.couplings, earlier = [], [], list(self.kept)
         for cart_coords, chart_coords in chart.solve_order:
             jac = [[self.diff(images[cc], x) for x in chart_coords] for cc in cart_coords]
-            if len(jac) == 1:
-                adj, det = [[K.one]], jac[0][0]
-            else:
-                block = DomainMatrix(jac, (len(jac), len(jac)), K.to_domain())
-                adj, det = block.adjugate().to_list(), block.det()
-            det = self.reduce(det)
+            block = DomainMatrix(jac, (len(jac), len(jac)), K.to_domain())
+            adj, det = block.adjugate().to_list(), self.reduce(block.det())
             self.inverses.append([[self.reduce(m / det) for m in row] for row in adj])
             self.couplings.append({
                 cc: [(prev, d) for prev in earlier if (d := self.diff(images[cc], prev))]

@@ -130,12 +130,15 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
     than ``MAX_SAMPLES`` samples (or more than can be allocated) would be
     needed raises ``IntegrationError``.  Every state is checked finite as
     it is made and time only advances, so the ``Trajectory`` is built
-    without a second check.
+    without a second check.  A time that is not finite, no t1 > t0, a step
+    not > 0 (nan too) or below the time resolution raise ``ValueError``.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if t1 <= t0:
-        raise ValueError("empty time range")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"times must be finite, not t0={t0}, t1={t1}")
+    if not t1 > t0:
+        raise ValueError("empty time range: need t1 > t0")
+    if not h > 0:
+        raise ValueError(f"step size must be positive, not {h}")
     # h steps plus a rounding-remainder step; rounding of tv can add more,
     # in which case the buffers grow below
     try:

@@ -287,6 +287,21 @@ def test_trace_x0_takes_a_negative_start_in_either_form(capsys):
     assert json.loads(spaced[1])["traces"][0]["initial"] == [-1.0, 0.0, 1.0]
 
 
+def test_trace_times_take_a_negative_exponent_as_a_separate_word(capsys):
+    # argparse's own negative-number pattern misses exponents
+    code, out, _ = _run(capsys, ["trace", "isochoric-reduced", "--t0", "-1e-3", "--t1", "0.01"])
+    assert code == 0
+    trace = json.loads(out)["traces"][0]
+    assert (trace["t0"], trace["t1"]) == (-0.001, 0.01)
+
+
+def test_trace_negative_step_as_a_separate_word_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--h", "-1e-3"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: step size must be positive, not -0.001\n"
+
+
 def _readme_commands() -> list[list[str]]:
     """The argument lists of the ``gassym`` lines in README's CLI block,
     with continuation lines joined and comments dropped."""

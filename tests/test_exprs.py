@@ -22,7 +22,6 @@ from gassym.exprs import (
     opaque,
     pythagorean_ideal,
     rational,
-    to_sexpr,
 )
 
 x, y = sp.symbols("x y")
@@ -256,17 +255,7 @@ def test_is_zero_honours_function_override():
 
 
 # --------------------------------------------------------------------------
-# serialization
-
-
-def test_to_sexpr_deterministic_ordering():
-    assert to_sexpr(y + x) == to_sexpr(x + y)
-    assert to_sexpr(x * y + 1) == "(+ (* x y) 1)"
-
-
-def test_to_sexpr_rational_and_functions():
-    assert to_sexpr(rational(1, 2) * x) == "(* 1/2 x)"
-    assert to_sexpr(sp.log(x)) == "(ln x)"
+# exact numbers
 
 
 def test_rational_exact():

@@ -212,15 +212,16 @@ MOVED = {"C": ("y", "z", "v", "w"), "S": ("x", "y", "z", "u", "v", "w"), "Dshift
 
 @pytest.mark.parametrize("name", list(CERTIFIED_CHARTS))
 def test_chart_keeps_every_unmoved_coordinate(name):
-    # each coordinate a chart does not move maps to itself and is solved
-    # by a 1x1 stage, in Cartesian order, ahead of the chart's own blocks
+    # each coordinate a chart does not move maps to itself and is listed by
+    # its ring as kept, in Cartesian order; the solve stages are the
+    # chart's own blocks, which solve for the moved coordinates only
     chart = CERTIFIED_CHARTS[name]()
-    kept = [c for c in CARTESIAN_COORDS if c not in MOVED[name]]
+    kept = tuple(c for c in CARTESIAN_COORDS if c not in MOVED[name])
     assert tuple(chart.to_cartesian) == CARTESIAN_COORDS
-    assert [c for c, e in chart.to_cartesian.items() if e == sp.Symbol(c)] == kept
-    assert chart.solve_order[: len(kept)] == tuple(((c,), (c,)) for c in kept)
-    blocks = chart.solve_order[len(kept):]
-    assert all(len(cart) > 1 for cart, _ in blocks)
+    assert tuple(c for c, e in chart.to_cartesian.items() if e == sp.Symbol(c)) == kept
+    assert chart.ring.kept == kept
+    blocks = chart.solve_order
+    assert all(len(cart) in (2, 3) and len(cart) == len(ch) for cart, ch in blocks)
     assert sorted(c for cart, _ in blocks for c in cart) == sorted(MOVED[name])
 
 
@@ -332,8 +333,8 @@ def test_sparse_ring_kernel_matches_dense_formulas(make_chart):
 
 def test_ring_kernel_skips_structural_zeros(monkeypatch):
     # the table on chart D differentiates only nonzero coefficients along
-    # nonzero ones, and of the five catalog charts' stages only the seven
-    # larger than 1x1 take an adjugate
+    # nonzero ones, and the five catalog charts take one adjugate per
+    # declared block, seven in all; a kept coordinate takes none
     calls = {"diff": 0, "adjugate": 0}
     diff, adjugate = fields._ChartRing.diff, DomainMatrix.adjugate
 

@@ -188,11 +188,19 @@ def test_rk4_overflow_is_integration_error():
 
 
 def test_integrate_validates_arguments():
+    # each bad time or step is named before any sample is allocated, so a
+    # nan or inf is not an IntegrationError about allocation
     vel = lambda tv, p: np.zeros(3)
-    with pytest.raises(ValueError):
-        integrate(vel, [0, 0, 0], 1.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        integrate(vel, [0, 0, 0], 0.0, 1.0, -0.1)
+    for t0, t1, h, message in [
+        (1.0, 1.0, 0.1, "empty time range: need t1 > t0"),
+        (0.0, 1.0, -0.1, "step size must be positive, not -0.1"),
+        (0.0, 1.0, math.nan, "step size must be positive, not nan"),
+        (0.0, math.inf, 0.1, "times must be finite, not t0=0.0, t1=inf"),
+        (math.nan, 1.0, 0.1, "times must be finite, not t0=nan, t1=1.0"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            integrate(vel, [0, 0, 0], t0, t1, h)
+        assert str(exc.value) == message
 
 
 def test_integrate_flags_singular_start():
