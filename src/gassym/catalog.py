@@ -28,7 +28,7 @@ forked workers when more than one CPU is usable.
 
 Every annihilation verdict is exact.  A residual sum_c F_c * J_ic lives in
 the chart's field over the coordinates, the bare angles with their sin and
-cos, and the parameters; ``ring.is_zero`` reduces its numerator modulo
+cos, and the parameters; ``Chart.is_zero`` reduces its numerator modulo
 sin^2 + cos^2 - 1.  That ideal is prime, its real points are dense and an
 angle is transcendental over the rest, so the reduced numerator is 0
 exactly when the residual vanishes: a SymbolicZero is a proof.  The group's
@@ -389,8 +389,8 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     of its symbolic parameters (all bindings share one set of names).
 
     The invariant Jacobian (rho included) is taken once, its nonzero entries
-    lifted into the chart's field (``ring.gradient``): each verdict is a row of
-    it along a generator (``ring.lie_derivative``, as in ``VectorField.apply``).
+    lifted into the chart's field (``Chart.gradient``): each verdict is a row
+    of it along a generator (``Chart.lie_derivative``, as in ``VectorField.apply``).
     Closure and the verdicts are decided once, over the symbols.
     Per binding only the ranks are checked: the basis is closed there when
     the symbolic span is closed and the substituted basis keeps its dimension.
@@ -398,15 +398,15 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     """
     sub = entry.subalgebra()
     closed = sub.is_closed()[0]
-    ring, coords = entry.chart.ring, [sp.Symbol(c) for c in entry.chart.coords]
+    chart, coords = entry.chart, [sp.Symbol(c) for c in entry.chart.coords]
     invariants = [*entry.invariants, sp.Symbol("rho")]
     jac = sp.Matrix(invariants).jacobian(coords)
     try:
-        grads = [ring.gradient(inv, jrow) for inv, jrow in zip(invariants, jac.tolist())]
+        grads = [chart.gradient(inv, jrow) for inv, jrow in zip(invariants, jac.tolist())]
     except ValueError as exc:
         raise ValueError(f"entry {entry.id}: invariant {exc}") from None
     verdicts = {
-        (gi, ii): "SymbolicZero" if ring.is_zero(ring.lie_derivative(F, grad)) else "NonZero"
+        (gi, ii): "SymbolicZero" if chart.is_zero(chart.lie_derivative(F, grad)) else "NonZero"
         for gi, F in enumerate(g.coeffs for g in entry.realized_basis())
         for ii, grad in enumerate(grads)
     }
@@ -466,7 +466,7 @@ def _usable_cpus() -> int:
 
 def _chart_tasks(ids: list[str]) -> list[tuple[str, ...]]:
     """The ids grouped by their catalog.yaml chart family (C, D, Dshift,
-    S), each id once, so that the rings and realized generators of the
+    S), each id once, so that the charts and realized generators of the
     family's charts are built in one task.  Longest first: ranked by the
     ids' unit-circle points times choice values, the number of sample
     groups before the constraints drop any."""

@@ -32,7 +32,6 @@ try:
     import json
     import math
     import os
-    import re
     import sys
     from pathlib import Path
 
@@ -250,20 +249,19 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-_NEGATIVE_START = re.compile(r"-[0-9.]")
 _NUMERIC_OPTIONS = ("--x0", "--t0", "--t1", "--h")
 
 
 def _attach_numbers(argv: list[str]) -> list[str]:
     """``--t0 -1e-3`` as ``--t0=-1e-3``, for each of ``_NUMERIC_OPTIONS``.
-    argparse reads a separate value that starts with '-' as an option
-    unless it matches its negative-number pattern, which misses exponents."""
+    Each takes exactly one value, so the word after it is that value; argparse
+    would read a word that starts with '-' (``-1e-3``, ``-inf``) as an option."""
     out, rest = [], list(argv)
     while rest:
         tok = rest.pop(0)
         if tok == "--":
             return out + [tok] + rest
-        if tok in _NUMERIC_OPTIONS and rest and _NEGATIVE_START.match(rest[0]):
+        if tok in _NUMERIC_OPTIONS and rest:
             tok = f"{tok}={rest.pop(0)}"
         out.append(tok)
     return out

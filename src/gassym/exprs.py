@@ -4,7 +4,7 @@ Expressions are plain immutable sympy objects over exact rationals.  This
 module pins down the handful of operations the rest of the package relies
 on: opaque functions whose derivatives ``sp.diff`` takes by the chain rule,
 the Pythagorean relations and the reduction modulo them (shared with the
-chart rings of ``fields``), a reduced form of an expression in the field
+charts' fields in ``fields``), a reduced form of an expression in the field
 over its atoms, numeric evaluation, exact rationals, and a zero test with
 a seeded numeric fallback.  That sampled test, ``is_zero``, serves only the
 mutation checks of acceptance gate 8; no campaign calls it, since every

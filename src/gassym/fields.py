@@ -12,25 +12,26 @@ the Cartesian chart D we support:
                 v = (t*y + b*z)/(t^2 + b^2) + qbar*cos(varthetabar),
                 w = (t*z - b*y)/(t^2 + b^2) + qbar*sin(varthetabar).
 
-A chart declares only the Cartesian coordinates it moves and the blocks
-that solve for them (``_chart``); every other one maps to itself, and the
-chart's ring lists it as ``kept``.  Pushforward solves J_Psi * G = F o Psi,
-where Psi maps chart coordinates to Cartesian ones, so no inverse trig
-functions enter symbolic work.  Field coefficients live in the chart's
-rational function field over QQ (``Chart.ring``, built once per chart):
-its generators are the coordinates, each angle a followed by sin(a) and
-cos(a), then the catalog parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets, equality and
-the catalog's annihilation verdicts run there, with one zero test: the
-numerator reduced modulo sin(a)**2 + cos(a)**2 - 1 (``exprs``) is 0.  The
-ring's kernel is sparse: a structural zero is never differentiated,
-multiplied, composed or cancelled.  ``VectorField.apply`` sums F_c * d_c e
+A ``Chart`` declares only the Cartesian coordinates it moves and the
+blocks that solve for them; every other one maps to itself and is listed
+as ``kept``.  Pushforward solves J_Psi * G = F o Psi, where Psi maps chart
+coordinates to Cartesian ones, so no inverse trig functions enter symbolic
+work.  Field coefficients live in the chart's rational function field over
+QQ (``Chart.field``, built with the chart): its generators are the
+coordinates, each angle a followed by sin(a) and cos(a), then the catalog
+parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets, equality and
+the catalog's annihilation verdicts run there, with one zero test
+(``Chart.is_zero``): the numerator reduced modulo
+sin(a)**2 + cos(a)**2 - 1 (``exprs``) is 0.  The chart's kernel is sparse:
+a structural zero is never differentiated, multiplied, composed or
+cancelled.  ``VectorField.apply`` sums F_c * d_c e
 in the field, on the path of the annihilation verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Mapping
 
@@ -62,234 +63,22 @@ D_SHIFT_COORDS = ("t", "x", "y", "z", "u", "qbar", "varthetabar", "rho", "P")
 PARAM_SYMBOLS = sp.symbols("a b c d eps")  # the catalog's parameters
 
 
-@dataclass(frozen=True, eq=False)
 class Chart:
-    """A coordinate chart on the 9-space: its map to Cartesian coordinates.
+    """A coordinate chart on the 9-space and its map to Cartesian
+    coordinates, over the field QQ(coords, sin(a), cos(a), params).
 
-    ``to_cartesian`` expresses each Cartesian coordinate as an expression
-    in this chart's symbols.
-    """
-
-    name: str
-    coords: tuple[str, ...]
-    to_cartesian: Mapping[str, sp.Expr]
-    # blocks of (cartesian coords, chart coords) that solve for the moved
-    # ones, in an order making the Jacobian block triangular: tiny solves
-    solve_order: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
-
-    @cached_property
-    def ring(self) -> "_ChartRing":
-        """The map over the chart's rational function field, built on first use."""
-        return _ChartRing(self)
-
-
-def _chart(name: str, coords: tuple[str, ...], moved: Mapping[str, sp.Expr], blocks=()) -> Chart:
-    """A chart that maps every Cartesian coordinate not in ``moved`` to
-    itself; its stages are the ``blocks`` that solve for the moved ones."""
-    to_cart = {c: moved.get(c, sp.Symbol(c)) for c in CARTESIAN_COORDS}
-    return Chart(name, coords, to_cart, blocks)
-
-
-@lru_cache(maxsize=None)
-def chart_D() -> Chart:
-    return _chart("D", CARTESIAN_COORDS, {})
-
-
-@lru_cache(maxsize=None)
-def chart_C() -> Chart:
-    r, theta, q, vartheta = sp.symbols("r theta q vartheta")
-    moved = {
-        "y": r * sp.cos(theta),
-        "z": r * sp.sin(theta),
-        "v": q * sp.cos(theta + vartheta),
-        "w": q * sp.sin(theta + vartheta),
-    }
-    blocks = ((("y", "z"), ("r", "theta")), (("v", "w"), ("q", "vartheta")))
-    return _chart("C", C_COORDS, moved, blocks)
-
-
-@lru_cache(maxsize=None)
-def chart_S() -> Chart:
-    r_S, theta_S, phi = sp.symbols("r_S theta_S phi")
-    q_S, vartheta_S, varphi = sp.symbols("q_S vartheta_S varphi")
-    U = q_S * sp.cos(vartheta_S)
-    V = q_S * sp.sin(vartheta_S) * sp.cos(varphi)
-    W = q_S * sp.sin(vartheta_S) * sp.sin(varphi)
-    moved = {
-        "x": r_S * sp.sin(theta_S) * sp.cos(phi),
-        "y": r_S * sp.sin(theta_S) * sp.sin(phi),
-        "z": r_S * sp.cos(theta_S),
-        "u": (U * sp.sin(theta_S) + V * sp.cos(theta_S)) * sp.cos(phi)
-        - W * sp.sin(phi),
-        "v": (U * sp.sin(theta_S) + V * sp.cos(theta_S)) * sp.sin(phi)
-        + W * sp.cos(phi),
-        "w": U * sp.cos(theta_S) - V * sp.sin(theta_S),
-    }
-    blocks = (
-        (("x", "y", "z"), ("r_S", "theta_S", "phi")),
-        (("u", "v", "w"), ("q_S", "vartheta_S", "varphi")),
-    )
-    return _chart("S", S_COORDS, moved, blocks)
-
-
-@lru_cache(maxsize=None)
-def chart_D_shift(b) -> Chart:
-    """Cartesian chart with (v, w) traded for the shifted polar pair."""
-    b = exact_number(b)
-    t, y, z, qbar, varthetabar = sp.symbols("t y z qbar varthetabar")
-    denom = t**2 + b**2
-    moved = {
-        "v": (t * y + b * z) / denom + qbar * sp.cos(varthetabar),
-        "w": (t * z - b * y) / denom + qbar * sp.sin(varthetabar),
-    }
-    return _chart(f"D-shift({b})", D_SHIFT_COORDS, moved, ((("v", "w"), ("qbar", "varthetabar")),))
-
-
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """First-order differential operator on a chart: coord -> element of ``chart.ring.field``."""
-
-    chart: Chart
-    coeffs: Mapping[str, object]
-
-    def __post_init__(self):
-        coeffs = {c: self.chart.ring.element(self.coeffs.get(c, 0)) for c in self.chart.coords}
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def coeff(self, coord: str) -> sp.Expr:
-        return self.coeffs[coord].as_expr()
-
-    def apply(self, e) -> sp.Expr:
-        """Directional derivative sum_c F_c * d(e)/dc, reduced in the
-        chart's field by the path of the catalog's verdicts."""
-        e, ring = sp.sympify(e, strict=True), self.chart.ring
-        grad = ring.gradient(e, [sp.diff(e, sp.Symbol(c)) for c in self.chart.coords])
-        return ring.reduce(ring.lie_derivative(self.coeffs, grad)).as_expr()
-
-    def __rmul__(self, scalar) -> "VectorField":
-        k = self.chart.ring.element(sp.sympify(scalar, strict=True))
-        return VectorField(self.chart, {c: k * f for c, f in self.coeffs.items()})
-
-    def equals(self, other: "VectorField") -> bool:
-        if other.chart.name != self.chart.name:
-            return False
-        ring = self.chart.ring
-        return all(ring.is_zero(f - other.coeffs[c]) for c, f in self.coeffs.items())
-
-
-def vf_commutator(F: VectorField, G: VectorField) -> VectorField:
-    """[F, G] with coefficients F(G_i) - G(F_i)."""
-    if F.chart.name != G.chart.name:
-        raise ValueError("chart mismatch")
-    return VectorField(F.chart, F.chart.ring.bracket(F.coeffs, G.coeffs))
-
-
-# --------------------------------------------------------------------------
-# generator realizations (Cartesian forms are the table of record)
-
-
-def _cartesian_generators() -> dict[str, dict[str, sp.Expr]]:
-    t, x, y, z, u, v, w = sp.symbols("t x y z u v w")
-    one = sp.Integer(1)
-    return {
-        "X1": {"x": one},
-        "X2": {"y": one},
-        "X3": {"z": one},
-        "X4": {"x": t, "u": one},
-        "X5": {"y": t, "v": one},
-        "X6": {"z": t, "w": one},
-        "X7": {"y": -z, "z": y, "v": -w, "w": v},
-        "X8": {"x": z, "z": -x, "u": w, "w": -u},
-        "X9": {"x": -y, "y": x, "u": -v, "v": u},
-        "X10": {"t": one},
-        "X11": {"t": t, "x": x, "y": y, "z": z},
-        "Y": {"P": one},
-    }
-
-
-@lru_cache(maxsize=None)
-def realize(label: str, chart: Chart | None = None) -> VectorField:
-    """The generator ``label`` (Y or X1..X11) as a field on ``chart``."""
-    if label not in L12_LABELS:
-        raise ValueError(f"unknown generator {label!r}")
-    D = chart_D()
-    F = VectorField(D, _cartesian_generators()[label])
-    if chart is None or chart.name == "D":
-        return F
-    return pushforward(F, chart)
-
-
-def realize_combination(coeffs, chart: Chart | None = None) -> VectorField:
-    """Linear combination sum coeffs[i] * generator_i, (Y, X1..X11) order."""
-    chart = chart or chart_D()
-    ring = chart.ring
-    terms = [(ring.element(sp.sympify(a, strict=True)), realize(label, chart).coeffs)
-             for a, label in zip(coeffs, L12_LABELS) if a != 0]
-    sums = {c: sum((a * F[c] for a, F in terms if F[c]), ring.field.zero) for c in chart.coords}
-    return VectorField(chart, sums)
-
-
-def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
-    """Generator pairs whose realized commutator disagrees with the
-    structure-constant table; empty means the table is certified."""
-    from .liealg import l12
-
-    chart = chart or chart_D()
-    ring, table = chart.ring, l12().table
-    fields = [realize(lbl, chart).coeffs for lbl in L12_LABELS]
-    bad = []
-    for i, j in combinations(range(len(L12_LABELS)), 2):
-        lhs = ring.bracket(fields[i], fields[j])
-        terms = [(a, fields[k]) for k, a in table.get((i, j), {}).items()]
-        if not all(
-            ring.is_zero(lhs[c] - sum((a * g[c] for a, g in terms), ring.field.zero))
-            for c in chart.coords
-        ):
-            bad.append((L12_LABELS[i], L12_LABELS[j]))
-    return bad
-
-
-def pushforward(F: VectorField, target: Chart) -> VectorField:
-    """Express a Cartesian field in ``target`` chart coordinates.
-
-    Solves J_Psi * G = F o Psi in the chart's rational function field
-    (Psi is the chart-to-Cartesian map): a kept coordinate takes F's
-    coefficient, then the declared blocks are solved in order.  Each value
-    is reduced modulo the Pythagorean relations.
-    """
-    if F.chart.name != "D":
-        raise ValueError("pushforward expects a field in chart D")
-    if target.name == "D":
-        return F
-    if not target.solve_order:
-        raise ValueError(f"chart {target.name} has no solve stages")
-    ring, zero = target.ring, target.ring.field.zero
-    rhs = {c: ring.compose(F.coeff(c)) for c in CARTESIAN_COORDS}
-    solved = {c: ring.reduce(rhs[c]) for c in ring.kept}
-    for (cart_coords, chart_coords), inverse, coupling in zip(
-        target.solve_order, ring.inverses, ring.couplings
-    ):
-        b = [
-            rhs[cc] - sum((d * solved[p] for p, d in coupling[cc] if solved[p]), zero)
-            for cc in cart_coords
-        ]
-        for name, row in zip(chart_coords, inverse):
-            solved[name] = ring.reduce(sum((m * x for m, x in zip(row, b) if m and x), zero))
-    return VectorField(target, solved)
-
-
-class _ChartRing:
-    """A chart's map to Cartesian coordinates over
-    QQ(coords, sin(a), cos(a), params).
-
-    Each angle ``a`` under ``sin``/``cos`` is a generator followed by
-    sin(a) and cos(a); rational functions are kept with numerator and
-    denominator reduced (``reduce``) modulo ``exprs.pythagorean_ideal``.
-    a is transcendental over the rest, so an element vanishes exactly when
-    its numerator reduces to 0.  Holds the Cartesian coordinates the chart
-    keeps (``kept``, each its own image), and per solve stage the inverse
-    of the Jacobian block (adjugate over the reduced determinant) and the
-    derivatives coupling it to the kept coordinates and earlier stages.
+    ``moved`` gives each Cartesian coordinate the chart moves as an
+    expression in the chart's coordinates; the others are ``kept``, each its
+    own image.  ``blocks`` of (Cartesian coords, chart coords) solve for the
+    moved ones, in an order making the Jacobian block triangular.  Each angle
+    ``a`` under ``sin``/``cos`` is a generator followed by sin(a) and cos(a);
+    rational functions are kept with numerator and denominator reduced
+    (``reduce``) modulo ``exprs.pythagorean_ideal``.  a is transcendental
+    over the rest, so an element vanishes exactly when its numerator
+    reduces to 0.  Each of the ``stages`` is one block as a pair: the
+    derivatives coupling each of its Cartesian coordinates to the kept
+    coordinates and earlier stages, and the inverse of its Jacobian
+    (adjugate over the reduced determinant), one row per chart coordinate.
 
     The kernel is sparse: a structural zero is never differentiated,
     multiplied, composed or cancelled (``diff`` runs the quotient rule only
@@ -298,32 +87,31 @@ class _ChartRing:
     element the dense formulas give.
     """
 
-    def __init__(self, chart: Chart):
-        maps = {c: sp.expand_trig(e) for c, e in chart.to_cartesian.items()}
-        coords = [sp.Symbol(c) for c in chart.coords]
-        args = {f.args[0] for e in maps.values() for f in e.atoms(sp.sin, sp.cos)}
-        angles = [a for a in coords if a in args]
-        gens = [g for x in coords for g in ((x, sp.sin(x), sp.cos(x)) if x in args else (x,))]
+    def __init__(self, name: str, coords: tuple[str, ...], moved: Mapping[str, sp.Expr], blocks=()):
+        self.name, self.coords = name, coords
+        self.kept = tuple(c for c in CARTESIAN_COORDS if c not in moved)
+        self.to_cartesian = {c: sp.expand_trig(moved.get(c, sp.Symbol(c))) for c in CARTESIAN_COORDS}
+        syms = [sp.Symbol(c) for c in coords]
+        args = {f.args[0] for e in self.to_cartesian.values() for f in e.atoms(sp.sin, sp.cos)}
+        gens = [g for x in syms for g in ((x, sp.sin(x), sp.cos(x)) if x in args else (x,))]
         self.field = K = field(gens + list(PARAM_SYMBOLS), sp.QQ)[0]
-        self._gen = {x.name: gens.index(x) for x in coords}
-        self._angle = {a.name: (gens.index(sp.sin(a)), gens.index(sp.cos(a))) for a in angles}
+        self._gen = {x.name: gens.index(x) for x in syms}
+        self._angle = {a.name: (gens.index(sp.sin(a)), gens.index(sp.cos(a))) for a in syms if a in args}
         self._ideal = pythagorean_ideal(K.ring)
         self.reduce = partial(pythagorean_reduce, ideal=self._ideal)
-        self.coords = chart.coords
-        self.kept = tuple(c for c, e in chart.to_cartesian.items() if e == sp.Symbol(c))
-        self._cart = {sp.Symbol(c): e for c, e in maps.items()}
-        images = {c: K.from_expr(e) for c, e in maps.items()}
+        self._cart = {sp.Symbol(c): e for c, e in self.to_cartesian.items()}
+        images = {c: K.from_expr(e) for c, e in self.to_cartesian.items()}
 
-        self.inverses, self.couplings, earlier = [], [], list(self.kept)
-        for cart_coords, chart_coords in chart.solve_order:
+        self.stages, earlier = [], list(self.kept)
+        for cart_coords, chart_coords in blocks:
             jac = [[self.diff(images[cc], x) for x in chart_coords] for cc in cart_coords]
             block = DomainMatrix(jac, (len(jac), len(jac)), K.to_domain())
             adj, det = block.adjugate().to_list(), self.reduce(block.det())
-            self.inverses.append([[self.reduce(m / det) for m in row] for row in adj])
-            self.couplings.append({
-                cc: [(prev, d) for prev in earlier if (d := self.diff(images[cc], prev))]
-                for cc in cart_coords
-            })
+            coupling = {cc: [(prev, d) for prev in earlier if (d := self.diff(images[cc], prev))]
+                        for cc in cart_coords}
+            self.stages.append((coupling, {
+                x: [self.reduce(m / det) for m in row] for x, row in zip(chart_coords, adj)
+            }))
             earlier += chart_coords
 
     def _derive(self, p, coord: str):
@@ -380,3 +168,185 @@ class _ChartRing:
     def element(self, e):
         """``e``, a number, expression or element, in the field; zero is not converted."""
         return self.field(e) if e != 0 else self.field.zero
+
+
+@lru_cache(maxsize=None)
+def chart_D() -> Chart:
+    return Chart("D", CARTESIAN_COORDS, {})
+
+
+@lru_cache(maxsize=None)
+def chart_C() -> Chart:
+    r, theta, q, vartheta = sp.symbols("r theta q vartheta")
+    moved = {
+        "y": r * sp.cos(theta),
+        "z": r * sp.sin(theta),
+        "v": q * sp.cos(theta + vartheta),
+        "w": q * sp.sin(theta + vartheta),
+    }
+    blocks = ((("y", "z"), ("r", "theta")), (("v", "w"), ("q", "vartheta")))
+    return Chart("C", C_COORDS, moved, blocks)
+
+
+@lru_cache(maxsize=None)
+def chart_S() -> Chart:
+    r_S, theta_S, phi = sp.symbols("r_S theta_S phi")
+    q_S, vartheta_S, varphi = sp.symbols("q_S vartheta_S varphi")
+    U = q_S * sp.cos(vartheta_S)
+    V = q_S * sp.sin(vartheta_S) * sp.cos(varphi)
+    W = q_S * sp.sin(vartheta_S) * sp.sin(varphi)
+    moved = {
+        "x": r_S * sp.sin(theta_S) * sp.cos(phi),
+        "y": r_S * sp.sin(theta_S) * sp.sin(phi),
+        "z": r_S * sp.cos(theta_S),
+        "u": (U * sp.sin(theta_S) + V * sp.cos(theta_S)) * sp.cos(phi)
+        - W * sp.sin(phi),
+        "v": (U * sp.sin(theta_S) + V * sp.cos(theta_S)) * sp.sin(phi)
+        + W * sp.cos(phi),
+        "w": U * sp.cos(theta_S) - V * sp.sin(theta_S),
+    }
+    blocks = (
+        (("x", "y", "z"), ("r_S", "theta_S", "phi")),
+        (("u", "v", "w"), ("q_S", "vartheta_S", "varphi")),
+    )
+    return Chart("S", S_COORDS, moved, blocks)
+
+
+@lru_cache(maxsize=None)
+def chart_D_shift(b) -> Chart:
+    """Cartesian chart with (v, w) traded for the shifted polar pair."""
+    b = exact_number(b)
+    t, y, z, qbar, varthetabar = sp.symbols("t y z qbar varthetabar")
+    denom = t**2 + b**2
+    moved = {
+        "v": (t * y + b * z) / denom + qbar * sp.cos(varthetabar),
+        "w": (t * z - b * y) / denom + qbar * sp.sin(varthetabar),
+    }
+    return Chart(f"D-shift({b})", D_SHIFT_COORDS, moved, ((("v", "w"), ("qbar", "varthetabar")),))
+
+
+@dataclass(frozen=True, eq=False)
+class VectorField:
+    """First-order differential operator on a chart: coord -> element of ``chart.field``."""
+
+    chart: Chart
+    coeffs: Mapping[str, object]
+
+    def __post_init__(self):
+        coeffs = {c: self.chart.element(self.coeffs.get(c, 0)) for c in self.chart.coords}
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def coeff(self, coord: str) -> sp.Expr:
+        return self.coeffs[coord].as_expr()
+
+    def apply(self, e) -> sp.Expr:
+        """Directional derivative sum_c F_c * d(e)/dc, reduced in the
+        chart's field by the path of the catalog's verdicts."""
+        e, chart = sp.sympify(e, strict=True), self.chart
+        grad = chart.gradient(e, [sp.diff(e, sp.Symbol(c)) for c in chart.coords])
+        return chart.reduce(chart.lie_derivative(self.coeffs, grad)).as_expr()
+
+    def __rmul__(self, scalar) -> "VectorField":
+        k = self.chart.element(sp.sympify(scalar, strict=True))
+        return VectorField(self.chart, {c: k * f for c, f in self.coeffs.items()})
+
+    def equals(self, other: "VectorField") -> bool:
+        if other.chart.name != self.chart.name:
+            return False
+        return all(self.chart.is_zero(f - other.coeffs[c]) for c, f in self.coeffs.items())
+
+
+def vf_commutator(F: VectorField, G: VectorField) -> VectorField:
+    """[F, G] with coefficients F(G_i) - G(F_i)."""
+    if F.chart.name != G.chart.name:
+        raise ValueError("chart mismatch")
+    return VectorField(F.chart, F.chart.bracket(F.coeffs, G.coeffs))
+
+
+# --------------------------------------------------------------------------
+# generator realizations (Cartesian forms are the table of record)
+
+
+def _cartesian_generators() -> dict[str, dict[str, sp.Expr]]:
+    t, x, y, z, u, v, w = sp.symbols("t x y z u v w")
+    one = sp.Integer(1)
+    return {
+        "X1": {"x": one},
+        "X2": {"y": one},
+        "X3": {"z": one},
+        "X4": {"x": t, "u": one},
+        "X5": {"y": t, "v": one},
+        "X6": {"z": t, "w": one},
+        "X7": {"y": -z, "z": y, "v": -w, "w": v},
+        "X8": {"x": z, "z": -x, "u": w, "w": -u},
+        "X9": {"x": -y, "y": x, "u": -v, "v": u},
+        "X10": {"t": one},
+        "X11": {"t": t, "x": x, "y": y, "z": z},
+        "Y": {"P": one},
+    }
+
+
+@lru_cache(maxsize=None)
+def realize(label: str, chart: Chart | None = None) -> VectorField:
+    """The generator ``label`` (Y or X1..X11) as a field on ``chart``."""
+    if label not in L12_LABELS:
+        raise ValueError(f"unknown generator {label!r}")
+    D = chart_D()
+    F = VectorField(D, _cartesian_generators()[label])
+    if chart is None or chart.name == "D":
+        return F
+    return pushforward(F, chart)
+
+
+def realize_combination(coeffs, chart: Chart | None = None) -> VectorField:
+    """Linear combination sum coeffs[i] * generator_i, (Y, X1..X11) order."""
+    chart = chart or chart_D()
+    terms = [(chart.element(sp.sympify(a, strict=True)), realize(label, chart).coeffs)
+             for a, label in zip(coeffs, L12_LABELS) if a != 0]
+    sums = {c: sum((a * F[c] for a, F in terms if F[c]), chart.field.zero) for c in chart.coords}
+    return VectorField(chart, sums)
+
+
+def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
+    """Generator pairs whose realized commutator disagrees with the
+    structure-constant table; empty means the table is certified."""
+    from .liealg import l12
+
+    chart = chart or chart_D()
+    table = l12().table
+    fields = [realize(lbl, chart).coeffs for lbl in L12_LABELS]
+    bad = []
+    for i, j in combinations(range(len(L12_LABELS)), 2):
+        lhs = chart.bracket(fields[i], fields[j])
+        terms = [(a, fields[k]) for k, a in table.get((i, j), {}).items()]
+        if not all(
+            chart.is_zero(lhs[c] - sum((a * g[c] for a, g in terms), chart.field.zero))
+            for c in chart.coords
+        ):
+            bad.append((L12_LABELS[i], L12_LABELS[j]))
+    return bad
+
+
+def pushforward(F: VectorField, target: Chart) -> VectorField:
+    """Express a Cartesian field in ``target`` chart coordinates.
+
+    Solves J_Psi * G = F o Psi in the chart's rational function field
+    (Psi is the chart-to-Cartesian map): a kept coordinate takes F's
+    coefficient, then the declared blocks are solved in order.  Each value
+    is reduced modulo the Pythagorean relations.
+    """
+    if F.chart.name != "D":
+        raise ValueError("pushforward expects a field in chart D")
+    if target.name == "D":
+        return F
+    if not target.stages:
+        raise ValueError(f"chart {target.name} has no solve stages")
+    zero = target.field.zero
+    rhs = {c: target.compose(F.coeff(c)) for c in CARTESIAN_COORDS}
+    solved = {c: target.reduce(rhs[c]) for c in target.kept}
+    for coupling, inverse in target.stages:
+        b = [rhs[cc] - sum((d * solved[p] for p, d in links if solved[p]), zero)
+             for cc, links in coupling.items()]
+        for name, row in inverse.items():
+            solved[name] = target.reduce(sum((m * x for m, x in zip(row, b) if m and x), zero))
+    return VectorField(target, solved)

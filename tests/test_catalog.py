@@ -227,7 +227,7 @@ def test_catalog_pass_parses_each_string_once(monkeypatch):
 
 
 def test_catalog_pass_pushes_forward_in_the_ring(monkeypatch):
-    # fresh charts: each chart's ring, chart D's included, is set up once,
+    # fresh charts: each chart, chart D included, is built once,
     # each realized generator is pushed forward once, and no Expr-level
     # canonicalize runs inside a pushforward
     for cached in (fields.chart_D, fields.chart_C, fields.chart_S, fields.chart_D_shift, fields.realize):
@@ -235,10 +235,10 @@ def test_catalog_pass_pushes_forward_in_the_ring(monkeypatch):
     setups, calls = {}, {"pushforward": 0, "canonicalize": 0}
     inside = []
 
-    class CountedRing(fields._ChartRing):
-        def __init__(self, chart):
-            setups[chart.name] = setups.get(chart.name, 0) + 1
-            super().__init__(chart)
+    class CountedChart(fields.Chart):
+        def __init__(self, name, *args):
+            setups[name] = setups.get(name, 0) + 1
+            super().__init__(name, *args)
 
     def pushforward(F, target):
         calls["pushforward"] += 1
@@ -253,7 +253,7 @@ def test_catalog_pass_pushes_forward_in_the_ring(monkeypatch):
         return canon(e)
 
     push, canon = fields.pushforward, exprs.canonicalize
-    monkeypatch.setattr(fields, "_ChartRing", CountedRing)
+    monkeypatch.setattr(fields, "Chart", CountedChart)
     monkeypatch.setattr(fields, "pushforward", pushforward)
     monkeypatch.setattr(exprs, "canonicalize", canonicalize)
     for eid in catalog_ids():
@@ -264,7 +264,7 @@ def test_catalog_pass_pushes_forward_in_the_ring(monkeypatch):
 
 
 def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
-    # every verdict is one ring zero test of a row of its group's one
+    # every verdict is one chart zero test of a row of its group's one
     # invariant Jacobian: 38 groups x 4 generators x 5 invariants, with no
     # Lie derivative of an expression and no Expr canonical form
     calls = {"is_zero": 0, "apply": 0, "canonicalize": 0}
@@ -275,7 +275,7 @@ def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fields._ChartRing, "is_zero", counted("is_zero", fields._ChartRing.is_zero))
+    monkeypatch.setattr(fields.Chart, "is_zero", counted("is_zero", fields.Chart.is_zero))
     monkeypatch.setattr(fields.VectorField, "apply", counted("apply", fields.VectorField.apply))
     monkeypatch.setattr(exprs, "canonicalize", counted("canonicalize", exprs.canonicalize))
     for eid in catalog_ids():

@@ -6,7 +6,7 @@ import sys
 import pytest
 import sympy as sp
 
-from gassym import classify, liealg
+from gassym import classify, fields, liealg, submodel
 from gassym.catalog import _PARAM_SYMS, ConstraintError, UnknownEntryError, catalog_ids
 from gassym.cli import main
 from gassym.classify import (
@@ -164,3 +164,22 @@ def test_classify_all_solves_only_inside_is_closed(monkeypatch, capsys):
     capsys.readouterr()
     assert len(callers) == 41 + 28
     assert set(callers) == {("Subalgebra", "is_closed")}
+
+
+def test_classify_and_solutions_build_no_chart(monkeypatch):
+    # a chart builds its field when it is made: the class checks, the
+    # fingerprints and the solution checks never make one
+    for cached in (fields.chart_D, fields.chart_C, fields.chart_S, fields.chart_D_shift, fields.realize):
+        cached.cache_clear()
+    built = []
+    init = fields.Chart.__init__
+
+    def counted(self, name, *args):
+        built.append(name)
+        init(self, name, *args)
+
+    monkeypatch.setattr(fields.Chart, "__init__", counted)
+    assert all(verify_class(eid).passed for eid in class_ids())
+    assert fingerprint_consistency().passed
+    assert all(submodel.verify_solution(kind)["passed"] for kind in submodel.SOLUTION_KINDS)
+    assert built == []

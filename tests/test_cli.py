@@ -345,9 +345,10 @@ def test_trace_empty_range_is_usage_error(capsys):
     assert "time range" in err
 
 
-@pytest.mark.parametrize("flag", ["--t0=nan", "--t1=inf"])
+# a value after its option as its own word is attached to it, "-inf" too
+@pytest.mark.parametrize("flag", ["--t0=nan", "--t1=inf", "--t0 -inf", "--t1 -nan"])
 def test_trace_non_finite_time_is_usage_error(capsys, flag):
-    code, out, err = _run(capsys, ["trace", "isochoric-reduced", flag])
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", *flag.split()])
     assert code == 2
     assert out == ""
     assert err.startswith("error: times must be finite")
@@ -408,7 +409,7 @@ def test_trace_bad_point_is_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("x0", ["nan,0,0", "inf,0,0", "0,-inf,0"])
+@pytest.mark.parametrize("x0", ["nan,0,0", "inf,0,0", "0,-inf,0", "-inf,0,0", "-nan,0,0"])
 def test_trace_non_finite_point_is_refused_before_integrating(capsys, monkeypatch, x0):
     def integrate(*args):
         raise AssertionError("integrated from a non-finite point")

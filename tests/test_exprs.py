@@ -309,9 +309,9 @@ def test_no_module_calls_nsimplify():
 
 def test_catalog_and_fields_verdicts_never_canonicalize():
     # annihilation verdicts, brackets, field equality and the Lie
-    # derivative of an expression all take the chart ring's zero test:
+    # derivative of an expression all take the chart's zero test:
     # neither catalog.py nor fields.py calls canonicalize, and each chart
-    # ring reduces modulo the one Pythagorean ideal that canonicalize uses
+    # reduces modulo the one Pythagorean ideal that canonicalize uses
     package = Path(fields.__file__).parent
     names = [
         f"catalog.py:{node.lineno}"
@@ -334,8 +334,7 @@ def test_catalog_and_fields_verdicts_never_canonicalize():
     visit(ast.parse((package / "fields.py").read_text()), ())
     assert callers == []
     for chart in (fields.chart_C(), fields.chart_S(), fields.chart_D_shift(1)):
-        ring = chart.ring
-        assert ring._ideal and ring._ideal == pythagorean_ideal(ring.field.ring)
+        assert chart._ideal and chart._ideal == pythagorean_ideal(chart.field.ring)
 
 
 _FAM = submodel.solution_family("isochoric-reduced")

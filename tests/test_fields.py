@@ -212,17 +212,17 @@ MOVED = {"C": ("y", "z", "v", "w"), "S": ("x", "y", "z", "u", "v", "w"), "Dshift
 
 @pytest.mark.parametrize("name", list(CERTIFIED_CHARTS))
 def test_chart_keeps_every_unmoved_coordinate(name):
-    # each coordinate a chart does not move maps to itself and is listed by
-    # its ring as kept, in Cartesian order; the solve stages are the
-    # chart's own blocks, which solve for the moved coordinates only
+    # each coordinate a chart does not move maps to itself and is listed
+    # as kept, in Cartesian order; the solve stages are the chart's own
+    # blocks, which solve for the moved coordinates only
     chart = CERTIFIED_CHARTS[name]()
     kept = tuple(c for c in CARTESIAN_COORDS if c not in MOVED[name])
     assert tuple(chart.to_cartesian) == CARTESIAN_COORDS
     assert tuple(c for c, e in chart.to_cartesian.items() if e == sp.Symbol(c)) == kept
-    assert chart.ring.kept == kept
-    blocks = chart.solve_order
-    assert all(len(cart) in (2, 3) and len(cart) == len(ch) for cart, ch in blocks)
-    assert sorted(c for cart, _ in blocks for c in cart) == sorted(MOVED[name])
+    assert chart.kept == kept
+    stages = chart.stages  # (coupling by Cartesian coord, inverse row by chart coord)
+    assert all(len(cart) in (2, 3) and len(cart) == len(inv) for cart, inv in stages)
+    assert sorted(c for cart, _ in stages for c in cart) == sorted(MOVED[name])
 
 
 MUTANT_CHARTS = {
@@ -268,7 +268,7 @@ def test_certification_names_the_pairs_a_flipped_generator_breaks(monkeypatch, n
 
 
 # --------------------------------------------------------------------------
-# the sparse chart-ring kernel against the dense formulas
+# the sparse chart kernel against the dense formulas
 
 REFERENCE_CHARTS = {
     "D": chart_D, "C": chart_C, "S": chart_S,
@@ -277,27 +277,27 @@ REFERENCE_CHARTS = {
 }
 
 
-def _dense_diff(ring, h, coord):
+def _dense_diff(chart, h, coord):
     """d h / d coord by FracElement.diff, (n'd - nd')/d**2, on every part;
     along an angle, the bare angle and its sin and cos all move."""
-    K = ring.field
+    K = chart.field
     gens = K.ring.gens
-    d = h.diff(K(gens[ring._gen[coord]]))
-    if coord in ring._angle:
-        s, c = (K(gens[i]) for i in ring._angle[coord])
+    d = h.diff(K(gens[chart._gen[coord]]))
+    if coord in chart._angle:
+        s, c = (K(gens[i]) for i in chart._angle[coord])
         d += c * h.diff(s) - s * h.diff(c)
     return d
 
 
-def _dense_reduce(ring, h):
-    return ring.field.new(h.numer.rem(ring._ideal), h.denom.rem(ring._ideal))
+def _dense_reduce(chart, h):
+    return chart.field.new(h.numer.rem(chart._ideal), h.denom.rem(chart._ideal))
 
 
 def _probe(chart):
     """A field whose coefficients carry a bare angle, its sin and cos, and
     a parameter, as the catalog's invariant Jacobians do."""
     t, rho, eps = sp.symbols("t rho eps")
-    angle = next(iter(chart.ring._angle), None)
+    angle = next(iter(chart._angle), None)
     e = eps * rho / t
     if angle is None:
         return VectorField(chart, {"t": e})
@@ -312,31 +312,32 @@ def test_sparse_ring_kernel_matches_dense_formulas(make_chart):
     # and on a probe with a bare angle and a parameter, they give the same
     # canonical elements as the dense formulas
     chart = make_chart()
-    ring, coords, zero = chart.ring, chart.coords, chart.ring.field.zero
+    coords, zero = chart.coords, chart.field.zero
     names = [*L12_LABELS, "probe"]
     fields = [realize(label, chart).coeffs for label in L12_LABELS] + [_probe(chart).coeffs]
     dense = []
     for f in fields:
-        d = {(c, x): _dense_diff(ring, f[c], x) for c in coords for x in coords}
-        assert {cx: ring.diff(f[cx[0]], cx[1]) for cx in d} == d
+        d = {(c, x): _dense_diff(chart, f[c], x) for c in coords for x in coords}
+        assert {cx: chart.diff(f[cx[0]], cx[1]) for cx in d} == d
         dense.append(d)
     for i, j in combinations(range(len(fields)), 2):
         f, g = fields[i], fields[j]
         want = {
-            c: _dense_reduce(ring, sum(
+            c: _dense_reduce(chart, sum(
                 (f[x] * dense[j][c, x] - g[x] * dense[i][c, x] for x in coords), zero
             ))
             for c in coords
         }
-        assert ring.bracket(f, g) == want, (names[i], names[j])
+        assert chart.bracket(f, g) == want, (names[i], names[j])
 
 
 def test_ring_kernel_skips_structural_zeros(monkeypatch):
     # the table on chart D differentiates only nonzero coefficients along
     # nonzero ones, and the five catalog charts take one adjugate per
-    # declared block, seven in all; a kept coordinate takes none
+    # declared block when they are built, seven in all; a kept coordinate
+    # takes none
     calls = {"diff": 0, "adjugate": 0}
-    diff, adjugate = fields._ChartRing.diff, DomainMatrix.adjugate
+    diff, adjugate = fields.Chart.diff, DomainMatrix.adjugate
 
     def counted_diff(self, f, coord):
         calls["diff"] += 1
@@ -346,12 +347,11 @@ def test_ring_kernel_skips_structural_zeros(monkeypatch):
         calls["adjugate"] += 1
         return adjugate(self)
 
-    monkeypatch.setattr(fields._ChartRing, "diff", counted_diff)
+    monkeypatch.setattr(fields.Chart, "diff", counted_diff)
     monkeypatch.setattr(DomainMatrix, "adjugate", counted_adjugate)
     assert realization_table_diff(chart_D()) == []
     assert calls["diff"] == 648
     for cached in (fields.chart_C, fields.chart_S, fields.chart_D_shift, fields.realize):
         cached.cache_clear()
-    for chart in (chart_C(), chart_S(), *map(chart_D_shift, (0, 1, sp.Rational(4, 5)))):
-        chart.ring
-    assert calls["adjugate"] == 7
+    charts = [chart_C(), chart_S(), *map(chart_D_shift, (0, 1, sp.Rational(4, 5)))]
+    assert len(charts) == 5 and calls["adjugate"] == 7
