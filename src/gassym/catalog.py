@@ -22,13 +22,13 @@ one-binding group ``[{}]``.  A catalog id is verified as one group per
 unit-circle point and choice value, with only the grid parameters left
 as symbols: closure and the residuals are decided once per group, and
 each sample checks only the ranks that substitution can change.  Both
-the residuals and the ranks read the group's one invariant Jacobian.
+read each invariant's gradient in the chart's field: no sympy Jacobian.
 :func:`verify_entries` verifies many ids, one task per chart family, in
 forked workers when more than one CPU is usable.
 
-Every annihilation verdict is exact.  A residual sum_c F_c * J_ic lives in
-the chart's field over the coordinates, the bare angles with their sin and
-cos, and the parameters; ``Chart.is_zero`` reduces its numerator modulo
+Every annihilation verdict is exact.  A residual sum_i B_ki L_{X_i} I lives
+in the chart's field over the coordinates, the bare angles with their sin
+and cos, and the parameters; ``Chart.is_zero`` reduces its numerator modulo
 sin^2 + cos^2 - 1.  That ideal is prime, its real points are dense and an
 angle is transcendental over the rest, so the reduced numerator is 0
 exactly when the residual vanishes: a SymbolicZero is a proof.  The group's
@@ -53,10 +53,11 @@ from importlib import resources
 
 import sympy as sp
 import yaml
+from sympy.polys.matrices import DomainMatrix
 
 from .exprs import exact_number
 from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, PARAM_SYMBOLS, S_COORDS, Chart,
-                     chart_C, chart_D, chart_D_shift, chart_S, realize_combination)
+                     chart_C, chart_D, chart_D_shift, chart_S, realize, realize_combination)
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
 
 __all__ = [
@@ -367,19 +368,27 @@ def _rank_point(coords: list) -> dict:
     return {c: sp.Rational(k + 3, k + 2) for k, c in enumerate(coords)}
 
 
-def _group_ranks(jac: sp.Matrix, coords: list, grids: list[dict]) -> list[int]:
-    """Exact generic rank of the invariant Jacobian over QQ(coords), for
-    each substitution in ``grids`` of the grid symbols.  The invariants
-    use only ``log``, so the entries are rational, and the rank at a point
-    is a lower bound on the generic rank: rank 5 at ``_rank_point`` proves
-    it.  The point is substituted once, then each grid.  Below 5, or on a
-    pole, the rref of ``jac`` at the grid over QQ(coords) decides."""
-    at_point = jac.xreplace(_rank_point(coords))
-    ranks = []
+def _group_ranks(chart: Chart, jac: list[list], grids: list[dict]) -> list[int]:
+    """Exact generic rank over QQ(coords) of the invariant Jacobian ``jac``,
+    rows of ``Chart.gradient``, for each substitution in ``grids`` of the
+    grid symbols.  The rank at a point is a lower bound on the generic
+    rank, so rank 5 at ``_rank_point`` proves it; there each entry's
+    numerator and denominator are evaluated over QQ, with sin(a) at 0 and
+    cos(a) at 1.  Below 5, or on a pole, the rref over QQ(coords) decides."""
+    def value(p, at: list):  # the polynomial p over QQ at ``at``, one value per generator
+        return sum((c * math.prod(v**k for v, k in zip(at, m) if k) for m, c in p.items()), sp.QQ.zero)
+
+    gens, point, ranks = chart.field.symbols, _rank_point(chart.symbols), []
+    point = [sp.QQ.convert(point[g]) if g in point else sp.QQ(int(g.func == sp.cos)) for g in gens]
     for grid in grids:
-        J = at_point.xreplace(grid)
-        if J.has(sp.zoo, sp.nan) or (rank := len(_rref(J)[1])) < jac.rows:
-            rank = len(_rref(jac.xreplace(grid))[1])
+        at = [sp.QQ.convert(grid[g]) if g in grid else v for g, v in zip(gens, point)]
+        try:  # a zero denominator is a pole
+            J = [[value(f.numer, at) / value(f.denom, at) if f else sp.QQ.zero for f in row] for row in jac]
+            rank = len(_rref(DomainMatrix(J, (len(J), len(chart.coords)), sp.QQ))[1])
+        except ZeroDivisionError:
+            rank = 0
+        if rank < len(jac):
+            rank = len(_rref(sp.Matrix([[f.as_expr() for f in row] for row in jac]).xreplace(grid))[1])
         ranks.append(rank)
     return ranks
 
@@ -388,9 +397,11 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     """Closure, annihilation verdicts and rank of ``entry`` at each binding
     of its symbolic parameters (all bindings share one set of names).
 
-    The invariant Jacobian (rho included) is taken once, its nonzero entries
-    lifted into the chart's field (``Chart.gradient``): each verdict is a row
-    of it along a generator (``Chart.lie_derivative``, as in ``VectorField.apply``).
+    Each invariant I (rho included) is read once into the chart's field and
+    differentiated there (``Chart.gradient``).  By linearity the verdict of
+    basis element k is L_{sum_i B_ki X_i} I = sum_i B_ki L_{X_i} I over the
+    cached generators ``realize(X_i, chart)``: one numerator over the product
+    of the denominators (``Chart.combination``), decided by ``Chart.is_zero``.
     Closure and the verdicts are decided once, over the symbols.
     Per binding only the ranks are checked: the basis is closed there when
     the symbolic span is closed and the substituted basis keeps its dimension.
@@ -398,21 +409,20 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     """
     sub = entry.subalgebra()
     closed = sub.is_closed()[0]
-    chart, coords = entry.chart, [sp.Symbol(c) for c in entry.chart.coords]
-    invariants = [*entry.invariants, sp.Symbol("rho")]
-    jac = sp.Matrix(invariants).jacobian(coords)
+    chart, invariants = entry.chart, [*entry.invariants, sp.Symbol("rho")]
     try:
-        grads = [chart.gradient(inv, jrow) for inv, jrow in zip(invariants, jac.tolist())]
+        grads = [chart.gradient(inv) for inv in invariants]
     except ValueError as exc:
         raise ValueError(f"entry {entry.id}: invariant {exc}") from None
-    verdicts = {
-        (gi, ii): "SymbolicZero" if chart.is_zero(chart.lie_derivative(F, grad)) else "NonZero"
-        for gi, F in enumerate(g.coeffs for g in entry.realized_basis())
-        for ii, grad in enumerate(grads)
-    }
+    basis = [[chart.element(b) for b in v] for v in entry.basis]
+    used = [i for i in range(len(L12_LABELS)) if any(v[i] for v in basis)]
+    lie = {(i, j): chart.lie_derivative(realize(L12_LABELS[i], chart).coeffs, grad)
+           for i in used for j, grad in enumerate(grads)}
+    verdicts = {(k, j): "SymbolicZero" if chart.is_zero(chart.combination((v[i], lie[i, j]) for i in used))
+                else "NonZero" for k, v in enumerate(basis) for j in range(len(grads))}
     grids = [{_PARAM_SYMS[n]: v for n, v in b.items()} for b in bindings]
     reports = []
-    for grid, rank in zip(grids, _group_ranks(jac, coords, grids)):
+    for grid, rank in zip(grids, _group_ranks(chart, grads, grids)):
         here = Subalgebra(l12(), sub.basis.xreplace(grid))
         reports.append({"closure_ok": closed and here.rank == here.dim,
                         "verdicts": verdicts, "rank": rank})
@@ -421,8 +431,7 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
 
 def verify_invariants(entry: SubalgebraEntry) -> VerificationReport:
     """Closure + annihilation + independence for one instantiated entry."""
-    coords = {sp.Symbol(c) for c in entry.chart.coords}
-    if any(v.free_symbols - coords for v in entry.invariants):
+    if any(v.free_symbols - set(entry.chart.symbols) for v in entry.invariants):
         raise ConstraintError("rank requires numeric parameters")
     [rep] = _verify_group(entry, [{}])
     return VerificationReport(entry.id, rep["closure_ok"], rep["verdicts"], rep["rank"])

@@ -24,8 +24,9 @@ the catalog's annihilation verdicts run there, with one zero test
 (``Chart.is_zero``): the numerator reduced modulo
 sin(a)**2 + cos(a)**2 - 1 (``exprs``) is 0.  The chart's kernel is sparse:
 a structural zero is never differentiated, multiplied, composed or
-cancelled.  ``VectorField.apply`` sums F_c * d_c e
-in the field, on the path of the annihilation verdicts.
+cancelled.  ``Chart.gradient`` reads an expression into the field as a
+rational part plus sum c*log(g) and differentiates it there, for the
+catalog's verdicts and ranks and for ``VectorField.apply``.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class Chart:
         self.name, self.coords = name, coords
         self.kept = tuple(c for c in CARTESIAN_COORDS if c not in moved)
         self.to_cartesian = {c: sp.expand_trig(moved.get(c, sp.Symbol(c))) for c in CARTESIAN_COORDS}
-        syms = [sp.Symbol(c) for c in coords]
+        self.symbols = syms = [sp.Symbol(c) for c in coords]
         args = {f.args[0] for e in self.to_cartesian.values() for f in e.atoms(sp.sin, sp.cos)}
         gens = [g for x in syms for g in ((x, sp.sin(x), sp.cos(x)) if x in args else (x,))]
         self.field = K = field(gens + list(PARAM_SYMBOLS), sp.QQ)[0]
@@ -144,18 +145,37 @@ class Chart:
             out[c] = self.reduce(sum(terms, self.field.zero))
         return out
 
-    def gradient(self, e, partials) -> list:
-        """(coord, element) for each nonzero partial derivative of ``e`` in
-        ``partials``; a ValueError names ``e`` if one is not in the field."""
+    @lru_cache(maxsize=None)
+    def gradient(self, e) -> list:
+        """The partial derivatives of ``e``, one per coordinate: each term of
+        ``e`` is read as c*log(g), no c involving a coordinate, and
+        differentiated with d log(g) = g'/g, or as a rational term (g None);
+        any other ``e`` raises one ValueError naming it."""
+        terms = []
         try:
-            return [(c, self.element(d)) for c, d in zip(self.coords, partials) if d != 0]
+            for term in sp.Add.make_args(e):
+                c, f = term.as_independent(sp.log, as_Add=False)
+                if f != 1 and (f.func != sp.log or f.args[0].has(sp.log) or c.has(*self.symbols)):
+                    raise ValueError
+                terms.append((self.element(c), None if f == 1 else self.element(f.args[0])))
         except ValueError:
-            raise ValueError(f"{e} has a Jacobian entry that is not rational "
-                             "in the chart's field") from None
+            raise ValueError(f"{e} has a Jacobian entry that is not rational in the chart's field") from None
+        return [sum((self.diff(c, x) if g is None else c * self.diff(g, x) / g for c, g in terms),
+                    self.field.zero) for x in self.coords]
 
     def lie_derivative(self, F: dict, gradient: list):
-        """sum_c F_c * d_c e over the ``gradient`` of e, where F_c is nonzero."""
-        return sum((F[c] * d for c, d in gradient if F[c]), self.field.zero)
+        """sum_c F_c * d_c e over the ``gradient`` of e, as one ``combination``."""
+        return self.combination((F[c], d) for c, d in zip(self.coords, gradient))
+
+    def combination(self, terms):
+        """sum a * f over the (a, f) ``terms`` as one numerator over the product
+        of the denominators, with no gcd: ``is_zero`` stays exact, as no
+        product of reduced nonzero denominators lies in the prime ideal."""
+        num, den = self.field.ring.zero, self.field.ring.one
+        for a, f in terms:
+            if a and f:
+                num, den = num * a.denom * f.denom + a.numer * f.numer * den, den * a.denom * f.denom
+        return self.field.raw_new(num, den)
 
     def is_zero(self, f) -> bool:
         """The zero test of fields and verdicts: the numerator reduces to 0."""
@@ -240,11 +260,10 @@ class VectorField:
         return self.coeffs[coord].as_expr()
 
     def apply(self, e) -> sp.Expr:
-        """Directional derivative sum_c F_c * d(e)/dc, reduced in the
-        chart's field by the path of the catalog's verdicts."""
-        e, chart = sp.sympify(e, strict=True), self.chart
-        grad = chart.gradient(e, [sp.diff(e, sp.Symbol(c)) for c in chart.coords])
-        return chart.reduce(chart.lie_derivative(self.coeffs, grad)).as_expr()
+        """Directional derivative sum_c F_c * d(e)/dc, cancelled and reduced
+        in the chart's field by the path of the catalog's verdicts."""
+        lie = self.chart.lie_derivative(self.coeffs, self.chart.gradient(sp.sympify(e, strict=True)))
+        return self.chart.reduce(lie.new(lie.numer, lie.denom)).as_expr()
 
     def __rmul__(self, scalar) -> "VectorField":
         k = self.chart.element(sp.sympify(scalar, strict=True))

@@ -283,6 +283,34 @@ def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
     assert calls == {"is_zero": 760, "apply": 0, "canonicalize": 0}
 
 
+def test_catalog_pass_reads_invariants_into_the_field(monkeypatch):
+    # fresh charts: no invariant Jacobian is taken over sympy Expr and no
+    # basis element is realized as a combination of fields; the verdicts,
+    # pushforwards and rank rrefs keep their counts
+    for cached in (fields.chart_D, fields.chart_C, fields.chart_S, fields.chart_D_shift,
+                   fields.realize):
+        cached.cache_clear()
+    calls = dict.fromkeys(["jacobian", "realize_combination", "is_zero", "pushforward", "rref"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sp.MatrixBase, "jacobian", counted("jacobian", sp.MatrixBase.jacobian))
+    combination = counted("realize_combination", fields.realize_combination)
+    monkeypatch.setattr(fields, "realize_combination", combination)
+    monkeypatch.setattr(catalog, "realize_combination", combination)
+    monkeypatch.setattr(fields.Chart, "is_zero", counted("is_zero", fields.Chart.is_zero))
+    monkeypatch.setattr(fields, "pushforward", counted("pushforward", fields.pushforward))
+    monkeypatch.setattr(catalog, "_rref", counted("rref", catalog._rref))
+    for eid in catalog_ids():
+        verify_entry(eid)
+    assert calls == {"jacobian": 0, "realize_combination": 0, "is_zero": 760,
+                     "pushforward": 37, "rref": 298}
+
+
 def test_get_entry_keeps_exact_values_unparsed(monkeypatch):
     calls = {"parse": 0}
     parse = sympy_parser.parse_expr
@@ -347,8 +375,7 @@ def test_rank_skips_point_on_a_pole(monkeypatch):
         return rref(M)
 
     monkeypatch.setattr(catalog, "_rref", recorded)
-    jac = sp.Matrix([*bad.invariants, sp.Symbol("rho")]).jacobian(coords)
-    assert catalog._group_ranks(jac, coords, [{}]) == [5]
+    assert verify_invariants(bad).rank == 5
     assert len(ranked) == 1 and not ranked[0].has(sp.zoo, sp.nan)
 
 
@@ -447,9 +474,36 @@ def test_non_rational_jacobian_entry_is_refused():
         verify_invariants(mutant)
 
 
+@pytest.mark.parametrize("term", ["log(t)**2", "log(log(t))", "Abs(t)", "t*log(t)"])
+def test_invariant_outside_the_reader_is_refused(term):
+    # the reader takes a rational part plus sum c*log(g) with no c
+    # involving a coordinate: a squared or nested log, Abs or a log with a
+    # coordinate coefficient is refused with one ValueError naming it
+    ent = get_entry("4.1")
+    t, P = sp.symbols("t P")
+    bad = P - sp.sympify(term, locals={"t": t})
+    mutant = dataclasses.replace(ent, invariants=[*ent.invariants[:3], bad])
+    with pytest.raises(ValueError) as err:
+        verify_invariants(mutant)
+    assert str(err.value) == (f"entry 4.1: invariant {bad} has a Jacobian entry that is "
+                              "not rational in the chart's field")
+
+
+def test_log_with_a_grid_coefficient_is_read():
+    # a in 4.56.ii's u - a*log(t) is a grid symbol: a generator of the
+    # chart's field, but no coordinate, so d/dt reads -a/t
+    a, t, u = sp.symbols("a t u")
+    inv = catalog._row("4.56.ii").invariants[0]
+    assert inv == u - a * sp.log(t)
+    K = fields.chart_D().field
+    assert fields.chart_D().gradient(inv) == [K(-a / t), 0, 0, 0, K.one, 0, 0, 0, 0]
+    assert verify_entry("4.56.ii").passed
+
+
 def test_non_rational_entry_is_refused_by_apply():
-    # VectorField.apply lifts each partial derivative as the verdicts do,
-    # and refuses the same entry with one ValueError naming the expression
+    # VectorField.apply reads the expression by the verdicts' reader
+    # (Chart.gradient) and refuses the same entry with one ValueError
+    # naming the expression
     t, P = sp.symbols("t P")
     bad = P - sp.log(t) - t * sp.log(t)
     for g in get_entry("4.1").realized_basis():
