@@ -364,24 +364,24 @@ class VerificationReport:
 
 def _rank_point(coords: list) -> dict:
     """The one rational point of the rank check: the k-th coordinate
-    (from 0) at (k + 3)/(k + 2), off every pole of the catalog."""
-    return {c: sp.Rational(k + 3, k + 2) for k, c in enumerate(coords)}
+    (from 0) at (k + 3)/(k + 2), off every pole of the catalog, and
+    (sin, cos) of each at (4/5, 3/5), a generic point of the circle."""
+    return {g: sp.Rational(*v) for k, c in enumerate(coords)
+            for g, v in ((c, (k + 3, k + 2)), (sp.sin(c), (4, 5)), (sp.cos(c), (3, 5)))}
 
 
 def _group_ranks(chart: Chart, jac: list[list], grids: list[dict]) -> list[int]:
-    """Exact generic rank over QQ(coords) of the invariant Jacobian ``jac``,
-    rows of ``Chart.gradient``, for each substitution in ``grids`` of the
-    grid symbols.  The rank at a point is a lower bound on the generic
-    rank, so rank 5 at ``_rank_point`` proves it; there each entry's
-    numerator and denominator are evaluated over QQ, with sin(a) at 0 and
-    cos(a) at 1.  Below 5, or on a pole, the rref over QQ(coords) decides."""
+    """Exact generic rank over QQ(coords) of ``jac``, rows of ``Chart.gradient``,
+    for each substitution in ``grids`` of the grid symbols.  The rank at a
+    point bounds the generic rank below, so rank 5 at ``_rank_point`` (each
+    entry's numerator and denominator evaluated over QQ) proves it.  Below 5,
+    or on a pole, the rref over QQ(coords) decides."""
     def value(p, at: list):  # the polynomial p over QQ at ``at``, one value per generator
         return sum((c * math.prod(v**k for v, k in zip(at, m) if k) for m, c in p.items()), sp.QQ.zero)
 
-    gens, point, ranks = chart.field.symbols, _rank_point(chart.symbols), []
-    point = [sp.QQ.convert(point[g]) if g in point else sp.QQ(int(g.func == sp.cos)) for g in gens]
+    point, ranks = {g: sp.QQ.convert(v) for g, v in _rank_point(chart.symbols).items()}, []
     for grid in grids:
-        at = [sp.QQ.convert(grid[g]) if g in grid else v for g, v in zip(gens, point)]
+        at = [sp.QQ.convert(grid[g]) if g in grid else point.get(g, sp.QQ.zero) for g in chart.field.symbols]
         try:  # a zero denominator is a pole
             J = [[value(f.numer, at) / value(f.denom, at) if f else sp.QQ.zero for f in row] for row in jac]
             rank = len(_rref(DomainMatrix(J, (len(J), len(chart.coords)), sp.QQ))[1])
@@ -399,9 +399,8 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
 
     Each invariant I (rho included) is read once into the chart's field and
     differentiated there (``Chart.gradient``).  By linearity the verdict of
-    basis element k is L_{sum_i B_ki X_i} I = sum_i B_ki L_{X_i} I over the
-    cached generators ``realize(X_i, chart)``: one numerator over the product
-    of the denominators (``Chart.combination``), decided by ``Chart.is_zero``.
+    basis element k is sum_i B_ki L_{X_i} I over the cached generators
+    ``realize(X_i, chart)``, one ``Chart.combination`` decided by ``Chart.is_zero``.
     Closure and the verdicts are decided once, over the symbols.
     Per binding only the ranks are checked: the basis is closed there when
     the symbolic span is closed and the substituted basis keeps its dimension.
@@ -416,7 +415,7 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
         raise ValueError(f"entry {entry.id}: invariant {exc}") from None
     basis = [[chart.element(b) for b in v] for v in entry.basis]
     used = [i for i in range(len(L12_LABELS)) if any(v[i] for v in basis)]
-    lie = {(i, j): chart.lie_derivative(realize(L12_LABELS[i], chart).coeffs, grad)
+    lie = {(i, j): chart.combination(zip(realize(L12_LABELS[i], chart).coeffs.values(), grad))
            for i in used for j, grad in enumerate(grads)}
     verdicts = {(k, j): "SymbolicZero" if chart.is_zero(chart.combination((v[i], lie[i, j]) for i in used))
                 else "NonZero" for k, v in enumerate(basis) for j in range(len(grads))}

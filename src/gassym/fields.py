@@ -24,9 +24,8 @@ the catalog's annihilation verdicts run there, with one zero test
 (``Chart.is_zero``): the numerator reduced modulo
 sin(a)**2 + cos(a)**2 - 1 (``exprs``) is 0.  The chart's kernel is sparse:
 a structural zero is never differentiated, multiplied, composed or
-cancelled.  ``Chart.gradient`` reads an expression into the field as a
-rational part plus sum c*log(g) and differentiates it there, for the
-catalog's verdicts and ranks and for ``VectorField.apply``.
+cancelled.  ``Chart.gradient`` reads an expression as a rational part plus
+sum c*log(g) and differentiates it in the field, for the catalog and ``apply``.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class Chart:
         n, d = f.numer, f.denom
         dn, dd = self._derive(n, coord), self._derive(d, coord)
         if not dd:
-            return self.field.new(dn, d)
+            return self.field.new(dn, d) if dn else self.field.zero
         return self.field.new(dn * d - n * dd, d**2)
 
     def bracket(self, f: dict, g: dict) -> dict:
@@ -145,12 +144,10 @@ class Chart:
             out[c] = self.reduce(sum(terms, self.field.zero))
         return out
 
-    @lru_cache(maxsize=None)
     def gradient(self, e) -> list:
-        """The partial derivatives of ``e``, one per coordinate: each term of
-        ``e`` is read as c*log(g), no c involving a coordinate, and
-        differentiated with d log(g) = g'/g, or as a rational term (g None);
-        any other ``e`` raises one ValueError naming it."""
+        """The partial derivatives of ``e``, one per coordinate, each term read
+        as c*log(g) with no c involving a coordinate (d log(g) = g'/g) or as a
+        rational c (g None); any other ``e`` raises one ValueError naming it."""
         terms = []
         try:
             for term in sp.Add.make_args(e):
@@ -162,10 +159,6 @@ class Chart:
             raise ValueError(f"{e} has a Jacobian entry that is not rational in the chart's field") from None
         return [sum((self.diff(c, x) if g is None else c * self.diff(g, x) / g for c, g in terms),
                     self.field.zero) for x in self.coords]
-
-    def lie_derivative(self, F: dict, gradient: list):
-        """sum_c F_c * d_c e over the ``gradient`` of e, as one ``combination``."""
-        return self.combination((F[c], d) for c, d in zip(self.coords, gradient))
 
     def combination(self, terms):
         """sum a * f over the (a, f) ``terms`` as one numerator over the product
@@ -260,9 +253,9 @@ class VectorField:
         return self.coeffs[coord].as_expr()
 
     def apply(self, e) -> sp.Expr:
-        """Directional derivative sum_c F_c * d(e)/dc, cancelled and reduced
-        in the chart's field by the path of the catalog's verdicts."""
-        lie = self.chart.lie_derivative(self.coeffs, self.chart.gradient(sp.sympify(e, strict=True)))
+        """Directional derivative sum_c F_c * d(e)/dc, cancelled and reduced in the chart's field."""
+        grad = self.chart.gradient(sp.sympify(e, strict=True))
+        lie = self.chart.combination(zip(self.coeffs.values(), grad))
         return self.chart.reduce(lie.new(lie.numer, lie.denom)).as_expr()
 
     def __rmul__(self, scalar) -> "VectorField":

@@ -474,11 +474,12 @@ def test_non_rational_jacobian_entry_is_refused():
         verify_invariants(mutant)
 
 
-@pytest.mark.parametrize("term", ["log(t)**2", "log(log(t))", "Abs(t)", "t*log(t)"])
+@pytest.mark.parametrize("term", ["log(t)**2", "log(log(t))", "Abs(t)", "t*log(t)", "atan(t)"])
 def test_invariant_outside_the_reader_is_refused(term):
     # the reader takes a rational part plus sum c*log(g) with no c
-    # involving a coordinate: a squared or nested log, Abs or a log with a
-    # coordinate coefficient is refused with one ValueError naming it
+    # involving a coordinate: a squared or nested log, Abs, a log with a
+    # coordinate coefficient, or atan, although d/dt atan(t) = 1/(1 + t**2)
+    # is rational, is refused with one ValueError naming it
     ent = get_entry("4.1")
     t, P = sp.symbols("t P")
     bad = P - sp.sympify(term, locals={"t": t})
