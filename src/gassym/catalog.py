@@ -2,13 +2,15 @@
 
 Entries live in ``data/catalog.yaml`` so they can be reviewed line by
 line.  Each entry is parsed once, on first use, into a row cached per
-id: the basis coefficient matrix and the invariants over the parameter
-symbols, the chart, the constraints and the parameter values.  The
+id: the basis coefficient matrix over the parameter symbols, the chart,
+the constraints, the parameter values and the invariant strings.  The
 strings of both data files are read by :func:`parse`, a whitelist over
 Python's ``ast`` that evaluates nothing, and a basis element is read
 off its tree as a coefficient vector.  Every binding of the parameters,
-numeric or symbolic, is a substitution into that row.  Verification of
-an entry checks three things:
+numeric or symbolic, is a substitution into that row; the invariant
+strings are read at each binding straight into its chart's field, so a
+verdict builds no sympy expression (``SubalgebraEntry.invariants`` parses
+them only when read).  Verification of an entry checks three things:
 
   * the basis spans a subalgebra (closure under the bracket, exact);
   * each listed invariant (plus the implicit density) is annihilated by
@@ -48,7 +50,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import sympy as sp
@@ -57,7 +59,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from .exprs import exact_number
 from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, PARAM_SYMBOLS, S_COORDS, Chart,
-                     chart_C, chart_D, chart_D_shift, chart_S, realize, realize_combination)
+                     chart_C, chart_D, chart_D_shift, chart_S, evaluate, realize, realize_combination)
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
 
 __all__ = [
@@ -133,7 +135,7 @@ _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.m
               ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
-def parse(where: str, text, names: dict, gens: tuple = ()):
+def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     """The sympy value of one data string, read off its Python ``ast``.
 
     The grammar is a whitelist: the symbols in ``names``, integer
@@ -141,16 +143,23 @@ def parse(where: str, text, names: dict, gens: tuple = ()):
     whole string ``Ne(x, y)``.  Nothing is evaluated, so no other name
     (``E``, ``I``, ``pi``, ...) becomes a sympy constant.  With ``gens``
     the string must be a linear form in those names, and its coefficient
-    list is returned.  Anything else raises ValueError naming ``where``
-    and the string.
+    list is returned.  With a chart's ``field`` the names and the value
+    are terms (:func:`_combine_terms`).  Anything outside the grammar
+    raises ValueError naming ``where`` and the string.
     """
     def fail(why: str):
         raise ValueError(f"{where}: cannot read {text!r}: {why}")
 
+    number = (lambda v: (field(v), ())) if field else sp.Integer
+    functions = _FUNCTIONS if not field else {"Abs": lambda x: None, "log": lambda x: None if (
+        x is None or x[1] or not x[0]) else (field.zero, ((field.one, x[0]),))}
+
     def combine(op, a, b):  # a linear form is a list of coefficients
         va, vb = isinstance(a, list), isinstance(b, list)
-        if op is operator.truediv and not vb and b == 0:
+        if op is operator.truediv and not vb and b == number(0):
             fail("division by zero")
+        if field:
+            return _combine_terms(op, a, b)
         if not (va or vb):
             return op(a, b)
         if va and vb and op in (operator.add, operator.sub):
@@ -162,18 +171,18 @@ def parse(where: str, text, names: dict, gens: tuple = ()):
     def build(node):
         match node:
             case ast.Constant(value=int() as v) if not isinstance(v, bool):
-                return sp.Integer(v)
+                return number(v)
             case ast.Name(id=name) if name in gens:
                 return [sp.Integer(name == g) for g in gens]
             case ast.Name(id=name) if name in names:
                 return names[name]
             case ast.UnaryOp(op=ast.USub(), operand=x):
-                return [-c for c in x] if isinstance(x := build(x), list) else -x
+                return combine(operator.mul, build(x), number(-1))
             case ast.BinOp(left=a, op=op, right=b) if type(op) in _OPERATORS:
                 return combine(_OPERATORS[type(op)], build(a), build(b))
             case ast.Call(func=ast.Name(id=f), args=[x], keywords=[]) if f in _FUNCTIONS:
                 if not isinstance(x := build(x), list):
-                    return _FUNCTIONS[f](x)
+                    return functions[f](x)
         fail(f"{type(node).__name__} {ast.unparse(node)!r} is outside the grammar")
 
     try:
@@ -182,12 +191,61 @@ def parse(where: str, text, names: dict, gens: tuple = ()):
         fail("syntax error")
     match tree:
         case ast.Call(func=ast.Name(id="Ne"), args=[x, y], keywords=[]) if not gens:
-            value = sp.Ne(build(x), build(y))
+            x, y = build(x), build(y)
+            value = None if field else sp.Ne(x, y)
         case _:
             value = build(tree)
     if isinstance(value, list) != bool(gens):
         fail(f"not linear in {', '.join(gens)}" if gens else "not a scalar")
     return value
+
+
+def _combine_terms(op, a, b):
+    """``op`` on two terms: r + sum c*log(g) over a chart's field as the pair
+    (r, ((c, g), ...)) that ``Chart.gradient`` differentiates, or None for a
+    value of another form (a log of a log or in a divisor, a product of
+    logs, a power that is no integer, Abs)."""
+    if a is None or b is None:
+        return None
+    (r, p), (s, q) = (b, a) if op is operator.mul and a[1] else (a, b)  # logs in the second factor
+    if op in (operator.add, operator.sub):
+        return op(r, s), p + tuple((c if op is operator.add else -c, g) for c, g in q)
+    if op is operator.mul and not p:
+        return r * s, tuple((r * c, g) for c, g in q)
+    if op is operator.truediv and not q:
+        return r / s, tuple((c / s, g) for c, g in p)
+    if op is operator.pow and not (p or q) and s.denom == 1 and s.numer.is_ground:
+        n = s.numer.LC  # the exponent, a rational
+        return (r**int(n), ()) if n == int(n) else None
+    return None
+
+
+class _Invariants:
+    """A row's invariant strings at ``subs``: indexed, sympy expressions,
+    parsed over ``names`` on first use.  Given the entry's ``chart``, each is
+    read at once into its field as a term of ``Chart.gradient`` (``terms``);
+    the expression stands in for a string of another form."""
+
+    def __init__(self, where: str, texts: tuple, names: dict, subs=None, chart=None):
+        self.where, self.texts, self.names, self.subs = where, texts, names, subs or {}
+        if chart is not None:
+            K, n = chart.field, len(chart.field.gens) - len(PARAM_SYMBOLS)  # coordinate generators first
+            bound = {k: (g, ()) for k, g in chart.gens.items()} | {
+                s.name: (chart.element(v), ()) if v.is_Rational or v in K.symbols else None
+                for s, v in self.subs.items()}
+            terms = [parse(where, s, bound, field=K) for s in texts]
+            self.terms = [t if t and not any(any(f.degrees()[:n]) for c, _ in t[1] for f in (c.numer, c.denom))
+                          else self[i] for i, t in enumerate(terms)]
+
+    @cached_property
+    def _exprs(self) -> tuple:
+        return tuple(parse(self.where, s, self.names).subs(self.subs) for s in self.texts)
+
+    def __getitem__(self, i):
+        return self._exprs[i]
+
+    def __len__(self) -> int:
+        return len(self.texts)
 
 
 @dataclass(frozen=True)
@@ -198,7 +256,7 @@ class _Row:
     basis: sp.ImmutableMatrix  # 4x12 coefficients over (Y, X1..X11)
     chart: str
     chart_b: sp.Expr
-    invariants: tuple
+    invariants: _Invariants  # or a tuple of sympy expressions
     constraints: tuple
     grid: tuple
     choices: dict  # name -> admissible values
@@ -224,8 +282,8 @@ class _Row:
 
 @lru_cache(maxsize=None)
 def _row(entry_id: str) -> _Row:
-    """The entry's strings, each parsed once; every binding of its
-    parameters is then a substitution into this row."""
+    """The entry's strings, each parsed once, but for the invariants: each
+    binding reads them into its chart's field (:class:`_Invariants`)."""
     schema = entry_schema(entry_id)
     raw = _raw_entries()[entry_id]
     where = f"entry {entry_id}"
@@ -244,7 +302,7 @@ def _row(entry_id: str) -> _Row:
         ),
         chart=chart,
         chart_b=value(raw.get("chart_b", 0)),
-        invariants=tuple(parse(where, s, coords | _PARAM_SYMS) for s in raw["invariants"]),
+        invariants=_Invariants(where, tuple(raw["invariants"]), coords | _PARAM_SYMS),
         constraints=tuple(value(c) for c in schema["constraints"]),
         grid=tuple(schema["grid"]),
         choices={k: tuple(value(v) for v in vs) for k, vs in schema["choices"].items()},
@@ -261,7 +319,7 @@ class SubalgebraEntry:
     params: dict
     basis: list  # four coefficient vectors over (Y, X1..X11)
     chart: Chart
-    invariants: list  # the four listed invariants (rho is implicit)
+    invariants: _Invariants  # the four listed ones, or a list of expressions (rho is implicit)
 
     def subalgebra(self) -> Subalgebra:
         return Subalgebra(l12(), sp.Matrix([list(v) for v in self.basis]))
@@ -300,8 +358,9 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
 
 def _instantiate(row: _Row, binding: dict) -> SubalgebraEntry:
     subs = row.subs(binding)
-    chart = _chart(row.chart, row.chart_b.subs(subs))
-    invs = [inv.subs(subs) for inv in row.invariants]
+    chart, invs = _chart(row.chart, row.chart_b.subs(subs)), row.invariants
+    invs = (_Invariants(invs.where, invs.texts, invs.names, subs, chart) if isinstance(invs, _Invariants)
+            else [inv.subs(subs) for inv in invs])  # a row whose invariants are expressions
     params = {s.name: v for s, v in subs.items()}
     return SubalgebraEntry(row.id, params, row.basis.xreplace(subs).tolist(), chart, invs)
 
@@ -375,22 +434,30 @@ def _group_ranks(chart: Chart, jac: list[list], grids: list[dict]) -> list[int]:
     for each substitution in ``grids`` of the grid symbols.  The rank at a
     point bounds the generic rank below, so rank 5 at ``_rank_point`` (each
     entry's numerator and denominator evaluated over QQ) proves it.  Below 5,
-    or on a pole, the rref over QQ(coords) decides."""
-    def value(p, at: list):  # the polynomial p over QQ at ``at``, one value per generator
-        return sum((c * math.prod(v**k for v, k in zip(at, m) if k) for m, c in p.items()), sp.QQ.zero)
-
+    or on a pole, the rref over the chart's field, the grid values
+    substituted there, decides."""
     point, ranks = {g: sp.QQ.convert(v) for g, v in _rank_point(chart.symbols).items()}, []
     for grid in grids:
         at = [sp.QQ.convert(grid[g]) if g in grid else point.get(g, sp.QQ.zero) for g in chart.field.symbols]
         try:  # a zero denominator is a pole
-            J = [[value(f.numer, at) / value(f.denom, at) if f else sp.QQ.zero for f in row] for row in jac]
+            J = [[evaluate(f, at) if f else sp.QQ.zero for f in row] for row in jac]
             rank = len(_rref(DomainMatrix(J, (len(J), len(chart.coords)), sp.QQ))[1])
         except ZeroDivisionError:
             rank = 0
         if rank < len(jac):
-            rank = len(_rref(sp.Matrix([[f.as_expr() for f in row] for row in jac]).xreplace(grid))[1])
+            at = [(chart.gens[g.name], sp.QQ.convert(v)) for g, v in grid.items()]
+            J = [[f.subs(at) if at else f for f in row] for row in jac]
+            rank = len(_rref(DomainMatrix(J, (len(J), len(chart.coords)), chart.field.to_domain()))[1])
         ranks.append(rank)
     return ranks
+
+
+def _basis_at(B: DomainMatrix, grid: dict) -> DomainMatrix:
+    """The basis ``B`` over QQ(grid symbols) with each symbol at its value in ``grid``."""
+    if not (grid and B.domain.is_FractionField):
+        return B
+    at = [sp.QQ.convert(grid[s]) for s in B.domain.symbols]
+    return DomainMatrix([[evaluate(f, at) if f else sp.QQ.zero for f in row] for row in B.to_list()], B.shape, sp.QQ)
 
 
 def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
@@ -408,9 +475,9 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     """
     sub = entry.subalgebra()
     closed = sub.is_closed()[0]
-    chart, invariants = entry.chart, [*entry.invariants, sp.Symbol("rho")]
+    chart, terms = entry.chart, getattr(entry.invariants, "terms", entry.invariants)
     try:
-        grads = [chart.gradient(inv) for inv in invariants]
+        grads = [chart.gradient(t) for t in [*terms, (chart.gens["rho"], ())]]
     except ValueError as exc:
         raise ValueError(f"entry {entry.id}: invariant {exc}") from None
     basis = [[chart.element(b) for b in v] for v in entry.basis]
@@ -422,7 +489,7 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     grids = [{_PARAM_SYMS[n]: v for n, v in b.items()} for b in bindings]
     reports = []
     for grid, rank in zip(grids, _group_ranks(chart, grads, grids)):
-        here = Subalgebra(l12(), sub.basis.xreplace(grid))
+        here = Subalgebra(l12(), _basis_at(sub._domain_basis, grid))
         reports.append({"closure_ok": closed and here.rank == here.dim,
                         "verdicts": verdicts, "rank": rank})
     return reports
@@ -430,7 +497,9 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
 
 def verify_invariants(entry: SubalgebraEntry) -> VerificationReport:
     """Closure + annihilation + independence for one instantiated entry."""
-    if any(v.free_symbols - set(entry.chart.symbols) for v in entry.invariants):
+    invs = entry.invariants
+    if (any(not v.is_number for v in invs.subs.values()) if isinstance(invs, _Invariants)
+            else any(v.free_symbols - set(entry.chart.symbols) for v in invs)):
         raise ConstraintError("rank requires numeric parameters")
     [rep] = _verify_group(entry, [{}])
     return VerificationReport(entry.id, rep["closure_ok"], rep["verdicts"], rep["rank"])

@@ -12,26 +12,27 @@ the Cartesian chart D we support:
                 v = (t*y + b*z)/(t^2 + b^2) + qbar*cos(varthetabar),
                 w = (t*z - b*y)/(t^2 + b^2) + qbar*sin(varthetabar).
 
-A ``Chart`` declares only the Cartesian coordinates it moves and the
-blocks that solve for them; every other one maps to itself and is listed
-as ``kept``.  Pushforward solves J_Psi * G = F o Psi, where Psi maps chart
-coordinates to Cartesian ones, so no inverse trig functions enter symbolic
-work.  Field coefficients live in the chart's rational function field over
-QQ (``Chart.field``, built with the chart): its generators are the
-coordinates, each angle a followed by sin(a) and cos(a), then the catalog
-parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets, equality and
-the catalog's annihilation verdicts run there, with one zero test
-(``Chart.is_zero``): the numerator reduced modulo
-sin(a)**2 + cos(a)**2 - 1 (``exprs``) is 0.  The chart's kernel is sparse:
-a structural zero is never differentiated, multiplied, composed or
-cancelled.  ``Chart.gradient`` reads an expression as a rational part plus
-sum c*log(g) and differentiates it in the field, for the catalog and ``apply``.
+A ``Chart`` declares only the Cartesian coordinates it moves, as elements
+of its field, and the blocks that solve for them; every other one maps to
+itself and is listed as ``kept``.  Pushforward solves J_Psi * G = F o Psi,
+where Psi maps chart coordinates to Cartesian ones: F o Psi evaluates F's
+coefficients at those elements, so no inverse trig function and no sympy
+expression enters the work.  The field (``Chart.field``) is rational over
+QQ in the coordinates, each angle a followed by sin(a) and cos(a), then the
+catalog parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets,
+equality and the annihilation verdicts run there, with one zero test
+(``Chart.is_zero``): the numerator reduced modulo sin(a)**2 + cos(a)**2 - 1
+(``exprs``) is 0.  The kernel is sparse: a structural zero is never
+differentiated, multiplied, composed or cancelled.  ``Chart.gradient``
+differentiates r + sum c*log(g) in the field, given as field elements (a
+catalog row) or read from a sympy expression (``apply``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Mapping
 
@@ -67,12 +68,13 @@ class Chart:
     """A coordinate chart on the 9-space and its map to Cartesian
     coordinates, over the field QQ(coords, sin(a), cos(a), params).
 
-    ``moved`` gives each Cartesian coordinate the chart moves as an
-    expression in the chart's coordinates; the others are ``kept``, each its
-    own image.  ``blocks`` of (Cartesian coords, chart coords) solve for the
-    moved ones, in an order making the Jacobian block triangular.  Each angle
-    ``a`` under ``sin``/``cos`` is a generator followed by sin(a) and cos(a);
-    rational functions are kept with numerator and denominator reduced
+    Each of the ``angles`` a is a generator followed by sin(a) and cos(a),
+    and ``gens`` names each generator ("t", "sin(theta)", "a").  ``moved``
+    builds from them the image of each Cartesian coordinate the chart moves;
+    the others are ``kept``, each its own image (``images``; as sympy Expr,
+    ``to_cartesian``).  ``blocks`` of (Cartesian coords, chart coords) solve
+    for the moved ones, in an order making the Jacobian block triangular.
+    Rational functions are kept with numerator and denominator reduced
     (``reduce``) modulo ``exprs.pythagorean_ideal``.  a is transcendental
     over the rest, so an element vanishes exactly when its numerator
     reduces to 0.  Each of the ``stages`` is one block as a pair: the
@@ -87,32 +89,35 @@ class Chart:
     element the dense formulas give.
     """
 
-    def __init__(self, name: str, coords: tuple[str, ...], moved: Mapping[str, sp.Expr], blocks=()):
+    def __init__(self, name: str, coords: tuple[str, ...], angles=(), moved=None, blocks=()):
         self.name, self.coords = name, coords
-        self.kept = tuple(c for c in CARTESIAN_COORDS if c not in moved)
-        self.to_cartesian = {c: sp.expand_trig(moved.get(c, sp.Symbol(c))) for c in CARTESIAN_COORDS}
         self.symbols = syms = [sp.Symbol(c) for c in coords]
-        args = {f.args[0] for e in self.to_cartesian.values() for f in e.atoms(sp.sin, sp.cos)}
-        gens = [g for x in syms for g in ((x, sp.sin(x), sp.cos(x)) if x in args else (x,))]
+        gens = [g for x in syms for g in ((x, sp.sin(x), sp.cos(x)) if x.name in angles else (x,))]
         self.field = K = field(gens + list(PARAM_SYMBOLS), sp.QQ)[0]
-        self._gen = {x.name: gens.index(x) for x in syms}
-        self._angle = {a.name: (gens.index(sp.sin(a)), gens.index(sp.cos(a))) for a in syms if a in args}
+        self.gens = {str(s): g for s, g in zip(K.symbols, K.gens)}
+        self._gen = {k: i for i, k in enumerate(self.gens)}  # generator indices by name
+        self._angle = {a: (self._gen[f"sin({a})"], self._gen[f"cos({a})"]) for a in angles}
         self._ideal = pythagorean_ideal(K.ring)
         self.reduce = partial(pythagorean_reduce, ideal=self._ideal)
-        self._cart = {sp.Symbol(c): e for c, e in self.to_cartesian.items()}
-        images = {c: K.from_expr(e) for c, e in self.to_cartesian.items()}
+        images = moved(self) if moved else {}
+        self.kept = tuple(c for c in CARTESIAN_COORDS if c not in images)
+        self.images = {c: images[c] if c in images else self.gens[c] for c in CARTESIAN_COORDS}
 
         self.stages, earlier = [], list(self.kept)
         for cart_coords, chart_coords in blocks:
-            jac = [[self.diff(images[cc], x) for x in chart_coords] for cc in cart_coords]
+            jac = [[self.diff(self.images[cc], x) for x in chart_coords] for cc in cart_coords]
             block = DomainMatrix(jac, (len(jac), len(jac)), K.to_domain())
             adj, det = block.adjugate().to_list(), self.reduce(block.det())
-            coupling = {cc: [(prev, d) for prev in earlier if (d := self.diff(images[cc], prev))]
+            coupling = {cc: [(prev, d) for prev in earlier if (d := self.diff(self.images[cc], prev))]
                         for cc in cart_coords}
             self.stages.append((coupling, {
                 x: [self.reduce(m / det) for m in row] for x, row in zip(chart_coords, adj)
             }))
             earlier += chart_coords
+
+    @cached_property
+    def to_cartesian(self) -> dict:  # the images as sympy expressions
+        return {c: f.as_expr() for c, f in self.images.items()}
 
     def _derive(self, p, coord: str):
         """d p / d coord of a polynomial; along an angle a it is
@@ -145,20 +150,25 @@ class Chart:
         return out
 
     def gradient(self, e) -> list:
-        """The partial derivatives of ``e``, one per coordinate, each term read
-        as c*log(g) with no c involving a coordinate (d log(g) = g'/g) or as a
-        rational c (g None); any other ``e`` raises one ValueError naming it."""
-        terms = []
-        try:
-            for term in sp.Add.make_args(e):
-                c, f = term.as_independent(sp.log, as_Add=False)
-                if f != 1 and (f.func != sp.log or f.args[0].has(sp.log) or c.has(*self.symbols)):
-                    raise ValueError
-                terms.append((self.element(c), None if f == 1 else self.element(f.args[0])))
-        except ValueError:
-            raise ValueError(f"{e} has a Jacobian entry that is not rational in the chart's field") from None
-        return [sum((self.diff(c, x) if g is None else c * self.diff(g, x) / g for c, g in terms),
-                    self.field.zero) for x in self.coords]
+        """The partial derivatives of r + sum c*log(g), no c involving a
+        coordinate (d log(g) = g'/g): ``e`` is the pair (r, ((c, g), ...)) of
+        field elements, or a sympy expression read into it term by term; any
+        other expression raises one ValueError naming it."""
+        if not isinstance(e, tuple):
+            r, logs = self.field.zero, ()
+            try:
+                for term in sp.Add.make_args(e):
+                    c, f = term.as_independent(sp.log, as_Add=False)
+                    if f != 1 and (f.func != sp.log or f.args[0].has(sp.log) or c.has(*self.symbols)):
+                        raise ValueError
+                    c = self.element(c)
+                    r, logs = (r + c, logs) if f == 1 else (r, logs + ((c, self.element(f.args[0])),))
+            except ValueError:
+                raise ValueError(f"{e} has a Jacobian entry that is not rational in the chart's field") from None
+            e = r, logs
+        r, logs = e
+        return [self.diff(r, x) + sum((c * self.diff(g, x) / g for c, g in logs), self.field.zero)
+                for x in self.coords]
 
     def combination(self, terms):
         """sum a * f over the (a, f) ``terms`` as one numerator over the product
@@ -174,10 +184,6 @@ class Chart:
         """The zero test of fields and verdicts: the numerator reduces to 0."""
         return not f.numer.rem(self._ideal)
 
-    def compose(self, e):
-        """The Cartesian expression ``e`` composed with the chart map."""
-        return self.element(e.xreplace(self._cart))
-
     def element(self, e):
         """``e``, a number, expression or element, in the field; zero is not converted."""
         return self.field(e) if e != 0 else self.field.zero
@@ -185,57 +191,50 @@ class Chart:
 
 @lru_cache(maxsize=None)
 def chart_D() -> Chart:
-    return Chart("D", CARTESIAN_COORDS, {})
+    return Chart("D", CARTESIAN_COORDS)
 
 
 @lru_cache(maxsize=None)
 def chart_C() -> Chart:
-    r, theta, q, vartheta = sp.symbols("r theta q vartheta")
-    moved = {
-        "y": r * sp.cos(theta),
-        "z": r * sp.sin(theta),
-        "v": q * sp.cos(theta + vartheta),
-        "w": q * sp.sin(theta + vartheta),
-    }
+    def moved(chart):  # cos and sin of theta + vartheta expanded
+        r, q, s, c, s2, c2 = (chart.gens[k] for k in (
+            "r", "q", "sin(theta)", "cos(theta)", "sin(vartheta)", "cos(vartheta)"))
+        return {"y": r * c, "z": r * s, "v": q * (c * c2 - s * s2), "w": q * (s * c2 + c * s2)}
+
     blocks = ((("y", "z"), ("r", "theta")), (("v", "w"), ("q", "vartheta")))
-    return Chart("C", C_COORDS, moved, blocks)
+    return Chart("C", C_COORDS, ("theta", "vartheta"), moved, blocks)
 
 
 @lru_cache(maxsize=None)
 def chart_S() -> Chart:
-    r_S, theta_S, phi = sp.symbols("r_S theta_S phi")
-    q_S, vartheta_S, varphi = sp.symbols("q_S vartheta_S varphi")
-    U = q_S * sp.cos(vartheta_S)
-    V = q_S * sp.sin(vartheta_S) * sp.cos(varphi)
-    W = q_S * sp.sin(vartheta_S) * sp.sin(varphi)
-    moved = {
-        "x": r_S * sp.sin(theta_S) * sp.cos(phi),
-        "y": r_S * sp.sin(theta_S) * sp.sin(phi),
-        "z": r_S * sp.cos(theta_S),
-        "u": (U * sp.sin(theta_S) + V * sp.cos(theta_S)) * sp.cos(phi)
-        - W * sp.sin(phi),
-        "v": (U * sp.sin(theta_S) + V * sp.cos(theta_S)) * sp.sin(phi)
-        + W * sp.cos(phi),
-        "w": U * sp.cos(theta_S) - V * sp.sin(theta_S),
-    }
+    angles = ("theta_S", "phi", "vartheta_S", "varphi")
+
+    def moved(chart):
+        r, q = chart.gens["r_S"], chart.gens["q_S"]
+        st, ct, sf, cf, sv, cv, sw, cw = (chart.gens[f"{f}({a})"] for a in angles for f in ("sin", "cos"))
+        U, V, W = q * cv, q * sv * cw, q * sv * sw
+        return {"x": r * st * cf, "y": r * st * sf, "z": r * ct, "u": (U * st + V * ct) * cf - W * sf,
+                "v": (U * st + V * ct) * sf + W * cf, "w": U * ct - V * st}
+
     blocks = (
         (("x", "y", "z"), ("r_S", "theta_S", "phi")),
         (("u", "v", "w"), ("q_S", "vartheta_S", "varphi")),
     )
-    return Chart("S", S_COORDS, moved, blocks)
+    return Chart("S", S_COORDS, angles, moved, blocks)
 
 
 @lru_cache(maxsize=None)
 def chart_D_shift(b) -> Chart:
     """Cartesian chart with (v, w) traded for the shifted polar pair."""
     b = exact_number(b)
-    t, y, z, qbar, varthetabar = sp.symbols("t y z qbar varthetabar")
-    denom = t**2 + b**2
-    moved = {
-        "v": (t * y + b * z) / denom + qbar * sp.cos(varthetabar),
-        "w": (t * z - b * y) / denom + qbar * sp.sin(varthetabar),
-    }
-    return Chart(f"D-shift({b})", D_SHIFT_COORDS, moved, ((("v", "w"), ("qbar", "varthetabar")),))
+
+    def moved(chart):
+        t, y, z, q, s, c = (chart.gens[k] for k in (
+            "t", "y", "z", "qbar", "sin(varthetabar)", "cos(varthetabar)"))
+        k = chart.element(b)
+        return {"v": (t * y + k * z) / (t**2 + k**2) + q * c, "w": (t * z - k * y) / (t**2 + k**2) + q * s}
+
+    return Chart(f"D-shift({b})", D_SHIFT_COORDS, ("varthetabar",), moved, ((("v", "w"), ("qbar", "varthetabar")),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +338,13 @@ def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
     return bad
 
 
+def evaluate(f, at: list, zero=sp.QQ.zero):
+    """The rational function ``f`` with each generator at its value in ``at``."""
+    num, den = (sum((c * math.prod(v**k for v, k in zip(at, m) if k) for m, c in p.items()), zero)
+                for p in (f.numer, f.denom))
+    return num / den
+
+
 def pushforward(F: VectorField, target: Chart) -> VectorField:
     """Express a Cartesian field in ``target`` chart coordinates.
 
@@ -353,8 +359,9 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
         return F
     if not target.stages:
         raise ValueError(f"chart {target.name} has no solve stages")
-    zero = target.field.zero
-    rhs = {c: target.compose(F.coeff(c)) for c in CARTESIAN_COORDS}
+    K, zero = target.field, target.field.zero
+    at = [*target.images.values(), *K.gens[-len(PARAM_SYMBOLS):]]  # chart D's generators
+    rhs = {c: K(evaluate(f, at, zero)) for c, f in F.coeffs.items()}
     solved = {c: target.reduce(rhs[c]) for c in target.kept}
     for coupling, inverse in target.stages:
         b = [rhs[cc] - sum((d * solved[p] for p, d in links if solved[p]), zero)

@@ -4,13 +4,17 @@ import dataclasses
 import multiprocessing
 import multiprocessing.util
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import sympy as sp
+from sympy.core.cache import clear_cache
 from sympy.parsing import sympy_parser
 
-from gassym import catalog, exprs, fields, liealg
+from gassym import catalog, cli, exprs, fields, liealg
 from gassym.catalog import (
     ConstraintError,
     UnknownEntryError,
@@ -311,6 +315,67 @@ def test_catalog_pass_reads_invariants_into_the_field(monkeypatch):
                      "pushforward": 37, "rref": 298}
 
 
+# the single-entry campaigns of perfbench's catalog workload, seeds 0 and 1
+PARAMS_RUNS = [("4.74.i", "a=4,c=-1/5"), ("4.71.i", "c=7/25,d=24/25,a=-2/7,b=-5/7"), ("4.54", "a=5/4")]
+
+
+def _fresh_catalog_caches():
+    for cached in (catalog._row, fields.chart_D, fields.chart_C, fields.chart_S,
+                   fields.chart_D_shift, fields.realize):
+        cached.cache_clear()
+    clear_cache()  # sympy's own: a cached Add is returned without Add.flatten
+
+
+def test_catalog_builds_no_sympy_sum(monkeypatch, capsys):
+    # invariants, chart maps and pushforwards are read in the chart fields:
+    # a catalog pass and the --params campaigns build no sympy Add, whose
+    # first Add.flatten imports sympy.tensor.tensor; closure at each binding
+    # evaluates the group's domain basis, so one basis per group becomes a
+    # domain matrix
+    calls = {"flatten": 0, "to_domain": 0}
+    flatten, to_domain = sp.Add.flatten.__func__, liealg.to_domain
+
+    def counted_flatten(cls, seq):
+        calls["flatten"] += 1
+        return flatten(cls, seq)
+
+    def counted_to_domain(M):
+        calls["to_domain"] += 1
+        return to_domain(M)
+
+    monkeypatch.setattr(sp.Add, "flatten", classmethod(counted_flatten))
+    monkeypatch.setattr(liealg, "to_domain", counted_to_domain)
+    _fresh_catalog_caches()
+    for eid in catalog_ids():
+        verify_entry(eid)
+    assert calls == {"flatten": 0, "to_domain": 38}
+    for eid, params in PARAMS_RUNS:
+        _fresh_catalog_caches()
+        assert cli.main(["verify-invariants", eid, "--params", params]) == 0
+    assert calls["flatten"] == 0
+    capsys.readouterr()
+
+
+def test_catalog_campaigns_leave_sympy_tensor_unimported():
+    # every chart family's task and the --params campaigns, in a fresh
+    # process: sympy.tensor.tensor, which the first Add.flatten imports,
+    # is never imported
+    code = f"""
+import contextlib, io, sys
+from gassym import catalog, cli
+for task in catalog._chart_tasks(catalog.catalog_ids()):
+    catalog._verify_task(task)
+with contextlib.redirect_stdout(io.StringIO()):
+    for eid, params in {PARAMS_RUNS!r}:
+        assert cli.main(["verify-invariants", eid, "--params", params]) == 0
+print("sympy.tensor.tensor" in sys.modules)
+"""
+    src = str(Path(catalog.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_get_entry_keeps_exact_values_unparsed(monkeypatch):
     calls = {"parse": 0}
     parse = sympy_parser.parse_expr
@@ -376,7 +441,7 @@ def test_rank_skips_point_on_a_pole(monkeypatch):
 
     monkeypatch.setattr(catalog, "_rref", recorded)
     assert verify_invariants(bad).rank == 5
-    assert len(ranked) == 1 and not ranked[0].has(sp.zoo, sp.nan)
+    assert len(ranked) == 1 and not ranked[0].to_Matrix().has(sp.zoo, sp.nan)
 
 
 def _critical_on_a_grid(v, v_p):
