@@ -151,8 +151,9 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
         raise ValueError(f"{where}: cannot read {text!r}: {why}")
 
     number = (lambda v: (field(v), ())) if field else sp.Integer
-    functions = _FUNCTIONS if not field else {"Abs": lambda x: None, "log": lambda x: None if (
-        x is None or x[1] or not x[0]) else (field.zero, ((field.one, x[0]),))}
+    functions = _FUNCTIONS if not field else {  # the log of a nonzero rational term is a log term
+        "Abs": lambda x: None,
+        "log": lambda x: None if x is None or x[1] or not x[0] else (field.zero, ((field.one, x[0]),))}
 
     def combine(op, a, b):  # a linear form is a list of coefficients
         va, vb = isinstance(a, list), isinstance(b, list)

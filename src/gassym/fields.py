@@ -361,7 +361,7 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
         raise ValueError(f"chart {target.name} has no solve stages")
     K, zero = target.field, target.field.zero
     at = [*target.images.values(), *K.gens[-len(PARAM_SYMBOLS):]]  # chart D's generators
-    rhs = {c: K(evaluate(f, at, zero)) for c, f in F.coeffs.items()}
+    rhs = {c: K(evaluate(f, at, zero)) for c, f in F.coeffs.items()}  # K(): a constant evaluates to QQ
     solved = {c: target.reduce(rhs[c]) for c in target.kept}
     for coupling, inverse in target.stages:
         b = [rhs[cc] - sum((d * solved[p] for p, d in links if solved[p]), zero)
