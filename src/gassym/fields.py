@@ -186,6 +186,8 @@ class Chart:
 
     def element(self, e):
         """``e``, a number, expression or element, in the field; zero is not converted."""
+        if isinstance(e, sp.Rational):  # a ground constant, with no from_expr
+            return self.field.ground_new(self.field.domain.from_sympy(e))
         return self.field(e) if e != 0 else self.field.zero
 
 

@@ -5,16 +5,18 @@ against the closed-form flow maps, and the unit-sphere transport behind
 the ellipsoid figure.  All sampling uses a seeded PRNG and every routine
 is deterministic.
 
-RK4 runs on Python floats: velocities are lambdified with the ``math``
-module, the state is three floats, and samples go into preallocated flat
-``array('d')`` buffers, one per column (see ``integrate``), so a trace
-holds no Python object per sample and never imports numpy.  numpy is
+RK4 runs on Python floats in one loop compiled per call, with the text of
+a ``math``-lambdified velocity in place; samples go into flat ``array('d')``
+columns (see ``integrate``), so a trace holds no Python object per sample,
+never imports numpy, and is written a block of rows per ``%``.  numpy is
 imported only inside the float helpers ``compare_to_closed_form``,
 ``convergence_order`` and ``sphere_transport``.
 """
 
 from __future__ import annotations
 
+import ast
+import linecache
 import math
 from array import array
 from dataclasses import InitVar, dataclass
@@ -42,6 +44,7 @@ __all__ = [
 # largest sample count ``integrate`` allocates: four float columns of
 # this length take 3.2 GB
 MAX_SAMPLES = 10**8
+CSV_BLOCK = 256  # rows ``write_csv`` formats by one ``%``
 
 
 class IntegrationError(RuntimeError):
@@ -105,14 +108,61 @@ def velocity_function(s: Solution):
     evaluated with the ``math`` module, so a domain or overflow error
     raises (``ValueError``, ``ArithmeticError``) instead of returning nan
     or inf.  Bind the family's constants first, with ``Solution.subs``.
+    ``inline`` is lambdify's text of the tuple and the namespace it runs in.
     """
     vel = (s.u, s.v, s.w)
     extra = set().union(*(g.free_symbols for g in vel)) - {t, x, y, z}
     if extra:
         raise ValueError(f"velocity has unbound constants: {sorted(map(str, extra))}")
-    # the nested (x, y, z) argument makes the generated function take the
-    # position as one sequence, with no wrapper call per evaluation
-    return sp.lambdify((t, (x, y, z)), tuple(vel), modules="math")
+    fn = sp.lambdify((t, (x, y, z)), tuple(vel), modules="math")
+    src = "".join(linecache.getlines(fn.__code__.co_filename))  # unpack, return the tuple
+    fn.inline = (ast.get_source_segment(src, ast.parse(src).body[0].body[-1].value), fn.__globals__)
+    return fn
+
+
+# RHS: the velocity as a 3-tuple of the locals t, x, y, z, which hold the
+# state at each step's start; no other local is named as a math function
+_RK4_LOOP = """
+def loop(velocity, t, x, y, z, t1, h, ts, xs, ys, zs, max_samples):
+    ts[0], xs[0], ys[0], zs[0] = tv, px, py, pz = t, x, y, z
+    step, hh, h6, t_stop = h, h / 2, h / 6, t1 - 1e-15 * max(1.0, abs(t1))
+    i, n = 1, len(ts)
+    while tv < t_stop:
+        if t1 - tv < h:  # land on t1; once short, every later step is
+            step = t1 - tv
+            hh, h6 = step / 2, step / 6
+        try:
+            a1, b1, c1 = RHS
+            t = tv + hh
+            x, y, z = px + hh * a1, py + hh * b1, pz + hh * c1
+            a2, b2, c2 = RHS
+            x, y, z = px + hh * a2, py + hh * b2, pz + hh * c2
+            a3, b3, c3 = RHS
+            t = tv + step
+            x, y, z = px + step * a3, py + step * b3, pz + step * c3
+            a4, b4, c4 = RHS
+        except (ArithmeticError, ValueError) as exc:
+            raise IntegrationError(f"velocity evaluation failed at t={tv}: {exc}")
+        x = px = px + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        y = py = py + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+        z = pz = pz + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+        if (px - px) + (py - py) + (pz - pz):  # nan unless all are finite
+            raise IntegrationError(f"non-finite state at t={t}")
+        tv = t
+        if i == n:
+            if tv == ts[i - 1]:
+                raise ValueError(f"step size {h} is below the time resolution at t={tv}")
+            if i >= max_samples:
+                raise IntegrationError(f"more than MAX_SAMPLES = {max_samples} samples")
+            for buf in (ts, xs, ys, zs):
+                buf.extend(buf[: max_samples - i])
+            n = len(ts)
+        ts[i] = tv
+        xs[i], ys[i], zs[i] = px, py, pz
+        i += 1
+    for buf in (ts, xs, ys, zs):
+        del buf[i:]
+"""
 
 
 def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
@@ -122,25 +172,24 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
     3-tuple of floats, and any length-3 sequence of numbers may be
     returned.  The final step is shortened to land exactly on t1.
 
-    The state is kept as three floats and each RK4 formula is evaluated
-    per component in the order of its vector form, so the samples are
-    bit-identical to a numpy RK4 on 3-vectors.  Samples go into four
-    preallocated ``array('d')`` column buffers (t, x, y, z).  A failing
-    velocity evaluation, a non-finite state, or a step so small that more
-    than ``MAX_SAMPLES`` samples (or more than can be allocated) would be
-    needed raises ``IntegrationError``.  Every state is checked finite as
-    it is made and time only advances, so the ``Trajectory`` is built
-    without a second check.  A time that is not finite, no t1 > t0, a step
-    not > 0 (nan too) or below the time resolution raise ``ValueError``.
+    One loop, ``_RK4_LOOP``, compiled per call, evaluates a
+    ``velocity_function``'s ``inline`` text in place or calls any other
+    velocity.  Each RK4 formula runs per float component in the order of
+    its vector form, so samples are bit-identical to a numpy RK4 on
+    3-vectors; they go into four ``array('d')`` columns (t, x, y, z), each
+    state checked finite as it is made.  A failing velocity, a non-finite
+    state or more than ``MAX_SAMPLES`` samples (or than can be allocated)
+    raise ``IntegrationError``; a time not finite, no t1 > t0, or a step
+    not > 0 (nan too), infinite or below the time resolution ``ValueError``.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"times must be finite, not t0={t0}, t1={t1}")
     if not t1 > t0:
         raise ValueError("empty time range: need t1 > t0")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, not {h}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size must be {'finite' if h == math.inf else 'positive'}, not {h}")
     # h steps plus a rounding-remainder step; rounding of tv can add more,
-    # in which case the buffers grow below
+    # in which case the loop grows the buffers
     try:
         n = math.ceil((t1 - t0) / h) + 2
         if n > MAX_SAMPLES:
@@ -148,42 +197,10 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
         ts, xs, ys, zs = (array("d", [0.0]) * n for _ in range(4))
     except (OverflowError, ValueError, MemoryError) as exc:
         raise IntegrationError(f"cannot allocate samples for step size {h}: {exc}")
+    rhs, scope = getattr(velocity, "inline", ("velocity(t, (x, y, z))", {}))
+    exec(_RK4_LOOP.replace("RHS", rhs), scope := {**scope, "IntegrationError": IntegrationError})
     px, py, pz = (float(v) for v in p0)
-    tv = t0
-    ts[0], xs[0], ys[0], zs[0] = tv, px, py, pz
-    i = 1
-    t_stop = t1 - 1e-15 * max(1.0, abs(t1))
-    while tv < t_stop:
-        step = min(h, t1 - tv)
-        half = step / 2
-        try:
-            a1, b1, c1 = velocity(tv, (px, py, pz))
-            a2, b2, c2 = velocity(tv + half, (px + half * a1, py + half * b1, pz + half * c1))
-            a3, b3, c3 = velocity(tv + half, (px + half * a2, py + half * b2, pz + half * c2))
-            a4, b4, c4 = velocity(tv + step, (px + step * a3, py + step * b3, pz + step * c3))
-        except (ArithmeticError, ValueError) as exc:
-            raise IntegrationError(f"velocity evaluation failed at t={tv}: {exc}")
-        sixth = step / 6
-        px = px + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
-        py = py + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-        pz = pz + sixth * (c1 + 2 * c2 + 2 * c3 + c4)
-        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
-            raise IntegrationError(f"non-finite state at t={tv + step}")
-        tv = tv + step
-        if i == len(ts):
-            if tv == ts[i - 1]:
-                raise ValueError(f"step size {h} is below the time resolution at t={tv}")
-            if i >= MAX_SAMPLES:
-                raise IntegrationError(f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
-            for buf in (ts, xs, ys, zs):
-                buf.extend(buf[: MAX_SAMPLES - i])
-        ts[i] = tv
-        xs[i] = px
-        ys[i] = py
-        zs[i] = pz
-        i += 1
-    for buf in (ts, xs, ys, zs):
-        del buf[i:]
+    scope["loop"](velocity, t0, px, py, pz, t1, h, ts, xs, ys, zs, MAX_SAMPLES)
     return Trajectory(ts, _Rows(xs, ys, zs), checked=True)
 
 
@@ -297,7 +314,8 @@ def sphere_transport(fm: FlowMap, n: int, t_value, binding: dict, *, seed: int =
 
 def write_csv(tr: Trajectory, path) -> None:
     """Trajectory CSV: header t,x,y,z, 17 significant digits per value."""
-    row = "%.17g,%.17g,%.17g,%.17g\n"
+    values = chain.from_iterable(zip(tr.ts, *tr.columns()))
     with open(path, "w") as fh:
         fh.write("t,x,y,z\n")
-        fh.writelines(map(row.__mod__, zip(tr.ts, *tr.columns())))
+        while block := tuple(islice(values, 4 * CSV_BLOCK)):
+            fh.write("%.17g,%.17g,%.17g,%.17g\n" * (len(block) // 4) % block)

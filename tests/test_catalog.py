@@ -13,6 +13,7 @@ import pytest
 import sympy as sp
 from sympy.core.cache import clear_cache
 from sympy.parsing import sympy_parser
+from sympy.polys.fields import FracField
 
 from gassym import catalog, cli, exprs, fields, liealg
 from gassym.catalog import (
@@ -354,6 +355,29 @@ def test_catalog_builds_no_sympy_sum(monkeypatch, capsys):
         assert cli.main(["verify-invariants", eid, "--params", params]) == 0
     assert calls["flatten"] == 0
     capsys.readouterr()
+
+
+def test_catalog_pass_reads_rationals_as_ground_constants(monkeypatch):
+    # Chart.element converts a sympy Rational (mostly the basis entries 1
+    # and -1) with no FracField.from_expr: 277 of a pass's 378 calls read
+    # one, and the 101 left read a Symbol or a Mul
+    calls = {"from_expr": 0}
+    from_expr = FracField.from_expr
+
+    def counted(self, expr):
+        calls["from_expr"] += 1
+        assert not isinstance(expr, sp.Rational)
+        return from_expr(self, expr)
+
+    monkeypatch.setattr(FracField, "from_expr", counted)
+    _fresh_catalog_caches()
+    for eid in catalog_ids():
+        verify_entry(eid)
+    assert calls["from_expr"] == 101
+    chart = fields.chart_C()
+    for r in (sp.S.Zero, sp.S.One, sp.S.NegativeOne, sp.Rational(-5, 2)):
+        got, want = chart.element(r), from_expr(chart.field, r)
+        assert (got.numer, got.denom) == (want.numer, want.denom)
 
 
 def test_catalog_campaigns_leave_sympy_tensor_unimported():

@@ -429,6 +429,17 @@ def test_trace_nonpositive_step_is_usage_error(capsys, h):
     assert err.startswith("error: step size must be positive")
 
 
+def test_trace_infinite_step_is_usage_error(capsys, tmp_path):
+    # an infinite step would be one step to t1 and an "h": Infinity report,
+    # which is not JSON
+    out_csv = tmp_path / "tr.csv"
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--h", "inf", "--out", str(out_csv)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: step size must be finite, not inf\n"
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gassym import numerics
 from gassym.numerics import (
@@ -195,6 +197,7 @@ def test_integrate_validates_arguments():
         (1.0, 1.0, 0.1, "empty time range: need t1 > t0"),
         (0.0, 1.0, -0.1, "step size must be positive, not -0.1"),
         (0.0, 1.0, math.nan, "step size must be positive, not nan"),
+        (0.0, 1.0, math.inf, "step size must be finite, not inf"),
         (0.0, math.inf, 0.1, "times must be finite, not t0=0.0, t1=inf"),
         (math.nan, 1.0, 0.1, "times must be finite, not t0=nan, t1=1.0"),
     ]:
@@ -210,6 +213,62 @@ def test_integrate_flags_singular_start():
     with pytest.raises(IntegrationError):
         with np.errstate(all="raise"):
             integrate(vel, [0.5, 1.0, -0.3], 0.0, 1.0, 0.1)
+
+
+def _outcome(velocity, p0, t0, t1, h):
+    """The samples of a trace, or its error's type and text."""
+    try:
+        tr = integrate(velocity, p0, t0, t1, h)
+    except (IntegrationError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (list(tr.ts), *map(list, tr.columns()))
+
+
+def _both_loops(kind, constants, p0, t0, t1, h):
+    """One trace by the inlined velocity and one by a call per stage."""
+    s = solution_family(kind).subs(dict(zip((k0, m0, rho0), constants)))
+    vel = velocity_function(s)
+    return _outcome(vel, p0, t0, t1, h), _outcome(lambda tv, p: vel(tv, p), p0, t0, t1, h)
+
+
+_ratio = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+_coord = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@seed(0)
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["isochoric-reduced", "nonisochoric-reduced"]),
+    constants=st.tuples(_ratio, _ratio, _ratio.filter(lambda r: r > 0)),
+    p0=st.tuples(_coord, _coord, _coord),
+    t0=st.floats(0.05, 2.0),
+    span=st.floats(0.01, 1.0),
+    steps=st.integers(2, 400),
+    shortfall=st.floats(0.0, 0.9),
+)
+def test_inlined_velocity_agrees_with_called_velocity(kind, constants, p0, t0, span, steps, shortfall):
+    # rational k0, m0 and rho0; unless shortfall is 0, h does not divide
+    # the span and the last step is shortened to land on t1
+    constants = [sp.Rational(r.numerator, r.denominator) for r in constants]
+    h = span / (steps - shortfall)
+    inlined, called = _both_loops(kind, constants, list(p0), t0, t0 + span, h)
+    assert inlined == called
+
+
+@pytest.mark.parametrize(
+    "kind, p0, t0, t1, h, error",
+    [
+        ("nonisochoric-reduced", [0.5, 1.0, -0.3], 0.0, 1.0, 0.1,
+         (IntegrationError, "velocity evaluation failed at t=0.0: float division by zero")),
+        ("isochoric-reduced", [0.0, 1e308, 1e308], 0.0, 1.0, 1e-3,
+         (IntegrationError, "non-finite state at t=0.001")),
+        ("nonisochoric-reduced", [0.0, 0.0, 1.0], 1e16, 1e16 + 64, 0.5,
+         (ValueError, "step size 0.5 is below the time resolution at t=1e+16")),
+    ],
+    ids=["velocity", "non-finite", "time-resolution"],
+)
+def test_inlined_and_called_velocity_fail_alike(kind, p0, t0, t1, h, error):
+    assert _both_loops(kind, [1, 1, 1], p0, t0, t1, h) == (error, error)
 
 
 def test_velocity_function_rejects_unbound_constants():
@@ -304,6 +363,20 @@ def test_write_csv_format(tmp_path):
     assert last[1] == pytest.approx(0.2, abs=1e-15)
     # 17 significant digits survive a round trip
     assert float(lines[1].split(",")[0]) == tr.ts[0]
+
+
+@pytest.mark.parametrize(
+    "rows", [1, numerics.CSV_BLOCK - 1, numerics.CSV_BLOCK, numerics.CSV_BLOCK + 1, 75_002]
+)
+def test_write_csv_blocks_match_rows(tmp_path, rows):
+    # a block of rows per % writes the bytes of one % per row
+    ts = [0.1 * i - 3.0 for i in range(rows)]
+    cols = [[(-1.0) ** i * 10.0 ** (i % 40 - 20) / 3 for i in range(k, rows + k)] for k in range(3)]
+    tr = Trajectory(ts, list(zip(*cols)))
+    out = tmp_path / "tr.csv"
+    write_csv(tr, out)
+    want = "".join("%.17g,%.17g,%.17g,%.17g\n" % r for r in zip(ts, *cols))
+    assert out.read_bytes() == ("t,x,y,z\n" + want).encode()
 
 
 def _reference_csv(tr: Trajectory) -> str:
