@@ -19,14 +19,13 @@ them only when read).  Verification of an entry checks three things:
     has rank 5 over QQ(coordinates), decided exactly.
 
 One core, ``_verify_group``, does all three for an instantiated entry at
-a list of bindings of its grid parameters.  A single entry is the
-one-binding group ``[{}]``.  A catalog id is verified as one group per
-unit-circle point and choice value, with only the grid parameters left
-as symbols: closure and the residuals are decided once per group, and
-each sample checks only the ranks that substitution can change.  Both
-read each invariant's gradient in the chart's field: no sympy Jacobian.
-:func:`verify_entries` verifies many ids, one task per chart family, in
-forked workers when more than one CPU is usable.
+a list of bindings of its grid parameters (a single entry is ``[{}]``),
+from its basis and invariant gradients read once into the chart's field.
+A catalog id is one group per unit-circle point and choice value, the
+grid parameters left as symbols: closure and the residuals are decided
+once per group, and one rank routine ranks the invariant Jacobian and
+the basis at each sample.  :func:`verify_entries` verifies many ids, one
+task per chart family, in forked workers when more than one CPU is usable.
 
 Every annihilation verdict is exact.  A residual sum_i B_ki L_{X_i} I lives
 in the chart's field over the coordinates, the bare angles with their sin
@@ -144,8 +143,8 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     (``E``, ``I``, ``pi``, ...) becomes a sympy constant.  With ``gens``
     the string must be a linear form in those names, and its coefficient
     list is returned.  With a chart's ``field`` the names and the value
-    are terms (:func:`_combine_terms`).  Anything outside the grammar
-    raises ValueError naming ``where`` and the string.
+    are terms (:func:`_combine_terms`).  Anything outside the grammar, a
+    zero divisor (``0**(-1)``) or a log of zero raises ValueError naming ``where`` and the string.
     """
     def fail(why: str):
         raise ValueError(f"{where}: cannot read {text!r}: {why}")
@@ -153,16 +152,21 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     number = (lambda v: (field(v), ())) if field else sp.Integer
     functions = _FUNCTIONS if not field else {  # the log of a nonzero rational term is a log term
         "Abs": lambda x: None,
-        "log": lambda x: None if x is None or x[1] or not x[0] else (field.zero, ((field.one, x[0]),))}
+        "log": lambda x: None if x is None or x[1] else (field.zero, ((field.one, x[0]),))}
 
     def combine(op, a, b):  # a linear form is a list of coefficients
         va, vb = isinstance(a, list), isinstance(b, list)
         if op is operator.truediv and not vb and b == number(0):
             fail("division by zero")
         if field:
-            return _combine_terms(op, a, b)
+            try:
+                return _combine_terms(op, a, b)
+            except ZeroDivisionError:  # 0**n, n < 0
+                fail("division by zero")
         if not (va or vb):
-            return op(a, b)
+            if (value := op(a, b)) is sp.zoo:  # 0**n, n < 0
+                fail("division by zero")
+            return value
         if va and vb and op in (operator.add, operator.sub):
             return [op(x, y) for x, y in zip(a, b)]
         if (op is operator.mul and va != vb) or (op is operator.truediv and not vb):
@@ -183,6 +187,8 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
                 return combine(_OPERATORS[type(op)], build(a), build(b))
             case ast.Call(func=ast.Name(id=f), args=[x], keywords=[]) if f in _FUNCTIONS:
                 if not isinstance(x := build(x), list):
+                    if f == "log" and x == number(0):
+                        fail("log of zero")
                     return functions[f](x)
         fail(f"{type(node).__name__} {ast.unparse(node)!r} is outside the grammar")
 
@@ -298,9 +304,7 @@ def _row(entry_id: str) -> _Row:
 
     return _Row(
         id=entry_id,
-        basis=sp.ImmutableMatrix(
-            [parse(where, b, _PARAM_SYMS, L12_LABELS) for b in raw["basis"]]
-        ),
+        basis=sp.ImmutableMatrix([parse(where, b, _PARAM_SYMS, L12_LABELS) for b in raw["basis"]]),
         chart=chart,
         chart_b=value(raw.get("chart_b", 0)),
         invariants=_Invariants(where, tuple(raw["invariants"]), coords | _PARAM_SYMS),
@@ -321,9 +325,6 @@ class SubalgebraEntry:
     basis: list  # four coefficient vectors over (Y, X1..X11)
     chart: Chart
     invariants: _Invariants  # the four listed ones, or a list of expressions (rho is implicit)
-
-    def subalgebra(self) -> Subalgebra:
-        return Subalgebra(l12(), sp.Matrix([list(v) for v in self.basis]))
 
     def realized_basis(self) -> list:
         return [realize_combination(v, self.chart) for v in self.basis]
@@ -430,70 +431,61 @@ def _rank_point(coords: list) -> dict:
             for g, v in ((c, (k + 3, k + 2)), (sp.sin(c), (4, 5)), (sp.cos(c), (3, 5)))}
 
 
-def _group_ranks(chart: Chart, jac: list[list], grids: list[dict]) -> list[int]:
-    """Exact generic rank over QQ(coords) of ``jac``, rows of ``Chart.gradient``,
-    for each substitution in ``grids`` of the grid symbols.  The rank at a
-    point bounds the generic rank below, so rank 5 at ``_rank_point`` (each
-    entry's numerator and denominator evaluated over QQ) proves it.  Below 5,
-    or on a pole, the rref over the chart's field, the grid values
-    substituted there, decides."""
+def _group_ranks(chart: Chart, matrices: list, grids: list[dict]) -> list[list[int]]:
+    """Exact rank over QQ(coords) of each of ``matrices`` (rows of chart field
+    elements) at each substitution in ``grids`` of the grid symbols.  Full row
+    rank at ``_rank_point`` (numerators and denominators evaluated over QQ)
+    proves it, as the rank at a point bounds it below.  Otherwise, or on a
+    pole, the rref over the chart's field, the grid values substituted, decides."""
     point, ranks = {g: sp.QQ.convert(v) for g, v in _rank_point(chart.symbols).items()}, []
     for grid in grids:
         at = [sp.QQ.convert(grid[g]) if g in grid else point.get(g, sp.QQ.zero) for g in chart.field.symbols]
-        try:  # a zero denominator is a pole
-            J = [[evaluate(f, at) if f else sp.QQ.zero for f in row] for row in jac]
-            rank = len(_rref(DomainMatrix(J, (len(J), len(chart.coords)), sp.QQ))[1])
-        except ZeroDivisionError:
-            rank = 0
-        if rank < len(jac):
-            at = [(chart.gens[g.name], sp.QQ.convert(v)) for g, v in grid.items()]
-            J = [[f.subs(at) if at else f for f in row] for row in jac]
-            rank = len(_rref(DomainMatrix(J, (len(J), len(chart.coords)), chart.field.to_domain()))[1])
-        ranks.append(rank)
+        ranks.append([])
+        for M in matrices:
+            try:  # a zero denominator is a pole
+                J = [[evaluate(f, at) if f else sp.QQ.zero for f in row] for row in M]
+                rank = len(_rref(DomainMatrix(J, (len(M), len(M[0])), sp.QQ))[1])
+            except ZeroDivisionError:
+                rank = 0
+            if rank < len(M):
+                sub = [(chart.gens[g.name], sp.QQ.convert(v)) for g, v in grid.items()]
+                J = [[f.subs(sub) if sub else f for f in row] for row in M]
+                rank = len(_rref(DomainMatrix(J, (len(M), len(M[0])), chart.field.to_domain()))[1])
+            ranks[-1].append(rank)
     return ranks
-
-
-def _basis_at(B: DomainMatrix, grid: dict) -> DomainMatrix:
-    """The basis ``B`` over QQ(grid symbols) with each symbol at its value in ``grid``."""
-    if not (grid and B.domain.is_FractionField):
-        return B
-    at = [sp.QQ.convert(grid[s]) for s in B.domain.symbols]
-    return DomainMatrix([[evaluate(f, at) if f else sp.QQ.zero for f in row] for row in B.to_list()], B.shape, sp.QQ)
 
 
 def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     """Closure, annihilation verdicts and rank of ``entry`` at each binding
     of its symbolic parameters (all bindings share one set of names).
 
-    Each invariant I (rho included) is read once into the chart's field and
-    differentiated there (``Chart.gradient``).  By linearity the verdict of
-    basis element k is sum_i B_ki L_{X_i} I over the cached generators
+    The basis and each invariant I (rho included) are read once into the
+    chart's field, which contains QQ(params): closure is one exact solve
+    there, and I is differentiated there (``Chart.gradient``).  By linearity
+    the verdict of basis element k is sum_i B_ki L_{X_i} I over the cached
     ``realize(X_i, chart)``, one ``Chart.combination`` decided by ``Chart.is_zero``.
-    Closure and the verdicts are decided once, over the symbols.
-    Per binding only the ranks are checked: the basis is closed there when
-    the symbolic span is closed and the substituted basis keeps its dimension.
-    Returns one report per binding.
+    Both are decided once, over the symbols.  Per binding ``_group_ranks``
+    ranks the Jacobian and the basis: the basis is closed there when the
+    symbolic span is closed and keeps its dimension.  One report per binding.
     """
-    sub = entry.subalgebra()
-    closed = sub.is_closed()[0]
     chart, terms = entry.chart, getattr(entry.invariants, "terms", entry.invariants)
+    try:  # apart from the invariants, whose message names an invariant
+        basis = [[chart.element(b) for b in v] for v in entry.basis]
+    except ValueError:  # a coefficient such as Abs(a)
+        raise ValueError(f"entry {entry.id}: basis {entry.basis} is not rational in the parameters") from None
+    closed = Subalgebra(l12(), DomainMatrix(basis, (4, 12), chart.field.to_domain())).is_closed()[0]
     try:
         grads = [chart.gradient(t) for t in [*terms, (chart.gens["rho"], ())]]
     except ValueError as exc:
         raise ValueError(f"entry {entry.id}: invariant {exc}") from None
-    basis = [[chart.element(b) for b in v] for v in entry.basis]
     used = [i for i in range(len(L12_LABELS)) if any(v[i] for v in basis)]
     lie = {(i, j): chart.combination(zip(realize(L12_LABELS[i], chart).coeffs.values(), grad))
            for i in used for j, grad in enumerate(grads)}
     verdicts = {(k, j): "SymbolicZero" if chart.is_zero(chart.combination((v[i], lie[i, j]) for i in used))
                 else "NonZero" for k, v in enumerate(basis) for j in range(len(grads))}
     grids = [{_PARAM_SYMS[n]: v for n, v in b.items()} for b in bindings]
-    reports = []
-    for grid, rank in zip(grids, _group_ranks(chart, grads, grids)):
-        here = Subalgebra(l12(), _basis_at(sub._domain_basis, grid))
-        reports.append({"closure_ok": closed and here.rank == here.dim,
-                        "verdicts": verdicts, "rank": rank})
-    return reports
+    return [{"closure_ok": closed and basis_rank == 4, "verdicts": verdicts, "rank": rank}
+            for rank, basis_rank in _group_ranks(chart, [grads, basis], grids)]
 
 
 def verify_invariants(entry: SubalgebraEntry) -> VerificationReport:

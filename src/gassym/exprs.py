@@ -199,6 +199,7 @@ def _eval_node(e, a: Assignment) -> float:
     raise TypeError(f"cannot evaluate node {type(e).__name__}: {e}")
 
 
+@dataclass(frozen=True)
 class ZeroVerdict:
     """Outcome of :func:`is_zero`."""
 
@@ -207,22 +208,11 @@ class ZeroVerdict:
     NON_ZERO = "NonZero"
     UNDECIDED = "Undecided"  # no sample point could be evaluated
 
-    def __init__(self, kind: str, witness: dict | None = None):
-        self.kind = kind
-        self.witness = witness
+    kind: str
+    witness: dict | None = None
 
     def __bool__(self) -> bool:
         return self.kind in (self.SYMBOLIC_ZERO, self.NUMERIC_ZERO)
-
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.kind == other
-        return isinstance(other, ZeroVerdict) and self.kind == other.kind
-
-    def __repr__(self):
-        if self.witness is not None:
-            return f"ZeroVerdict({self.kind}, witness={self.witness})"
-        return f"ZeroVerdict({self.kind})"
 
 
 def is_zero(
@@ -272,9 +262,7 @@ def is_zero(
         except DomainError:
             continue
         if abs(val) >= tol:
-            return ZeroVerdict(
-                ZeroVerdict.NON_ZERO, witness={"point": point, "value": val}
-            )
+            return ZeroVerdict(ZeroVerdict.NON_ZERO, witness={"point": point, "value": val})
         evaluated = True
     return ZeroVerdict(ZeroVerdict.NUMERIC_ZERO if evaluated else ZeroVerdict.UNDECIDED)
 

@@ -8,10 +8,10 @@ Structure constants have one format, the sparse table
 ``{(i, j): {k: c}}``: an algebra is built from its i < j brackets and
 stores both orientations over QQ, so L12 is 44 entries rather than a
 12x12x12 tensor.  Vectors are sparse dicts ``{k: c}`` over one domain,
-QQ or QQ(params) for parametric subalgebras, and brackets, Jacobi
-triples, series, centre and Killing form are sums over the table.
-Subalgebras are row spans of coefficient matrices over the basis; a
-sympy matrix reaches exact linear algebra only through
+QQ or a field of rational functions (QQ(params), a catalog chart's), and
+brackets, Jacobi triples, series, centre and Killing form are sums over
+the table.  Subalgebras are row spans of coefficient matrices over the
+basis; a sympy matrix reaches exact linear algebra only through
 :func:`to_domain`, which admits QQ and QQ(symbols) and nothing else.
 Closure is one exact solve in :meth:`Subalgebra.is_closed`, which also
 returns the induced table; ranks and spans use one reduced row echelon
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import sympy as sp
@@ -140,9 +140,8 @@ class Subalgebra:
 
     @cached_property
     def _domain_basis(self) -> DomainMatrix:
-        """The basis over QQ or QQ(params) (see :func:`to_domain`)."""
-        B = self.basis
-        return B if isinstance(B, DomainMatrix) else to_domain(B)
+        """The basis as a domain matrix: a sympy one over QQ or QQ(params) (:func:`to_domain`)."""
+        return self.basis if isinstance(self.basis, DomainMatrix) else to_domain(self.basis)
 
     @property
     def rank(self) -> int:
@@ -189,10 +188,9 @@ def to_domain(M: sp.Matrix) -> DomainMatrix:
     return D
 
 
-def _rref(M) -> tuple[DomainMatrix, tuple[int, ...]]:
-    """Reduced row echelon form of ``M`` (a sympy matrix, taken through
-    :func:`to_domain`, or a domain matrix), plus the pivots."""
-    return (M if isinstance(M, DomainMatrix) else to_domain(M)).rref()
+def _rref(M: DomainMatrix) -> tuple[DomainMatrix, tuple[int, ...]]:
+    """Reduced row echelon form of the domain matrix ``M``, plus the pivots."""
+    return M.rref()
 
 
 def _solve_exact(A: DomainMatrix, B: DomainMatrix) -> DomainMatrix | None:
@@ -249,15 +247,10 @@ def _l12_brackets() -> dict:
     }
 
 
-_L12 = None
-
-
+@lru_cache(maxsize=None)
 def l12() -> LieAlgebra:
     """The 12-dimensional symmetry algebra, basis (Y, X1, ..., X11)."""
-    global _L12
-    if _L12 is None:
-        _L12 = LieAlgebra(L12_LABELS, _l12_brackets())
-    return _L12
+    return LieAlgebra(L12_LABELS, _l12_brackets())
 
 
 # --------------------------------------------------------------------------

@@ -291,11 +291,12 @@ def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
 def test_catalog_pass_reads_invariants_into_the_field(monkeypatch):
     # fresh charts: no invariant Jacobian is taken over sympy Expr and no
     # basis element is realized as a combination of fields; the verdicts,
-    # pushforwards and rank rrefs keep their counts
+    # pushforwards and rank rrefs keep their counts, one rref of the 5-row
+    # Jacobian and one of the 4-row basis per sample
     for cached in (fields.chart_D, fields.chart_C, fields.chart_S, fields.chart_D_shift,
                    fields.realize):
         cached.cache_clear()
-    calls = dict.fromkeys(["jacobian", "realize_combination", "is_zero", "pushforward", "rref"], 0)
+    calls = dict.fromkeys(["jacobian", "realize_combination", "is_zero", "pushforward", 5, 4], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -309,11 +310,17 @@ def test_catalog_pass_reads_invariants_into_the_field(monkeypatch):
     monkeypatch.setattr(catalog, "realize_combination", combination)
     monkeypatch.setattr(fields.Chart, "is_zero", counted("is_zero", fields.Chart.is_zero))
     monkeypatch.setattr(fields, "pushforward", counted("pushforward", fields.pushforward))
-    monkeypatch.setattr(catalog, "_rref", counted("rref", catalog._rref))
+    rref = catalog._rref
+
+    def ranked(M):  # counted by rows: 5 for the Jacobian, 4 for the basis
+        calls[M.shape[0]] += 1
+        return rref(M)
+
+    monkeypatch.setattr(catalog, "_rref", ranked)
     for eid in catalog_ids():
         verify_entry(eid)
     assert calls == {"jacobian": 0, "realize_combination": 0, "is_zero": 760,
-                     "pushforward": 37, "rref": 298}
+                     "pushforward": 37, 5: 298, 4: 298}
 
 
 # the single-entry campaigns of perfbench's catalog workload, seeds 0 and 1
@@ -330,9 +337,8 @@ def _fresh_catalog_caches():
 def test_catalog_builds_no_sympy_sum(monkeypatch, capsys):
     # invariants, chart maps and pushforwards are read in the chart fields:
     # a catalog pass and the --params campaigns build no sympy Add, whose
-    # first Add.flatten imports sympy.tensor.tensor; closure at each binding
-    # evaluates the group's domain basis, so one basis per group becomes a
-    # domain matrix
+    # first Add.flatten imports sympy.tensor.tensor; the basis is read into
+    # the chart's field, so no sympy matrix becomes a domain matrix
     calls = {"flatten": 0, "to_domain": 0}
     flatten, to_domain = sp.Add.flatten.__func__, liealg.to_domain
 
@@ -349,7 +355,7 @@ def test_catalog_builds_no_sympy_sum(monkeypatch, capsys):
     _fresh_catalog_caches()
     for eid in catalog_ids():
         verify_entry(eid)
-    assert calls == {"flatten": 0, "to_domain": 38}
+    assert calls == {"flatten": 0, "to_domain": 0}
     for eid, params in PARAMS_RUNS:
         _fresh_catalog_caches()
         assert cli.main(["verify-invariants", eid, "--params", params]) == 0
@@ -415,12 +421,13 @@ def test_get_entry_keeps_exact_values_unparsed(monkeypatch):
 
 
 def test_catalog_ranks_proven_at_first_point(monkeypatch):
-    # one exact rref per sample: each rank reaches 5 at its first point
+    # one exact rref of the Jacobian per sample: each rank reaches 5 at its
+    # first point
     calls = {"rref": 0}
     rref = catalog._rref
 
     def counted(M):
-        calls["rref"] += 1
+        calls["rref"] += M.shape[0] == 5
         return rref(M)
 
     monkeypatch.setattr(catalog, "_rref", counted)
@@ -459,8 +466,9 @@ def test_rank_skips_point_on_a_pole(monkeypatch):
     ranked = []
     rref = catalog._rref
 
-    def recorded(M):
-        ranked.append(M)
+    def recorded(M):  # the Jacobian's; the basis is ranked apart
+        if M.shape[0] == 5:
+            ranked.append(M)
         return rref(M)
 
     monkeypatch.setattr(catalog, "_rref", recorded)
@@ -492,8 +500,8 @@ def test_reparametrized_invariant_keeps_rank_five(monkeypatch, g, rrefs):
     calls = {"rref": 0}
     rref = catalog._rref
 
-    def counted(M):
-        calls["rref"] += 1
+    def counted(M):  # the Jacobian's; the basis is ranked apart
+        calls["rref"] += M.shape[0] == 5
         return rref(M)
 
     monkeypatch.setattr(catalog, "_rref", counted)

@@ -1,6 +1,7 @@
 """Isomorphism-class tests: assignments, case splitting, fingerprints."""
 
 import dataclasses
+import re
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from gassym import classify, fields, liealg, submodel
 from gassym.catalog import _PARAM_SYMS, ConstraintError, UnknownEntryError, catalog_ids
 from gassym.cli import main
 from gassym.classify import (
+    NonInvertibleError,
     _parameter_cases,
     _parse_relations,
     class_ids,
@@ -90,6 +92,16 @@ def test_coefficient_outside_the_parameter_field_raises(monkeypatch):
         verify_class("4.3")
 
 
+def test_singular_change_of_basis_raises(monkeypatch):
+    # e1 = e2 = -E1: the stated change of basis is singular
+    asg = get_assignment("4.21")
+    change = asg.basis_change
+    tampered = dataclasses.replace(asg, basis_change=(change[0], change[0]) + change[2:])
+    monkeypatch.setattr(classify, "_assignments", lambda: {"4.21": tampered})
+    with pytest.raises(NonInvertibleError, match=r"^entry 4\.21: singular change of basis at \{\}$"):
+        verify_class("4.21")
+
+
 def test_class_row_reads_the_entry_fixed_values(monkeypatch):
     # 4.23.ii fixes b = 1: a change of basis written with b reads it as 1,
     # as the catalog basis does, so -b*E1 is the shipped -E1
@@ -113,6 +125,12 @@ def test_parse_relations_normalizes_reversed_keys():
 def test_parse_relations_rejects_duplicates():
     with pytest.raises(ValueError):
         _parse_relations({"e1,e2": "e3", "e2,e1": "-e3"}, "row")
+
+
+@pytest.mark.parametrize("text, why", [("0**(-1)*e1", "division by zero"), ("log(b - b)*e1", "log of zero")])
+def test_parse_relations_rejects_zoo(text, why):
+    with pytest.raises(ValueError, match=rf"^class row 4\.21: cannot read {re.escape(repr(text))}: {why}$"):
+        _parse_relations({"e2,e3": text}, "class row 4.21")
 
 
 def test_parse_relations_parametric_coefficient():

@@ -71,6 +71,21 @@ def test_unknown_solution_kind_is_usage_error(capsys):
                    "nonisochoric-reduced\n")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["trace", "isochoric-reduced", "--x0", "a,b,c"], "error: bad initial point 'a,b,c'\n"),
+        # after "--" no word is an option, so none is attached to a number
+        (["verify-solution", "--", "--t0", "1"],
+         "error: unknown solution kinds: ['--t0', '1']; known solution kinds: isochoric-general, "
+         "isochoric-reduced, nonisochoric-general, nonisochoric-reduced\n"),
+    ],
+    ids=["bad-initial-point", "words-after-double-dash"],
+)
+def test_refused_words_are_usage_errors(capsys, argv, err):
+    assert _run(capsys, argv) == (2, "", err)
+
+
 def test_params_need_single_entry(capsys):
     code, _, err = _run(capsys, ["verify-invariants", "4.3", "4.77", "--params", "a=1"])
     assert code == 2

@@ -10,7 +10,7 @@ import sympy as sp
 import yaml
 from sympy.parsing import sympy_parser
 
-from gassym import catalog, classify
+from gassym import catalog, classify, fields
 from gassym.catalog import _COORDS, _PARAM_SYMS, parse
 from gassym.liealg import L12_LABELS
 
@@ -20,13 +20,17 @@ e_NAMES = ("e1", "e2", "e3", "e4")
 
 @pytest.fixture
 def tamper(monkeypatch):
-    """Replace one string of entry 4.77 (chart D) and drop the parsed rows."""
+    """Replace one string of an entry, 4.77 (chart D) unless ``eid`` is
+    given, and drop the parsed rows; an ``index`` of None replaces the value."""
     raw = catalog._raw_entries()
 
-    def tampered(field: str, index: int, text: str) -> None:
-        row = copy.deepcopy(raw["4.77"])
-        row[field][index] = text
-        monkeypatch.setattr(catalog, "_raw_entries", lambda: {**raw, "4.77": row})
+    def tampered(field: str, index: int | None, text: str, eid: str = "4.77") -> None:
+        row = copy.deepcopy(raw[eid])
+        if index is None:
+            row[field] = text
+        else:
+            row[field][index] = text
+        monkeypatch.setattr(catalog, "_raw_entries", lambda: {**raw, eid: row})
         catalog._row.cache_clear()
 
     yield tampered
@@ -49,10 +53,15 @@ def tamper(monkeypatch):
         ("invariants", 0, "0.5*t"),
         ("basis", 3, "Y + X4 + 1"),
         ("basis", 3, "X1*X4"),
+        ("invariants", 0, "(t - t)**(-1)"),
+        ("invariants", 3, "P - log(t - t)"),
+        ("basis", 3, "Y + 0**(-1)*X4"),
+        ("basis", 3, "Y + log(0)*X4"),
     ],
     ids=["E-and-I", "sin", "E1-call", "S-call", "attribute", "subscript",
          "lambda", "keyword", "foreign-coordinate", "division-by-zero",
-         "float", "affine-basis", "quadratic-basis"],
+         "float", "affine-basis", "quadratic-basis", "zero-to-a-negative-power",
+         "log-of-zero", "basis-zero-to-a-negative-power", "basis-log-of-zero"],
 )
 def test_tampered_string_rejected(tamper, field, index, text):
     tamper(field, index, text)
@@ -65,6 +74,72 @@ def test_sympy_constant_names_rejected(tamper, name):
     tamper("invariants", 3, f"P - {name}")
     with pytest.raises(ValueError, match=rf"4\.77: cannot read 'P - {name}': Name '{name}'"):
         catalog.get_entry("4.77")
+
+
+@pytest.mark.parametrize(
+    "field, index, text, why",
+    [
+        ("invariants", 0, "(t - t)**(-1)", "division by zero"),
+        ("invariants", 0, "0**(-1/2)", "division by zero"),
+        ("invariants", 3, "P - log(t - t)", "log of zero"),
+        ("basis", 3, "Y + 0**(-1)*X4", "division by zero"),
+        ("basis", 3, "a", "not linear in Y, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11"),
+        ("invariants", 0, "t +", "syntax error"),
+    ],
+)
+def test_refusal_names_the_reason(tamper, field, index, text, why):
+    tamper(field, index, text)
+    with pytest.raises(ValueError, match=rf"^entry 4\.77: cannot read {re.escape(repr(text))}: {re.escape(why)}$"):
+        catalog.get_entry("4.77")
+
+
+@pytest.mark.parametrize("text", ["0**(-1)", "(a - a)**(-1)", "a*0**(-2)"])
+def test_zero_to_a_negative_power_refused_in_every_mode(text):
+    # as a sympy value, a term of a chart's field and a linear coefficient
+    chart = fields.chart_D()
+    bound = {k: (g, ()) for k, g in chart.gens.items()}
+    for string, names, gens, field in [(text, _PARAM_SYMS, (), None), (text, bound, (), chart.field),
+                                       (f"Y + {text}*X1", _PARAM_SYMS, L12_LABELS, None)]:
+        with pytest.raises(ValueError, match=rf"^row: cannot read {re.escape(repr(string))}: division by zero$"):
+            parse("row", string, names, gens, field)
+
+
+def test_unknown_chart_raises(tamper):
+    tamper("chart", None, "Q")
+    with pytest.raises(ValueError, match=r"^entry 4\.77: unknown chart 'Q'$"):
+        catalog.get_entry("4.77")
+
+
+@pytest.mark.parametrize(
+    "text, view",
+    [
+        ("P - log(t)*log(t)", "P - log(t)**2"),  # a product of logs
+        ("P - 1/log(t)", "P - 1/log(t)"),  # a log in a divisor
+        ("P - log(log(t))", "P - log(log(t))"),  # a log of a log
+        ("P - Abs(t)", "P - Abs(t)"),
+        ("P - t*log(t)", "P - t*log(t)"),  # a log whose coefficient involves a coordinate
+    ],
+)
+def test_invariant_of_another_form_is_refused_at_the_jacobian(tamper, text, view):
+    # 4.1's P - log(t) replaced in catalog.yaml: the field-mode parse gives
+    # no term, get_entry keeps the sympy view, and the rank refuses it
+    tamper("invariants", 3, text, eid="4.1")
+    ent = catalog.get_entry("4.1")
+    assert str(ent.invariants[3]) == view
+    with pytest.raises(ValueError, match=rf"^entry 4\.1: invariant {re.escape(view)} has a Jacobian entry "
+                                         r"that is not rational in the chart's field$"):
+        catalog.verify_invariants(ent)
+
+
+@pytest.mark.parametrize("text, view", [("P - log(t)/log(t)", "P - 1"), ("P - t**(1/2)*t**(1/2)", "P - t")])
+def test_invariant_sympy_simplifies_is_read(tamper, text, view):
+    # strings of another form that sympy simplifies to a rational invariant:
+    # read as that, which the verdicts refuse
+    tamper("invariants", 3, text, eid="4.1")
+    ent = catalog.get_entry("4.1")
+    assert str(ent.invariants[3]) == view
+    rep = catalog.verify_invariants(ent)
+    assert not rep.passed and rep.rank == 5
 
 
 def test_basis_outside_the_parameter_field_raises(tamper):
