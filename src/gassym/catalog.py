@@ -66,6 +66,7 @@ __all__ = [
     "VerificationReport",
     "UnknownEntryError",
     "ConstraintError",
+    "DataError",
     "catalog_ids",
     "entry_basis",
     "entry_schema",
@@ -91,6 +92,10 @@ class UnknownEntryError(KeyError):
 
 class ConstraintError(ValueError):
     pass
+
+
+class DataError(ValueError):
+    """A string or row of the data files that the verifier refuses."""
 
 
 _PARAM_SYMS = {s.name: s for s in PARAM_SYMBOLS}
@@ -143,11 +148,15 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     (``E``, ``I``, ``pi``, ...) becomes a sympy constant.  With ``gens``
     the string must be a linear form in those names, and its coefficient
     list is returned.  With a chart's ``field`` the names and the value
-    are terms (:func:`_combine_terms`).  Anything outside the grammar, a
-    zero divisor (``0**(-1)``) or a log of zero raises ValueError naming ``where`` and the string.
+    are terms (:func:`_combine_terms`).  Every constant is real and
+    rational: an exponent must be an integer literal, possibly negated, and
+    a log must name a symbol.  Anything outside the grammar, a zero divisor
+    (``0**(-1)``), a log of zero or of a constant (``log(-1)``) or another
+    exponent (``2**(1/2)``) raises :class:`DataError` naming ``where`` and
+    the string.
     """
     def fail(why: str):
-        raise ValueError(f"{where}: cannot read {text!r}: {why}")
+        raise DataError(f"{where}: cannot read {text!r}: {why}")
 
     number = (lambda v: (field(v), ())) if field else sp.Integer
     functions = _FUNCTIONS if not field else {  # the log of a nonzero rational term is a log term
@@ -184,11 +193,16 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
             case ast.UnaryOp(op=ast.USub(), operand=x):
                 return combine(operator.mul, build(x), number(-1))
             case ast.BinOp(left=a, op=op, right=b) if type(op) in _OPERATORS:
-                return combine(_OPERATORS[type(op)], build(a), build(b))
-            case ast.Call(func=ast.Name(id=f), args=[x], keywords=[]) if f in _FUNCTIONS:
-                if not isinstance(x := build(x), list):
+                value = combine(_OPERATORS[type(op)], build(a), build(b))
+                if isinstance(op, ast.Pow) and not _is_integer_literal(b):
+                    fail(f"exponent {ast.unparse(b)!r} is not an integer")
+                return value
+            case ast.Call(func=ast.Name(id=f), args=[arg], keywords=[]) if f in _FUNCTIONS:
+                if not isinstance(x := build(arg), list):
                     if f == "log" and x == number(0):
                         fail("log of zero")
+                    if f == "log" and not any(isinstance(n, ast.Name) for n in ast.walk(arg)):
+                        fail(f"log of the constant {ast.unparse(arg)!r}")
                     return functions[f](x)
         fail(f"{type(node).__name__} {ast.unparse(node)!r} is outside the grammar")
 
@@ -207,6 +221,13 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     return value
 
 
+def _is_integer_literal(node) -> bool:
+    """Whether ``node`` is an integer literal, possibly negated."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
 def _combine_terms(op, a, b):
     """``op`` on two terms: r + sum c*log(g) over a chart's field as the pair
     (r, ((c, g), ...)) that ``Chart.gradient`` differentiates, or None for a
@@ -221,8 +242,10 @@ def _combine_terms(op, a, b):
         return r * s, tuple((r * c, g) for c, g in q)
     if op is operator.truediv and not q:
         return r / s, tuple((c / s, g) for c, g in p)
-    if op is operator.pow and not (p or q) and s.denom == 1 and s.numer.is_ground:
-        n = s.numer.LC  # the exponent, a rational
+    if op is operator.pow and not (p or q) and s.numer.is_ground and s.denom.is_ground:
+        n = s.numer.LC / s.denom.LC  # the exponent, a rational
+        if n < 0 and not r:
+            raise ZeroDivisionError  # 0**n, n < 0
         return (r**int(n), ()) if n == int(n) else None
     return None
 
@@ -296,7 +319,7 @@ def _row(entry_id: str) -> _Row:
     where = f"entry {entry_id}"
     chart = raw.get("chart", "D")
     if chart not in _COORDS:
-        raise ValueError(f"{where}: unknown chart {chart!r}")
+        raise DataError(f"{where}: unknown chart {chart!r}")
     coords = {c: sp.Symbol(c) for c in _COORDS[chart]}
 
     def value(v):
@@ -472,12 +495,12 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
     try:  # apart from the invariants, whose message names an invariant
         basis = [[chart.element(b) for b in v] for v in entry.basis]
     except ValueError:  # a coefficient such as Abs(a)
-        raise ValueError(f"entry {entry.id}: basis {entry.basis} is not rational in the parameters") from None
+        raise DataError(f"entry {entry.id}: basis {entry.basis} is not rational in the parameters") from None
     closed = Subalgebra(l12(), DomainMatrix(basis, (4, 12), chart.field.to_domain())).is_closed()[0]
     try:
         grads = [chart.gradient(t) for t in [*terms, (chart.gens["rho"], ())]]
     except ValueError as exc:
-        raise ValueError(f"entry {entry.id}: invariant {exc}") from None
+        raise DataError(f"entry {entry.id}: invariant {exc}") from None
     used = [i for i in range(len(L12_LABELS)) if any(v[i] for v in basis)]
     lie = {(i, j): chart.combination(zip(realize(L12_LABELS[i], chart).coeffs.values(), grad))
            for i in used for j, grad in enumerate(grads)}
@@ -534,6 +557,16 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def fork_cpus() -> int:
+    """The CPUs that processes forked from this one may use: the usable CPUs
+    where ``os.fork`` exists and no other thread runs, else 1.  A fork
+    copies only the calling thread, so beside another one it may copy a
+    lock that thread holds."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return _usable_cpus()
+
+
 def _chart_tasks(ids: list[str]) -> list[tuple[str, ...]]:
     """The ids grouped by their catalog.yaml chart family (C, D, Dshift,
     S), each id once, so that the charts and realized generators of the
@@ -561,16 +594,15 @@ def verify_entries(ids: list[str]) -> list[VerificationReport]:
     """:func:`verify_entry` of each id, in the order of ``ids``.
 
     No entry's verdict reads another's, so the chart families of
-    :func:`_chart_tasks` are independent tasks.  With more than one task,
-    more than one usable CPU and no other thread in this process, they
-    run in a pool of min(tasks, CPUs) workers forked from this process:
-    a fork shares the import-time heap copy-on-write, where a spawned
-    worker would import sympy again, and forking is unsafe only with
-    other threads.  Otherwise the same tasks run here, one after another.
+    :func:`_chart_tasks` are independent tasks.  With more than one task
+    and more than one of :func:`fork_cpus`, they run in a pool of
+    min(tasks, CPUs) workers forked from this process: a fork shares the
+    import-time heap copy-on-write, where a spawned worker would import
+    sympy again.  Otherwise the same tasks run here, one after another.
     """
     tasks = _chart_tasks(ids)
-    workers = min(len(tasks), _usable_cpus())
-    if workers > 1 and threading.active_count() == 1:
+    workers = min(len(tasks), fork_cpus())
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers) as pool:

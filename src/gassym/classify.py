@@ -33,6 +33,7 @@ from sympy.polys.matrices import DomainMatrix
 from .catalog import (
     _PARAM_SYMS,
     _YAML_LOADER,
+    DataError,
     UnknownEntryError,
     _row,
     entry_basis,
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 
-class NonInvertibleError(ValueError):
+class NonInvertibleError(DataError):
     """The stated change of basis is singular at admissible parameters."""
 
 
@@ -102,7 +103,7 @@ def _parse_relations(raw: dict, where: str) -> dict:
             i, j = j, i
             vec = [-c for c in vec]
         if (i, j) in rel:
-            raise ValueError(f"relation {key} duplicates its reverse")
+            raise DataError(f"{where}: relation {key} duplicates its reverse")
         rel[(i, j)] = tuple(vec)
     return rel
 
@@ -190,7 +191,7 @@ def verify_class(entry_id: str) -> ClassReport:
         try:
             D = to_domain(sp.Matrix([change + basis + want]))
         except ValueError as exc:
-            raise ValueError(f"entry {entry_id}: {exc} at {binding}") from exc
+            raise DataError(f"entry {entry_id}: {exc} at {binding}") from exc
         K, flat = D.domain, D.to_list_flat()
         M = DomainMatrix.from_list_flat(flat[:16], (4, 4), K).to_sparse()
         if not M.det():

@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage
 error (unknown entry id or solution kind, empty time range, non-positive
 or too small step, bad parameters, a non-finite initial point, a trace
-the velocity cannot be evaluated along, an unwritable ``--out``).
+the velocity cannot be evaluated along, an unwritable ``--out``, a data
+file string or row the verifier refuses).
 Reports are deterministic: no subcommand reads ``--seed``, and every
 report only echoes it.
 """
@@ -212,12 +213,14 @@ def cmd_trace(args, report: dict) -> bool:
     if not all(map(math.isfinite, p0)):
         raise UsageError(f"initial point {args.x0!r} is not finite")
     vel = numerics.velocity_function(s)
-    try:
-        tr = numerics.integrate(vel, p0, args.t0, args.t1, args.h)
-    except ValueError as exc:  # a bad time range or step
-        raise UsageError(str(exc))
-    if args.out:
-        _write(args.out, lambda: numerics.write_csv(tr, args.out))
+    # with --out, a forked process formats the CSV while RK4 runs
+    with numerics.CsvFormatter(bool(args.out) and catalog.fork_cpus() > 1) as csv:
+        try:
+            tr = numerics.integrate(vel, p0, args.t0, args.t1, args.h, sink=csv)
+        except ValueError as exc:  # a bad time range or step
+            raise UsageError(str(exc))
+        if args.out:
+            _write(args.out, lambda: numerics.write_csv(tr, args.out, csv))
     report["traces"] = [
         {
             "kind": args.kind,
@@ -354,6 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         UsageError,
         catalog.UnknownEntryError,
         catalog.ConstraintError,
+        catalog.DataError,
         numerics.IntegrationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,10 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import shlex
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -513,6 +515,116 @@ def test_nonisochoric_trace_cannot_start_before_time_zero(capsys, tmp_path):
     assert err.startswith("error: nonisochoric-reduced holds only for t > 0")
     assert err.count("\n") == 1
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nonisochoric-reduced", "--x0=0.5,1,-0.3", "--t0", "0", "--t1", "1", "--h", "0.1"],
+         "error: velocity evaluation failed at t=0.0: float division by zero\n"),
+        (["isochoric-reduced", "--x0=0,1e308,1e308", "--t1", "1", "--h", "1e-3"],
+         "error: non-finite state at t=0.001\n"),
+        (["nonisochoric-reduced", "--x0=0,0,1", "--t0", "1e16", "--t1", "1.0000000000000064e16", "--h", "0.5"],
+         "error: step size 0.5 is below the time resolution at t=1e+16\n"),
+    ],
+    ids=["velocity", "non-finite", "time-resolution"],
+)
+def test_failed_trace_leaves_no_file_and_no_process(capsys, monkeypatch, tmp_path, argv, message, cpus):
+    # with two CPUs a formatter was forked before the RK4 loop failed
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
+    out_csv = tmp_path / "tr.csv"
+    assert _run(capsys, ["trace", *argv, "--out", str(out_csv)]) == (2, "", message)
+    assert not out_csv.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize(
+    "cpus, thread, out, forks",
+    [(2, False, True, 1), (1, False, True, 0), (2, True, True, 0), (2, False, False, 0)],
+    ids=["two-cpus", "one-cpu", "beside-a-thread", "no-out"],
+)
+def test_trace_forks_one_formatter_where_forking_is_allowed(capsys, monkeypatch, tmp_path, cpus, thread, out, forks):
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
+    made = _count_forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if thread:
+        other.start()
+    try:
+        argv = ["trace", "isochoric-reduced", "--h", "1e-3", *(["--out", str(tmp_path / "tr.csv")] * out)]
+        assert _run(capsys, argv)[0] == 0
+    finally:
+        release.set()
+        if thread:
+            other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(made) == forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_unwritable_out_is_refused_after_the_formatter_ran(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    made = _count_forks(monkeypatch)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--out", str(path)])
+    assert (code, out, made) == (2, "", [1])
+    assert err.startswith(f"error: cannot write {path}: ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_that_takes_no_sendfile_is_written_here(capsys, monkeypatch):
+    # /dev/full refuses sendfile before any byte (EINVAL); the rows written
+    # here then fail as every write to it does
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--out", "/dev/full"])
+    assert (code, out, err) == (2, "", "error: cannot write /dev/full: No space left on device\n")
+
+
+# --------------------------------------------------------------------------
+# a bad data file
+
+
+@pytest.mark.parametrize(
+    "data, old, new, argv, message",
+    [
+        ("catalog.yaml", '"vartheta_S", "P - log(t)"]', '"vartheta_S", "P - log(t - t)"]', ["verify-invariants", "4.1"],
+         "error: entry 4.1: cannot read 'P - log(t - t)': log of zero\n"),
+        ("classes.yaml", '["-E1", "E2", "E3", "E4 - E3"]', '["-E1", "E2", "E3", "E3"]', ["classify", "4.21"],
+         "error: entry 4.21: singular change of basis at {}\n"),
+    ],
+    ids=["log-of-zero", "singular-basis-change"],
+)
+def test_bad_data_file_is_usage_error(tmp_path, data, old, new, argv, message):
+    # a copy of the package with one string of a data file changed, run as
+    # a fresh process: one error line, no traceback
+    shutil.copytree(Path(gassym.__file__).parent, tmp_path / "gassym", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "gassym" / "data" / data
+    text = path.read_text()
+    entry = text.index(f'- id: "{argv[1]}"\n')
+    path.write_text(text[:entry] + text[entry:].replace(old, new, 1))
+    proc = subprocess.run([sys.executable, "-m", "gassym.cli", *argv], env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
+def test_programming_value_error_keeps_its_traceback(monkeypatch):
+    def bug(ids):
+        raise ValueError("a bug, not a data file")
+
+    monkeypatch.setattr(catalog, "verify_entries", bug)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["verify-invariants", "all"])
 
 
 # --------------------------------------------------------------------------

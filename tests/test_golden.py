@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from gassym import catalog, numerics
+
 import gassym
 from gassym.cli import main
 
@@ -99,3 +101,35 @@ def test_trace_matches_golden_digest(capsys, tmp_path, name):
     golden = dict(reversed(line.split("  ")) for line in lines if line)
     digests = _trace_digests(name, tmp_path, capsys)
     assert digests == {k: golden[k] for k in digests}
+
+
+def _exit_at_once(self, pipe):
+    os._exit(1)
+
+
+def _format_then_fail(monkeypatch):
+    """A formatter that formats a block, then fails as on a full disk."""
+    parent, write_rows = os.getpid(), numerics._write_rows
+
+    def rows(fh, *columns):
+        write_rows(fh, *columns)
+        if os.getpid() != parent:
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(numerics, "_write_rows", rows)
+
+
+@pytest.mark.parametrize("fail", ["exit-at-once", "format-then-fail"])
+def test_trace_matches_golden_digest_when_the_formatter_fails(capsys, monkeypatch, tmp_path, fail):
+    # the trace writes the CSV itself, with the same bytes, and exits 0
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    if fail == "exit-at-once":
+        monkeypatch.setattr(numerics.CsvFormatter, "_format", _exit_at_once)
+    else:
+        _format_then_fail(monkeypatch)
+    lines = (GOLDEN / "trace.sha256").read_text().split("\n")
+    golden = dict(reversed(line.split("  ")) for line in lines if line)
+    digests = _trace_digests("iso-0-0-1", tmp_path, capsys)
+    assert digests == {k: golden[k] for k in digests}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

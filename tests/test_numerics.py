@@ -1,6 +1,8 @@
 """Numeric tests: RK4 accuracy, sphere transport, CSV export."""
 
 import math
+import os
+from array import array
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from gassym import numerics
 from gassym.numerics import (
+    CsvFormatter,
     IntegrationError,
     Trajectory,
     compare_to_closed_form,
@@ -398,3 +401,57 @@ def test_write_csv_bytes_match_numpy_reference(tmp_path):
         out = tmp_path / "tr.csv"
         write_csv(tr, out)
         assert out.read_bytes() == _reference_csv(tr).encode()
+
+
+def _piped_and_here(tmp_path, tr: Trajectory, csv: CsvFormatter) -> tuple:
+    """The CSV of ``tr`` as its sink ``csv`` formatted it, and as write_csv
+    formats it in this process."""
+    assert csv.close() == len(tr.ts)  # the formatter took every row
+    write_csv(tr, tmp_path / "piped.csv", csv)
+    write_csv(tr, tmp_path / "here.csv")
+    return (tmp_path / "piped.csv").read_bytes(), (tmp_path / "here.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [numerics.SINK_BLOCK - 1, numerics.SINK_BLOCK, numerics.SINK_BLOCK + 1])
+def test_pipelined_csv_matches_write_csv(tmp_path, rows):
+    # rows - 1 steps of RK4, the last one half a step
+    with CsvFormatter() as csv:
+        tr = integrate(lambda tv, p: (1.0, -p[2], p[1] / 3), [0.1, 0.2, 0.3], 0.0, (rows - 1.5) * 0.01, 0.01, sink=csv)
+        assert len(tr.ts) == rows
+        assert tr.ts[-1] - tr.ts[-2] < 0.006
+        piped, here = _piped_and_here(tmp_path, tr, csv)
+    assert piped == here
+
+
+def test_pipelined_csv_of_one_row(tmp_path):
+    columns = [array("d", [v]) for v in (-0.0, 5e-324, 1e300, 1 / 3)]
+    with CsvFormatter() as csv:
+        csv(1, *columns)
+        piped, here = _piped_and_here(tmp_path, Trajectory(columns[0], list(zip(*columns[1:]))), csv)
+    assert piped == here == b"t,x,y,z\n-0,4.9406564584124654e-324,1.0000000000000001e+300,0.33333333333333331\n"
+
+
+def test_pipelined_csv_across_buffer_growth(tmp_path, monkeypatch):
+    # near 1e15, t + 0.3 advances by 0.25: 102 samples are allocated and
+    # about 122 are made, sent in blocks of 16 before and after the growth
+    monkeypatch.setattr(numerics, "SINK_BLOCK", 16)
+    with CsvFormatter() as csv:
+        tr = integrate(lambda tv, p: (1.0, 2.0, -p[0]), [0.0, 0.0, 1.0], 1e15, 1e15 + 30, 0.3, sink=csv)
+        assert len(tr.ts) > 102
+        piped, here = _piped_and_here(tmp_path, tr, csv)
+    assert piped == here
+
+
+def test_failed_formatter_leaves_the_rows_to_write_csv(tmp_path, monkeypatch):
+    # a formatter that exits at once: 320 kB of samples do not fit in the
+    # pipe, so the sink's writes meet a closed pipe
+    monkeypatch.setattr(CsvFormatter, "_format", lambda self, pipe: os._exit(1))
+    monkeypatch.setattr(numerics, "SINK_BLOCK", 16)
+    with CsvFormatter() as csv:
+        tr = integrate(lambda tv, p: (1.0, 0.0, 0.0), [0.0, 0.0, 0.0], 0.0, 1.0, 1e-4, sink=csv)
+        assert csv.close() == -1
+        write_csv(tr, tmp_path / "tr.csv", csv)
+    write_csv(tr, tmp_path / "here.csv")
+    assert (tmp_path / "tr.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -38,35 +38,45 @@ def tamper(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, index, text",
+    "field, index, text, eid",
     [
-        ("invariants", 3, "P - E + I"),  # sympify reads Euler's number and i
-        ("invariants", 0, "sin(t)"),
-        ("invariants", 0, "E1(t)"),
-        ("invariants", 0, "S(1)"),
-        ("invariants", 0, "t.__class__"),
-        ("invariants", 0, "t[0]"),
-        ("invariants", 0, "(lambda: t)()"),
-        ("invariants", 0, "log(t, base=2)"),
-        ("invariants", 0, "theta"),  # a chart C coordinate in a chart D row
-        ("invariants", 0, "t/0"),
-        ("invariants", 0, "0.5*t"),
-        ("basis", 3, "Y + X4 + 1"),
-        ("basis", 3, "X1*X4"),
-        ("invariants", 0, "(t - t)**(-1)"),
-        ("invariants", 3, "P - log(t - t)"),
-        ("basis", 3, "Y + 0**(-1)*X4"),
-        ("basis", 3, "Y + log(0)*X4"),
+        ("invariants", 3, "P - E + I", "4.77"),  # sympify reads Euler's number and i
+        ("invariants", 0, "sin(t)", "4.77"),
+        ("invariants", 0, "E1(t)", "4.77"),
+        ("invariants", 0, "S(1)", "4.77"),
+        ("invariants", 0, "t.__class__", "4.77"),
+        ("invariants", 0, "t[0]", "4.77"),
+        ("invariants", 0, "(lambda: t)()", "4.77"),
+        ("invariants", 0, "log(t, base=2)", "4.77"),
+        ("invariants", 0, "theta", "4.77"),  # a chart C coordinate in a chart D row
+        ("invariants", 0, "t/0", "4.77"),
+        ("invariants", 0, "0.5*t", "4.77"),
+        ("basis", 3, "Y + X4 + 1", "4.77"),
+        ("basis", 3, "X1*X4", "4.77"),
+        ("invariants", 0, "(t - t)**(-1)", "4.77"),
+        ("invariants", 3, "P - log(t - t)", "4.77"),
+        ("basis", 3, "Y + 0**(-1)*X4", "4.77"),
+        ("basis", 3, "Y + log(0)*X4", "4.77"),
+        ("invariants", 0, "log(-1)", "4.77"),  # sympy reads I*pi
+        ("invariants", 0, "(-1)**(1/2)", "4.77"),  # sympy reads I
+        ("invariants", 0, "2**(1/2)", "4.77"),
+        ("invariants", 0, "a**(1/2)", "4.77"),
+        ("invariants", 3, "P - log(t) - log(-1)", "4.1"),  # a constant log term, of gradient 0
+        ("invariants", 3, "P - t**(1/2)*t**(1/2)", "4.1"),
     ],
     ids=["E-and-I", "sin", "E1-call", "S-call", "attribute", "subscript",
          "lambda", "keyword", "foreign-coordinate", "division-by-zero",
          "float", "affine-basis", "quadratic-basis", "zero-to-a-negative-power",
-         "log-of-zero", "basis-zero-to-a-negative-power", "basis-log-of-zero"],
+         "log-of-zero", "basis-zero-to-a-negative-power", "basis-log-of-zero",
+         "log-of-minus-one", "root-of-minus-one", "root-of-two", "root-of-a",
+         "constant-log-term", "half-powers"],
 )
-def test_tampered_string_rejected(tamper, field, index, text):
-    tamper(field, index, text)
-    with pytest.raises(ValueError, match=r"entry 4\.77: cannot read " + re.escape(repr(text))):
-        catalog.get_entry("4.77")
+def test_tampered_string_rejected(tamper, field, index, text, eid):
+    # every constant is real and rational: exponents are integer literals,
+    # and a log names a symbol
+    tamper(field, index, text, eid)
+    with pytest.raises(catalog.DataError, match=rf"entry {re.escape(eid)}: cannot read " + re.escape(repr(text))):
+        catalog.get_entry(eid)
 
 
 @pytest.mark.parametrize("name", ["E", "I", "pi", "oo", "zoo", "nan"])
@@ -85,6 +95,9 @@ def test_sympy_constant_names_rejected(tamper, name):
         ("basis", 3, "Y + 0**(-1)*X4", "division by zero"),
         ("basis", 3, "a", "not linear in Y, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11"),
         ("invariants", 0, "t +", "syntax error"),
+        ("invariants", 0, "2**(1/2)", "exponent '1 / 2' is not an integer"),
+        ("invariants", 0, "t**t", "exponent 't' is not an integer"),
+        ("invariants", 3, "P - log(-1)", "log of the constant '-1'"),
     ],
 )
 def test_refusal_names_the_reason(tamper, field, index, text, why):
@@ -131,7 +144,7 @@ def test_invariant_of_another_form_is_refused_at_the_jacobian(tamper, text, view
         catalog.verify_invariants(ent)
 
 
-@pytest.mark.parametrize("text, view", [("P - log(t)/log(t)", "P - 1"), ("P - t**(1/2)*t**(1/2)", "P - t")])
+@pytest.mark.parametrize("text, view", [("P - log(t)/log(t)", "P - 1"), ("P - t*Abs(t)/Abs(t)", "P - t")])
 def test_invariant_sympy_simplifies_is_read(tamper, text, view):
     # strings of another form that sympy simplifies to a rational invariant:
     # read as that, which the verdicts refuse
