@@ -150,8 +150,9 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     list is returned.  With a chart's ``field`` the names and the value
     are terms (:func:`_combine_terms`).  Every constant is real and
     rational: an exponent must be an integer literal, possibly negated, and
-    a log must name a symbol.  Anything outside the grammar, a zero divisor
-    (``0**(-1)``), a log of zero or of a constant (``log(-1)``) or another
+    a log's argument must involve a coordinate, not the parameters alone.
+    Anything outside the grammar, a zero divisor (``0**(-1)``), a log of zero
+    or of a constant (``log(-1)``, ``log(a)``, ``log(t/t)``) or another
     exponent (``2**(1/2)``) raises :class:`DataError` naming ``where`` and
     the string.
     """
@@ -162,6 +163,11 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     functions = _FUNCTIONS if not field else {  # the log of a nonzero rational term is a log term
         "Abs": lambda x: None,
         "log": lambda x: None if x is None or x[1] else (field.zero, ((field.one, x[0]),))}
+
+    def constant(x) -> bool:  # of the parameters alone
+        if not field:
+            return x.free_symbols <= set(PARAM_SYMBOLS)
+        return x is not None and not x[1] and not _has_coordinate(x[0])
 
     def combine(op, a, b):  # a linear form is a list of coefficients
         va, vb = isinstance(a, list), isinstance(b, list)
@@ -201,7 +207,7 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
                 if not isinstance(x := build(arg), list):
                     if f == "log" and x == number(0):
                         fail("log of zero")
-                    if f == "log" and not any(isinstance(n, ast.Name) for n in ast.walk(arg)):
+                    if f == "log" and constant(x):
                         fail(f"log of the constant {ast.unparse(arg)!r}")
                     return functions[f](x)
         fail(f"{type(node).__name__} {ast.unparse(node)!r} is outside the grammar")
@@ -219,6 +225,12 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     if isinstance(value, list) != bool(gens):
         fail(f"not linear in {', '.join(gens)}" if gens else "not a scalar")
     return value
+
+
+def _has_coordinate(f) -> bool:
+    """Whether a chart field's element involves a coordinate (its first generators)."""
+    n = len(f.field.gens) - len(PARAM_SYMBOLS)
+    return any(any(p.degrees()[:n]) for p in (f.numer, f.denom))
 
 
 def _is_integer_literal(node) -> bool:
@@ -246,7 +258,9 @@ def _combine_terms(op, a, b):
         n = s.numer.LC / s.denom.LC  # the exponent, a rational
         if n < 0 and not r:
             raise ZeroDivisionError  # 0**n, n < 0
-        return (r**int(n), ()) if n == int(n) else None
+        if n != int(n):
+            return None
+        return (r**int(n) if r or n else r.field.one, ())  # 0**0 is 1, as sympy reads it
     return None
 
 
@@ -259,13 +273,13 @@ class _Invariants:
     def __init__(self, where: str, texts: tuple, names: dict, subs=None, chart=None):
         self.where, self.texts, self.names, self.subs = where, texts, names, subs or {}
         if chart is not None:
-            K, n = chart.field, len(chart.field.gens) - len(PARAM_SYMBOLS)  # coordinate generators first
+            K = chart.field
             bound = {k: (g, ()) for k, g in chart.gens.items()} | {
                 s.name: (chart.element(v), ()) if v.is_Rational or v in K.symbols else None
                 for s, v in self.subs.items()}
             terms = [parse(where, s, bound, field=K) for s in texts]
-            self.terms = [t if t and not any(any(f.degrees()[:n]) for c, _ in t[1] for f in (c.numer, c.denom))
-                          else self[i] for i, t in enumerate(terms)]
+            self.terms = [t if t and not any(_has_coordinate(c) for c, _ in t[1]) else self[i]
+                          for i, t in enumerate(terms)]
 
     @cached_property
     def _exprs(self) -> tuple:

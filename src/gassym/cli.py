@@ -213,14 +213,12 @@ def cmd_trace(args, report: dict) -> bool:
     if not all(map(math.isfinite, p0)):
         raise UsageError(f"initial point {args.x0!r} is not finite")
     vel = numerics.velocity_function(s)
-    # with --out, a forked process formats the CSV while RK4 runs
-    with numerics.CsvFormatter(bool(args.out) and catalog.fork_cpus() > 1) as csv:
-        try:
-            tr = numerics.integrate(vel, p0, args.t0, args.t1, args.h, sink=csv)
-        except ValueError as exc:  # a bad time range or step
-            raise UsageError(str(exc))
-        if args.out:
-            _write(args.out, lambda: numerics.write_csv(tr, args.out, csv))
+    try:
+        tr = numerics.integrate(vel, p0, args.t0, args.t1, args.h)
+    except ValueError as exc:  # a bad time range or step
+        raise UsageError(str(exc))
+    if args.out:  # a forked process formats half of the rows
+        _write(args.out, lambda: numerics.write_csv(tr, args.out, catalog.fork_cpus() > 1))
     report["traces"] = [
         {
             "kind": args.kind,

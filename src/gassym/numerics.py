@@ -8,12 +8,11 @@ is deterministic.
 RK4 runs on Python floats in one loop compiled per call, with the text of
 a ``math``-lambdified velocity in place; samples go into flat ``array('d')``
 columns (see ``integrate``), so a trace holds no Python object per sample,
-never imports numpy, and is written a block of rows per ``%``.  A
-``CsvFormatter`` forks a process that formats the CSV while the loop runs:
-the loop hands it each finished block of samples down a pipe, and
-``write_csv`` copies its file in with ``os.sendfile``.  numpy is imported
-only inside the float helpers ``compare_to_closed_form``,
-``convergence_order`` and ``sphere_transport``.
+never imports numpy, and is written a block of rows per ``%``.  Once the
+loop ends, ``write_csv`` may fork a process that formats the second half
+of the rows while this one formats the first, and copies its file in with
+``os.sendfile``.  numpy is imported only inside the float helpers
+``compare_to_closed_form``, ``convergence_order`` and ``sphere_transport``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .exprs import exact_number
 from .submodel import FlowMap, Solution, jacobian_det, t, x, x0, y, y0, z, z0
 
 __all__ = [
-    "CsvFormatter",
     "SphereTransportReport",
     "Trajectory",
     "compare_to_closed_form",
@@ -50,7 +48,6 @@ __all__ = [
 # this length take 3.2 GB
 MAX_SAMPLES = 10**8
 CSV_BLOCK = 256  # rows ``write_csv`` formats by one ``%``
-SINK_BLOCK = 4096  # rows the RK4 loop hands a ``CsvFormatter`` at a time
 
 
 class IntegrationError(RuntimeError):
@@ -129,10 +126,10 @@ def velocity_function(s: Solution):
 # RHS: the velocity as a 3-tuple of the locals t, x, y, z, which hold the
 # state at each step's start; no other local is named as a math function
 _RK4_LOOP = """
-def loop(velocity, t, x, y, z, t1, h, ts, xs, ys, zs, max_samples, sink, block):
+def loop(velocity, t, x, y, z, t1, h, ts, xs, ys, zs, max_samples):
     ts[0], xs[0], ys[0], zs[0] = tv, px, py, pz = t, x, y, z
     step, hh, h6, t_stop = h, h / 2, h / 6, t1 - 1e-15 * max(1.0, abs(t1))
-    i, n, mark = 1, len(ts), block  # with no sink, block is 0: i never reaches it
+    i, n = 1, len(ts)
     while tv < t_stop:
         if t1 - tv < h:  # land on t1; once short, every later step is
             step = t1 - tv
@@ -166,23 +163,17 @@ def loop(velocity, t, x, y, z, t1, h, ts, xs, ys, zs, max_samples, sink, block):
         ts[i] = tv
         xs[i], ys[i], zs[i] = px, py, pz
         i += 1
-        if i == mark:
-            sink(i, ts, xs, ys, zs)
-            mark += block
     for buf in (ts, xs, ys, zs):
         del buf[i:]
 """
 
 
-def integrate(velocity, p0, t0: float, t1: float, h: float, sink=None) -> Trajectory:
+def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
     """Classical 4th-order Runge-Kutta at fixed step h on [t0, t1].
 
     ``velocity`` is a callable (t, p) -> 3-vector; ``p`` is passed as a
     3-tuple of floats, and any length-3 sequence of numbers may be
     returned.  The final step is shortened to land exactly on t1.
-    A ``sink`` (a ``CsvFormatter``) is called as ``sink(i, ts, xs, ys, zs)``
-    each time ``sink.block`` more samples are made and once at the end:
-    the columns hold samples [0, i), and it takes those it has not had.
 
     One loop, ``_RK4_LOOP``, compiled per call, evaluates a
     ``velocity_function``'s ``inline`` text in place or calls any other
@@ -212,10 +203,7 @@ def integrate(velocity, p0, t0: float, t1: float, h: float, sink=None) -> Trajec
     rhs, scope = getattr(velocity, "inline", ("velocity(t, (x, y, z))", {}))
     exec(_RK4_LOOP.replace("RHS", rhs), scope := {**scope, "IntegrationError": IntegrationError})
     px, py, pz = (float(v) for v in p0)
-    block = 0 if sink is None else sink.block
-    scope["loop"](velocity, t0, px, py, pz, t1, h, ts, xs, ys, zs, MAX_SAMPLES, sink, block)
-    if sink is not None:
-        sink(len(ts), ts, xs, ys, zs)
+    scope["loop"](velocity, t0, px, py, pz, t1, h, ts, xs, ys, zs, MAX_SAMPLES)
     return Trajectory(ts, _Rows(xs, ys, zs), checked=True)
 
 
@@ -334,100 +322,64 @@ def _write_rows(fh, *columns) -> None:
         fh.write("%.17g,%.17g,%.17g,%.17g\n" * (len(block) // 4) % block)
 
 
-def write_csv(tr: Trajectory, path, formatted: CsvFormatter | None = None) -> None:
+def write_csv(tr: Trajectory, path, fork: bool = False) -> None:
     """Trajectory CSV: header t,x,y,z, 17 significant digits per value.
 
-    ``formatted`` is the ``CsvFormatter`` that was ``tr``'s sink.  Once its
-    process has formatted every row, its file is copied into ``path`` with
-    ``os.sendfile``, so the text never enters this process; if it failed,
-    or ``path`` takes no ``sendfile``, the rows are formatted here.  Either
-    way the bytes are the same.
+    With ``fork``, a forked process formats the second half of the rows
+    while this one formats the first (``_write_halves``); whatever it does
+    not deliver is formatted here, so the bytes are always the same.
     """
+    # a slice of a memoryview shares its array's memory; one of an array copies it
+    columns = [memoryview(c) if isinstance(c, array) else c for c in (tr.ts, *tr.columns())]
     with open(path, "w") as fh:
-        if formatted is not None and formatted.close() == len(tr.ts):
-            src, out = formatted.file.fileno(), fh.fileno()
-            done, size = 0, os.fstat(src).st_size
-            try:
-                while done < size:
-                    done += os.sendfile(out, src, done, size - done)
-                return
-            except OSError:
-                if done:
-                    raise
         fh.write("t,x,y,z\n")
-        _write_rows(fh, tr.ts, *tr.columns())
+        done = _write_halves(fh, columns) if fork else 0
+        _write_rows(fh, *(c[done:] for c in columns))
 
 
-class CsvFormatter:
-    """A trajectory's CSV, formatted in a forked process while RK4 runs.
-
-    Given ``fork``, it forks a formatter process.  As ``integrate``'s sink
-    it sends each block of samples down a pipe as the raw bytes of its four
-    columns; the formatter formats them with ``write_csv``'s routine into an
-    unlinked temporary file, and leaves with ``os._exit`` at the pipe's
-    end.  A formatter that fails leaves the samples to ``write_csv``.  Use
-    it in a ``with`` block, which is None when no formatter could be
-    started and reaps the formatter however the block ends.
+def _write_halves(fh, columns) -> int:
+    """Rows [0, k) of ``columns`` into ``fh``, k = n // 2, while a forked
+    process formats rows [k, n) into an unlinked temporary file, which is
+    then appended to ``fh`` with ``os.sendfile``, so that text never enters
+    this process.  The rows written: n; k if the process fails or ``fh``
+    takes no ``sendfile``; 0 if no process could start.  It is reaped on
+    every path.
     """
+    import tempfile  # loaded with sympy already
 
-    def __init__(self, fork: bool = True):
-        self.block, self.sent, self.pid, self.pipe, self.file = SINK_BLOCK, 0, None, None, None
-        if not fork:
-            return
-        import tempfile  # loaded with sympy already
-
+    n = len(columns[0])
+    k = n // 2
+    try:
+        part = tempfile.TemporaryFile()
+    except OSError:
+        return 0
+    with part:
         try:
-            self.file = tempfile.TemporaryFile()
-            read, self.pipe = os.pipe()
-            with open(read, "rb") as pipe:  # the parent's read end closes here
-                self.pid = os.fork()
-                if not self.pid:
-                    self._format(pipe)
+            pid = os.fork()
         except OSError:
-            self.__exit__()
-
-    def _format(self, pipe) -> None:
-        status = 1
+            return 0
+        if not pid:
+            status = 1
+            try:
+                with open(part.fileno(), "w", closefd=False) as out:
+                    _write_rows(out, *(c[k:] for c in columns))
+                status = 0
+            finally:
+                os._exit(status)
         try:
-            os.close(self.pipe)
-            with open(self.file.fileno(), "w", closefd=False) as out:
-                out.write("t,x,y,z\n")
-                while data := pipe.read(32 * self.block):  # one block of four columns
-                    values = memoryview(data).cast("d")
-                    k = len(values) // 4
-                    _write_rows(out, *(values[j * k : (j + 1) * k] for j in range(4)))
-            status = 0
+            _write_rows(fh, *(c[:k] for c in columns))
         finally:
-            os._exit(status)
-
-    def __call__(self, i: int, *columns) -> None:
-        if self.pipe is None:
-            return
+            failed = os.waitpid(pid, 0)[1]
+        if failed:
+            return k
+        fh.flush()
+        src, out = part.fileno(), fh.fileno()
+        done, size = 0, os.fstat(src).st_size
         try:
-            for c in columns:
-                view = memoryview(c)[self.sent : i]
-                while view:
-                    view = view[os.write(self.pipe, view) :]
-            self.sent = i
-        except OSError:  # BrokenPipeError too: the formatter is gone
-            self.sent = -1
-            self.close()
-
-    def close(self) -> int:
-        """Reap the formatter: the number of rows it formatted, or -1."""
-        if self.pipe is not None:
-            os.close(self.pipe)
-            self.pipe = None
-        if self.pid:
-            pid, self.pid = self.pid, None
-            if os.waitpid(pid, 0)[1]:
-                self.sent = -1
-        return self.sent
-
-    def __enter__(self):
-        return self if self.pid else None
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-        if self.file is not None:
-            self.file.close()
+            while done < size:
+                done += os.sendfile(out, src, done, size - done)
+        except OSError:
+            if done:
+                raise
+            return k
+    return n

@@ -517,6 +517,12 @@ def test_nonisochoric_trace_cannot_start_before_time_zero(capsys, tmp_path):
     assert not out_csv.exists()
 
 
+def _count_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "argv, message",
@@ -531,19 +537,15 @@ def test_nonisochoric_trace_cannot_start_before_time_zero(capsys, tmp_path):
     ids=["velocity", "non-finite", "time-resolution"],
 )
 def test_failed_trace_leaves_no_file_and_no_process(capsys, monkeypatch, tmp_path, argv, message, cpus):
-    # with two CPUs a formatter was forked before the RK4 loop failed
+    # the CSV's formatter is forked only once the RK4 loop has succeeded
     monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
+    made = _count_forks(monkeypatch)
     out_csv = tmp_path / "tr.csv"
     assert _run(capsys, ["trace", *argv, "--out", str(out_csv)]) == (2, "", message)
     assert not out_csv.exists()
+    assert made == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def _count_forks(monkeypatch) -> list:
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
 
 
 @pytest.mark.parametrize(
@@ -571,12 +573,13 @@ def test_trace_forks_one_formatter_where_forking_is_allowed(capsys, monkeypatch,
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_unwritable_out_is_refused_after_the_formatter_ran(capsys, monkeypatch, tmp_path):
+def test_unwritable_out_is_refused_before_any_fork(capsys, monkeypatch, tmp_path):
+    # --out is opened before the formatter is forked
     monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
     made = _count_forks(monkeypatch)
     path = tmp_path / "missing" / "x.csv"
     code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--out", str(path)])
-    assert (code, out, made) == (2, "", [1])
+    assert (code, out, made) == (2, "", [])
     assert err.startswith(f"error: cannot write {path}: ")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -589,6 +592,8 @@ def test_out_that_takes_no_sendfile_is_written_here(capsys, monkeypatch):
     monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
     code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--out", "/dev/full"])
     assert (code, out, err) == (2, "", "error: cannot write /dev/full: No space left on device\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # --------------------------------------------------------------------------

@@ -103,15 +103,14 @@ def test_trace_matches_golden_digest(capsys, tmp_path, name):
     assert digests == {k: golden[k] for k in digests}
 
 
-def _exit_at_once(self, pipe):
-    os._exit(1)
-
-
-def _format_then_fail(monkeypatch):
-    """A formatter that formats a block, then fails as on a full disk."""
+def _fail_in_the_formatter(monkeypatch, fail: str):
+    """A formatter that exits at once, or formats its rows and then fails
+    as on a full disk; the parent's rows are written as before."""
     parent, write_rows = os.getpid(), numerics._write_rows
 
     def rows(fh, *columns):
+        if os.getpid() != parent and fail == "exit-at-once":
+            os._exit(1)
         write_rows(fh, *columns)
         if os.getpid() != parent:
             raise OSError("no space left on device")
@@ -123,10 +122,7 @@ def _format_then_fail(monkeypatch):
 def test_trace_matches_golden_digest_when_the_formatter_fails(capsys, monkeypatch, tmp_path, fail):
     # the trace writes the CSV itself, with the same bytes, and exits 0
     monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
-    if fail == "exit-at-once":
-        monkeypatch.setattr(numerics.CsvFormatter, "_format", _exit_at_once)
-    else:
-        _format_then_fail(monkeypatch)
+    _fail_in_the_formatter(monkeypatch, fail)
     lines = (GOLDEN / "trace.sha256").read_text().split("\n")
     golden = dict(reversed(line.split("  ")) for line in lines if line)
     digests = _trace_digests("iso-0-0-1", tmp_path, capsys)

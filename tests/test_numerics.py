@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gassym import numerics
 from gassym.numerics import (
-    CsvFormatter,
     IntegrationError,
     Trajectory,
     compare_to_closed_form,
@@ -403,55 +402,59 @@ def test_write_csv_bytes_match_numpy_reference(tmp_path):
         assert out.read_bytes() == _reference_csv(tr).encode()
 
 
-def _piped_and_here(tmp_path, tr: Trajectory, csv: CsvFormatter) -> tuple:
-    """The CSV of ``tr`` as its sink ``csv`` formatted it, and as write_csv
-    formats it in this process."""
-    assert csv.close() == len(tr.ts)  # the formatter took every row
-    write_csv(tr, tmp_path / "piped.csv", csv)
+def _count_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _split_and_here(tmp_path, monkeypatch, tr: Trajectory) -> tuple:
+    """The CSV of ``tr`` as written in two halves, one by a forked process,
+    and as written in this process alone; the forked process is reaped."""
+    made = _count_forks(monkeypatch)
+    write_csv(tr, tmp_path / "split.csv", fork=True)
+    assert made == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     write_csv(tr, tmp_path / "here.csv")
-    return (tmp_path / "piped.csv").read_bytes(), (tmp_path / "here.csv").read_bytes()
+    return (tmp_path / "split.csv").read_bytes(), (tmp_path / "here.csv").read_bytes()
 
 
-@pytest.mark.parametrize("rows", [numerics.SINK_BLOCK - 1, numerics.SINK_BLOCK, numerics.SINK_BLOCK + 1])
-def test_pipelined_csv_matches_write_csv(tmp_path, rows):
-    # rows - 1 steps of RK4, the last one half a step
-    with CsvFormatter() as csv:
-        tr = integrate(lambda tv, p: (1.0, -p[2], p[1] / 3), [0.1, 0.2, 0.3], 0.0, (rows - 1.5) * 0.01, 0.01, sink=csv)
-        assert len(tr.ts) == rows
-        assert tr.ts[-1] - tr.ts[-2] < 0.006
-        piped, here = _piped_and_here(tmp_path, tr, csv)
-    assert piped == here
+@pytest.mark.parametrize("rows", [2, 3, 4095, 4096, 4097])
+def test_split_csv_matches_write_csv(tmp_path, monkeypatch, rows):
+    # rows - 1 steps of RK4, the last one half a step; an odd count splits unevenly
+    tr = integrate(lambda tv, p: (1.0, -p[2], p[1] / 3), [0.1, 0.2, 0.3], 0.0, (rows - 1.5) * 0.01, 0.01)
+    assert len(tr.ts) == rows
+    assert tr.ts[-1] - tr.ts[-2] < 0.006
+    split, here = _split_and_here(tmp_path, monkeypatch, tr)
+    assert split == here == _reference_csv(tr).encode()
 
 
-def test_pipelined_csv_of_one_row(tmp_path):
+def test_split_csv_of_one_row(tmp_path, monkeypatch):
+    # the first half is empty: the forked process formats the one row
     columns = [array("d", [v]) for v in (-0.0, 5e-324, 1e300, 1 / 3)]
-    with CsvFormatter() as csv:
-        csv(1, *columns)
-        piped, here = _piped_and_here(tmp_path, Trajectory(columns[0], list(zip(*columns[1:]))), csv)
-    assert piped == here == b"t,x,y,z\n-0,4.9406564584124654e-324,1.0000000000000001e+300,0.33333333333333331\n"
+    tr = Trajectory(columns[0], list(zip(*columns[1:])))
+    split, here = _split_and_here(tmp_path, monkeypatch, tr)
+    assert split == here == _reference_csv(tr).encode()
+    assert here == b"t,x,y,z\n-0,4.9406564584124654e-324,1.0000000000000001e+300,0.33333333333333331\n"
 
 
-def test_pipelined_csv_across_buffer_growth(tmp_path, monkeypatch):
-    # near 1e15, t + 0.3 advances by 0.25: 102 samples are allocated and
-    # about 122 are made, sent in blocks of 16 before and after the growth
-    monkeypatch.setattr(numerics, "SINK_BLOCK", 16)
-    with CsvFormatter() as csv:
-        tr = integrate(lambda tv, p: (1.0, 2.0, -p[0]), [0.0, 0.0, 1.0], 1e15, 1e15 + 30, 0.3, sink=csv)
-        assert len(tr.ts) > 102
-        piped, here = _piped_and_here(tmp_path, tr, csv)
-    assert piped == here
+def test_out_that_refuses_sendfile_gets_the_rows_here(tmp_path, monkeypatch):
+    # sendfile refused before its first byte: the second half is formatted here
+    def refuse(*args):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sendfile", refuse)
+    tr = integrate(lambda tv, p: (1.0, -p[2], p[1] / 3), [0.1, 0.2, 0.3], 0.0, 30.0, 0.01)
+    split, here = _split_and_here(tmp_path, monkeypatch, tr)
+    assert split == here == _reference_csv(tr).encode()
 
 
 def test_failed_formatter_leaves_the_rows_to_write_csv(tmp_path, monkeypatch):
-    # a formatter that exits at once: 320 kB of samples do not fit in the
-    # pipe, so the sink's writes meet a closed pipe
-    monkeypatch.setattr(CsvFormatter, "_format", lambda self, pipe: os._exit(1))
-    monkeypatch.setattr(numerics, "SINK_BLOCK", 16)
-    with CsvFormatter() as csv:
-        tr = integrate(lambda tv, p: (1.0, 0.0, 0.0), [0.0, 0.0, 0.0], 0.0, 1.0, 1e-4, sink=csv)
-        assert csv.close() == -1
-        write_csv(tr, tmp_path / "tr.csv", csv)
-    write_csv(tr, tmp_path / "here.csv")
-    assert (tmp_path / "tr.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    # a forked formatter that exits at once: its half is formatted here
+    parent, write_rows = os.getpid(), numerics._write_rows
+    monkeypatch.setattr(numerics, "_write_rows",
+                        lambda fh, *columns: write_rows(fh, *columns) if os.getpid() == parent else os._exit(1))
+    tr = integrate(lambda tv, p: (1.0, 0.0, 0.0), [0.0, 0.0, 0.0], 0.0, 1.0, 1e-4)
+    split, here = _split_and_here(tmp_path, monkeypatch, tr)
+    assert split == here == _reference_csv(tr).encode()

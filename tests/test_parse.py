@@ -8,14 +8,18 @@ from importlib import resources
 import pytest
 import sympy as sp
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.parsing import sympy_parser
 
 from gassym import catalog, classify, fields
 from gassym.catalog import _COORDS, _PARAM_SYMS, parse
+from gassym.fields import CARTESIAN_COORDS, PARAM_SYMBOLS
 from gassym.liealg import L12_LABELS
 
 E_NAMES = ("E1", "E2", "E3", "E4")
 e_NAMES = ("e1", "e2", "e3", "e4")
+BINDINGS = {"4.3": {"a": -1, "b": 1}}  # a sample of each parametric entry the rows tamper
 
 
 @pytest.fixture
@@ -63,20 +67,21 @@ def tamper(monkeypatch):
         ("invariants", 0, "a**(1/2)", "4.77"),
         ("invariants", 3, "P - log(t) - log(-1)", "4.1"),  # a constant log term, of gradient 0
         ("invariants", 3, "P - t**(1/2)*t**(1/2)", "4.1"),
+        ("invariants", 3, "P - log(a)", "4.3"),  # sympy reads I*pi at a = -1
     ],
     ids=["E-and-I", "sin", "E1-call", "S-call", "attribute", "subscript",
          "lambda", "keyword", "foreign-coordinate", "division-by-zero",
          "float", "affine-basis", "quadratic-basis", "zero-to-a-negative-power",
          "log-of-zero", "basis-zero-to-a-negative-power", "basis-log-of-zero",
          "log-of-minus-one", "root-of-minus-one", "root-of-two", "root-of-a",
-         "constant-log-term", "half-powers"],
+         "constant-log-term", "half-powers", "log-of-a-parameter"],
 )
 def test_tampered_string_rejected(tamper, field, index, text, eid):
     # every constant is real and rational: exponents are integer literals,
-    # and a log names a symbol
+    # and a log's argument involves a coordinate
     tamper(field, index, text, eid)
     with pytest.raises(catalog.DataError, match=rf"entry {re.escape(eid)}: cannot read " + re.escape(repr(text))):
-        catalog.get_entry(eid)
+        catalog.get_entry(eid, **BINDINGS.get(eid, {}))
 
 
 @pytest.mark.parametrize("name", ["E", "I", "pi", "oo", "zoo", "nan"])
@@ -86,24 +91,26 @@ def test_sympy_constant_names_rejected(tamper, name):
         catalog.get_entry("4.77")
 
 
-@pytest.mark.parametrize(
-    "field, index, text, why",
-    [
-        ("invariants", 0, "(t - t)**(-1)", "division by zero"),
-        ("invariants", 0, "0**(-1/2)", "division by zero"),
-        ("invariants", 3, "P - log(t - t)", "log of zero"),
-        ("basis", 3, "Y + 0**(-1)*X4", "division by zero"),
-        ("basis", 3, "a", "not linear in Y, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11"),
-        ("invariants", 0, "t +", "syntax error"),
-        ("invariants", 0, "2**(1/2)", "exponent '1 / 2' is not an integer"),
-        ("invariants", 0, "t**t", "exponent 't' is not an integer"),
-        ("invariants", 3, "P - log(-1)", "log of the constant '-1'"),
-    ],
-)
-def test_refusal_names_the_reason(tamper, field, index, text, why):
-    tamper(field, index, text)
-    with pytest.raises(ValueError, match=rf"^entry 4\.77: cannot read {re.escape(repr(text))}: {re.escape(why)}$"):
-        catalog.get_entry("4.77")
+_REFUSALS = [
+    ("invariants", 0, "(t - t)**(-1)", "division by zero", "4.77"),
+    ("invariants", 0, "0**(-1/2)", "division by zero", "4.77"),
+    ("invariants", 3, "P - log(t - t)", "log of zero", "4.77"),
+    ("basis", 3, "Y + 0**(-1)*X4", "division by zero", "4.77"),
+    ("basis", 3, "a", "not linear in Y, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11", "4.77"),
+    ("invariants", 0, "t +", "syntax error", "4.77"),
+    ("invariants", 0, "2**(1/2)", "exponent '1 / 2' is not an integer", "4.77"),
+    ("invariants", 0, "t**t", "exponent 't' is not an integer", "4.77"),
+    ("invariants", 3, "P - log(-1)", "log of the constant '-1'", "4.77"),
+    ("invariants", 3, "P - log(a)", "log of the constant 'a'", "4.3"),
+]
+
+
+@pytest.mark.parametrize("field, index, text, why, eid", _REFUSALS,
+                         ids=["-".join(map(str, row[:4])) for row in _REFUSALS])
+def test_refusal_names_the_reason(tamper, field, index, text, why, eid):
+    tamper(field, index, text, eid)
+    with pytest.raises(ValueError, match=rf"^entry {re.escape(eid)}: cannot read {re.escape(repr(text))}: {re.escape(why)}$"):
+        catalog.get_entry(eid, **BINDINGS.get(eid, {}))
 
 
 @pytest.mark.parametrize("text", ["0**(-1)", "(a - a)**(-1)", "a*0**(-2)"])
@@ -115,6 +122,52 @@ def test_zero_to_a_negative_power_refused_in_every_mode(text):
                                        (f"Y + {text}*X1", _PARAM_SYMS, L12_LABELS, None)]:
         with pytest.raises(ValueError, match=rf"^row: cannot read {re.escape(repr(string))}: division by zero$"):
             parse("row", string, names, gens, field)
+
+
+def _nodes(sub):
+    """The grammar's nodes over ``sub``: unary -, + - * / **, log and Abs."""
+    return st.one_of(
+        st.builds("-({})".format, sub),
+        st.builds("({}) {} ({})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("({})**({})".format, sub, sub),
+        st.builds("{}({})".format, st.sampled_from(["log", "Abs"]), sub),
+    )
+
+
+_GRAMMAR = st.recursive(st.sampled_from(["t", "x", "P", "a", "b", "0", "1", "2", "3"]), _nodes, max_leaves=6)
+_AT = {"a": -1, "b": 2}  # a binding of the parameters for the field reading
+
+
+@given(text=_GRAMMAR)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_every_grammar_string_is_refused_or_real_and_rational(text):
+    # the sympy reading, over symbolic parameters: refused, or free of
+    # every constant that is not a real rational
+    coords = {c: sp.Symbol(c) for c in CARTESIAN_COORDS}
+    try:
+        value = parse("row", text, coords | _PARAM_SYMS)
+    except catalog.DataError as exc:
+        assert str(exc).startswith(f"row: cannot read {text!r}: ")
+        value = None
+    else:
+        assert not value.has(sp.I, sp.zoo, sp.nan, sp.oo) and not value.atoms(sp.NumberSymbol)
+        assert all(p.exp.is_Integer for p in value.atoms(sp.Pow))
+        assert all(g.args[0].free_symbols - set(PARAM_SYMBOLS) for g in value.atoms(sp.log))
+    # the field reading at _AT: where it is a term of Chart.gradient, that
+    # gradient is the sympy reading's
+    chart = fields.chart_D()
+    bound = {k: (g, ()) for k, g in chart.gens.items()} | {k: (chart.element(sp.Integer(v)), ()) for k, v in _AT.items()}
+    try:
+        terms = parse("row", text, bound, field=chart.field)
+    except catalog.DataError as exc:
+        assert str(exc).startswith(f"row: cannot read {text!r}: ")
+        return
+    if terms is None or any(catalog._has_coordinate(c) for c, _ in terms[1]):
+        return  # of another form: the sympy reading stands in
+    assert value is not None
+    at = value.subs({_PARAM_SYMS[k]: v for k, v in _AT.items()})
+    for got, s in zip(chart.gradient(terms), chart.symbols):
+        assert not got - chart.element(sp.diff(at, s)), (text, s)
 
 
 def test_unknown_chart_raises(tamper):
