@@ -148,13 +148,14 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     (``E``, ``I``, ``pi``, ...) becomes a sympy constant.  With ``gens``
     the string must be a linear form in those names, and its coefficient
     list is returned.  With a chart's ``field`` the names and the value
-    are terms (:func:`_combine_terms`).  Every constant is real and
-    rational: an exponent must be an integer literal, possibly negated, and
-    a log's argument must involve a coordinate, not the parameters alone.
-    Anything outside the grammar, a zero divisor (``0**(-1)``), a log of zero
-    or of a constant (``log(-1)``, ``log(a)``, ``log(t/t)``) or another
-    exponent (``2**(1/2)``) raises :class:`DataError` naming ``where`` and
-    the string.
+    are terms (:func:`_combine_terms`), and a value that is not r + sum
+    c*log(g) with no c involving a coordinate is refused.  Every constant
+    is real and rational: an exponent must be an integer literal, possibly
+    negated, and a log's argument must involve a coordinate, not the
+    parameters alone.  Anything outside the grammar, a zero divisor
+    (``0**(-1)``), a log of zero or of a constant (``log(-1)``, ``log(a)``,
+    ``log(t/t)``) or another exponent (``2**(1/2)``) raises
+    :class:`DataError` naming ``where`` and the string.
     """
     def fail(why: str):
         raise DataError(f"{where}: cannot read {text!r}: {why}")
@@ -224,6 +225,8 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
             value = build(tree)
     if isinstance(value, list) != bool(gens):
         fail(f"not linear in {', '.join(gens)}" if gens else "not a scalar")
+    if field and (value is None or any(_has_coordinate(c) for c, _ in value[1])):
+        fail("not a rational function plus constant multiples of logs in the chart's field")
     return value
 
 
@@ -265,21 +268,19 @@ def _combine_terms(op, a, b):
 
 
 class _Invariants:
-    """A row's invariant strings at ``subs``: indexed, sympy expressions,
-    parsed over ``names`` on first use.  Given the entry's ``chart``, each is
-    read at once into its field as a term of ``Chart.gradient`` (``terms``);
-    the expression stands in for a string of another form."""
+    """A row's invariant strings at ``subs``, each read at once into the
+    ``chart``'s field as a term of ``Chart.gradient`` (``terms``); :func:`parse`
+    refuses a string of another form.  Indexed, they are sympy expressions
+    over the chart's coordinates and the parameters, parsed on first use."""
 
-    def __init__(self, where: str, texts: tuple, names: dict, subs=None, chart=None):
-        self.where, self.texts, self.names, self.subs = where, texts, names, subs or {}
-        if chart is not None:
-            K = chart.field
-            bound = {k: (g, ()) for k, g in chart.gens.items()} | {
-                s.name: (chart.element(v), ()) if v.is_Rational or v in K.symbols else None
-                for s, v in self.subs.items()}
-            terms = [parse(where, s, bound, field=K) for s in texts]
-            self.terms = [t if t and not any(_has_coordinate(c) for c, _ in t[1]) else self[i]
-                          for i, t in enumerate(terms)]
+    def __init__(self, where: str, texts: tuple, subs: dict, chart: Chart):
+        self.where, self.texts, self.subs = where, texts, subs
+        self.names = dict(zip(chart.coords, chart.symbols)) | _PARAM_SYMS
+        bound = {k: (g, ()) for k, g in chart.gens.items()} | {  # None: a value outside the field
+            s.name: (chart.element(v), ()) if v.is_Rational or (
+                v.free_symbols <= set(PARAM_SYMBOLS) and v.is_rational_function()) else None
+            for s, v in subs.items()}
+        self.terms = [parse(where, s, bound, field=chart.field) for s in texts]
 
     @cached_property
     def _exprs(self) -> tuple:
@@ -294,13 +295,14 @@ class _Invariants:
 
 @dataclass(frozen=True)
 class _Row:
-    """One catalog.yaml entry, parsed over the parameter symbols."""
+    """One catalog.yaml entry, parsed over the parameter symbols but for
+    the invariants, which each instantiation reads (:class:`_Invariants`)."""
 
     id: str
     basis: sp.ImmutableMatrix  # 4x12 coefficients over (Y, X1..X11)
     chart: str
     chart_b: sp.Expr
-    invariants: _Invariants  # or a tuple of sympy expressions
+    invariants: tuple  # the strings of catalog.yaml
     constraints: tuple
     grid: tuple
     choices: dict  # name -> admissible values
@@ -326,15 +328,13 @@ class _Row:
 
 @lru_cache(maxsize=None)
 def _row(entry_id: str) -> _Row:
-    """The entry's strings, each parsed once, but for the invariants: each
-    binding reads them into its chart's field (:class:`_Invariants`)."""
+    """The entry's strings, each parsed once, but for the invariants."""
     schema = entry_schema(entry_id)
     raw = _raw_entries()[entry_id]
     where = f"entry {entry_id}"
     chart = raw.get("chart", "D")
     if chart not in _COORDS:
         raise DataError(f"{where}: unknown chart {chart!r}")
-    coords = {c: sp.Symbol(c) for c in _COORDS[chart]}
 
     def value(v):
         return parse(where, v, _PARAM_SYMS)
@@ -344,7 +344,7 @@ def _row(entry_id: str) -> _Row:
         basis=sp.ImmutableMatrix([parse(where, b, _PARAM_SYMS, L12_LABELS) for b in raw["basis"]]),
         chart=chart,
         chart_b=value(raw.get("chart_b", 0)),
-        invariants=_Invariants(where, tuple(raw["invariants"]), coords | _PARAM_SYMS),
+        invariants=tuple(raw["invariants"]),
         constraints=tuple(value(c) for c in schema["constraints"]),
         grid=tuple(schema["grid"]),
         choices={k: tuple(value(v) for v in vs) for k, vs in schema["choices"].items()},
@@ -397,9 +397,8 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
 
 def _instantiate(row: _Row, binding: dict) -> SubalgebraEntry:
     subs = row.subs(binding)
-    chart, invs = _chart(row.chart, row.chart_b.subs(subs)), row.invariants
-    invs = (_Invariants(invs.where, invs.texts, invs.names, subs, chart) if isinstance(invs, _Invariants)
-            else [inv.subs(subs) for inv in invs])  # a row whose invariants are expressions
+    chart = _chart(row.chart, row.chart_b.subs(subs))
+    invs = _Invariants(f"entry {row.id}", row.invariants, subs, chart)
     params = {s.name: v for s, v in subs.items()}
     return SubalgebraEntry(row.id, params, row.basis.xreplace(subs).tolist(), chart, invs)
 

@@ -217,7 +217,7 @@ def cmd_trace(args, report: dict) -> bool:
         tr = numerics.integrate(vel, p0, args.t0, args.t1, args.h)
     except ValueError as exc:  # a bad time range or step
         raise UsageError(str(exc))
-    if args.out:  # a forked process formats half of the rows
+    if args.out is not None:  # a forked process formats half of the rows
         _write(args.out, lambda: numerics.write_csv(tr, args.out, catalog.fork_cpus() > 1))
     report["traces"] = [
         {
@@ -335,10 +335,10 @@ def _emit(report: dict, args) -> None:
             if report.get(key) is not None:
                 lines.append(f"{key}: {json.dumps(report[key], sort_keys=True)}")
         text = "\n".join(lines)
-    if args.command == "trace" and args.out:
+    if args.command == "trace" and args.out is not None:
         # CSV already written; report goes to stdout
         print(text)
-    elif args.out:
+    elif args.out is not None:
         _write(args.out, lambda: Path(args.out).write_text(text + "\n"))
     else:
         print(text)

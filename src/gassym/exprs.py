@@ -286,13 +286,7 @@ def exact_number(v) -> sp.Expr:
     try:
         if e and abs(int(exponent)) > MAX_DIGITS:
             raise ValueError
-        return rational(Fraction(str(v)))
+        f = Fraction(str(v))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{v!r} is not a number literal") from None
-
-
-def rational(p, q=1) -> sp.Rational:
-    """Exact rational constant in lowest terms."""
-    if isinstance(p, Fraction):
-        return sp.Rational(p.numerator, p.denominator)
-    return sp.Rational(p, q)
+    return sp.Rational(f.numerator, f.denominator)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Mapping
 
@@ -71,9 +71,9 @@ class Chart:
     Each of the ``angles`` a is a generator followed by sin(a) and cos(a),
     and ``gens`` names each generator ("t", "sin(theta)", "a").  ``moved``
     builds from them the image of each Cartesian coordinate the chart moves;
-    the others are ``kept``, each its own image (``images``; as sympy Expr,
-    ``to_cartesian``).  ``blocks`` of (Cartesian coords, chart coords) solve
-    for the moved ones, in an order making the Jacobian block triangular.
+    the others are ``kept``, each its own image (``images``).  ``blocks``
+    of (Cartesian coords, chart coords) solve for the moved ones, in an
+    order making the Jacobian block triangular.
     Rational functions are kept with numerator and denominator reduced
     (``reduce``) modulo ``exprs.pythagorean_ideal``.  a is transcendental
     over the rest, so an element vanishes exactly when its numerator
@@ -114,10 +114,6 @@ class Chart:
                 x: [self.reduce(m / det) for m in row] for x, row in zip(chart_coords, adj)
             }))
             earlier += chart_coords
-
-    @cached_property
-    def to_cartesian(self) -> dict:  # the images as sympy expressions
-        return {c: f.as_expr() for c, f in self.images.items()}
 
     def _derive(self, p, coord: str):
         """d p / d coord of a polynomial; along an angle a it is
@@ -249,9 +245,6 @@ class VectorField:
     def __post_init__(self):
         coeffs = {c: self.chart.element(self.coeffs.get(c, 0)) for c in self.chart.coords}
         object.__setattr__(self, "coeffs", coeffs)
-
-    def coeff(self, coord: str) -> sp.Expr:
-        return self.coeffs[coord].as_expr()
 
     def apply(self, e) -> sp.Expr:
         """Directional derivative sum_c F_c * d(e)/dc, cancelled and reduced in the chart's field."""

@@ -134,18 +134,10 @@ class Subalgebra:
         if self.basis.shape[1] != self.ambient.dim:
             raise ValueError("basis width must equal ambient dimension")
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
     @cached_property
     def _domain_basis(self) -> DomainMatrix:
         """The basis as a domain matrix: a sympy one over QQ or QQ(params) (:func:`to_domain`)."""
         return self.basis if isinstance(self.basis, DomainMatrix) else to_domain(self.basis)
-
-    @property
-    def rank(self) -> int:
-        return len(_rref(self._domain_basis)[1])
 
     def is_closed(self) -> tuple[bool, dict | None]:
         """Closure under bracket; on success also the induced constants.

@@ -10,8 +10,8 @@ a ``math``-lambdified velocity in place; samples go into flat ``array('d')``
 columns (see ``integrate``), so a trace holds no Python object per sample,
 never imports numpy, and is written a block of rows per ``%``.  Once the
 loop ends, ``write_csv`` may fork a process that formats the second half
-of the rows while this one formats the first, and copies its file in with
-``os.sendfile``.  numpy is imported only inside the float helpers
+of the rows while this one formats the first, and appends its file with
+``shutil.copyfileobj``.  numpy is imported only inside the float helpers
 ``compare_to_closed_form``, ``convergence_order`` and ``sphere_transport``.
 """
 
@@ -340,12 +340,12 @@ def write_csv(tr: Trajectory, path, fork: bool = False) -> None:
 def _write_halves(fh, columns) -> int:
     """Rows [0, k) of ``columns`` into ``fh``, k = n // 2, while a forked
     process formats rows [k, n) into an unlinked temporary file, which is
-    then appended to ``fh`` with ``os.sendfile``, so that text never enters
-    this process.  The rows written: n; k if the process fails or ``fh``
-    takes no ``sendfile``; 0 if no process could start.  It is reaped on
-    every path.
+    then appended to ``fh`` by ``shutil.copyfileobj``.  The rows written:
+    n; k if the process fails; 0 if no temporary file or process could be
+    made.  It is reaped on every path.
     """
-    import tempfile  # loaded with sympy already
+    import shutil
+    import tempfile  # both loaded with sympy already
 
     n = len(columns[0])
     k = n // 2
@@ -372,14 +372,7 @@ def _write_halves(fh, columns) -> int:
             failed = os.waitpid(pid, 0)[1]
         if failed:
             return k
+        part.seek(0)
         fh.flush()
-        src, out = part.fileno(), fh.fileno()
-        done, size = 0, os.fstat(src).st_size
-        try:
-            while done < size:
-                done += os.sendfile(out, src, done, size - done)
-        except OSError:
-            if done:
-                raise
-            return k
+        shutil.copyfileobj(part, fh.buffer)
     return n

@@ -77,10 +77,6 @@ class Solution:
     def P1(self) -> sp.Expr:
         return canonicalize(self.P - self.u)
 
-    @property
-    def S(self) -> sp.Expr:
-        return canonicalize(self.P - _f(self.rho))
-
     def subs(self, binding: dict) -> "Solution":
         return Solution(self.kind, *(g.subs(binding) for g in self.state))
 

@@ -332,7 +332,7 @@ def _catalog_mutant_nonzero(entry_id: str, index: int, term) -> list | None:
     entry's invariant ``index``; None if the mutant passes."""
     row = catalog._row(entry_id)
     invs = list(row.invariants)
-    invs[index] += term
+    invs[index] = f"({invs[index]}) + ({term})"
     mutant = dataclasses.replace(row, invariants=tuple(invs))
     with mock.patch.object(catalog, "_row", lambda eid: mutant):
         rep = catalog.verify_entry(entry_id)

@@ -546,10 +546,9 @@ def test_invariant_vanishing_on_the_grid_fails(monkeypatch, entry_id, nonzero):
     # mutant: a term that vanishes at every grid value of a, but not at
     # the admissible a = 3, makes the second invariant wrong; each group
     # decides it with a left symbolic, so every sample carries the NonZero
-    a, x = sp.symbols("a x")
     row = catalog._row(entry_id)
     invs = list(row.invariants)
-    invs[1] += (a**2 - 4) * (a**2 - 1) * (4 * a**2 - 1) * x
+    invs[1] = f"({invs[1]}) + (a**2 - 4)*(a**2 - 1)*(4*a**2 - 1)*x"
     mutant = dataclasses.replace(row, invariants=tuple(invs))
     monkeypatch.setattr(catalog, "_row", lambda eid: mutant)
     rep = verify_entry(entry_id)
@@ -591,11 +590,20 @@ def test_log_with_a_grid_coefficient_is_read():
     # a in 4.56.ii's u - a*log(t) is a grid symbol: a generator of the
     # chart's field, but no coordinate, so d/dt reads -a/t
     a, t, u = sp.symbols("a t u")
-    inv = catalog._row("4.56.ii").invariants[0]
-    assert inv == u - a * sp.log(t)
+    assert catalog._row("4.56.ii").invariants[0] == "u - a*log(t)"
     K = fields.chart_D().field
-    assert fields.chart_D().gradient(inv) == [K(-a / t), 0, 0, 0, K.one, 0, 0, 0, 0]
+    assert fields.chart_D().gradient(u - a * sp.log(t)) == [K(-a / t), 0, 0, 0, K.one, 0, 0, 0, 0]
     assert verify_entry("4.56.ii").passed
+
+
+def test_parameter_value_rational_in_the_parameters_is_read():
+    # a caller's a + 1 for 4.56.ii's a is an element of the chart's field,
+    # so u - a*log(t) is read there as u - (a + 1)*log(t)
+    a, t, u = sp.symbols("a t u")
+    ent = get_entry("4.56.ii", a=a + 1)
+    K = ent.chart.field
+    assert ent.invariants.terms[0] == (K(u), ((K(-a - 1), K(t)),))
+    assert ent.invariants[0] == u - (a + 1) * sp.log(t)
 
 
 def test_non_rational_entry_is_refused_by_apply():
@@ -618,13 +626,13 @@ def test_log_invariant_in_another_form_passes(monkeypatch, logarithm):
     # constant, so each is an invariant: rank 5, and every Lie derivative
     # is a symbolic zero
     t, P = sp.symbols("t P")
-    inv = P - sp.sympify(logarithm, locals={"t": t})
     row, row_of = catalog._row("4.1"), catalog._row
-    assert row.invariants[3] == P - sp.log(t)
-    mutant = dataclasses.replace(row, invariants=(*row.invariants[:3], inv))
+    assert row.invariants[3] == "P - log(t)"
+    mutant = dataclasses.replace(row, invariants=(*row.invariants[:3], f"P - {logarithm}"))
     monkeypatch.setattr(catalog, "_row", lambda eid: mutant if eid == "4.1" else row_of(eid))
     rep = verify_entry("4.1")
     assert rep.passed and rep.rank == 5
+    inv = P - sp.sympify(logarithm, locals={"t": t})
     for g in get_entry("4.1").realized_basis():
         assert exprs.is_zero(g.apply(inv)).kind == "SymbolicZero"
 
@@ -647,7 +655,7 @@ def _mutant(monkeypatch, entry_id, *, invariant=None, basis=None):
     row = catalog._row(entry_id)
     invs, B = list(row.invariants), row.basis.as_mutable()
     if invariant is not None:
-        invs[1] += invariant
+        invs[1] = f"({invs[1]}) + ({invariant})"
     if basis is not None:
         B[0, L12_LABELS.index("X10")] += basis
     mutant = dataclasses.replace(row, invariants=tuple(invs), basis=sp.ImmutableMatrix(B))
@@ -699,10 +707,9 @@ def test_bare_angle_mutant_fails(monkeypatch, entry_id, angle, nonzero):
 
 def test_entry_rank_is_the_least_sample_rank(monkeypatch):
     # (a - 1)*r/t vanishes at a = 1, where only four invariants are left
-    a, r, t = sp.symbols("a r t")
     row = catalog._row("4.3")
-    assert row.invariants[0] == r / t
-    mutant = dataclasses.replace(row, invariants=((a - 1) * r / t, *row.invariants[1:]))
+    assert row.invariants[0] == "r/t"
+    mutant = dataclasses.replace(row, invariants=("(a - 1)*r/t", *row.invariants[1:]))
     monkeypatch.setattr(catalog, "_row", lambda eid: mutant)
     rep = verify_entry("4.3")
     assert rep.rank == 4
@@ -799,12 +806,13 @@ def test_error_in_a_worker_reaches_the_caller(monkeypatch):
 
 
 def test_non_rational_jacobian_entry_is_refused_in_a_worker(monkeypatch):
-    t, P = sp.symbols("t P")
+    # raised where the worker instantiates 4.1, and again in the caller
     row, row_of = catalog._row("4.1"), catalog._row
-    assert row.invariants[3] == P - sp.log(t)
-    mutant = dataclasses.replace(row, invariants=(*row.invariants[:3], P - sp.log(t) - t * sp.log(t)))
+    assert row.invariants[3] == "P - log(t)"
+    mutant = dataclasses.replace(row, invariants=(*row.invariants[:3], "P - log(t) - t*log(t)"))
     monkeypatch.setattr(catalog, "_row", lambda eid: mutant if eid == "4.1" else row_of(eid))
     monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
-    with pytest.raises(ValueError, match=r"entry 4\.1: invariant P - t\*log\(t\) - log\(t\) has a Jacobian entry"):
+    with pytest.raises(catalog.DataError, match=r"^entry 4\.1: cannot read 'P - log\(t\) - t\*log\(t\)': not a rational "
+                                                r"function plus constant multiples of logs in the chart's field$"):
         catalog.verify_entries(["4.1", "4.77"])
     _assert_no_worker_left()

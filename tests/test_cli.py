@@ -587,8 +587,8 @@ def test_unwritable_out_is_refused_before_any_fork(capsys, monkeypatch, tmp_path
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_out_that_takes_no_sendfile_is_written_here(capsys, monkeypatch):
-    # /dev/full refuses sendfile before any byte (EINVAL); the rows written
-    # here then fail as every write to it does
+    # every write to /dev/full fails, the first half's and the appended
+    # second half's alike: one error line, and the formatter is reaped
     monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
     code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--out", "/dev/full"])
     assert (code, out, err) == (2, "", "error: cannot write /dev/full: No space left on device\n")
@@ -605,10 +605,13 @@ def test_out_that_takes_no_sendfile_is_written_here(capsys, monkeypatch):
     [
         ("catalog.yaml", '"vartheta_S", "P - log(t)"]', '"vartheta_S", "P - log(t - t)"]', ["verify-invariants", "4.1"],
          "error: entry 4.1: cannot read 'P - log(t - t)': log of zero\n"),
+        ("catalog.yaml", '"vartheta_S", "P - log(t)"]', '"vartheta_S", "P - log(t)*log(t)"]', ["verify-invariants", "4.1"],
+         "error: entry 4.1: cannot read 'P - log(t)*log(t)': not a rational function plus constant multiples"
+         " of logs in the chart's field\n"),
         ("classes.yaml", '["-E1", "E2", "E3", "E4 - E3"]', '["-E1", "E2", "E3", "E3"]', ["classify", "4.21"],
          "error: entry 4.21: singular change of basis at {}\n"),
     ],
-    ids=["log-of-zero", "singular-basis-change"],
+    ids=["log-of-zero", "product-of-logs", "singular-basis-change"],
 )
 def test_bad_data_file_is_usage_error(tmp_path, data, old, new, argv, message):
     # a copy of the package with one string of a data file changed, run as
@@ -674,6 +677,17 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, name):
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["verify-solution"], ["trace", "isochoric-reduced"]], ids=["verify-solution", "trace"])
+def test_empty_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # an empty --out names no file: nothing is written, not even to stdout
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, [*argv, "--out", ""])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write : ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from gassym.exprs import (
     is_zero,
     opaque,
     pythagorean_ideal,
-    rational,
 )
 
 x, y = sp.symbols("x y")
@@ -256,10 +255,6 @@ def test_is_zero_honours_function_override():
 
 # --------------------------------------------------------------------------
 # exact numbers
-
-
-def test_rational_exact():
-    assert rational(2, 4) == sp.Rational(1, 2)
 
 
 @pytest.mark.parametrize("value", [0.6, "0.6", "3/5", sp.Rational(3, 5)])

@@ -52,21 +52,21 @@ def test_unknown_generator_rejected():
 
 def test_x7_is_pure_rotation_angle_in_cylindrical():
     F = realize("X7", chart_C())
-    assert F.coeff("theta") == 1
-    assert all(F.coeff(c) == 0 for c in chart_C().coords if c != "theta")
+    assert F.coeffs["theta"].as_expr() == 1
+    assert all(F.coeffs[c].as_expr() == 0 for c in chart_C().coords if c != "theta")
 
 
 def test_x10_in_cylindrical_is_time_translation():
     F = realize("X10", chart_C())
-    assert F.coeff("t") == 1
-    assert all(F.coeff(c) == 0 for c in chart_C().coords if c != "t")
+    assert F.coeffs["t"].as_expr() == 1
+    assert all(F.coeffs[c].as_expr() == 0 for c in chart_C().coords if c != "t")
 
 
 def test_x11_in_spherical_scales_t_and_radius():
     F = realize("X11", chart_S())
-    assert F.coeff("t") == sp.Symbol("t")
-    assert F.coeff("r_S") == sp.Symbol("r_S")
-    assert F.coeff("theta_S") == 0 and F.coeff("phi") == 0
+    assert F.coeffs["t"].as_expr() == sp.Symbol("t")
+    assert F.coeffs["r_S"].as_expr() == sp.Symbol("r_S")
+    assert F.coeffs["theta_S"].as_expr() == 0 and F.coeffs["phi"].as_expr() == 0
 
 
 def test_commutator_transfers_to_cylindrical():
@@ -125,8 +125,8 @@ def test_apply_is_directional_derivative():
 
 def test_realize_combination_order_is_y_first():
     F = realize_combination([1] + [0] * 11)
-    assert F.coeff("P") == 1
-    assert all(F.coeff(c) == 0 for c in CARTESIAN_COORDS if c != "P")
+    assert F.coeffs["P"].as_expr() == 1
+    assert all(F.coeffs[c].as_expr() == 0 for c in CARTESIAN_COORDS if c != "P")
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def _rational_point(chart, rng):
     """Values for the chart's symbols and for sin/cos of its angles: each
     angle sits where (cos, sin) is a signed Pythagorean pair, every other
     coordinate in [1/32, 2], so no pole of the charts is hit."""
-    maps = [sp.expand_trig(e) for e in chart.to_cartesian.values()]
+    maps = [sp.expand_trig(f.as_expr()) for f in chart.images.values()]
     angles = {f.args[0] for e in maps for f in e.atoms(sp.sin, sp.cos)}
     values = {}
     for c in map(sp.Symbol, chart.coords):
@@ -163,12 +163,12 @@ def _identity_residual(F, G, point):
     """J_Psi * G - F o Psi at ``point``, one rational per Cartesian coord."""
     chart = G.chart
     at = lambda e: sp.expand_trig(sp.sympify(e)).xreplace(point)
-    psi = {sp.Symbol(c): e for c, e in chart.to_cartesian.items()}
+    images = {c: f.as_expr() for c, f in chart.images.items()}
+    psi = {sp.Symbol(c): e for c, e in images.items()}
     out = []
     for cc in CARTESIAN_COORDS:
-        image = chart.to_cartesian[cc]
-        lhs = sum(at(sp.diff(image, sp.Symbol(c))) * at(G.coeff(c)) for c in chart.coords)
-        val = lhs - at(F.coeff(cc).xreplace(psi))
+        lhs = sum(at(sp.diff(images[cc], sp.Symbol(c))) * at(G.coeffs[c].as_expr()) for c in chart.coords)
+        val = lhs - at(F.coeffs[cc].as_expr().xreplace(psi))
         assert val.is_Rational, val
         out.append(val)
     return out
@@ -190,8 +190,8 @@ def test_pushforward_identity_catches_a_flipped_sign(make_chart):
     chart = make_chart()
     point = _rational_point(chart, random.Random(0))
     G = realize("X8", chart)
-    c = next(c for c in chart.coords if G.coeff(c) != 0)
-    bad = VectorField(chart, {**G.coeffs, c: -G.coeff(c)})
+    c = next(c for c in chart.coords if G.coeffs[c])
+    bad = VectorField(chart, {**G.coeffs, c: -G.coeffs[c]})
     assert any(_identity_residual(realize("X8"), bad, point))
 
 
@@ -217,8 +217,8 @@ def test_chart_keeps_every_unmoved_coordinate(name):
     # blocks, which solve for the moved coordinates only
     chart = CERTIFIED_CHARTS[name]()
     kept = tuple(c for c in CARTESIAN_COORDS if c not in MOVED[name])
-    assert tuple(chart.to_cartesian) == CARTESIAN_COORDS
-    assert tuple(c for c, e in chart.to_cartesian.items() if e == sp.Symbol(c)) == kept
+    assert tuple(chart.images) == CARTESIAN_COORDS
+    assert tuple(c for c, f in chart.images.items() if f.as_expr() == sp.Symbol(c)) == kept
     assert chart.kept == kept
     stages = chart.stages  # (coupling by Cartesian coord, inverse row by chart coord)
     assert all(len(cart) in (2, 3) and len(cart) == len(inv) for cart, inv in stages)
@@ -261,7 +261,7 @@ def test_certification_names_the_pairs_a_flipped_generator_breaks(monkeypatch, n
         G = real(label, ch)
         if label != "X9":
             return G
-        return VectorField(G.chart, {**G.coeffs, coord: -G.coeff(coord)})
+        return VectorField(G.chart, {**G.coeffs, coord: -G.coeffs[coord]})
 
     monkeypatch.setattr(fields, "realize", realize_flipped)
     assert realization_table_diff(chart) == pairs

@@ -439,8 +439,9 @@ def test_split_csv_of_one_row(tmp_path, monkeypatch):
     assert here == b"t,x,y,z\n-0,4.9406564584124654e-324,1.0000000000000001e+300,0.33333333333333331\n"
 
 
-def test_out_that_refuses_sendfile_gets_the_rows_here(tmp_path, monkeypatch):
-    # sendfile refused before its first byte: the second half is formatted here
+def test_split_csv_without_sendfile_is_byte_identical(tmp_path, monkeypatch):
+    # the forked half is appended by plain reads and writes: with sendfile
+    # refused, the split CSV is still the one written here
     def refuse(*args):
         raise OSError(22, "Invalid argument")
 

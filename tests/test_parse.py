@@ -153,7 +153,7 @@ def test_every_grammar_string_is_refused_or_real_and_rational(text):
         assert not value.has(sp.I, sp.zoo, sp.nan, sp.oo) and not value.atoms(sp.NumberSymbol)
         assert all(p.exp.is_Integer for p in value.atoms(sp.Pow))
         assert all(g.args[0].free_symbols - set(PARAM_SYMBOLS) for g in value.atoms(sp.log))
-    # the field reading at _AT: where it is a term of Chart.gradient, that
+    # the field reading at _AT: refused, or a term of Chart.gradient whose
     # gradient is the sympy reading's
     chart = fields.chart_D()
     bound = {k: (g, ()) for k, g in chart.gens.items()} | {k: (chart.element(sp.Integer(v)), ()) for k, v in _AT.items()}
@@ -162,8 +162,6 @@ def test_every_grammar_string_is_refused_or_real_and_rational(text):
     except catalog.DataError as exc:
         assert str(exc).startswith(f"row: cannot read {text!r}: ")
         return
-    if terms is None or any(catalog._has_coordinate(c) for c, _ in terms[1]):
-        return  # of another form: the sympy reading stands in
     assert value is not None
     at = value.subs({_PARAM_SYMS[k]: v for k, v in _AT.items()})
     for got, s in zip(chart.gradient(terms), chart.symbols):
@@ -187,25 +185,27 @@ def test_unknown_chart_raises(tamper):
     ],
 )
 def test_invariant_of_another_form_is_refused_at_the_jacobian(tamper, text, view):
-    # 4.1's P - log(t) replaced in catalog.yaml: the field-mode parse gives
-    # no term, get_entry keeps the sympy view, and the rank refuses it
-    tamper("invariants", 3, text, eid="4.1")
-    ent = catalog.get_entry("4.1")
-    assert str(ent.invariants[3]) == view
-    with pytest.raises(ValueError, match=rf"^entry 4\.1: invariant {re.escape(view)} has a Jacobian entry "
-                                         r"that is not rational in the chart's field$"):
-        catalog.verify_invariants(ent)
+    # 4.1's P - log(t) replaced in catalog.yaml: the chart's field holds no
+    # Jacobian of it, so get_entry refuses the string as written, not in
+    # sympy's spelling ``view``
+    _refused_as_written(tamper, text, view)
 
 
 @pytest.mark.parametrize("text, view", [("P - log(t)/log(t)", "P - 1"), ("P - t*Abs(t)/Abs(t)", "P - t")])
 def test_invariant_sympy_simplifies_is_read(tamper, text, view):
-    # strings of another form that sympy simplifies to a rational invariant:
-    # read as that, which the verdicts refuse
+    # strings of another form that sympy simplifies to a rational invariant
+    # are read as that by sympy only: get_entry refuses them as written
+    _refused_as_written(tamper, text, view)
+
+
+def _refused_as_written(tamper, text: str, view: str) -> None:
+    """4.1 with ``text`` for its P - log(t), which sympy reads as ``view``,
+    is refused by get_entry with a message naming ``text``."""
+    assert str(parse("entry 4.1", text, {c: sp.Symbol(c) for c in ("t", "P")})) == view
     tamper("invariants", 3, text, eid="4.1")
-    ent = catalog.get_entry("4.1")
-    assert str(ent.invariants[3]) == view
-    rep = catalog.verify_invariants(ent)
-    assert not rep.passed and rep.rank == 5
+    with pytest.raises(catalog.DataError, match=rf"^entry 4\.1: cannot read {re.escape(repr(text))}: not a rational "
+                                                r"function plus constant multiples of logs in the chart's field$"):
+        catalog.get_entry("4.1")
 
 
 def test_basis_outside_the_parameter_field_raises(tamper):

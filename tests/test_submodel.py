@@ -104,13 +104,6 @@ def test_p1_is_pressure_minus_u():
     assert s.P1 == sp.expand(s.P - s.u)
 
 
-def test_state_function_splits_pressure():
-    f = opaque("f")
-    for kind in KINDS:
-        s = solution_family(kind)
-        assert sp.expand(s.P - f(s.rho) - s.S) == 0
-
-
 @pytest.mark.parametrize(
     "tamper",
     [
