@@ -276,10 +276,8 @@ class _Invariants:
     def __init__(self, where: str, texts: tuple, subs: dict, chart: Chart):
         self.where, self.texts, self.subs = where, texts, subs
         self.names = dict(zip(chart.coords, chart.symbols)) | _PARAM_SYMS
-        bound = {k: (g, ()) for k, g in chart.gens.items()} | {  # None: a value outside the field
-            s.name: (chart.element(v), ()) if v.is_Rational or (
-                v.free_symbols <= set(PARAM_SYMBOLS) and v.is_rational_function()) else None
-            for s, v in subs.items()}
+        bound = {k: (g, ()) for k, g in chart.gens.items()}
+        bound |= {s.name: (chart.element(v), ()) for s, v in subs.items()}
         self.terms = [parse(where, s, bound, field=chart.field) for s in texts]
 
     @cached_property
@@ -376,7 +374,9 @@ def get_entry(entry_id: str, **params) -> SubalgebraEntry:
         if k not in free:
             raise ConstraintError(f"entry {entry_id} takes no parameter {k!r}")
         try:
-            binding[k] = exact_number(v)
+            binding[k] = v = exact_number(v)
+            if not (v.is_Rational or v.free_symbols <= set(PARAM_SYMBOLS) and v.is_rational_function()):
+                raise ValueError(f"{v} is not rational in the parameters")
         except ValueError as exc:
             raise ConstraintError(f"entry {entry_id}, parameter {k!r}: {exc}") from None
     missing = [k for k in free if k not in binding]
@@ -583,9 +583,10 @@ def fork_cpus() -> int:
 def _chart_tasks(ids: list[str]) -> list[tuple[str, ...]]:
     """The ids grouped by their catalog.yaml chart family (C, D, Dshift,
     S), each id once, so that the charts and realized generators of the
-    family's charts are built in one task.  Longest first: ranked by the
-    ids' unit-circle points times choice values, the number of sample
-    groups before the constraints drop any."""
+    family's charts are built in one task, ranked by the ids' unit-circle
+    points times choice values (C, Dshift, D, S).  Alone in a fresh process
+    a task takes about C 0.12-0.15 s, Dshift 0.14-0.15 s, D 0.10-0.12 s and
+    S 0.04-0.07 s (2 vCPU, Python 3.11, sympy 1.14)."""
     families: dict[str, list[str]] = {}
     for eid in dict.fromkeys(ids):
         families.setdefault(_raw_entries()[eid].get("chart", "D"), []).append(eid)

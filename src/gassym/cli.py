@@ -320,7 +320,9 @@ _COMMANDS = {
 
 
 def _write(path: str, write) -> None:
-    """Call ``write``; an ``--out`` path it cannot write is a usage error."""
+    """Call ``write``; an empty ``--out`` path, or one it cannot write, is a usage error."""
+    if not path:
+        raise UsageError("cannot write : the --out path is empty")
     try:
         write()
     except OSError as exc:

@@ -40,7 +40,6 @@ __all__ = [
     "is_zero",
     "opaque",
     "pythagorean_ideal",
-    "pythagorean_reduce",
 ]
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -100,11 +99,6 @@ def pythagorean_ideal(ring) -> list:
             if isinstance(s, sp.sin) and sp.cos(s.args[0]) in gens]
 
 
-def pythagorean_reduce(f, ideal: list):
-    """``f`` with numerator and denominator reduced modulo ``ideal``."""
-    return f.new(f.numer.rem(ideal), f.denom.rem(ideal)) if ideal else f
-
-
 def canonicalize(e) -> sp.Expr:
     """``e`` with trig arguments expanded to single angles, read into the
     field over QQ whose generators are its atoms (symbols, sin and cos, log,
@@ -114,7 +108,8 @@ def canonicalize(e) -> sp.Expr:
     lies in the Pythagorean ideal with the atoms taken as independent."""
     e = sp.expand_trig(sp.sympify(e, strict=True))
     K, f = sfield(e, domain=sp.QQ)
-    return pythagorean_reduce(f, pythagorean_ideal(K.ring)).as_expr()
+    ideal = pythagorean_ideal(K.ring)
+    return (f.new(f.numer.rem(ideal), f.denom.rem(ideal)) if ideal else f).as_expr()
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,17 @@ catalog parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets,
 equality and the annihilation verdicts run there, with one zero test
 (``Chart.is_zero``): the numerator reduced modulo sin(a)**2 + cos(a)**2 - 1
 (``exprs``) is 0.  The kernel is sparse: a structural zero is never
-differentiated, multiplied, composed or cancelled.  ``Chart.gradient``
-differentiates r + sum c*log(g) in the field, given as field elements (a
-catalog row) or read from a sympy expression (``apply``).
+differentiated, multiplied, composed or cancelled, and set-up and pushforward
+take no gcd (``Chart.quotient``).  ``Chart.gradient`` differentiates
+r + sum c*log(g) in the field, given as field elements (a catalog row) or
+read from a sympy expression (``apply``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Mapping
 
@@ -40,7 +41,7 @@ import sympy as sp
 from sympy.polys.fields import field
 from sympy.polys.matrices import DomainMatrix
 
-from .exprs import exact_number, pythagorean_ideal, pythagorean_reduce
+from .exprs import exact_number, pythagorean_ideal
 from .liealg import L12_LABELS
 
 __all__ = [
@@ -72,24 +73,25 @@ class Chart:
     and ``gens`` names each generator ("t", "sin(theta)", "a").  ``moved``
     builds from them the image of each Cartesian coordinate the chart moves;
     the others are ``kept``, each its own image (``images``).  ``blocks``
-    of (Cartesian coords, chart coords) solve for the moved ones, in an
-    order making the Jacobian block triangular.
+    of (Cartesian coords, chart coords), each polynomial (else ValueError),
+    solve for the moved ones, in an order making the Jacobian block
+    triangular.  ``factors`` builds the irreducible non-monomials that, with
+    monomials, make up the denominators (``quotient``).
     Rational functions are kept with numerator and denominator reduced
     (``reduce``) modulo ``exprs.pythagorean_ideal``.  a is transcendental
     over the rest, so an element vanishes exactly when its numerator
     reduces to 0.  Each of the ``stages`` is one block as a pair: the
     derivatives coupling each of its Cartesian coordinates to the kept
-    coordinates and earlier stages, and the inverse of its Jacobian
-    (adjugate over the reduced determinant), one row per chart coordinate.
+    coordinates and earlier stages, and the inverse of its Jacobian (adjugate
+    over reduced determinant, both in the ring), one row per chart coordinate.
 
     The kernel is sparse: a structural zero is never differentiated,
     multiplied, composed or cancelled (``diff`` runs the quotient rule only
-    on the parts that involve the coordinate, and ``reduce`` is the
-    identity on a chart with no angles); each result is the canonical
+    on the parts that involve the coordinate); each result is the canonical
     element the dense formulas give.
     """
 
-    def __init__(self, name: str, coords: tuple[str, ...], angles=(), moved=None, blocks=()):
+    def __init__(self, name: str, coords: tuple[str, ...], angles=(), moved=None, blocks=(), factors=None):
         self.name, self.coords = name, coords
         self.symbols = syms = [sp.Symbol(c) for c in coords]
         gens = [g for x in syms for g in ((x, sp.sin(x), sp.cos(x)) if x.name in angles else (x,))]
@@ -98,7 +100,7 @@ class Chart:
         self._gen = {k: i for i, k in enumerate(self.gens)}  # generator indices by name
         self._angle = {a: (self._gen[f"sin({a})"], self._gen[f"cos({a})"]) for a in angles}
         self._ideal = pythagorean_ideal(K.ring)
-        self.reduce = partial(pythagorean_reduce, ideal=self._ideal)
+        self.factors = tuple(f.numer for f in factors(self)) if factors else ()
         images = moved(self) if moved else {}
         self.kept = tuple(c for c in CARTESIAN_COORDS if c not in images)
         self.images = {c: images[c] if c in images else self.gens[c] for c in CARTESIAN_COORDS}
@@ -106,14 +108,41 @@ class Chart:
         self.stages, earlier = [], list(self.kept)
         for cart_coords, chart_coords in blocks:
             jac = [[self.diff(self.images[cc], x) for x in chart_coords] for cc in cart_coords]
-            block = DomainMatrix(jac, (len(jac), len(jac)), K.to_domain())
-            adj, det = block.adjugate().to_list(), self.reduce(block.det())
+            if not all(f.denom.is_ground for row in jac for f in row):
+                raise ValueError(f"chart {name}: the block of {cart_coords} is not polynomial")
+            jac = [[f.numer.quo_ground(f.denom.LC) for f in row] for row in jac]
+            block = DomainMatrix(jac, (len(jac), len(jac)), K.ring.to_domain())
+            adj, det = block.adjugate().to_list(), block.det().rem(self._ideal)
             coupling = {cc: [(prev, d) for prev in earlier if (d := self.diff(self.images[cc], prev))]
                         for cc in cart_coords}
             self.stages.append((coupling, {
-                x: [self.reduce(m / det) for m in row] for x, row in zip(chart_coords, adj)
+                x: [self.reduce(K.raw_new(m, det)) for m in row] for x, row in zip(chart_coords, adj)
             }))
             earlier += chart_coords
+
+    def quotient(self, n, d):
+        """Exactly ``field.new(n, d)``, with no gcd when d is a term times powers of the
+        ``factors``: each comes out of n and d while it divides both, then the monomial
+        gcd, and content and sign are set as ``PolyElement.cancel`` sets them."""
+        K = self.field
+        if not n:
+            return K.zero
+        core, rest = d, K.ring.one  # d is core * rest times what came out of n
+        for p in self.factors:
+            while not (qd := divmod(core, p))[1]:
+                core, (qn, r) = qd[0], divmod(n, p)
+                n, rest = (n, rest * p) if r else (qn, rest)
+        if len(core) > 1:
+            return K.new(n, core * rest)
+        m = reduce(K.ring.monomial_gcd, n.itermonoms(), core.LM)
+        n, d = n.quo_term((m, 1)), core.quo_term((m, 1)) * rest
+        c = K.domain.gcd(n.content(), d.content()) * d.canonical_unit()
+        return K.raw_new(n.quo_ground(c), d.quo_ground(c))
+
+    def reduce(self, f):
+        """f, maybe uncancelled, as a ``quotient``, reduced modulo the Pythagorean ideal."""
+        f = self.quotient(f.numer, f.denom)
+        return self.quotient(f.numer.rem(self._ideal), f.denom.rem(self._ideal)) if self._ideal else f
 
     def _derive(self, p, coord: str):
         """d p / d coord of a polynomial; along an angle a it is
@@ -131,18 +160,16 @@ class Chart:
         ``f`` that involve ``coord``."""
         n, d = f.numer, f.denom
         dn, dd = self._derive(n, coord), self._derive(d, coord)
-        if not dd:
-            return self.field.new(dn, d) if dn else self.field.zero
-        return self.field.new(dn * d - n * dd, d**2)
+        return self.quotient(dn * d - n * dd, d**2) if dd else self.quotient(dn, d)
 
     def bracket(self, f: dict, g: dict) -> dict:
         """[f, g] of two fields' coefficients: f(g_c) - g(f_c), reduced;
         a term f_x * d(g_c)/dx is formed only when f_x and g_c are nonzero."""
         out = {}
         for c in self.coords:
-            terms = [f[x] * self.diff(g[c], x) for x in self.coords if f[x] and g[c]]
-            terms += [-g[x] * self.diff(f[c], x) for x in self.coords if g[x] and f[c]]
-            out[c] = self.reduce(sum(terms, self.field.zero))
+            terms = [(f[x], self.diff(g[c], x)) for x in self.coords if f[x] and g[c]]
+            terms += [(-g[x], self.diff(f[c], x)) for x in self.coords if g[x] and f[c]]
+            out[c] = self.reduce(self.combination(terms))
         return out
 
     def gradient(self, e) -> list:
@@ -167,13 +194,14 @@ class Chart:
                 for x in self.coords]
 
     def combination(self, terms):
-        """sum a * f over the (a, f) ``terms`` as one numerator over the product
-        of the denominators, with no gcd: ``is_zero`` stays exact, as no
+        """sum a * f over the (a, f) ``terms`` as one numerator over a product
+        of their denominators, with no gcd: ``is_zero`` stays exact, as no
         product of reduced nonzero denominators lies in the prime ideal."""
         num, den = self.field.ring.zero, self.field.ring.one
         for a, f in terms:
             if a and f:
-                num, den = num * a.denom * f.denom + a.numer * f.numer * den, den * a.denom * f.denom
+                n, d = a.numer * f.numer, a.denom * f.denom
+                num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
         return self.field.raw_new(num, den)
 
     def is_zero(self, f) -> bool:
@@ -223,16 +251,20 @@ def chart_S() -> Chart:
 
 @lru_cache(maxsize=None)
 def chart_D_shift(b) -> Chart:
-    """Cartesian chart with (v, w) traded for the shifted polar pair."""
+    """Cartesian chart with (v, w) traded for the shifted polar pair over
+    F = t**2 + b**2, the declared factor for b != 0 (irreducible over QQ)."""
     b = exact_number(b)
+    shift = lambda chart: (chart.gens["t"] ** 2 + chart.element(b) ** 2,)  # (F,)
 
-    def moved(chart):
+    def moved(chart):  # v = (t*y + b*z + qbar*cos*F)/F and w likewise, one quotient each
         t, y, z, q, s, c = (chart.gens[k] for k in (
             "t", "y", "z", "qbar", "sin(varthetabar)", "cos(varthetabar)"))
-        k = chart.element(b)
-        return {"v": (t * y + k * z) / (t**2 + k**2) + q * c, "w": (t * z - k * y) / (t**2 + k**2) + q * s}
+        k, (F,) = chart.element(b), shift(chart)
+        over = lambda e: chart.quotient(e.numer * F.denom, e.denom * F.numer)
+        return {"v": over(t * y + k * z + q * c * F), "w": over(t * z - k * y + q * s * F)}
 
-    return Chart(f"D-shift({b})", D_SHIFT_COORDS, ("varthetabar",), moved, ((("v", "w"), ("qbar", "varthetabar")),))
+    blocks = ((("v", "w"), ("qbar", "varthetabar")),)
+    return Chart(f"D-shift({b})", D_SHIFT_COORDS, ("varthetabar",), moved, blocks, shift if b != 0 else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +282,7 @@ class VectorField:
         """Directional derivative sum_c F_c * d(e)/dc, cancelled and reduced in the chart's field."""
         grad = self.chart.gradient(sp.sympify(e, strict=True))
         lie = self.chart.combination(zip(self.coeffs.values(), grad))
-        return self.chart.reduce(lie.new(lie.numer, lie.denom)).as_expr()
+        return self.chart.reduce(lie).as_expr()
 
     def __rmul__(self, scalar) -> "VectorField":
         k = self.chart.element(sp.sympify(scalar, strict=True))
@@ -333,9 +365,9 @@ def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
     return bad
 
 
-def evaluate(f, at: list, zero=sp.QQ.zero):
+def evaluate(f, at: list):
     """The rational function ``f`` with each generator at its value in ``at``."""
-    num, den = (sum((c * math.prod(v**k for v, k in zip(at, m) if k) for m, c in p.items()), zero)
+    num, den = (sum((c * math.prod(v**k for v, k in zip(at, m) if k) for m, c in p.items()), sp.QQ.zero)
                 for p in (f.numer, f.denom))
     return num / den
 
@@ -345,8 +377,9 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
 
     Solves J_Psi * G = F o Psi in the chart's rational function field
     (Psi is the chart-to-Cartesian map): a kept coordinate takes F's
-    coefficient, then the declared blocks are solved in order.  Each value
-    is reduced modulo the Pythagorean relations.
+    coefficient, then the declared blocks are solved in order.  F o Psi and
+    the stage sums are ring pairs (``Chart.combination``); each coefficient
+    is cancelled and reduced modulo the Pythagorean relations once (``reduce``).
     """
     if F.chart.name != "D":
         raise ValueError("pushforward expects a field in chart D")
@@ -354,13 +387,20 @@ def pushforward(F: VectorField, target: Chart) -> VectorField:
         return F
     if not target.stages:
         raise ValueError(f"chart {target.name} has no solve stages")
-    K, zero = target.field, target.field.zero
+    K, one = target.field, target.field.ring.one
     at = [*target.images.values(), *K.gens[-len(PARAM_SYMBOLS):]]  # chart D's generators
-    rhs = {c: K(evaluate(f, at, zero)) for c, f in F.coeffs.items()}  # K(): a constant evaluates to QQ
+    power = lambda side, m: math.prod((getattr(v, side) ** k for v, k in zip(at, m) if k), start=one)
+
+    def at_psi(f):  # f o Psi as a ring pair
+        n, d = (target.combination((K.one, K.raw_new(power("numer", m).mul_ground(c), power("denom", m)))
+                                   for m, c in p.items()) for p in (f.numer, f.denom))
+        return K.raw_new(n.numer * d.denom, n.denom * d.numer)
+
+    rhs = {c: at_psi(f) for c, f in F.coeffs.items()}
     solved = {c: target.reduce(rhs[c]) for c in target.kept}
     for coupling, inverse in target.stages:
-        b = [rhs[cc] - sum((d * solved[p] for p, d in links if solved[p]), zero)
+        b = [target.combination([(K.one, rhs[cc]), *((-d, solved[p]) for p, d in links)])
              for cc, links in coupling.items()]
         for name, row in inverse.items():
-            solved[name] = target.reduce(sum((m * x for m, x in zip(row, b) if m and x), zero))
+            solved[name] = target.reduce(target.combination(zip(row, b)))
     return VectorField(target, solved)

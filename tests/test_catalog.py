@@ -74,6 +74,15 @@ def test_string_parameter_is_never_evaluated(capsys):
     assert get_entry("4.3", a="-1/2", b="1").basis == get_entry("4.3", a=sp.Rational(-1, 2), b=1).basis
 
 
+@pytest.mark.parametrize("value", [sp.sqrt(sp.Symbol("a")), sp.Symbol("q")], ids=["sqrt(a)", "q"])
+def test_parameter_outside_the_field_is_refused_by_name(value):
+    # a value that is no rational function of the parameters is refused as
+    # a value, not as the invariant string it would be bound into
+    with pytest.raises(ConstraintError) as err:
+        get_entry("4.56.ii", a=value)
+    assert str(err.value) == f"entry 4.56.ii, parameter 'a': {value} is not rational in the parameters"
+
+
 def test_float_parameter_binds_the_number_it_prints_as():
     # all 17 digits, not a 14-digit truncation or a guessed sqrt(2)
     ent = get_entry("4.3", a=1.4142135623730951, b=1)

@@ -681,12 +681,14 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, name):
 
 @pytest.mark.parametrize("argv", [["verify-solution"], ["trace", "isochoric-reduced"]], ids=["verify-solution", "trace"])
 def test_empty_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
-    # an empty --out names no file: nothing is written, not even to stdout
+    # an empty --out names no file: nothing is written, not even to stdout,
+    # and both commands print the same line
     monkeypatch.chdir(tmp_path)
     code, out, err = _run(capsys, [*argv, "--out", ""])
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write : ")
     assert err.count("\n") == 1
+    assert err == "error: cannot write : the --out path is empty\n"
     assert list(tmp_path.iterdir()) == []
 
 

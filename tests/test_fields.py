@@ -1,10 +1,14 @@
 """Vector-field realization tests: charts, pushforwards, certification."""
 
+import math
 import random
 from itertools import combinations
 
 import pytest
 import sympy as sp
+import sympy.polys.rings as rings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from gassym import fields
@@ -355,3 +359,71 @@ def test_ring_kernel_skips_structural_zeros(monkeypatch):
         cached.cache_clear()
     charts = [chart_C(), chart_S(), *map(chart_D_shift, (0, 1, sp.Rational(4, 5)))]
     assert len(charts) == 5 and calls["adjugate"] == 7
+
+
+# --------------------------------------------------------------------------
+# the chart quotient: sympy's canonical element, with no gcd
+
+QUOTIENT_CHARTS = {
+    "Dshift0": lambda: chart_D_shift(0), "Dshift4/5": lambda: chart_D_shift(sp.Rational(4, 5)),
+    "Dshift(b)": lambda: chart_D_shift(sp.Symbol("b")), "C": chart_C, "S": chart_S,
+}
+
+
+@st.composite
+def _quotient_case(draw):
+    """A chart and (n, d) built from its declared factor (t**2 where it
+    declares none), monomials with rational coefficients and small random
+    polynomials; d may carry the undeclared factor t + 1 or a random one."""
+    chart = QUOTIENT_CHARTS[draw(st.sampled_from(sorted(QUOTIENT_CHARTS)))]()
+    gens = [chart.gens[k].numer for k in ("t", chart.coords[1], "b")]
+    gens += [g.numer for k, g in chart.gens.items() if k.startswith(("sin(", "cos("))][:2]
+    factor = chart.factors[0] if chart.factors else gens[0] ** 2
+    coeff = st.builds(sp.QQ, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+    def monomial():
+        return draw(coeff) * math.prod(g ** draw(st.integers(0, 2)) for g in gens)
+
+    def polynomial():
+        return sum((monomial() for _ in range(draw(st.integers(1, 3)))), chart.field.ring.zero)
+
+    n = monomial() * factor ** draw(st.integers(0, 3)) * polynomial()
+    d = monomial() * factor ** draw(st.integers(0, 3))
+    d *= draw(st.sampled_from([chart.field.ring.one, gens[0] + 1, polynomial()]))
+    return chart, n, d
+
+
+@given(case=_quotient_case())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_quotient_is_sympys_canonical_element(case):
+    chart, n, d = case
+    if not d:
+        return
+    for n in (n, chart.field.ring.zero):
+        got, want = chart.quotient(n, d), chart.field.new(n, d)
+        assert (got.numer, got.denom) == (want.numer, want.denom)
+
+
+def test_chart_setup_and_pushforward_take_no_gcd(monkeypatch):
+    # fresh charts: building D-shift(4/5), D-shift(b) and S and pushing the
+    # 12 generators forward runs sympy's heuristic gcd not once; a quotient
+    # over the undeclared t + 1 shows that the counter counts
+    calls = []
+    heugcd = rings.heugcd
+    monkeypatch.setattr(rings, "heugcd", lambda f, g: calls.append(1) or heugcd(f, g))
+    for cached in (fields.chart_D, fields.chart_S, fields.chart_D_shift, fields.realize):
+        cached.cache_clear()
+    charts = [chart_D_shift(sp.Rational(4, 5)), chart_D_shift(sp.Symbol("b")), chart_S()]
+    for chart in charts:
+        for label in L12_LABELS:
+            realize(label, chart)
+    assert calls == []
+    t, x = (charts[0].gens[k].numer for k in ("t", "x"))
+    assert charts[0].quotient(t * x + x + t + 1, t * x + t) == charts[0].field.new(t + 1, t)
+    assert calls == [1]
+
+
+def test_rational_block_is_refused():
+    with pytest.raises(ValueError, match="not polynomial"):
+        fields.Chart("inverted", CARTESIAN_COORDS, (), lambda chart: {"x": 1 / chart.gens["x"]},
+                     ((("x",), ("x",)),))
