@@ -135,6 +135,7 @@ def entry_schema(entry_id: str) -> dict:
 
 
 _FUNCTIONS = {"log": sp.log, "Abs": sp.Abs}
+_RELATIONALS = {"Ne": sp.Ne, "Gt": sp.Gt, "Ge": sp.Ge}
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: operator.truediv, ast.Pow: operator.pow}
 
@@ -142,20 +143,20 @@ _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.m
 def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     """The sympy value of one data string, read off its Python ``ast``.
 
-    The grammar is a whitelist: the symbols in ``names``, integer
-    literals, binary + - * / **, unary -, calls of log and Abs, and a
-    whole string ``Ne(x, y)``.  Nothing is evaluated, so no other name
-    (``E``, ``I``, ``pi``, ...) becomes a sympy constant.  With ``gens``
-    the string must be a linear form in those names, and its coefficient
-    list is returned.  With a chart's ``field`` the names and the value
-    are terms (:func:`_combine_terms`), and a value that is not r + sum
-    c*log(g) with no c involving a coordinate is refused.  Every constant
-    is real and rational: an exponent must be an integer literal, possibly
+    The grammar is a whitelist: the symbols in ``names``, integer literals,
+    binary + - * / **, unary -, calls of log and Abs, and a whole string
+    ``Ne(x, y)``, ``Gt(x, y)`` or ``Ge(x, y)``.  Nothing is evaluated, so no
+    other name (``E``, ``I``, ``pi``, ...) becomes a sympy constant.  With
+    ``gens`` the string must be a linear form in those names, and its
+    coefficient list is returned.  With a chart's ``field`` the names and the
+    value are terms (:func:`_combine_terms`), and a value that is not r + sum
+    c*log(g) with no c involving a coordinate is refused.  Every constant is
+    real and rational: an exponent must be an integer literal, possibly
     negated, and a log's argument must involve a coordinate, not the
     parameters alone.  Anything outside the grammar, a zero divisor
     (``0**(-1)``), a log of zero or of a constant (``log(-1)``, ``log(a)``,
-    ``log(t/t)``) or another exponent (``2**(1/2)``) raises
-    :class:`DataError` naming ``where`` and the string.
+    ``log(t/t)``) or another exponent (``2**(1/2)``) raises :class:`DataError`
+    naming ``where`` and the string.
     """
     def fail(why: str):
         raise DataError(f"{where}: cannot read {text!r}: {why}")
@@ -218,9 +219,9 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     except SyntaxError:
         fail("syntax error")
     match tree:
-        case ast.Call(func=ast.Name(id="Ne"), args=[x, y], keywords=[]) if not gens:
+        case ast.Call(func=ast.Name(id=rel), args=[x, y], keywords=[]) if not gens and rel in _RELATIONALS:
             x, y = build(x), build(y)
-            value = None if field else sp.Ne(x, y)
+            value = None if field else _RELATIONALS[rel](x, y)
         case _:
             value = build(tree)
     if isinstance(value, list) != bool(gens):
@@ -334,12 +335,15 @@ def _row(entry_id: str) -> _Row:
     if chart not in _COORDS:
         raise DataError(f"{where}: unknown chart {chart!r}")
 
+    basis = raw.get("basis", [])
+    if len(basis) != 4:
+        raise DataError(f"{where}: needs 4 basis elements, has {len(basis)}")
     def value(v):
         return parse(where, v, _PARAM_SYMS)
 
     return _Row(
         id=entry_id,
-        basis=sp.ImmutableMatrix([parse(where, b, _PARAM_SYMS, L12_LABELS) for b in raw["basis"]]),
+        basis=sp.ImmutableMatrix([parse(where, b, _PARAM_SYMS, L12_LABELS) for b in basis]),
         chart=chart,
         chart_b=value(raw.get("chart_b", 0)),
         invariants=tuple(raw["invariants"]),

@@ -2,15 +2,16 @@
 
 Each catalog entry carries, in ``data/classes.yaml``, a class label from
 the Patera-Winternitz list of real Lie algebras of dimension at most
-four, a change of basis e1..e4 expressed in the catalog basis E1..E4,
-and the nonzero commutators the new basis must satisfy.  Both are read
-by the catalog's whitelist parser into coefficient rows.  Verification
-takes each parameter case into QQ(params), the rational function field
-of its symbols, through the one strict converter
-:func:`gassym.liealg.to_domain`: there it checks the determinant of the
-change of basis, closes the e-basis inside L12 with
+four and a change of basis e1..e4 in the catalog basis E1..E4.  The
+file's ``classes`` table states each class's relations and range once; a
+row takes them from its label, whose superscript holds the values of the
+class parameters p and q.  Verification takes each parameter case into
+QQ(params), the rational function field of its symbols, through the one
+strict converter :func:`gassym.liealg.to_domain`: there it checks the
+determinant of the change of basis, closes the e-basis inside L12 with
 :meth:`Subalgebra.is_closed` (the closure check the catalog uses) and
-compares the induced table with the stated one, all exactly.
+compares the induced table with the class's, all exactly, inside its
+range.
 
 Coefficients involving ``|a|``-style absolute values are handled by
 case-splitting on the parameter sign: the parameter is replaced by a
@@ -22,6 +23,7 @@ the same class must have identical fingerprints.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -73,38 +75,44 @@ class ClassAssignment:
     label: str
     basis_change: tuple  # 4x4: row i holds e_{i+1}'s coefficients over E1..E4
     relations: dict  # (i, j) with i < j -> coefficient 4-vector over e1..e4
+    range: tuple = ()  # the class's range conditions at the row's values
 
 
 @lru_cache(maxsize=None)
 def _assignments() -> dict[str, ClassAssignment]:
     text = resources.files("gassym").joinpath("data/classes.yaml").read_text()
-    return {
-        raw["id"]: ClassAssignment(
-            entry_id=raw["id"],
-            label=raw["label"],
-            basis_change=tuple(
-                tuple(parse(f"class row {raw['id']}", s, _PARAM_SYMS, _E_NAMES))
-                for s in raw["basis_change"]
-            ),
-            relations=_parse_relations(raw.get("relations", {}), f"class row {raw['id']}"),
-        )
-        for raw in yaml.load(text, Loader=_YAML_LOADER)["entries"]
-    }
+    data = yaml.load(text, Loader=_YAML_LOADER)
+    return {raw["id"]: _read_row(raw, data["classes"]) for raw in data["entries"]}
 
 
-def _parse_relations(raw: dict, where: str) -> dict:
+def _read_row(raw: dict, classes: dict) -> ClassAssignment:
+    """One class row: its change of basis, and the relations and range of
+    its label's class with p and q bound to the label's superscript values."""
+    where, label, change = f"class row {raw['id']}", str(raw.get("label", "")), raw.get("basis_change", [])
+    if len(change) != 4:
+        raise DataError(f"{where}: needs 4 basis_change elements, has {len(change)}")
+    m = re.search(r"\^(\{[^}]*\}|[^{+]+)", label)  # ^{x,y} or ^x
+    values = re.sub(r"\|([^|]*)\|", r"Abs(\1)", m[1].strip("{}")).split(",") if m else []
+    key = label[:m.start()] + "^{" + ",".join("pq"[:len(values)]) + "}" + label[m.end():] if m else label
+    if len(values) > 2 or key not in classes:
+        raise DataError(f"{where}: unknown class label {label!r}")
+    names = _PARAM_SYMS | {p: parse(where, v, _PARAM_SYMS) for p, v in zip("pq", values)}
+    with sp.evaluate(False):  # decided per case: sympy spends 0.1 MiB on Gt(1/Abs(a), 0) for a bare a
+        rng = tuple(parse(f"class {key}", s, names) for s in classes[key].get("range", []))
+    return ClassAssignment(
+        raw["id"], label, tuple(tuple(parse(where, s, _PARAM_SYMS, _E_NAMES)) for s in change),
+        relations=_parse_relations(classes[key]["relations"], f"class {key}", names), range=rng,
+    )
+
+
+def _parse_relations(raw: dict, where: str, names: dict = _PARAM_SYMS) -> dict:
+    """Keys "ei,ej", 1 <= i < j <= 4, as (i - 1, j - 1) -> a 4-vector over e1..e4."""
     rel = {}
     for key, text in raw.items():
-        i_s, j_s = key.split(",")
-        i = int(i_s.strip().lstrip("e")) - 1
-        j = int(j_s.strip().lstrip("e")) - 1
-        vec = parse(where, text, _PARAM_SYMS, _e_NAMES)
-        if i > j:
-            i, j = j, i
-            vec = [-c for c in vec]
-        if (i, j) in rel:
-            raise DataError(f"{where}: relation {key} duplicates its reverse")
-        rel[(i, j)] = tuple(vec)
+        m = re.fullmatch(r"e([1-4]),e([1-4])", str(key))
+        if not m or m[1] >= m[2]:
+            raise DataError(f"{where}: relation key {key!r} is not ei,ej with 1 <= i < j <= 4")
+        rel[(int(m[1]) - 1, int(m[2]) - 1)] = tuple(parse(where, text, names, _e_NAMES))
     return rel
 
 
@@ -203,7 +211,7 @@ def verify_class(entry_id: str) -> ClassReport:
         match = closed and all(
             not (induced.get(p, {}).get(k, K.zero) - w)
             for (p, k), w in zip(itertools.product(pairs, range(4)), flat[64:])
-        )
+        ) and all(cond.xreplace(subs).doit() == sp.true for cond in asg.range)
         report.cases.append({
             "params": {k: str(v) for k, v in binding.items()},
             "invertible": True,

@@ -3,17 +3,20 @@
 import dataclasses
 import re
 import sys
+from importlib import resources
 
 import pytest
 import sympy as sp
+import yaml
 
 from gassym import classify, fields, liealg, submodel
-from gassym.catalog import _PARAM_SYMS, ConstraintError, UnknownEntryError, catalog_ids
+from gassym.catalog import _PARAM_SYMS, ConstraintError, DataError, UnknownEntryError, catalog_ids
 from gassym.cli import main
 from gassym.classify import (
     NonInvertibleError,
     _parameter_cases,
     _parse_relations,
+    _read_row,
     class_ids,
     entry_fingerprint,
     fingerprint_consistency,
@@ -117,14 +120,13 @@ def test_class_row_reads_the_entry_fixed_values(monkeypatch):
 # relation parsing
 
 
-def test_parse_relations_normalizes_reversed_keys():
-    rel = _parse_relations({"e3,e1": "e2"}, "row")
-    assert rel == {(0, 2): (0, -1, 0, 0)}
-
-
-def test_parse_relations_rejects_duplicates():
-    with pytest.raises(ValueError):
-        _parse_relations({"e1,e2": "e3", "e2,e1": "-e3"}, "row")
+@pytest.mark.parametrize("key", ["e3,e1", "e2,e1", "e1,e5", "e4,e4", "x1,e2", "e1;e2", "e1,e2,e3"])
+def test_parse_relations_refuses_key(key):
+    # the table is written with i < j: a reversed key, its duplicate, and a
+    # key that no bracket reads are refused by name, not dropped
+    with pytest.raises(DataError, match=rf"^class A_2\+2A_1: relation key {re.escape(repr(key))} is not ei,ej "
+                                        r"with 1 <= i < j <= 4$"):
+        _parse_relations({"e1,e2": "e2", key: "e2"}, "class A_2+2A_1")
 
 
 @pytest.mark.parametrize("text, why", [("0**(-1)*e1", "division by zero"), ("log(b - b)*e1", "log of zero")])
@@ -201,3 +203,78 @@ def test_classify_and_solutions_build_no_chart(monkeypatch):
     assert fingerprint_consistency().passed
     assert all(submodel.verify_solution(kind)["passed"] for kind in submodel.SOLUTION_KINDS)
     assert built == []
+
+
+# --------------------------------------------------------------------------
+# the label names the relations
+
+_CLASSES = yaml.safe_load(resources.files("gassym").joinpath("data/classes.yaml").read_text())
+_ROWS = {raw["id"]: raw for raw in _CLASSES["entries"]}
+
+
+def _relabelled(entry_id: str, label: str) -> classify.ClassAssignment:
+    return _read_row({**_ROWS[entry_id], "label": label}, _CLASSES["classes"])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("basis_change", ["E1", "-E2", "E3", "E4", "E1"], "needs 4 basis_change elements, has 5"),
+        ("basis_change", ["E1", "-E2", "E3"], "needs 4 basis_change elements, has 3"),
+        ("label", None, "unknown class label ''"),
+    ],
+)
+def test_class_row_of_the_wrong_shape_exits_2(monkeypatch, capsys, field, value, message):
+    # refused when the row is read: five elements would shift the slices of
+    # the case vector, and three would read as a singular change of basis
+    raw = {k: v for k, v in _ROWS["4.1"].items() if k != field} | ({field: value} if value else {})
+    monkeypatch.setattr(classify, "_assignments", lambda: {"4.1": _read_row(raw, _CLASSES["classes"])})
+    assert main(["classify", "4.1"]) == 2
+    assert capsys.readouterr().err == f"error: class row 4.1: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "entry_id, label, code",
+    [
+        ("4.1", "A_{4,10}", 2),  # no class of the table
+        ("4.64.i", "A_{3,6}+A_1", 1),
+        ("4.64.i", "A_{3,7}^{|a|}+A_1", 1),
+        ("4.23.ii", "A_{3,7}^{|a|}+A_1", 1),
+    ],
+)
+def test_relabelled_row_fails(monkeypatch, capsys, entry_id, label, code):
+    table = classify._assignments()
+    monkeypatch.setattr(classify, "_assignments", lambda: {**table, entry_id: _relabelled(entry_id, label)})
+    assert main(["classify", entry_id]) == code
+    capsys.readouterr()
+
+
+def test_relabel_fails_through_the_range(monkeypatch):
+    # a = 0 in 4.23.ii: A_{3,7}^{|a|} has the relations of A_{3,6} there,
+    # but p = |a| = 0 is outside its range p > 0
+    mutant = _relabelled("4.23.ii", "A_{3,7}^{|a|}+A_1")
+    monkeypatch.setattr(classify, "_assignments", lambda: {"4.23.ii": mutant})
+    assert not verify_class("4.23.ii").passed
+    monkeypatch.setattr(classify, "_assignments", lambda: {"4.23.ii": dataclasses.replace(mutant, range=())})
+    assert verify_class("4.23.ii").passed
+
+
+def test_no_relabel_passes(monkeypatch):
+    # every row relabelled to each label another row uses, and to three no
+    # row uses, fails its class check or its fingerprints, or is refused
+    table = dict(classify._assignments())
+    monkeypatch.setattr(classify, "_assignments", lambda: table)
+    labels = {asg.label for asg in table.values()} | {"A_{3,8}+A_1", "A_{4,10}", "A_{3,7}^{|a|}+A_1"}
+    passed, tried = [], 0
+    for eid, asg in list(table.items()):
+        for label in sorted(labels - {asg.label}):
+            tried += 1
+            try:
+                table[eid] = _relabelled(eid, label)
+                same = [i for i, a in table.items() if a.label == label]
+                if verify_class(eid).passed and fingerprint_consistency(same).passed:
+                    passed.append((eid, label))
+            except DataError:
+                pass
+            table[eid] = asg
+    assert (tried, passed) == (28 * 12, [])

@@ -14,6 +14,7 @@ from sympy.parsing import sympy_parser
 
 from gassym import catalog, classify, fields
 from gassym.catalog import _COORDS, _PARAM_SYMS, parse
+from gassym.cli import main
 from gassym.fields import CARTESIAN_COORDS, PARAM_SYMBOLS
 from gassym.liealg import L12_LABELS
 
@@ -25,12 +26,15 @@ BINDINGS = {"4.3": {"a": -1, "b": 1}}  # a sample of each parametric entry the r
 @pytest.fixture
 def tamper(monkeypatch):
     """Replace one string of an entry, 4.77 (chart D) unless ``eid`` is
-    given, and drop the parsed rows; an ``index`` of None replaces the value."""
+    given, and drop the parsed rows; an ``index`` of None replaces the value,
+    a ``text`` of None drops the field."""
     raw = catalog._raw_entries()
 
-    def tampered(field: str, index: int | None, text: str, eid: str = "4.77") -> None:
+    def tampered(field: str, index: int | None, text, eid: str = "4.77") -> None:
         row = copy.deepcopy(raw[eid])
-        if index is None:
+        if text is None:
+            del row[field]
+        elif index is None:
             row[field] = text
         else:
             row[field][index] = text
@@ -174,6 +178,14 @@ def test_unknown_chart_raises(tamper):
         catalog.get_entry("4.77")
 
 
+@pytest.mark.parametrize("basis", [["X1", "X4", "X11"], ["X1", "X4", "X11", "Y + X7", "X2"], None])
+def test_catalog_row_of_the_wrong_shape_exits_2(tamper, capsys, basis):
+    # refused when the row is read, before sympy's matrix code sees it
+    tamper("basis", None, basis)
+    assert main(["verify-invariants", "4.77"]) == 2
+    assert capsys.readouterr().err == f"error: entry 4.77: needs 4 basis elements, has {len(basis or [])}\n"
+
+
 @pytest.mark.parametrize(
     "text, view",
     [
@@ -230,10 +242,13 @@ def _data_strings() -> list:
         out += [(s, coords | _PARAM_SYMS, ()) for s in raw["invariants"]]
         out += [(s, _PARAM_SYMS, ()) for s in raw.get("constraints", [])]
         out += [(raw["chart_b"], _PARAM_SYMS, ())] if isinstance(raw.get("chart_b"), str) else []
-    text = resources.files("gassym").joinpath("data/classes.yaml").read_text()
-    for raw in yaml.safe_load(text)["entries"]:
+    data = yaml.safe_load(resources.files("gassym").joinpath("data/classes.yaml").read_text())
+    for raw in data["entries"]:
         out += [(s, _PARAM_SYMS, E_NAMES) for s in raw["basis_change"]]
-        out += [(s, _PARAM_SYMS, e_NAMES) for s in raw.get("relations", {}).values()]
+    pq = _PARAM_SYMS | {n: sp.Symbol(n) for n in ("p", "q")}
+    for cls in data["classes"].values():
+        out += [(s, pq, e_NAMES) for s in cls["relations"].values()]
+        out += [(s, pq, ()) for s in cls.get("range", [])]
     return out
 
 
@@ -247,7 +262,7 @@ def _expand_and_check(expr: sp.Expr, gens: list) -> list:
 
 def test_parser_agrees_with_sympify_on_every_data_string():
     strings = _data_strings()
-    assert len(strings) == 396
+    assert len(strings) == 367
     for text, names, gens in strings:
         syms = {g: sp.Symbol(g) for g in gens}
         want = sp.sympify(text, locals=names | syms)  # the oracle, and only here
