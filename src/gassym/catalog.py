@@ -112,7 +112,20 @@ def _chart(name: str, b: sp.Expr) -> Chart:
 @lru_cache(maxsize=None)
 def _raw_entries() -> dict[str, dict]:
     text = resources.files("gassym").joinpath("data/catalog.yaml").read_text()
-    return {e["id"]: e for e in yaml.load(text, Loader=_YAML_LOADER)["entries"]}
+    return _rows_by_id("catalog.yaml", yaml.load(text, Loader=_YAML_LOADER)["entries"])
+
+
+def _rows_by_id(name: str, rows: list) -> dict:
+    """The ``entries`` of data file ``name`` by id; a row with no id, or
+    with the id of a row before it, raises :class:`DataError`."""
+    out = {}
+    for n, raw in enumerate(rows, 1):
+        if not isinstance(raw, dict) or "id" not in raw:
+            raise DataError(f"{name}: entry {n} has no id")
+        if raw["id"] in out:
+            raise DataError(f"{name}: entry {n} repeats the id {raw['id']!r}")
+        out[raw["id"]] = raw
+    return out
 
 
 def catalog_ids() -> list[str]:
@@ -232,9 +245,10 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
 
 
 def _has_coordinate(f) -> bool:
-    """Whether a chart field's element involves a coordinate (its first generators)."""
+    """Whether a chart field's element involves a coordinate (its first
+    generators).  Zero does not: each of its degrees is -oo, which is truthy."""
     n = len(f.field.gens) - len(PARAM_SYMBOLS)
-    return any(any(p.degrees()[:n]) for p in (f.numer, f.denom))
+    return any(d > 0 for p in (f.numer, f.denom) for d in p.degrees()[:n])
 
 
 def _is_integer_literal(node) -> bool:
@@ -335,9 +349,11 @@ def _row(entry_id: str) -> _Row:
     if chart not in _COORDS:
         raise DataError(f"{where}: unknown chart {chart!r}")
 
-    basis = raw.get("basis", [])
+    basis, invariants = raw.get("basis", []), raw.get("invariants", [])
     if len(basis) != 4:
         raise DataError(f"{where}: needs 4 basis elements, has {len(basis)}")
+    if len(invariants) != 4:
+        raise DataError(f"{where}: needs 4 invariants, has {len(invariants)}")
     def value(v):
         return parse(where, v, _PARAM_SYMS)
 
@@ -346,7 +362,7 @@ def _row(entry_id: str) -> _Row:
         basis=sp.ImmutableMatrix([parse(where, b, _PARAM_SYMS, L12_LABELS) for b in basis]),
         chart=chart,
         chart_b=value(raw.get("chart_b", 0)),
-        invariants=tuple(raw["invariants"]),
+        invariants=tuple(invariants),
         constraints=tuple(value(c) for c in schema["constraints"]),
         grid=tuple(schema["grid"]),
         choices={k: tuple(value(v) for v in vs) for k, vs in schema["choices"].items()},

@@ -38,6 +38,7 @@ from .catalog import (
     DataError,
     UnknownEntryError,
     _row,
+    _rows_by_id,
     entry_basis,
     parameter_bindings,
     parameter_samples,
@@ -82,7 +83,7 @@ class ClassAssignment:
 def _assignments() -> dict[str, ClassAssignment]:
     text = resources.files("gassym").joinpath("data/classes.yaml").read_text()
     data = yaml.load(text, Loader=_YAML_LOADER)
-    return {raw["id"]: _read_row(raw, data["classes"]) for raw in data["entries"]}
+    return {k: _read_row(raw, data["classes"]) for k, raw in _rows_by_id("classes.yaml", data["entries"]).items()}
 
 
 def _read_row(raw: dict, classes: dict) -> ClassAssignment:

@@ -8,7 +8,8 @@ charts' fields in ``fields``), a reduced form of an expression in the field
 over its atoms, numeric evaluation, exact rationals, and a zero test with
 a seeded numeric fallback.  That sampled test, ``is_zero``, serves only the
 mutation checks of acceptance gate 8; no campaign calls it, since every
-campaign verdict is exact.
+campaign verdict is exact.  It takes no chosen f: each jet f^(k)(g) is
+sampled as a value of its own, so a pass holds for every smooth f.
 
 Conventions:
   * ``log`` always means ``ln|.|``; numeric evaluation applies ``abs`` to
@@ -21,18 +22,16 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 import sympy as sp
 from sympy.core.sorting import default_sort_key
 from sympy.polys.fields import sfield
 
 __all__ = [
-    "Assignment",
     "DomainError",
-    "UnboundSymbolError",
     "ZeroVerdict",
     "canonicalize",
     "evaluate",
@@ -44,10 +43,6 @@ __all__ = [
 
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_NUM_POINTS = 100
-
-
-class UnboundSymbolError(KeyError):
-    """A free symbol of the expression has no binding."""
 
 
 class DomainError(ValueError):
@@ -112,32 +107,18 @@ def canonicalize(e) -> sp.Expr:
     return (f.new(f.numer.rem(ideal), f.denom.rem(ideal)) if ideal else f).as_expr()
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Numeric bindings for evaluation.
-
-    ``values`` maps symbol names to floats; ``functions`` maps
-    ``(base_name, derivative_order)`` to numeric callbacks.
-    """
-
-    values: Mapping[str, float]
-    functions: Mapping[tuple[str, int], Callable[[float], float]] = field(
-        default_factory=dict
-    )
-
-
-def evaluate(e, a: Assignment) -> float:
-    """IEEE-double evaluation of ``e`` under ``a``.
+def evaluate(e, values: Mapping[str, float]) -> float:
+    """IEEE-double evaluation of ``e`` with each free symbol at its value
+    in ``values``, keyed by name.
 
     ``log`` is applied to the absolute value of its argument.  Raises
-    :class:`UnboundSymbolError` naming the missing symbol, and
     :class:`DomainError` on division by zero, log/sqrt domain hits and
     any ``zoo``, ``nan`` or infinite node or value.
     """
-    return _eval(sp.sympify(e, strict=True), a)
+    return _eval(sp.sympify(e, strict=True), values)
 
 
-def _eval(e, a: Assignment) -> float:
+def _eval(e, a: Mapping[str, float]) -> float:
     if e is sp.zoo:
         raise DomainError("complex infinity")
     try:
@@ -149,14 +130,11 @@ def _eval(e, a: Assignment) -> float:
     return val
 
 
-def _eval_node(e, a: Assignment) -> float:
+def _eval_node(e, a: Mapping[str, float]) -> float:
     if e.is_Number:
         return float(e)
     if e.is_Symbol:
-        name = e.name
-        if name not in a.values:
-            raise UnboundSymbolError(f"unbound symbol {name!r}")
-        return float(a.values[name])
+        return float(a[e.name])
     if e.is_Add:
         return math.fsum(_eval(t, a) for t in e.args)
     if e.is_Mul:
@@ -183,14 +161,6 @@ def _eval_node(e, a: Assignment) -> float:
         return math.cos(_eval(e.args[0], a))
     if isinstance(e, sp.Abs):
         return abs(_eval(e.args[0], a))
-    if isinstance(e, _Opaque):
-        key = (e.base_name, e.diff_order)
-        fn = a.functions.get(key)
-        if fn is None:
-            raise UnboundSymbolError(
-                f"unbound opaque function {e.base_name!r} of order {e.diff_order}"
-            )
-        return float(fn(_eval(e.args[0], a)))
     raise TypeError(f"cannot evaluate node {type(e).__name__}: {e}")
 
 
@@ -210,50 +180,33 @@ class ZeroVerdict:
         return self.kind in (self.SYMBOLIC_ZERO, self.NUMERIC_ZERO)
 
 
-def is_zero(
-    e,
-    dom: Mapping[str, tuple[float, float]] | None = None,
-    *,
-    functions: Mapping[tuple[str, int], Callable[[float], float]] | None = None,
-    tol: float = DEFAULT_ZERO_TOL,
-    seed: int = 0,
-) -> ZeroVerdict:
+def is_zero(e, *, tol: float = DEFAULT_ZERO_TOL, seed: int = 0) -> ZeroVerdict:
     """Zero test: symbolic first, seeded sampling fallback.
 
-    ``dom`` gives one interval per free symbol, chosen off the singular
-    locus.  Each jet f^(k)(g) of an opaque function without a ``functions``
-    override becomes a symbol of its own, one per distinct (k, g), sampled
-    like a coordinate: a pass then holds for every smooth f.  The
-    fallback evaluates at ``DEFAULT_NUM_POINTS`` pseudo-random points,
-    skipping points outside the domain, and returns NonZero with a witness
-    point if some |value| >= ``tol``, NumericZero if at least one point
-    evaluated, and Undecided (falsy) if none did.
+    Each jet f^(k)(g) of an opaque function becomes a symbol of its own,
+    one per distinct (k, g), sampled like a coordinate: a pass then holds
+    for every smooth f.  The fallback evaluates at ``DEFAULT_NUM_POINTS``
+    pseudo-random points, each symbol drawn from (0.5, 1.5) in name
+    order, skips the points where evaluation fails, and returns
+    NonZero with a witness point if some |value| >= ``tol``, NumericZero
+    if at least one point evaluated, and Undecided (falsy) if none did.
     """
     e = canonicalize(e)
     if e == 0:
         return ZeroVerdict(ZeroVerdict.SYMBOLIC_ZERO)
     if e.is_Number:
         return ZeroVerdict(ZeroVerdict.NON_ZERO, witness={"value": float(e)})
-    if dom is None:
-        dom = {}
     import numpy as np  # only the sampling fallback needs it
 
-    funcs = functions or {}
-    jets = sorted(
-        (j for j in e.atoms(_Opaque) if (j.base_name, j.diff_order) not in funcs),
-        key=default_sort_key,
-    )
+    jets = sorted(e.atoms(_Opaque), key=default_sort_key)
     e = e.xreplace({j: sp.Symbol(f"{j}#{i}") for i, j in enumerate(jets)})
-    free = sorted(e.free_symbols, key=lambda s: s.name)
+    free = sorted(s.name for s in e.free_symbols)
     rng = np.random.default_rng(seed)
     evaluated = False
     for _ in range(DEFAULT_NUM_POINTS):
-        point = {}
-        for s in free:
-            lo, hi = dom.get(s.name, (0.5, 1.5))
-            point[s.name] = float(rng.uniform(lo, hi))
+        point = {name: float(rng.uniform(0.5, 1.5)) for name in free}
         try:
-            val = evaluate(e, Assignment(point, funcs))
+            val = evaluate(e, point)
         except DomainError:
             continue
         if abs(val) >= tol:

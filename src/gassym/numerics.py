@@ -7,10 +7,12 @@ is deterministic.
 
 RK4 runs on Python floats in one loop compiled per call, with the text of
 a ``math``-lambdified velocity in place; samples go into flat ``array('d')``
-columns (see ``integrate``), so a trace holds no Python object per sample,
-never imports numpy, and is written a block of rows per ``%``.  Once the
-loop ends, ``write_csv`` may fork a process that formats the second half
-of the rows while this one formats the first, and appends its file with
+columns (see ``integrate``), each state checked finite as it is made, so a
+trace holds no Python object per sample, never imports numpy, and is
+written a block of rows per ``%``.  A ``Trajectory`` is what ``integrate``
+returns: its times and its rows over those columns.  Once the loop ends,
+``write_csv`` may fork a process that formats the second half of the rows
+while this one formats the first, and appends its file with
 ``shutil.copyfileobj``.  numpy is imported only inside the float helpers
 ``compare_to_closed_form``, ``convergence_order`` and ``sphere_transport``.
 """
@@ -22,10 +24,8 @@ import linecache
 import math
 import os
 from array import array
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import chain, islice
-from operator import lt
-from typing import Sequence
 
 import sympy as sp
 
@@ -75,33 +75,16 @@ class _Rows:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled particle path.
+    """Uniformly sampled particle path, as ``integrate`` makes it: ``ts``
+    the ``array('d')`` of strictly increasing times, ``points`` the finite
+    (x, y, z) rows over three ``array('d')`` columns of the same length."""
 
-    ``ts`` is a sequence of times and ``points`` a sequence of (x, y, z)
-    rows of the same length: the column buffers ``integrate`` fills or,
-    say, an (n, 3) numpy array.  Times must increase strictly and every
-    value must be finite; ``checked=True`` skips that walk for samples
-    already checked as they were made.
-    """
-
-    ts: Sequence[float]
-    points: Sequence[Sequence[float]]
-    checked: InitVar[bool] = False
-
-    def __post_init__(self, checked):
-        if not checked:
-            _check_samples(self.ts, self.columns())
+    ts: array
+    points: _Rows
 
     def columns(self) -> tuple:
         """The x, y and z columns of ``points``."""
-        return getattr(self.points, "columns", None) or tuple(zip(*self.points))
-
-
-def _check_samples(ts, columns) -> None:
-    if not all(map(lt, ts, islice(ts, 1, None))):
-        raise ValueError("time samples must be strictly increasing")
-    if not all(map(math.isfinite, chain(ts, *columns))):
-        raise ValueError("trajectory contains non-finite values")
+        return self.points.columns
 
 
 def velocity_function(s: Solution):
@@ -204,7 +187,7 @@ def integrate(velocity, p0, t0: float, t1: float, h: float) -> Trajectory:
     exec(_RK4_LOOP.replace("RHS", rhs), scope := {**scope, "IntegrationError": IntegrationError})
     px, py, pz = (float(v) for v in p0)
     scope["loop"](velocity, t0, px, py, pz, t1, h, ts, xs, ys, zs, MAX_SAMPLES)
-    return Trajectory(ts, _Rows(xs, ys, zs), checked=True)
+    return Trajectory(ts, _Rows(xs, ys, zs))
 
 
 def _map_function(fm: FlowMap, binding: dict):
@@ -330,7 +313,7 @@ def write_csv(tr: Trajectory, path, fork: bool = False) -> None:
     not deliver is formatted here, so the bytes are always the same.
     """
     # a slice of a memoryview shares its array's memory; one of an array copies it
-    columns = [memoryview(c) if isinstance(c, array) else c for c in (tr.ts, *tr.columns())]
+    columns = [memoryview(c) for c in (tr.ts, *tr.columns())]
     with open(path, "w") as fh:
         fh.write("t,x,y,z\n")
         done = _write_halves(fh, columns) if fork else 0

@@ -615,6 +615,38 @@ def test_parameter_value_rational_in_the_parameters_is_read():
     assert ent.invariants[0] == u - (a + 1) * sp.log(t)
 
 
+def _zero_cases() -> list:
+    """For each grid parameter that the constraints let be 0, the entry's
+    first sample with that parameter at 0."""
+    cases = []
+    for eid in catalog_ids():
+        row = catalog._row(eid)
+        first = catalog.parameter_bindings(eid, lambda _: catalog.GRID)[0]
+        for name in row.grid:
+            binding = {**first, name: sp.Integer(0)}
+            if row.admits(binding):
+                cases.append(pytest.param(eid, binding, id=f"{eid}-{name}"))
+    return cases
+
+
+_ZERO_CASES = _zero_cases()
+
+
+def test_zero_sweep_covers_every_grid_parameter_that_may_be_zero():
+    assert [case.id for case in _ZERO_CASES] == [
+        "4.3-a", "4.3-b", "4.38-a", "4.54-a", "4.56.i-a", "4.56.ii-a", "4.57-b",
+        "4.71.i-a", "4.71.i-b", "4.71.ii-a", "4.71.ii-b", "4.74.i-a", "4.74.ii-a", "4.74.iii-a",
+    ]
+
+
+@pytest.mark.parametrize("entry_id, binding", _ZERO_CASES)
+def test_grid_parameter_at_zero_passes(entry_id, binding):
+    # GRID never visits 0; where a log's coefficient is 0 there (b*log(t)
+    # of 4.3 at b = 0), that coefficient involves no coordinate and is read
+    report = verify_invariants(get_entry(entry_id, **binding))
+    assert report.passed and report.rank == 5
+
+
 def test_non_rational_entry_is_refused_by_apply():
     # VectorField.apply reads the expression by the verdicts' reader
     # (Chart.gradient) and refuses the same entry with one ValueError

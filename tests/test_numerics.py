@@ -279,32 +279,6 @@ def test_velocity_function_rejects_unbound_constants():
         velocity_function(s)
 
 
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), np.array([[0, 0, 0], [np.nan, 0, 0]]))
-
-
-def test_integrate_checks_each_sample_once(monkeypatch):
-    # the RK4 loop checks every state as it is made; only a hand-built
-    # Trajectory walks its samples again
-    calls = []
-    check = numerics._check_samples
-    monkeypatch.setattr(
-        numerics, "_check_samples", lambda *a: calls.append(1) or check(*a)
-    )
-    tr = integrate(lambda tv, p: (1.0, 0.0, 0.0), [0.0, 0.0, 0.0], 0.0, 1.0, 0.01)
-    assert calls == []
-    Trajectory(tr.ts, tr.points)
-    assert calls == [1]
-    rows = [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)]
-    with pytest.raises(ValueError, match="non-finite"):
-        Trajectory([0.0, 1.0], rows)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Trajectory([1.0, 1.0], rows[:1] * 2)
-
-
 def test_integrate_refuses_more_than_max_samples(monkeypatch):
     monkeypatch.setattr(numerics, "MAX_SAMPLES", 1_000)
     vel = lambda tv, p: (0.0, 0.0, 0.0)
@@ -353,6 +327,12 @@ def test_sphere_transport_deterministic():
 # CSV export
 
 
+def _trajectory(ts, *columns) -> Trajectory:
+    """A trajectory built as ``integrate`` builds one, from ``array('d')``
+    times and x, y and z columns."""
+    return Trajectory(array("d", ts), numerics._Rows(*(array("d", c) for c in columns)))
+
+
 def test_write_csv_format(tmp_path):
     tr = integrate(lambda tv, p: np.ones(3), [0.0, 0.0, 0.0], 0.0, 0.2, 0.1)
     out = tmp_path / "tr.csv"
@@ -374,7 +354,7 @@ def test_write_csv_blocks_match_rows(tmp_path, rows):
     # a block of rows per % writes the bytes of one % per row
     ts = [0.1 * i - 3.0 for i in range(rows)]
     cols = [[(-1.0) ** i * 10.0 ** (i % 40 - 20) / 3 for i in range(k, rows + k)] for k in range(3)]
-    tr = Trajectory(ts, list(zip(*cols)))
+    tr = _trajectory(ts, *cols)
     out = tmp_path / "tr.csv"
     write_csv(tr, out)
     want = "".join("%.17g,%.17g,%.17g,%.17g\n" % r for r in zip(ts, *cols))
@@ -394,8 +374,7 @@ def test_write_csv_bytes_match_numpy_reference(tmp_path):
     s = solution_family("isochoric-reduced").subs(BINDING)
     readme = integrate(velocity_function(s), (0.0, 0.0, 1.0), 0.0, 3.0, 1e-3)
     edge = [-0.0, 5e-324, 1e300, 1 / 3]
-    rows = [(edge * 2)[i : i + 3] for i in range(4)]
-    hand = Trajectory([-1.0, -0.0, 5e-324, 1 / 3], rows)
+    hand = _trajectory([-1.0, -0.0, 5e-324, 1 / 3], *((edge * 2)[j : j + 4] for j in range(3)))
     for tr in (readme, hand):
         out = tmp_path / "tr.csv"
         write_csv(tr, out)
@@ -432,8 +411,7 @@ def test_split_csv_matches_write_csv(tmp_path, monkeypatch, rows):
 
 def test_split_csv_of_one_row(tmp_path, monkeypatch):
     # the first half is empty: the forked process formats the one row
-    columns = [array("d", [v]) for v in (-0.0, 5e-324, 1e300, 1 / 3)]
-    tr = Trajectory(columns[0], list(zip(*columns[1:])))
+    tr = _trajectory([-0.0], [5e-324], [1e300], [1 / 3])
     split, here = _split_and_here(tmp_path, monkeypatch, tr)
     assert split == here == _reference_csv(tr).encode()
     assert here == b"t,x,y,z\n-0,4.9406564584124654e-324,1.0000000000000001e+300,0.33333333333333331\n"

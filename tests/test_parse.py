@@ -3,6 +3,8 @@ parser, and no parsing after the tables are loaded."""
 
 import copy
 import re
+import shutil
+import types
 from importlib import resources
 
 import pytest
@@ -184,6 +186,49 @@ def test_catalog_row_of_the_wrong_shape_exits_2(tamper, capsys, basis):
     tamper("basis", None, basis)
     assert main(["verify-invariants", "4.77"]) == 2
     assert capsys.readouterr().err == f"error: entry 4.77: needs 4 basis elements, has {len(basis or [])}\n"
+
+
+@pytest.mark.parametrize("invariants", [["t", "v", "w"], None], ids=["three", "none"])
+def test_catalog_row_without_four_invariants_exits_2(tamper, capsys, invariants):
+    # refused when the row is read, not reported as a check that fails at rank 4
+    tamper("invariants", None, invariants)
+    assert main(["verify-invariants", "4.77"]) == 2
+    assert capsys.readouterr().err == f"error: entry 4.77: needs 4 invariants, has {len(invariants or [])}\n"
+
+
+@pytest.fixture
+def edit_data(monkeypatch, tmp_path):
+    """Replace one string of a copy of a data file, read both tables from
+    the copies, and drop the tables loaded before and after."""
+    shutil.copytree(resources.files("gassym").joinpath("data"), tmp_path / "data")
+    copies = types.SimpleNamespace(files=lambda package: tmp_path)
+    monkeypatch.setattr(catalog, "resources", copies)
+    monkeypatch.setattr(classify, "resources", copies)
+    caches = (catalog._raw_entries, catalog._row, classify._assignments)
+
+    def edited(name: str, old: str, new: str) -> None:
+        path = tmp_path / "data" / name
+        path.write_text(path.read_text().replace(old, new, 1))
+        for cached in caches:
+            cached.cache_clear()
+
+    yield edited
+    for cached in caches:
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("name, command", [("catalog.yaml", "verify-invariants"), ("classes.yaml", "classify")])
+@pytest.mark.parametrize(
+    "new, message",
+    [("", "entry 28 has no id"), ('id: "4.1"\n    ', "entry 28 repeats the id '4.1'")],
+    ids=["no-id", "repeated-id"],
+)
+def test_data_row_without_its_own_id_exits_2(edit_data, capsys, name, command, new, message):
+    # 4.77, the last row of each file, loses its id or takes 4.1's: it is
+    # refused, not dropped or read as another row
+    edit_data(name, 'id: "4.77"\n    ', new)
+    assert main([command, "all"]) == 2
+    assert capsys.readouterr().err == f"error: {name}: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ UNREACHED = {
     "catalog.SubalgebraEntry.realized_basis": "item 17",
     "liealg.LieAlgebra.bracket": "item 17",
     "liealg.LieAlgebra.mutated": "item 17",
-    "numerics._check_samples": "item 17",
     # the sympy view of an entry's invariants, which perfbench's draws read
     "catalog._Invariants._exprs": "item 17",
     "catalog._Invariants.__getitem__": "item 17",
