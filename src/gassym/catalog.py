@@ -27,9 +27,10 @@ once per group, and one rank routine ranks the invariant Jacobian and
 the basis at each sample.  :func:`verify_entries` verifies many ids, one
 task per chart family, in forked workers when more than one CPU is usable.
 
-Every annihilation verdict is exact.  A residual sum_i B_ki L_{X_i} I lives
-in the chart's field over the coordinates, the bare angles with their sin
-and cos, and the parameters; ``Chart.is_zero`` reduces its numerator modulo
+Every annihilation verdict is exact.  A residual V_k I, basis element k
+realized as V_k = sum_i B_ki X_i (``realize_combination``), lives in the
+chart's field over the coordinates, the bare angles with their sin and
+cos, and the parameters; ``Chart.is_zero`` reduces its numerator modulo
 sin^2 + cos^2 - 1.  That ideal is prime, its real points are dense and an
 angle is transcendental over the rest, so the reduced numerator is 0
 exactly when the residual vanishes: a SymbolicZero is a proof.  The group's
@@ -58,7 +59,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from .exprs import exact_number
 from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, PARAM_SYMBOLS, S_COORDS, Chart,
-                     chart_C, chart_D, chart_D_shift, chart_S, evaluate, realize, realize_combination)
+                     chart_C, chart_D, chart_D_shift, chart_S, evaluate, realize_combination)
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
 
 __all__ = [
@@ -424,10 +425,9 @@ def _instantiate(row: _Row, binding: dict) -> SubalgebraEntry:
 
 
 def entry_basis(entry_id: str, binding: dict) -> list[list[sp.Expr]]:
-    """Basis coefficient vectors over (Y, X1..X11) at ``binding``.
-
-    Unlike :func:`get_entry`, the binding values may be symbolic, which
-    is how sign-split parameters reach the classification checks.
+    """Basis coefficient vectors over (Y, X1..X11) at ``binding``, which
+    is substituted as given, with no constraint checked: the one numeric
+    sample of ``classify.entry_fingerprint`` and gate 4 read it.
     """
     row = _row(entry_id)
     return row.basis.xreplace(row.subs(binding)).tolist()
@@ -517,9 +517,9 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
 
     The basis and each invariant I (rho included) are read once into the
     chart's field, which contains QQ(params): closure is one exact solve
-    there, and I is differentiated there (``Chart.gradient``).  By linearity
-    the verdict of basis element k is sum_i B_ki L_{X_i} I over the cached
-    ``realize(X_i, chart)``, one ``Chart.combination`` decided by ``Chart.is_zero``.
+    there, and I is differentiated there (``Chart.gradient``).  The verdict of
+    V_k = sum_i B_ki X_i (``realize_combination``) on I is V_k I, one
+    ``Chart.combination`` of V_k and dI decided by ``Chart.is_zero``.
     Both are decided once, over the symbols.  Per binding ``_group_ranks``
     ranks the Jacobian and the basis: the basis is closed there when the
     symbolic span is closed and keeps its dimension.  One report per binding.
@@ -534,11 +534,9 @@ def _verify_group(entry: SubalgebraEntry, bindings: list[dict]) -> list[dict]:
         grads = [chart.gradient(t) for t in [*terms, (chart.gens["rho"], ())]]
     except ValueError as exc:
         raise DataError(f"entry {entry.id}: invariant {exc}") from None
-    used = [i for i in range(len(L12_LABELS)) if any(v[i] for v in basis)]
-    lie = {(i, j): chart.combination(zip(realize(L12_LABELS[i], chart).coeffs.values(), grad))
-           for i in used for j, grad in enumerate(grads)}
-    verdicts = {(k, j): "SymbolicZero" if chart.is_zero(chart.combination((v[i], lie[i, j]) for i in used))
-                else "NonZero" for k, v in enumerate(basis) for j in range(len(grads))}
+    realized = [realize_combination(v, chart).coeffs.values() for v in basis]
+    verdicts = {(k, j): "SymbolicZero" if chart.is_zero(chart.combination(zip(V, grad))) else "NonZero"
+                for k, V in enumerate(realized) for j, grad in enumerate(grads)}
     grids = [{_PARAM_SYMS[n]: v for n, v in b.items()} for b in bindings]
     return [{"closure_ok": closed and basis_rank == 4, "verdicts": verdicts, "rank": rank}
             for rank, basis_rank in _group_ranks(chart, [grads, basis], grids)]

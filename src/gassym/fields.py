@@ -19,8 +19,9 @@ where Psi maps chart coordinates to Cartesian ones: F o Psi evaluates F's
 coefficients at those elements, so no inverse trig function and no sympy
 expression enters the work.  The field (``Chart.field``) is rational over
 QQ in the coordinates, each angle a followed by sin(a) and cos(a), then the
-catalog parameters ``PARAM_SYMBOLS``.  Pushforwards, sums, brackets,
-equality and the annihilation verdicts run there, with one zero test
+catalog parameters ``PARAM_SYMBOLS``.  Pushforwards, combinations of the
+generators (``realize_combination``, their one builder), brackets, equality
+and the annihilation verdicts run there, with one zero test
 (``Chart.is_zero``): the numerator reduced modulo sin(a)**2 + cos(a)**2 - 1
 (``exprs``) is 0.  The kernel is sparse: a structural zero is never
 differentiated, multiplied, composed or cancelled, and set-up and pushforward
@@ -38,7 +39,7 @@ from itertools import combinations
 from typing import Mapping
 
 import sympy as sp
-from sympy.polys.fields import field
+from sympy.polys.fields import FracElement, field
 from sympy.polys.matrices import DomainMatrix
 
 from .exprs import exact_number, pythagorean_ideal
@@ -337,12 +338,15 @@ def realize(label: str, chart: Chart | None = None) -> VectorField:
 
 
 def realize_combination(coeffs, chart: Chart | None = None) -> VectorField:
-    """Linear combination sum coeffs[i] * generator_i, (Y, X1..X11) order."""
+    """sum coeffs[i] * generator_i over (Y, X1..X11) on ``chart``, each coefficient a number,
+    expression or field element: the generators with a nonzero one, each coordinate one
+    ``Chart.combination``.  A list of another length than 12 raises ValueError."""
     chart = chart or chart_D()
-    terms = [(chart.element(sp.sympify(a, strict=True)), realize(label, chart).coeffs)
-             for a, label in zip(coeffs, L12_LABELS) if a != 0]
-    sums = {c: sum((a * F[c] for a, F in terms if F[c]), chart.field.zero) for c in chart.coords}
-    return VectorField(chart, sums)
+    if len(coeffs) != len(L12_LABELS):
+        raise ValueError(f"a combination takes {len(L12_LABELS)} coefficients, not {len(coeffs)}")
+    terms = [(chart.element(a if isinstance(a, FracElement) else sp.sympify(a, strict=True)),
+              realize(label, chart).coeffs) for a, label in zip(coeffs, L12_LABELS) if a != 0]
+    return VectorField(chart, {c: chart.combination((k, F[c]) for k, F in terms) for c in chart.coords})
 
 
 def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
@@ -350,17 +354,12 @@ def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
     structure-constant table; empty means the table is certified."""
     from .liealg import l12
 
-    chart = chart or chart_D()
-    table = l12().table
-    fields = [realize(lbl, chart).coeffs for lbl in L12_LABELS]
-    bad = []
+    chart, bad = chart or chart_D(), []
     for i, j in combinations(range(len(L12_LABELS)), 2):
-        lhs = chart.bracket(fields[i], fields[j])
-        terms = [(a, fields[k]) for k, a in table.get((i, j), {}).items()]
-        if not all(
-            chart.is_zero(lhs[c] - sum((a * g[c] for a, g in terms), chart.field.zero))
-            for c in chart.coords
-        ):
+        lhs = chart.bracket(*(realize(L12_LABELS[n], chart).coeffs for n in (i, j)))
+        row = l12().table.get((i, j), {})
+        rhs = realize_combination([row.get(k, 0) for k in range(len(L12_LABELS))], chart).coeffs
+        if not all(chart.is_zero(lhs[c] - rhs[c]) for c in chart.coords):
             bad.append((L12_LABELS[i], L12_LABELS[j]))
     return bad
 

@@ -30,13 +30,12 @@ __all__ = [
     "flow_consistency",
     "flow_map",
     "full_residuals",
-    "galilean_shift",
     "geometry_checks",
     "jacobian_det",
-    "pressure_shift",
     "reduce_general",
     "reduced_residuals",
     "solution_family",
+    "translate",
     "verify_solution",
     "vorticity",
 ]
@@ -218,40 +217,31 @@ def jacobian_det(fm: FlowMap) -> sp.Expr:
 # symmetry reduction of the general families
 
 
-def galilean_shift(s: Solution, b1, b2, b3) -> Solution:
-    """Act on the solution by the Galilean translation with vector b."""
-    comp = {x: x - b1 * t, y: y - b2 * t, z: z - b3 * t}
-    u, v, w, rho, P = (g.subs(comp, simultaneous=True) for g in s.state)
-    return Solution(s.kind, u + b1, v + b2, w + b3, rho, P)
+_TRANSLATIONS = ("Y", "X1", "X2", "X3", "X4", "X5", "X6")
 
 
-def space_shift(s: Solution, a1, a2, a3) -> Solution:
-    """Act on the solution by the space translation with vector a."""
-    comp = {x: x - a1, y: y - a2, z: z - a3}
-    return Solution(s.kind, *(g.subs(comp, simultaneous=True) for g in s.state))
-
-
-def pressure_shift(s: Solution, s0) -> Solution:
-    """Act on the solution by the pressure translation P -> P + s0."""
-    return Solution(s.kind, s.u, s.v, s.w, s.rho, s.P + s0)
+def translate(s: Solution, c: dict) -> Solution:
+    """Act on the solution by exp(sum c[X] X) for X in Y, X1..X6, the
+    translations and Galilean boosts, which commute: one substitution
+    x_i -> x_i - c[X_i] - c[X_{i+3}] t, then c[X4..X6] is added to (u, v, w)
+    and c[Y] to P.  Any other label (X7..X9 rotate, X10 does not commute
+    with X4..X6, X11 dilates) raises ValueError naming it."""
+    if other := [label for label in c if label not in _TRANSLATIONS]:
+        raise ValueError(f"{other[0]} is not a translation: translate takes {', '.join(_TRANSLATIONS)}")
+    shift, boost = ([c.get(f"X{i + k}", 0) for i in (1, 2, 3)] for k in (0, 3))
+    comp = {q: q - a - b * t for q, a, b in zip(_SPACE, shift, boost)}
+    u, v, w, rho, P = (g.xreplace(comp) for g in s.state)
+    return Solution(s.kind, u + boost[0], v + boost[1], w + boost[2], rho, P + c.get("Y", 0))
 
 
 def reduce_general(kind: str) -> tuple[Solution, dict]:
-    """Remove the translational constants from a general family.
-
-    Returns the transformed solution (expected to equal the reduced
-    family) and the symmetry parameters used.
-    """
-    if kind == "isochoric-general":
-        params = {"b": (-n0, -v0, -w0), "pressure": -P0 - n0}
-        out = galilean_shift(solution_family(kind), *params["b"])
-    elif kind == "nonisochoric-general":
-        params = {"b": (0, -v0, -w0), "a": (n0, 0, 0), "pressure": -P0}
-        out = space_shift(galilean_shift(solution_family(kind), *params["b"]), *params["a"])
-    else:
+    """The general family ``kind`` translated to its reduced one (checked by
+    ``verify_solution``), and the L12 element applied, {label: coefficient}."""
+    c = {"isochoric-general": {"X4": -n0, "X5": -v0, "X6": -w0, "Y": -P0 - n0},
+         "nonisochoric-general": {"X1": n0, "X5": -v0, "X6": -w0, "Y": -P0}}.get(kind)
+    if c is None:
         raise ValueError(f"no reduction defined for kind {kind!r}")
-    out = pressure_shift(out, params["pressure"])
-    return replace(out, kind=kind.replace("general", "reduced")), params
+    return replace(translate(solution_family(kind), c), kind=kind.replace("general", "reduced")), c
 
 
 # --------------------------------------------------------------------------

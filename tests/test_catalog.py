@@ -298,10 +298,10 @@ def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
 
 
 def test_catalog_pass_reads_invariants_into_the_field(monkeypatch):
-    # fresh charts: no invariant Jacobian is taken over sympy Expr and no
-    # basis element is realized as a combination of fields; the verdicts,
-    # pushforwards and rank rrefs keep their counts, one rref of the 5-row
-    # Jacobian and one of the 4-row basis per sample
+    # fresh charts: no invariant Jacobian is taken over sympy Expr, and each
+    # basis element is realized once per group as a combination of fields
+    # (38 groups x 4); the verdicts, pushforwards and rank rrefs keep their
+    # counts, one rref of the 5-row Jacobian and one of the 4-row basis per sample
     for cached in (fields.chart_D, fields.chart_C, fields.chart_S, fields.chart_D_shift,
                    fields.realize):
         cached.cache_clear()
@@ -328,7 +328,7 @@ def test_catalog_pass_reads_invariants_into_the_field(monkeypatch):
     monkeypatch.setattr(catalog, "_rref", ranked)
     for eid in catalog_ids():
         verify_entry(eid)
-    assert calls == {"jacobian": 0, "realize_combination": 0, "is_zero": 760,
+    assert calls == {"jacobian": 0, "realize_combination": 152, "is_zero": 760,
                      "pushforward": 37, 5: 298, 4: 298}
 
 

@@ -38,7 +38,7 @@ def test_realization_matches_table_cartesian():
 
 def test_selected_commutators_cartesian():
     X7, X8 = realize("X7"), realize("X8")
-    want = realize_combination([0] * L12_LABELS.index("X9") + [-1])
+    want = realize_combination([-1 if label == "X9" else 0 for label in L12_LABELS])
     assert vf_commutator(X7, X8).equals(want)
     X4, X10 = realize("X4"), realize("X10")
     minus_x1 = (-1) * realize("X1")
@@ -131,6 +131,22 @@ def test_realize_combination_order_is_y_first():
     F = realize_combination([1] + [0] * 11)
     assert F.coeffs["P"].as_expr() == 1
     assert all(F.coeffs[c].as_expr() == 0 for c in CARTESIAN_COORDS if c != "P")
+
+
+@pytest.mark.parametrize("n", [0, 2, 11, 13])
+def test_realize_combination_refuses_another_length(n):
+    # a 13th coefficient is not dropped, nor a short list padded with zeros
+    with pytest.raises(ValueError, match=f"takes 12 coefficients, not {n}$"):
+        realize_combination([1] * n)
+
+
+def test_realize_combination_takes_field_elements():
+    # the catalog passes a basis row read into the chart's field
+    C = chart_C()
+    a = C.gens["a"]
+    coeffs = [a if label == "X5" else -C.field.one if label == "X8" else 0 for label in L12_LABELS]
+    want = [sp.Symbol("a") if label == "X5" else -1 if label == "X8" else 0 for label in L12_LABELS]
+    assert realize_combination(coeffs, C).equals(realize_combination(want, C))
 
 
 # --------------------------------------------------------------------------

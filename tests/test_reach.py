@@ -20,8 +20,7 @@ UNREACHED = {
     "exprs._eval": "item 12",
     "exprs._eval_node": "item 12",
     "exprs.ZeroVerdict.__bool__": "item 12",
-    # gate-only helpers; perfbench names realize_combination, vf_commutator and apply
-    "fields.realize_combination": "item 10",
+    # gate-only helpers; perfbench names vf_commutator and apply
     "fields.vf_commutator": "item 10",
     "fields.VectorField.apply": "item 10",
     "fields.VectorField.equals": "item 17",

@@ -15,18 +15,17 @@ from gassym.submodel import (
     flow_consistency,
     flow_map,
     full_residuals,
-    galilean_shift,
     geometry_checks,
     jacobian_det,
     k0,
     m0,
     n0,
-    pressure_shift,
     reduce_general,
     reduced_residuals,
     rho0,
     solution_family,
     t,
+    translate,
     u0,
     v0,
     vorticity,
@@ -235,7 +234,7 @@ def test_reduce_general_is_exact(kind):
         (target.u, target.v, target.w, target.rho, target.P),
     ):
         assert sp.expand(a - b) == 0
-    assert "b" in params and "pressure" in params
+    assert {"X5", "X6", "Y"} <= params.keys()
 
 
 def test_reduce_general_unknown_kind():
@@ -245,8 +244,29 @@ def test_reduce_general_unknown_kind():
 
 def test_shifts_preserve_solutions():
     s = solution_family("isochoric-reduced")
-    moved = pressure_shift(galilean_shift(s, 1, sp.Rational(1, 2), -1), 3)
+    moved = translate(s, {"X4": 1, "X5": sp.Rational(1, 2), "X6": -1, "Y": 3})
     assert full_residuals(moved) == [0] * 5
+
+
+@pytest.mark.parametrize("label", ["X7", "X8", "X9", "X10", "X11", "b"])
+def test_translate_refuses_what_is_not_a_translation(label):
+    # X7..X9 rotate, X10 does not commute with X4..X6, X11 dilates
+    s = solution_family("isochoric-general")
+    with pytest.raises(ValueError, match=f"^{label} is not a translation"):
+        translate(s, {"X4": 1, label: 1})
+
+
+@pytest.mark.parametrize("kind", ["isochoric-general", "nonisochoric-general"])
+def test_translate_is_a_group_action(kind):
+    # the translations commute, so composing two adds their coefficients
+    labels = ("Y", "X1", "X2", "X3", "X4", "X5", "X6")
+    c = dict(zip(labels, sp.symbols("c:7")))
+    d = dict(zip(labels, sp.symbols("d:7")))
+    s = solution_family(kind)
+    twice = translate(translate(s, c), d)
+    once = translate(s, {k: c[k] + d[k] for k in labels})
+    assert all(sp.expand(a - b) == 0 for a, b in zip(twice.state, once.state))
+    assert translate(s, {}).state == s.state
 
 
 # --------------------------------------------------------------------------
