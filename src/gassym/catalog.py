@@ -24,8 +24,9 @@ from its basis and invariant gradients read once into the chart's field.
 A catalog id is one group per unit-circle point and choice value, the
 grid parameters left as symbols: closure and the residuals are decided
 once per group, and one rank routine ranks the invariant Jacobian and
-the basis at each sample.  :func:`verify_entries` verifies many ids, one
-task per chart family, in forked workers when more than one CPU is usable.
+the basis at each sample, modulo a prime where that proves full rank and
+else exactly.  :func:`verify_entries` verifies many ids, one task per
+chart family, in forked workers when more than one CPU is usable.
 
 Every annihilation verdict is exact.  A residual V_k I, basis element k
 realized as V_k = sum_i B_ki X_i (``realize_combination``), lives in the
@@ -54,12 +55,12 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 import sympy as sp
-import yaml
+from sympy.polys.fields import FracField
 from sympy.polys.matrices import DomainMatrix
 
 from .exprs import exact_number
 from .fields import (CARTESIAN_COORDS, C_COORDS, D_SHIFT_COORDS, PARAM_SYMBOLS, S_COORDS, Chart,
-                     chart_C, chart_D, chart_D_shift, chart_S, evaluate, realize_combination)
+                     chart_C, chart_D, chart_D_shift, chart_S, realize_combination)
 from .liealg import L12_LABELS, Subalgebra, _rref, l12
 
 __all__ = [
@@ -102,7 +103,7 @@ class DataError(ValueError):
 _PARAM_SYMS = {s.name: s for s in PARAM_SYMBOLS}
 _CHARTS = {"D": chart_D, "C": chart_C, "S": chart_S}
 _COORDS = {"D": CARTESIAN_COORDS, "C": C_COORDS, "S": S_COORDS, "Dshift": D_SHIFT_COORDS}
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_PRIME = 2**61 - 1  # the modulus of the rank check (``_group_ranks``)
 
 
 def _chart(name: str, b: sp.Expr) -> Chart:
@@ -110,10 +111,16 @@ def _chart(name: str, b: sp.Expr) -> Chart:
     return chart_D_shift(b) if name == "Dshift" else _CHARTS[name]()
 
 
+def _load_yaml(text: str):
+    import yaml  # here, where a data file is read, and not by every subcommand
+
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 @lru_cache(maxsize=None)
 def _raw_entries() -> dict[str, dict]:
     text = resources.files("gassym").joinpath("data/catalog.yaml").read_text()
-    return _rows_by_id("catalog.yaml", yaml.load(text, Loader=_YAML_LOADER)["entries"])
+    return _rows_by_id("catalog.yaml", _load_yaml(text)["entries"])
 
 
 def _rows_by_id(name: str, rows: list) -> dict:
@@ -274,12 +281,12 @@ def _combine_terms(op, a, b):
     if op is operator.truediv and not q:
         return r / s, tuple((c / s, g) for c, g in p)
     if op is operator.pow and not (p or q) and s.numer.is_ground and s.denom.is_ground:
-        n = s.numer.LC / s.denom.LC  # the exponent, a rational
+        n, frac = divmod(s.numer.LC, s.denom.LC)  # the exponent n + frac/denom, exactly
         if n < 0 and not r:
             raise ZeroDivisionError  # 0**n, n < 0
-        if n != int(n):
+        if frac:
             return None
-        return (r**int(n) if r or n else r.field.one, ())  # 0**0 is 1, as sympy reads it
+        return (r**n if r or n else r.field.one, ())  # 0**0 is 1, as sympy reads it
     return None
 
 
@@ -487,27 +494,56 @@ def _rank_point(coords: list) -> dict:
             for g, v in ((c, (k + 3, k + 2)), (sp.sin(c), (4, 5)), (sp.cos(c), (3, 5)))}
 
 
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """The rank modulo ``_PRIME`` of a matrix of residues, by elimination."""
+    rank, rows = 0, [r for r in rows if any(r)]
+    while rows:
+        pivot, rank = rows.pop(), rank + 1
+        col = next(j for j, a in enumerate(pivot) if a)
+        inv = pow(pivot[col], -1, _PRIME)
+        rows = [s for r in rows if any(s := [(a - r[col] * inv * b) % _PRIME for a, b in zip(r, pivot)])]
+    return rank
+
+
 def _group_ranks(chart: Chart, matrices: list, grids: list[dict]) -> list[list[int]]:
     """Exact rank over QQ(coords) of each of ``matrices`` (rows of chart field
     elements) at each substitution in ``grids`` of the grid symbols.  Full row
-    rank at ``_rank_point`` (numerators and denominators evaluated over QQ)
-    proves it, as the rank at a point bounds it below.  Otherwise, or on a
-    pole, the rref over the chart's field, the grid values substituted, decides."""
-    point, ranks = {g: sp.QQ.convert(v) for g, v in _rank_point(chart.symbols).items()}, []
-    for grid in grids:
-        at = [sp.QQ.convert(grid[g]) if g in grid else point.get(g, sp.QQ.zero) for g in chart.field.symbols]
-        ranks.append([])
-        for M in matrices:
-            try:  # a zero denominator is a pole
-                J = [[evaluate(f, at) if f else sp.QQ.zero for f in row] for row in M]
-                rank = len(_rref(DomainMatrix(J, (len(M), len(M[0])), sp.QQ))[1])
-            except ZeroDivisionError:
+    rank at ``_rank_point`` modulo P = ``_PRIME`` proves it: reduction mod P is
+    a ring map on the rationals whose denominators are prime to P, so a minor
+    nonzero mod P is nonzero at the point, and the rank at a point bounds it
+    below.  An entry free of the grid symbols is reduced once per group.  A
+    pole mod P (a value or denominator 0 mod P), or a rank below full, leaves
+    the rank to the rref over the chart's field, grid values substituted exactly."""
+    K, P, at = chart.field, _PRIME, _rank_point(chart.symbols)
+    res = lambda v: (v := sp.Rational(v)).p * pow(v.q, -1, P) % P  # ValueError: a pole
+    point = {i: res(at[g]) for i, g in enumerate(K.symbols) if g in at and at[g].q % P}  # no pole, no parameter
+
+    def value(f, vals):  # f mod P; KeyError: a generator with no value, ValueError: a pole
+        n, d = (sum(c * math.prod(pow(vals[i], k, P) for i, k in enumerate(m) if k) for m, c in p.items())
+                for p in (f.numer, f.denom))
+        return n * pow(d, -1, P) % P
+
+    def fixed(f):  # its residue in the group, or f if it needs the grid values or has a pole
+        try:
+            return value(f, point)
+        except (KeyError, ValueError):
+            return f
+
+    ranks = [[] for _ in grids]
+    for M in matrices:
+        F = [[fixed(f) for f in row] for row in M]
+        for g, out in zip(grids, ranks):
+            try:
+                vals = point | {K.symbols.index(s): res(v) for s, v in g.items()}
+                rank = _rank_mod_p([[x if isinstance(x, int) else value(x, vals) for x in row] for row in F])
+            except (KeyError, ValueError):  # a pole mod P
                 rank = 0
             if rank < len(M):
-                sub = [(chart.gens[g.name], sp.QQ.convert(v)) for g, v in grid.items()]
-                J = [[f.subs(sub) if sub else f for f in row] for row in M]
-                rank = len(_rref(DomainMatrix(J, (len(M), len(M[0])), chart.field.to_domain()))[1])
-            ranks[-1].append(rank)
+                QQ = FracField(K.symbols, sp.QQ, K.order)  # over ZZ, subs refuses a rational value
+                sub = [(QQ(s), v) for s, v in g.items()]
+                J = [[f.set_field(QQ).subs(sub).set_field(K) for f in row] for row in M]
+                rank = len(_rref(DomainMatrix(J, (len(M), len(M[0])), K.to_domain()))[1])
+            out.append(rank)
     return ranks
 
 

@@ -29,14 +29,13 @@ from functools import lru_cache
 from importlib import resources
 
 import sympy as sp
-import yaml
 from sympy.polys.matrices import DomainMatrix
 
 from .catalog import (
     _PARAM_SYMS,
-    _YAML_LOADER,
     DataError,
     UnknownEntryError,
+    _load_yaml,
     _row,
     _rows_by_id,
     entry_basis,
@@ -82,7 +81,7 @@ class ClassAssignment:
 @lru_cache(maxsize=None)
 def _assignments() -> dict[str, ClassAssignment]:
     text = resources.files("gassym").joinpath("data/classes.yaml").read_text()
-    data = yaml.load(text, Loader=_YAML_LOADER)
+    data = _load_yaml(text)
     return {k: _read_row(raw, data["classes"]) for k, raw in _rows_by_id("classes.yaml", data["entries"]).items()}
 
 

@@ -19,7 +19,8 @@ where Psi maps chart coordinates to Cartesian ones: F o Psi evaluates F's
 coefficients at those elements, so no inverse trig function and no sympy
 expression enters the work.  The field (``Chart.field``) is rational over
 QQ in the coordinates, each angle a followed by sin(a) and cos(a), then the
-catalog parameters ``PARAM_SYMBOLS``.  Pushforwards, combinations of the
+catalog parameters ``PARAM_SYMBOLS``, built as ``field(gens, ZZ)`` so that
+ring arithmetic runs on Python ints.  Pushforwards, combinations of the
 generators (``realize_combination``, their one builder), brackets, equality
 and the annihilation verdicts run there, with one zero test
 (``Chart.is_zero``): the numerator reduced modulo sin(a)**2 + cos(a)**2 - 1
@@ -68,13 +69,14 @@ PARAM_SYMBOLS = sp.symbols("a b c d eps")  # the catalog's parameters
 
 class Chart:
     """A coordinate chart on the 9-space and its map to Cartesian
-    coordinates, over the field QQ(coords, sin(a), cos(a), params).
+    coordinates, over the field QQ(coords, sin(a), cos(a), params) built
+    over ZZ: a rational constant p/q is the pair (p, q) (``element``).
 
     Each of the ``angles`` a is a generator followed by sin(a) and cos(a),
     and ``gens`` names each generator ("t", "sin(theta)", "a").  ``moved``
     builds from them the image of each Cartesian coordinate the chart moves;
     the others are ``kept``, each its own image (``images``).  ``blocks``
-    of (Cartesian coords, chart coords), each polynomial (else ValueError),
+    of (Cartesian coords, chart coords), polynomial over ZZ (else ValueError),
     solve for the moved ones, in an order making the Jacobian block
     triangular.  ``factors`` builds the irreducible non-monomials that, with
     monomials, make up the denominators (``quotient``).
@@ -96,7 +98,7 @@ class Chart:
         self.name, self.coords = name, coords
         self.symbols = syms = [sp.Symbol(c) for c in coords]
         gens = [g for x in syms for g in ((x, sp.sin(x), sp.cos(x)) if x.name in angles else (x,))]
-        self.field = K = field(gens + list(PARAM_SYMBOLS), sp.QQ)[0]
+        self.field = K = field(gens + list(PARAM_SYMBOLS), sp.ZZ)[0]
         self.gens = {str(s): g for s, g in zip(K.symbols, K.gens)}
         self._gen = {k: i for i, k in enumerate(self.gens)}  # generator indices by name
         self._angle = {a: (self._gen[f"sin({a})"], self._gen[f"cos({a})"]) for a in angles}
@@ -109,9 +111,9 @@ class Chart:
         self.stages, earlier = [], list(self.kept)
         for cart_coords, chart_coords in blocks:
             jac = [[self.diff(self.images[cc], x) for x in chart_coords] for cc in cart_coords]
-            if not all(f.denom.is_ground for row in jac for f in row):
-                raise ValueError(f"chart {name}: the block of {cart_coords} is not polynomial")
-            jac = [[f.numer.quo_ground(f.denom.LC) for f in row] for row in jac]
+            if not all(f.denom == 1 for row in jac for f in row):
+                raise ValueError(f"chart {name}: the block of {cart_coords} is not polynomial over ZZ")
+            jac = [[f.numer for f in row] for row in jac]
             block = DomainMatrix(jac, (len(jac), len(jac)), K.ring.to_domain())
             adj, det = block.adjugate().to_list(), block.det().rem(self._ideal)
             coupling = {cc: [(prev, d) for prev in earlier if (d := self.diff(self.images[cc], prev))]
@@ -211,8 +213,8 @@ class Chart:
 
     def element(self, e):
         """``e``, a number, expression or element, in the field; zero is not converted."""
-        if isinstance(e, sp.Rational):  # a ground constant, with no from_expr
-            return self.field.ground_new(self.field.domain.from_sympy(e))
+        if isinstance(e, sp.Rational):  # a ground constant p/q, with no from_expr
+            return self.field.raw_new(self.field.ring(e.p), self.field.ring(e.q))
         return self.field(e) if e != 0 else self.field.zero
 
 
@@ -362,13 +364,6 @@ def realization_table_diff(chart: Chart | None = None) -> list[tuple[str, str]]:
         if not all(chart.is_zero(lhs[c] - rhs[c]) for c in chart.coords):
             bad.append((L12_LABELS[i], L12_LABELS[j]))
     return bad
-
-
-def evaluate(f, at: list):
-    """The rational function ``f`` with each generator at its value in ``at``."""
-    num, den = (sum((c * math.prod(v**k for v, k in zip(at, m) if k) for m, c in p.items()), sp.QQ.zero)
-                for p in (f.numer, f.denom))
-    return num / den
 
 
 def pushforward(F: VectorField, target: Chart) -> VectorField:

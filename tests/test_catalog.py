@@ -1,6 +1,9 @@
 """Catalog tests: entry loading, parameter grids, verification verdicts."""
 
+import contextlib
 import dataclasses
+import io
+import operator
 import multiprocessing
 import multiprocessing.util
 import os
@@ -8,9 +11,12 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.core.cache import clear_cache
 from sympy.parsing import sympy_parser
 from sympy.polys.fields import FracField
@@ -300,12 +306,13 @@ def test_catalog_pass_differentiates_each_invariant_once(monkeypatch):
 def test_catalog_pass_reads_invariants_into_the_field(monkeypatch):
     # fresh charts: no invariant Jacobian is taken over sympy Expr, and each
     # basis element is realized once per group as a combination of fields
-    # (38 groups x 4); the verdicts, pushforwards and rank rrefs keep their
-    # counts, one rref of the 5-row Jacobian and one of the 4-row basis per sample
+    # (38 groups x 4); the verdicts and pushforwards keep their counts, each
+    # sample ranks the 5-row Jacobian and the 4-row basis once at the point
+    # modulo the prime, and no rank falls back to the rref over the field
     for cached in (fields.chart_D, fields.chart_C, fields.chart_S, fields.chart_D_shift,
                    fields.realize):
         cached.cache_clear()
-    calls = dict.fromkeys(["jacobian", "realize_combination", "is_zero", "pushforward", 5, 4], 0)
+    calls = dict.fromkeys(["jacobian", "realize_combination", "is_zero", "pushforward", 5, 4, "rref"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -319,17 +326,18 @@ def test_catalog_pass_reads_invariants_into_the_field(monkeypatch):
     monkeypatch.setattr(catalog, "realize_combination", combination)
     monkeypatch.setattr(fields.Chart, "is_zero", counted("is_zero", fields.Chart.is_zero))
     monkeypatch.setattr(fields, "pushforward", counted("pushforward", fields.pushforward))
-    rref = catalog._rref
+    rank_mod_p = catalog._rank_mod_p
 
-    def ranked(M):  # counted by rows: 5 for the Jacobian, 4 for the basis
-        calls[M.shape[0]] += 1
-        return rref(M)
+    def ranked(rows):  # counted by rows: 5 for the Jacobian, 4 for the basis
+        calls[len(rows)] += 1
+        return rank_mod_p(rows)
 
-    monkeypatch.setattr(catalog, "_rref", ranked)
+    monkeypatch.setattr(catalog, "_rank_mod_p", ranked)
+    monkeypatch.setattr(catalog, "_rref", counted("rref", catalog._rref))
     for eid in catalog_ids():
         verify_entry(eid)
     assert calls == {"jacobian": 0, "realize_combination": 152, "is_zero": 760,
-                     "pushforward": 37, 5: 298, 4: 298}
+                     "pushforward": 37, 5: 298, 4: 298, "rref": 0}
 
 
 # the single-entry campaigns of perfbench's catalog workload, seeds 0 and 1
@@ -430,19 +438,24 @@ def test_get_entry_keeps_exact_values_unparsed(monkeypatch):
 
 
 def test_catalog_ranks_proven_at_first_point(monkeypatch):
-    # one exact rref of the Jacobian per sample: each rank reaches 5 at its
-    # first point
-    calls = {"rref": 0}
-    rref = catalog._rref
+    # one rank of the Jacobian modulo the prime per sample, and no rref
+    # over the field: each rank reaches 5 at its first point
+    calls = {"point": 0, "rref": 0}
+    rank_mod_p, rref = catalog._rank_mod_p, catalog._rref
 
-    def counted(M):
-        calls["rref"] += M.shape[0] == 5
+    def at_point(rows):
+        calls["point"] += len(rows) == 5
+        return rank_mod_p(rows)
+
+    def fallback(M):
+        calls["rref"] += 1
         return rref(M)
 
-    monkeypatch.setattr(catalog, "_rref", counted)
+    monkeypatch.setattr(catalog, "_rank_mod_p", at_point)
+    monkeypatch.setattr(catalog, "_rref", fallback)
     samples = sum(len(verify_entry(eid).samples) for eid in catalog_ids())
     assert samples == 298
-    assert calls["rref"] == samples
+    assert calls == {"point": samples, "rref": 0}
 
 
 @pytest.mark.parametrize(
@@ -458,6 +471,87 @@ def test_dependent_invariants_lose_rank(mutate):
     rep = verify_invariants(dataclasses.replace(ent, invariants=mutate(ent.invariants)))
     assert rep.rank == 4
     assert not rep.passed
+
+
+def _catalog_reports() -> tuple:
+    """Every id's report from fresh caches, and the --params campaigns' stdout."""
+    _fresh_catalog_caches()
+    reports = [verify_entry(eid) for eid in catalog_ids()]
+    out = []
+    for eid, params in PARAMS_RUNS:
+        _fresh_catalog_caches()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["verify-invariants", eid, "--params", params]) == 0
+        out.append(stdout.getvalue())
+    return reports, out
+
+
+@pytest.mark.parametrize("prime", [2, 5, 7])
+def test_rank_modulo_a_small_prime_changes_no_report(monkeypatch, prime):
+    # modulo 2 every other coordinate of the rank point and the grid values
+    # +-1/2 have no residue; modulo 5 the point's sin and cos (4/5, 3/5), its
+    # coordinate at 6/5 and the unit-circle values 3/5 and 4/5; modulo 7 its
+    # coordinate at 8/7.  A matrix that involves one, or whose rank drops
+    # mod p, is ranked by the rref over the field; ids, samples, verdicts and
+    # ranks are the default's either way
+    calls = {"point": 0, "rref": 0}
+    rank_mod_p, rref = catalog._rank_mod_p, catalog._rref
+
+    def at_point(rows):
+        calls["point"] += 1
+        return rank_mod_p(rows)
+
+    def fallback(M):
+        calls["rref"] += 1
+        return rref(M)
+
+    want = _catalog_reports()
+    monkeypatch.setattr(catalog, "_PRIME", prime)
+    monkeypatch.setattr(catalog, "_rank_mod_p", at_point)
+    monkeypatch.setattr(catalog, "_rref", fallback)
+    assert _catalog_reports() == want
+    assert calls["point"] > 0 and calls["rref"] > 0
+
+
+@given(rows=st.lists(st.lists(st.integers(-12, 12), min_size=4, max_size=4), min_size=1, max_size=4),
+       prime=st.sampled_from([2, 3, 5, 2**61 - 1]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_rank_mod_p_bounds_the_rank_below(rows, prime):
+    # reduction mod p is a ring map: a minor nonzero mod p is nonzero over
+    # QQ, so the rank mod p is at most the rank, and full mod p is full
+    with mock.patch.object(catalog, "_PRIME", prime):
+        rank_p = catalog._rank_mod_p([[c % prime for c in r] for r in rows])
+    rank = sp.Matrix(rows).rank()
+    assert rank_p <= rank
+    assert rank_p < len(rows) or rank == len(rows)
+
+
+def test_rank_deficient_mod_p_falls_back_to_the_field(monkeypatch):
+    # 4.77 with its invariant v replaced by 11*v: rank 5 over QQ, rank 4
+    # modulo 11, so one rref over the field decides, and it finds 5
+    ent = get_entry("4.77")
+    v = sp.Symbol("v")
+    ent = dataclasses.replace(ent, invariants=[i.xreplace({v: 11 * v}) for i in ent.invariants])
+    ranks, rrefs = [], []
+    rank_mod_p, rref = catalog._rank_mod_p, catalog._rref
+    monkeypatch.setattr(catalog, "_PRIME", 11)
+    monkeypatch.setattr(catalog, "_rank_mod_p", lambda rows: ranks.append((len(rows), rank_mod_p(rows))) or ranks[-1][1])
+    monkeypatch.setattr(catalog, "_rref", lambda M: rrefs.append(M.shape[0]) or rref(M))
+    rep = verify_invariants(ent)
+    assert rep.rank == 5 and rep.passed
+    assert ranks == [(5, 4), (4, 4)] and rrefs == [5]
+
+
+def test_power_exponent_is_exact():
+    # the chart field is over ZZ, so a ground exponent is a pair of ints:
+    # in floats (10**20 + 1)/10**20 would read as the integer 1
+    K = fields.chart_D().field
+    x, huge = K.gens[1], K(10**20 + 1) / K(10**20)
+    assert catalog._combine_terms(operator.pow, (x, ()), (huge, ())) is None
+    assert catalog._combine_terms(operator.pow, (x, ()), (K(-2), ())) == (x**-2, ())
+    with pytest.raises(ZeroDivisionError):
+        catalog._combine_terms(operator.pow, (K.zero, ()), (-huge, ()))
 
 
 def test_rank_skips_point_on_a_pole(monkeypatch):
@@ -494,8 +588,8 @@ def _critical_on_a_grid(v, v_p):
 @pytest.mark.parametrize(
     "g, rrefs",
     [
-        (_critical_on_a_grid, 1),  # rank 5 at the rank point proves it
-        (lambda v, v_p: (v - v_p) ** 2, 2),  # rank 4 there: the exact rref decides
+        (_critical_on_a_grid, 0),  # rank 5 at the rank point proves it
+        (lambda v, v_p: (v - v_p) ** 2, 1),  # rank 4 there: the exact rref decides
     ],
     ids=["critical-on-a-grid", "critical-at-the-point"],
 )
@@ -509,7 +603,7 @@ def test_reparametrized_invariant_keeps_rank_five(monkeypatch, g, rrefs):
     calls = {"rref": 0}
     rref = catalog._rref
 
-    def counted(M):  # the Jacobian's; the basis is ranked apart
+    def counted(M):  # the Jacobian's rrefs over the field; the basis is ranked apart
         calls["rref"] += M.shape[0] == 5
         return rref(M)
 

@@ -768,6 +768,27 @@ def test_campaigns_do_not_import_numpy(tmp_path, argv):
     assert proc.returncode == 0, err or "numpy was imported"
 
 
+@pytest.mark.parametrize(
+    "argv, reads_data",
+    [
+        (["verify-algebra"], False),
+        (["verify-invariants", "4.77"], True),
+        (["classify", "4.77"], True),
+        (["verify-solution", "isochoric-reduced"], False),
+        (["trace", "isochoric-reduced", "--t1", "0.1", "--h", "1e-2", "--out", "{tmp}"], False),
+    ],
+)
+def test_only_campaigns_that_read_a_data_file_import_yaml(tmp_path, argv, reads_data):
+    argv = [a.format(tmp=tmp_path / "tr.csv") for a in argv]
+    code = (
+        "import sys; from gassym.cli import main; rc = main(sys.argv[2:]); "
+        "sys.exit(rc if ('yaml' in sys.modules) == (sys.argv[1] == 'True') else 3)"
+    )
+    proc = _spawn(["-c", code, str(reads_data), *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err or f"yaml imported: {not reads_data}"
+
+
 @pytest.mark.parametrize("lines_read", [0, 1])
 def test_closed_stdout_exits_without_traceback(lines_read):
     # as `gassym verify-algebra --format text | head -1`: the reader

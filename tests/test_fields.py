@@ -389,23 +389,29 @@ QUOTIENT_CHARTS = {
 @st.composite
 def _quotient_case(draw):
     """A chart and (n, d) built from its declared factor (t**2 where it
-    declares none), monomials with rational coefficients and small random
-    polynomials; d may carry the undeclared factor t + 1 or a random one."""
+    declares none), monomials with integer coefficients and small random
+    polynomials; d may carry the undeclared factor t + 1 or a random one.
+    The ring is over ZZ, so a rational factor p/q of n goes in as p in n and
+    q in d, and one of d as p in d and q in n."""
     chart = QUOTIENT_CHARTS[draw(st.sampled_from(sorted(QUOTIENT_CHARTS)))]()
     gens = [chart.gens[k].numer for k in ("t", chart.coords[1], "b")]
     gens += [g.numer for k, g in chart.gens.items() if k.startswith(("sin(", "cos("))][:2]
     factor = chart.factors[0] if chart.factors else gens[0] ** 2
-    coeff = st.builds(sp.QQ, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    coeff = st.integers(-6, 6).filter(bool)
 
     def monomial():
-        return draw(coeff) * math.prod(g ** draw(st.integers(0, 2)) for g in gens)
+        q = draw(st.integers(1, 4))  # the denominator of a coefficient p/q
+        return draw(coeff) * math.prod(g ** draw(st.integers(0, 2)) for g in gens), q
 
     def polynomial():
-        return sum((monomial() for _ in range(draw(st.integers(1, 3)))), chart.field.ring.zero)
+        terms = [monomial() for _ in range(draw(st.integers(1, 3)))]
+        q = math.lcm(*(q for _, q in terms))
+        return sum((m * (q // k) for m, k in terms), chart.field.ring.zero), q
 
-    n = monomial() * factor ** draw(st.integers(0, 3)) * polynomial()
-    d = monomial() * factor ** draw(st.integers(0, 3))
-    d *= draw(st.sampled_from([chart.field.ring.one, gens[0] + 1, polynomial()]))
+    (n0, qn0), (n1, qn1), (d0, qd0) = monomial(), polynomial(), monomial()
+    d1, qd1 = draw(st.sampled_from([(chart.field.ring.one, 1), (gens[0] + 1, 1), polynomial()]))
+    n = n0 * factor ** draw(st.integers(0, 3)) * n1 * qd0 * qd1
+    d = d0 * factor ** draw(st.integers(0, 3)) * d1 * qn0 * qn1
     return chart, n, d
 
 
@@ -442,4 +448,12 @@ def test_chart_setup_and_pushforward_take_no_gcd(monkeypatch):
 def test_rational_block_is_refused():
     with pytest.raises(ValueError, match="not polynomial"):
         fields.Chart("inverted", CARTESIAN_COORDS, (), lambda chart: {"x": 1 / chart.gens["x"]},
+                     ((("x",), ("x",)),))
+
+
+def test_block_with_a_denominator_is_refused():
+    # x*(t + 2)/2 is polynomial over QQ, but a block is solved in the ring
+    # over ZZ, where dividing t + 2 by 2 would drop t
+    with pytest.raises(ValueError, match="not polynomial"):
+        fields.Chart("halved", CARTESIAN_COORDS, (), lambda chart: {"x": chart.gens["x"] * (chart.gens["t"] + 2) / 2},
                      ((("x",), ("x",)),))
