@@ -25,8 +25,8 @@ A catalog id is one group per unit-circle point and choice value, the
 grid parameters left as symbols: closure and the residuals are decided
 once per group, and one rank routine ranks the invariant Jacobian and
 the basis at each sample, modulo a prime where that proves full rank and
-else exactly.  :func:`verify_entries` verifies many ids, one task per
-chart family, in forked workers when more than one CPU is usable.
+else exactly.  :func:`verify_entries` verifies many ids, one after another,
+in this process.
 
 Every annihilation verdict is exact.  A residual V_k I, basis element k
 realized as V_k = sum_i B_ki X_i (``realize_combination``), lives in the
@@ -48,8 +48,6 @@ import ast
 import itertools
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -161,7 +159,7 @@ _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.m
               ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
-def parse(where: str, text, names: dict, gens: tuple = (), field=None):
+def parse(where: str, text, names: dict, gens: tuple = (), chart=None):
     """The sympy value of one data string, read off its Python ``ast``.
 
     The grammar is a whitelist: the symbols in ``names``, integer literals,
@@ -169,9 +167,9 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     ``Ne(x, y)``, ``Gt(x, y)`` or ``Ge(x, y)``.  Nothing is evaluated, so no
     other name (``E``, ``I``, ``pi``, ...) becomes a sympy constant.  With
     ``gens`` the string must be a linear form in those names, and its
-    coefficient list is returned.  With a chart's ``field`` the names and the
-    value are terms (:func:`_combine_terms`), and a value that is not r + sum
-    c*log(g) with no c involving a coordinate is refused.  Every constant is
+    coefficient list is returned.  With a ``chart`` the names and the value
+    are terms over its field (:func:`_combine_terms`), and a value that is not
+    r + sum c*log(g) with no c involving a coordinate is refused.  Every constant is
     real and rational: an exponent must be an integer literal, possibly
     negated, and a log's argument must involve a coordinate, not the
     parameters alone.  Anything outside the grammar, a zero divisor
@@ -182,13 +180,14 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     def fail(why: str):
         raise DataError(f"{where}: cannot read {text!r}: {why}")
 
-    number = (lambda v: (field(v), ())) if field else sp.Integer
-    functions = _FUNCTIONS if not field else {  # the log of a nonzero rational term is a log term
+    field = chart and chart.field
+    number = (lambda v: (field(v), ())) if chart else sp.Integer
+    functions = _FUNCTIONS if not chart else {  # the log of a nonzero rational term is a log term
         "Abs": lambda x: None,
         "log": lambda x: None if x is None or x[1] else (field.zero, ((field.one, x[0]),))}
 
     def constant(x) -> bool:  # of the parameters alone
-        if not field:
+        if not chart:
             return x.free_symbols <= set(PARAM_SYMBOLS)
         return x is not None and not x[1] and not _has_coordinate(x[0])
 
@@ -196,9 +195,9 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
         va, vb = isinstance(a, list), isinstance(b, list)
         if op is operator.truediv and not vb and b == number(0):
             fail("division by zero")
-        if field:
+        if chart:
             try:
-                return _combine_terms(op, a, b)
+                return _combine_terms(chart, op, a, b)
             except ZeroDivisionError:  # 0**n, n < 0
                 fail("division by zero")
         if not (va or vb):
@@ -242,12 +241,12 @@ def parse(where: str, text, names: dict, gens: tuple = (), field=None):
     match tree:
         case ast.Call(func=ast.Name(id=rel), args=[x, y], keywords=[]) if not gens and rel in _RELATIONALS:
             x, y = build(x), build(y)
-            value = None if field else _RELATIONALS[rel](x, y)
+            value = None if chart else _RELATIONALS[rel](x, y)
         case _:
             value = build(tree)
     if isinstance(value, list) != bool(gens):
         fail(f"not linear in {', '.join(gens)}" if gens else "not a scalar")
-    if field and (value is None or any(_has_coordinate(c) for c, _ in value[1])):
+    if chart and (value is None or any(_has_coordinate(c) for c, _ in value[1])):
         fail("not a rational function plus constant multiples of logs in the chart's field")
     return value
 
@@ -266,16 +265,18 @@ def _is_integer_literal(node) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) is int
 
 
-def _combine_terms(op, a, b):
-    """``op`` on two terms: r + sum c*log(g) over a chart's field as the pair
-    (r, ((c, g), ...)) that ``Chart.gradient`` differentiates, or None for a
-    value of another form (a log of a log or in a divisor, a product of
-    logs, a power that is no integer, Abs)."""
+def _combine_terms(chart: Chart, op, a, b):
+    """``op`` on two terms: r + sum c*log(g) over the ``chart``'s field as the
+    pair (r, ((c, g), ...)) that ``Chart.gradient`` differentiates, or None for
+    a value of another form (a log of a log or in a divisor, a product of
+    logs, a power that is no integer, Abs).  A sum is ``Chart.total``."""
     if a is None or b is None:
         return None
     (r, p), (s, q) = (b, a) if op is operator.mul and a[1] else (a, b)  # logs in the second factor
     if op in (operator.add, operator.sub):
-        return op(r, s), p + tuple((c if op is operator.add else -c, g) for c, g in q)
+        if op is operator.sub:
+            s, q = -s, tuple((-c, g) for c, g in q)
+        return chart.total([(chart.field.one, r), (chart.field.one, s)]), p + q
     if op is operator.mul and not p:
         return r * s, tuple((r * c, g) for c, g in q)
     if op is operator.truediv and not q:
@@ -301,7 +302,7 @@ class _Invariants:
         self.names = dict(zip(chart.coords, chart.symbols)) | _PARAM_SYMS
         bound = {k: (g, ()) for k, g in chart.gens.items()}
         bound |= {s.name: (chart.element(v), ()) for s, v in subs.items()}
-        self.terms = [parse(where, s, bound, field=chart.field) for s in texts]
+        self.terms = [parse(where, s, bound, chart=chart) for s in texts]
 
     @cached_property
     def _exprs(self) -> tuple:
@@ -534,7 +535,7 @@ def _group_ranks(chart: Chart, matrices: list, grids: list[dict]) -> list[list[i
         F = [[fixed(f) for f in row] for row in M]
         for g, out in zip(grids, ranks):
             try:
-                vals = point | {K.symbols.index(s): res(v) for s, v in g.items()}
+                vals = point | {chart._gen[s.name]: res(v) for s, v in g.items()}
                 rank = _rank_mod_p([[x if isinstance(x, int) else value(x, vals) for x in row] for row in F])
             except (KeyError, ValueError):  # a pole mod P
                 rank = 0
@@ -607,7 +608,7 @@ def verify_entry(entry_id: str) -> VerificationReport:
         entry = _instantiate(row, {**bindings[0], **{n: _PARAM_SYMS[n] for n in row.grid}})
         reports = _verify_group(entry, [{n: b[n] for n in row.grid} for b in bindings])
         for binding, rep in zip(bindings, reports):
-            samples.append({"params": {k: str(v) for k, v in binding.items()}, **rep})
+            samples.append({"params": binding, **rep})
 
     return VerificationReport(
         entry_id=entry_id,
@@ -619,65 +620,6 @@ def verify_entry(entry_id: str) -> VerificationReport:
     )
 
 
-def _usable_cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def fork_cpus() -> int:
-    """The CPUs that processes forked from this one may use: the usable CPUs
-    where ``os.fork`` exists and no other thread runs, else 1.  A fork
-    copies only the calling thread, so beside another one it may copy a
-    lock that thread holds."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return _usable_cpus()
-
-
-def _chart_tasks(ids: list[str]) -> list[tuple[str, ...]]:
-    """The ids grouped by their catalog.yaml chart family (C, D, Dshift,
-    S), each id once, so that the charts and realized generators of the
-    family's charts are built in one task, ranked by the ids' unit-circle
-    points times choice values (C, Dshift, D, S).  Alone in a fresh process
-    a task takes about C 0.12-0.15 s, Dshift 0.14-0.15 s, D 0.10-0.12 s and
-    S 0.04-0.07 s (2 vCPU, Python 3.11, sympy 1.14)."""
-    families: dict[str, list[str]] = {}
-    for eid in dict.fromkeys(ids):
-        families.setdefault(_raw_entries()[eid].get("chart", "D"), []).append(eid)
-
-    def groups(eid: str) -> int:
-        schema = entry_schema(eid)
-        points = len(UNIT_CIRCLE) if schema["unit_circle"] else 1
-        return points * math.prod(len(v) for v in schema["choices"].values())
-
-    tasks = [tuple(family) for family in families.values()]
-    return sorted(tasks, key=lambda task: -sum(map(groups, task)))
-
-
-def _verify_task(ids: tuple[str, ...]) -> list[VerificationReport]:
-    return [verify_entry(eid) for eid in ids]
-
-
 def verify_entries(ids: list[str]) -> list[VerificationReport]:
-    """:func:`verify_entry` of each id, in the order of ``ids``.
-
-    No entry's verdict reads another's, so the chart families of
-    :func:`_chart_tasks` are independent tasks.  With more than one task
-    and more than one of :func:`fork_cpus`, they run in a pool of
-    min(tasks, CPUs) workers forked from this process: a fork shares the
-    import-time heap copy-on-write, where a spawned worker would import
-    sympy again.  Otherwise the same tasks run here, one after another.
-    """
-    tasks = _chart_tasks(ids)
-    workers = min(len(tasks), fork_cpus())
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            done = pool.map(_verify_task, tasks, chunksize=1)
-            pool.close()  # let the workers exit on their own, not by SIGTERM
-            pool.join()
-    else:
-        done = map(_verify_task, tasks)
-    reports = {rep.entry_id: rep for reps in done for rep in reps}
-    return [reports[eid] for eid in ids]
+    """:func:`verify_entry` of each id, in the order of ``ids``."""
+    return [verify_entry(eid) for eid in ids]

@@ -218,7 +218,7 @@ def cmd_trace(args, report: dict) -> bool:
     except ValueError as exc:  # a bad time range or step
         raise UsageError(str(exc))
     if args.out is not None:  # a forked process formats half of the rows
-        _write(args.out, lambda: numerics.write_csv(tr, args.out, catalog.fork_cpus() > 1))
+        _write(args.out, lambda: numerics.write_csv(tr, args.out, numerics.fork_cpus() > 1))
     report["traces"] = [
         {
             "kind": args.kind,

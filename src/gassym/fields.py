@@ -25,10 +25,10 @@ generators (``realize_combination``, their one builder), brackets, equality
 and the annihilation verdicts run there, with one zero test
 (``Chart.is_zero``): the numerator reduced modulo sin(a)**2 + cos(a)**2 - 1
 (``exprs``) is 0.  The kernel is sparse: a structural zero is never
-differentiated, multiplied, composed or cancelled, and set-up and pushforward
-take no gcd (``Chart.quotient``).  ``Chart.gradient`` differentiates
-r + sum c*log(g) in the field, given as field elements (a catalog row) or
-read from a sympy expression (``apply``).
+differentiated, multiplied, composed or cancelled, and set-up, pushforward
+and the catalog's invariants take no gcd (``Chart.quotient``).
+``Chart.gradient`` differentiates r + sum c*log(g) in the field, given as
+field elements (a catalog row) or read from a sympy expression (``apply``).
 """
 
 from __future__ import annotations
@@ -124,19 +124,20 @@ class Chart:
             earlier += chart_coords
 
     def quotient(self, n, d):
-        """Exactly ``field.new(n, d)``, with no gcd when d is a term times powers of the
-        ``factors``: each comes out of n and d while it divides both, then the monomial
+        """Exactly ``field.new(n, d)``, with no gcd when d is powers of the ``factors``
+        times a term or times c * p**k, p primitive and linear (``_linear_base``): each
+        factor, and then p, comes out of n and d while it divides both, then the monomial
         gcd, and content and sign are set as ``PolyElement.cancel`` sets them."""
         K = self.field
         if not n:
             return K.zero
         core, rest = d, K.ring.one  # d is core * rest times what came out of n
         for p in self.factors:
-            while not (qd := divmod(core, p))[1]:
-                core, (qn, r) = qd[0], divmod(n, p)
-                n, rest = (n, rest * p) if r else (qn, rest)
+            core, n, rest = _strip(p, core, n, rest)
         if len(core) > 1:
-            return K.new(n, core * rest)
+            if not (p := _linear_base(core)):
+                return K.new(n, core * rest)
+            core, n, rest = _strip(p, core, n, rest)  # core is now c
         m = reduce(K.ring.monomial_gcd, n.itermonoms(), core.LM)
         n, d = n.quo_term((m, 1)), core.quo_term((m, 1)) * rest
         c = K.domain.gcd(n.content(), d.content()) * d.canonical_unit()
@@ -193,7 +194,12 @@ class Chart:
                 raise ValueError(f"{e} has a Jacobian entry that is not rational in the chart's field") from None
             e = r, logs
         r, logs = e
-        return [self.diff(r, x) + sum((c * self.diff(g, x) / g for c, g in logs), self.field.zero)
+
+        def dlog(g, x):  # g'/g
+            dg = self.diff(g, x)
+            return self.quotient(dg.numer * g.denom, dg.denom * g.numer)
+
+        return [self.total([(self.field.one, self.diff(r, x)), *((c, dlog(g, x)) for c, g in logs)])
                 for x in self.coords]
 
     def combination(self, terms):
@@ -203,9 +209,19 @@ class Chart:
         num, den = self.field.ring.zero, self.field.ring.one
         for a, f in terms:
             if a and f:
-                n, d = a.numer * f.numer, a.denom * f.denom
+                n = f.numer if a.numer == 1 else a.numer * f.numer
+                d = f.denom if a.denom == 1 else a.denom * f.denom
                 num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
         return self.field.raw_new(num, den)
+
+    def total(self, terms):
+        """The ``combination`` of ``terms``, cancelled by ``quotient``; a lone
+        nonzero term 1 * f is f as it is."""
+        terms = [(a, f) for a, f in terms if a and f]
+        if len(terms) == 1 and terms[0][0] == self.field.one:
+            return terms[0][1]
+        f = self.combination(terms)
+        return self.quotient(f.numer, f.denom)
 
     def is_zero(self, f) -> bool:
         """The zero test of fields and verdicts: the numerator reduces to 0."""
@@ -213,9 +229,33 @@ class Chart:
 
     def element(self, e):
         """``e``, a number, expression or element, in the field; zero is not converted."""
+        if isinstance(e, FracElement) and e.field is self.field:
+            return e
         if isinstance(e, sp.Rational):  # a ground constant p/q, with no from_expr
             return self.field.raw_new(self.field.ring(e.p), self.field.ring(e.q))
         return self.field(e) if e != 0 else self.field.zero
+
+
+def _strip(p, core, n, rest):
+    """p out of ``core`` while it divides it, each time out of n too where it
+    divides n, else into ``rest``: the new (core, n, rest)."""
+    while not (qd := divmod(core, p))[1]:
+        core, (qn, r) = qd[0], divmod(n, p)
+        n, rest = (n, rest * p) if r else (qn, rest)
+    return core, n, rest
+
+
+def _linear_base(f):
+    """The primitive linear p with f = c * p**k, or None, with no gcd: for k the
+    total degree of f, the primitive part of the (k - 1)-th derivative of f in a
+    generator of degree k, checked by multiplying out.  A primitive linear p is
+    irreducible, so what it does not divide shares no factor with it."""
+    k = max(map(sum, f.itermonoms()))
+    if (i := next((i for i, e in enumerate(f.degrees()) if e == k), None)) is None:
+        return None
+    p = reduce(lambda g, _: g.diff(i), range(k - 1), f).primitive()[1]
+    c, r = divmod(f.LC, p.LC ** k)
+    return p if not r and f == (p ** k).mul_ground(c) else None
 
 
 @lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ import ast
 import linecache
 import math
 import os
+import threading
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -303,6 +304,21 @@ def _write_rows(fh, *columns) -> None:
     values = chain.from_iterable(zip(*columns))
     while block := tuple(islice(values, 4 * CSV_BLOCK)):
         fh.write("%.17g,%.17g,%.17g,%.17g\n" * (len(block) // 4) % block)
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def fork_cpus() -> int:
+    """The CPUs that processes forked from this one may use: the usable CPUs
+    where ``os.fork`` exists and no other thread runs, else 1.  A fork
+    copies only the calling thread, so beside another one it may copy a
+    lock that thread holds."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return _usable_cpus()
 
 
 def write_csv(tr: Trajectory, path, fork: bool = False) -> None:

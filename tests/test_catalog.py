@@ -4,17 +4,15 @@ import contextlib
 import dataclasses
 import io
 import operator
-import multiprocessing
-import multiprocessing.util
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from unittest import mock
 
 import pytest
 import sympy as sp
+import sympy.polys.rings as rings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.core.cache import clear_cache
@@ -380,6 +378,23 @@ def test_catalog_builds_no_sympy_sum(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_catalog_takes_no_gcd(monkeypatch, capsys):
+    # every denominator that a pass, the --params campaigns and a 4.42 draw
+    # cancel is a term, or c*p**k with p primitive and linear, times the
+    # declared factors, so sympy's heuristic gcd never runs; FracElement
+    # arithmetic on the invariants' sums and log derivatives would run it
+    calls, heugcd = [], rings.heugcd
+    monkeypatch.setattr(rings, "heugcd", lambda f, g: calls.append(1) or heugcd(f, g))
+    _fresh_catalog_caches()
+    for eid in catalog_ids():
+        verify_entry(eid)
+    for eid, params in [*PARAMS_RUNS, ("4.42", "a=3/5,b=-4/5,eps=1")]:
+        _fresh_catalog_caches()
+        assert cli.main(["verify-invariants", eid, "--params", params]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
 def test_catalog_pass_reads_rationals_as_ground_constants(monkeypatch):
     # Chart.element converts a sympy Rational (mostly the basis entries 1
     # and -1) with no FracField.from_expr: 277 of a pass's 378 calls read
@@ -404,14 +419,13 @@ def test_catalog_pass_reads_rationals_as_ground_constants(monkeypatch):
 
 
 def test_catalog_campaigns_leave_sympy_tensor_unimported():
-    # every chart family's task and the --params campaigns, in a fresh
+    # a pass over every id and the --params campaigns, in a fresh
     # process: sympy.tensor.tensor, which the first Add.flatten imports,
     # is never imported
     code = f"""
 import contextlib, io, sys
 from gassym import catalog, cli
-for task in catalog._chart_tasks(catalog.catalog_ids()):
-    catalog._verify_task(task)
+catalog.verify_entries(catalog.catalog_ids())
 with contextlib.redirect_stdout(io.StringIO()):
     for eid, params in {PARAMS_RUNS!r}:
         assert cli.main(["verify-invariants", eid, "--params", params]) == 0
@@ -546,12 +560,13 @@ def test_rank_deficient_mod_p_falls_back_to_the_field(monkeypatch):
 def test_power_exponent_is_exact():
     # the chart field is over ZZ, so a ground exponent is a pair of ints:
     # in floats (10**20 + 1)/10**20 would read as the integer 1
-    K = fields.chart_D().field
+    chart = fields.chart_D()
+    K = chart.field
     x, huge = K.gens[1], K(10**20 + 1) / K(10**20)
-    assert catalog._combine_terms(operator.pow, (x, ()), (huge, ())) is None
-    assert catalog._combine_terms(operator.pow, (x, ()), (K(-2), ())) == (x**-2, ())
+    assert catalog._combine_terms(chart, operator.pow, (x, ()), (huge, ())) is None
+    assert catalog._combine_terms(chart, operator.pow, (x, ()), (K(-2), ())) == (x**-2, ())
     with pytest.raises(ZeroDivisionError):
-        catalog._combine_terms(operator.pow, (K.zero, ()), (-huge, ()))
+        catalog._combine_terms(chart, operator.pow, (K.zero, ()), (-huge, ()))
 
 
 def test_rank_skips_point_on_a_pole(monkeypatch):
@@ -852,102 +867,26 @@ def test_entry_rank_is_the_least_sample_rank(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# many ids: one task per chart family, in forked workers
-
-
-def test_chart_tasks_partition_the_ids_by_chart():
-    # each id in one task, one task per chart, the family with the most
-    # unit-circle points times choice values first (17, 12, 9 and 2)
-    tasks = catalog._chart_tasks(list(reversed(ALL_IDS)))
-    assert sorted(eid for task in tasks for eid in task) == sorted(ALL_IDS)
-    assert [{catalog._row(eid).chart for eid in task} for task in tasks] == [
-        {"C"}, {"Dshift"}, {"D"}, {"S"}]
-    assert [len(task) for task in tasks] == [13, 6, 7, 2]
-    assert catalog._chart_tasks(["4.1", "4.42", "4.1"]) == [("4.42",), ("4.1",)]
-
-
-def _stub_verify_entry(monkeypatch, cpus: int, fail_on: str | None = None):
-    """Usable CPUs patched to ``cpus``, and verify_entry to a passing
-    report that carries the pid of the process that made it."""
-    def stub(eid):
-        if eid == fail_on:
-            raise ConstraintError(f"entry {eid}: stub failure")
-        rep = catalog.VerificationReport(eid, True, {}, 5)
-        rep.pid = os.getpid()
-        return rep
-
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(catalog, "verify_entry", stub)
-
-
-def _assert_no_worker_left(pids=()):
-    assert multiprocessing.active_children() == []
-    for pid in pids:  # exited and reaped
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_verify_entries_runs_the_chart_families_in_workers(monkeypatch, cpus):
-    _stub_verify_entry(monkeypatch, cpus)
-    ids = list(reversed(ALL_IDS))
-    reports = catalog.verify_entries(ids)
-    assert [rep.entry_id for rep in reports] == ids
-    pid = {rep.entry_id: rep.pid for rep in reports}
-    workers = set(pid.values()) - {os.getpid()}
-    assert len(workers) <= 2 and (workers == set(pid.values())) == (cpus > 1)
-    for task in catalog._chart_tasks(ids):
-        assert len({pid[eid] for eid in task}) == 1
-    _assert_no_worker_left(workers)
-
-
-def test_workers_exit_through_their_finalizers(monkeypatch, tmp_path):
-    # a worker that ends on its own runs multiprocessing's finalizers,
-    # where a per-process record can be saved; SIGTERM would skip them
-    def verify_entry(eid):
-        if not (mark := tmp_path / str(os.getpid())).exists():
-            mark.write_text("running")
-            multiprocessing.util.Finalize(None, mark.write_text, args=("finalized",), exitpriority=0)
-        return catalog.VerificationReport(eid, True, {}, 5)
-
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(catalog, "verify_entry", verify_entry)
-    catalog.verify_entries(ALL_IDS)
-    marks = {p.name: p.read_text() for p in tmp_path.iterdir()}
-    assert marks and str(os.getpid()) not in marks
-    assert set(marks.values()) == {"finalized"}
-    _assert_no_worker_left(map(int, marks))
-
-
-def test_verify_entries_does_not_fork_beside_another_thread(monkeypatch):
-    _stub_verify_entry(monkeypatch, 2)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        reports = catalog.verify_entries(ALL_IDS)
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert {rep.pid for rep in reports} == {os.getpid()}
+# many ids: one after another, in this process
 
 
 def test_error_in_a_worker_reaches_the_caller(monkeypatch):
-    _stub_verify_entry(monkeypatch, 2, fail_on="4.42")
+    def stub(eid):
+        if eid == "4.42":
+            raise ConstraintError(f"entry {eid}: stub failure")
+        return catalog.VerificationReport(eid, True, {}, 5)
+
+    monkeypatch.setattr(catalog, "verify_entry", stub)
     with pytest.raises(ConstraintError, match="entry 4.42: stub failure"):
         catalog.verify_entries(ALL_IDS)
-    _assert_no_worker_left()
 
 
 def test_non_rational_jacobian_entry_is_refused_in_a_worker(monkeypatch):
-    # raised where the worker instantiates 4.1, and again in the caller
+    # raised where 4.1 is instantiated
     row, row_of = catalog._row("4.1"), catalog._row
     assert row.invariants[3] == "P - log(t)"
     mutant = dataclasses.replace(row, invariants=(*row.invariants[:3], "P - log(t) - t*log(t)"))
     monkeypatch.setattr(catalog, "_row", lambda eid: mutant if eid == "4.1" else row_of(eid))
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
     with pytest.raises(catalog.DataError, match=r"^entry 4\.1: cannot read 'P - log\(t\) - t\*log\(t\)': not a rational "
                                                 r"function plus constant multiples of logs in the chart's field$"):
         catalog.verify_entries(["4.1", "4.77"])
-    _assert_no_worker_left()

@@ -2,8 +2,6 @@
 
 import argparse
 import json
-import multiprocessing
-import multiprocessing.pool
 import os
 import shlex
 import shutil
@@ -16,7 +14,7 @@ import pytest
 import sympy as sp
 
 import gassym
-from gassym import catalog
+from gassym import catalog, numerics
 from gassym.cli import _build_parser, _parse_params, main
 
 TOP_KEYS = {
@@ -538,7 +536,7 @@ def _count_forks(monkeypatch) -> list:
 )
 def test_failed_trace_leaves_no_file_and_no_process(capsys, monkeypatch, tmp_path, argv, message, cpus):
     # the CSV's formatter is forked only once the RK4 loop has succeeded
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
     made = _count_forks(monkeypatch)
     out_csv = tmp_path / "tr.csv"
     assert _run(capsys, ["trace", *argv, "--out", str(out_csv)]) == (2, "", message)
@@ -554,7 +552,7 @@ def test_failed_trace_leaves_no_file_and_no_process(capsys, monkeypatch, tmp_pat
     ids=["two-cpus", "one-cpu", "beside-a-thread", "no-out"],
 )
 def test_trace_forks_one_formatter_where_forking_is_allowed(capsys, monkeypatch, tmp_path, cpus, thread, out, forks):
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
     made = _count_forks(monkeypatch)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
@@ -575,7 +573,7 @@ def test_trace_forks_one_formatter_where_forking_is_allowed(capsys, monkeypatch,
 
 def test_unwritable_out_is_refused_before_any_fork(capsys, monkeypatch, tmp_path):
     # --out is opened before the formatter is forked
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
     made = _count_forks(monkeypatch)
     path = tmp_path / "missing" / "x.csv"
     code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--out", str(path)])
@@ -589,7 +587,7 @@ def test_unwritable_out_is_refused_before_any_fork(capsys, monkeypatch, tmp_path
 def test_out_that_takes_no_sendfile_is_written_here(capsys, monkeypatch):
     # every write to /dev/full fails, the first half's and the appended
     # second half's alike: one error line, and the formatter is reaped
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
     code, out, err = _run(capsys, ["trace", "isochoric-reduced", "--out", "/dev/full"])
     assert (code, out, err) == (2, "", "error: cannot write /dev/full: No space left on device\n")
     with pytest.raises(ChildProcessError):
@@ -693,17 +691,7 @@ def test_empty_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
 
 
 # --------------------------------------------------------------------------
-# verify-invariants over many ids: the chart families in forked workers
-
-
-def test_verify_invariants_all_is_the_same_on_one_and_two_cpus(capsys, monkeypatch):
-    runs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
-        runs.append(_run(capsys, ["verify-invariants", "all"]))
-        assert multiprocessing.active_children() == []
-    assert runs[0] == runs[1]
-    assert runs[0][0] == 0
+# verify-invariants over many ids, in this process
 
 
 def test_constraint_error_in_a_worker_is_usage_error(capsys, monkeypatch):
@@ -712,27 +700,9 @@ def test_constraint_error_in_a_worker_is_usage_error(capsys, monkeypatch):
             raise catalog.ConstraintError(f"entry {eid}: cannot decide")
         return catalog.VerificationReport(eid, True, {}, 5)
 
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(catalog, "verify_entry", verify_entry)
     code, out, err = _run(capsys, ["verify-invariants", "all"])
     assert (code, out, err) == (2, "", "error: entry 4.42: cannot decide\n")
-    assert multiprocessing.active_children() == []
-
-
-class _PoolMade(Exception):
-    pass
-
-
-def test_one_chart_family_or_params_run_in_process(capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise _PoolMade
-
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
-    for argv in (["4.77"], ["4.1", "4.2"], ["4.42", "--params", "a=3/5,b=4/5,eps=1"]):
-        assert _run(capsys, ["verify-invariants", *argv])[0] == 0
-    with pytest.raises(_PoolMade):  # two chart families
-        main(["verify-invariants", "4.1", "4.77"])
 
 
 # --------------------------------------------------------------------------
@@ -808,6 +778,22 @@ def test_closed_stdout_exits_without_traceback(lines_read):
     # after one line the rest of the table may already sit in the pipe,
     # and then nothing fails
     assert proc.returncode in ((0, 1) if lines_read else (1,))
+
+
+def test_verify_invariants_all_forks_nothing():
+    # every id in one process: no os.fork, and multiprocessing is never imported
+    code = (
+        "import contextlib, io, os, sys\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "from gassym.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify-invariants', 'all'])\n"
+        "print(code, len(forks), 'multiprocessing' in sys.modules)\n"
+    )
+    proc = _spawn(["-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out.strip()) == (0, "0 0 False"), err
 
 
 def test_import_leaves_multiprocessing_out():

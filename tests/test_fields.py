@@ -3,6 +3,7 @@
 import math
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -390,10 +391,15 @@ QUOTIENT_CHARTS = {
 def _quotient_case(draw):
     """A chart and (n, d) built from its declared factor (t**2 where it
     declares none), monomials with integer coefficients and small random
-    polynomials; d may carry the undeclared factor t + 1 or a random one.
-    The ring is over ZZ, so a rational factor p/q of n goes in as p in n and
-    q in d, and one of d as p in d and q in n."""
+    polynomials; d may carry the undeclared factor t + 1, a random one, a
+    power c*p**k of a primitive linear p in one or two generators (n then
+    carries some power of p), or the square-free quadratic t**2 + x.  The
+    ring is over ZZ, so a rational factor p/q of n goes in as p in n and q in
+    d, and one of d as p in d and q in n.  The last item says whether the
+    quotient is found with no gcd: d is a term, or c*p**k, times powers of
+    the declared factor."""
     chart = QUOTIENT_CHARTS[draw(st.sampled_from(sorted(QUOTIENT_CHARTS)))]()
+    one = chart.field.ring.one
     gens = [chart.gens[k].numer for k in ("t", chart.coords[1], "b")]
     gens += [g.numer for k, g in chart.gens.items() if k.startswith(("sin(", "cos("))][:2]
     factor = chart.factors[0] if chart.factors else gens[0] ** 2
@@ -408,22 +414,33 @@ def _quotient_case(draw):
         q = math.lcm(*(q for _, q in terms))
         return sum((m * (q // k) for m, k in terms), chart.field.ring.zero), q
 
-    (n0, qn0), (n1, qn1), (d0, qd0) = monomial(), polynomial(), monomial()
-    d1, qd1 = draw(st.sampled_from([(chart.field.ring.one, 1), (gens[0] + 1, 1), polynomial()]))
-    n = n0 * factor ** draw(st.integers(0, 3)) * n1 * qd0 * qd1
-    d = d0 * factor ** draw(st.integers(0, 3)) * d1 * qn0 * qn1
-    return chart, n, d
+    shape = draw(st.sampled_from(["term", "t + 1", "random", "linear power", "quadratic"]))
+    p = (draw(coeff) * gens[0] + draw(st.integers(-6, 6)) * gens[1] * (shape == "linear power")
+         + draw(coeff)).primitive()[1]
+    (n0, qn0), (n1, qn1) = monomial(), polynomial()
+    d0, qd0 = (draw(coeff) * one, 1) if shape == "linear power" else monomial()
+    d1, qd1 = {"term": lambda: (one, 1), "t + 1": lambda: (gens[0] + 1, 1), "random": polynomial,
+               "linear power": lambda: (p ** draw(st.integers(1, 3)), 1),
+               "quadratic": lambda: (gens[0] ** 2 + gens[1], 1)}[shape]()
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    n = n0 * factor ** i * n1 * p ** draw(st.integers(0, 3)) * qd0 * qd1
+    d = d0 * factor ** j * d1 * qn0 * qn1
+    return chart, n, d, shape == "term" or shape == "linear power" and (chart.factors or not j)
 
 
 @given(case=_quotient_case())
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_quotient_is_sympys_canonical_element(case):
-    chart, n, d = case
+    chart, n, d, gcd_free = case
     if not d:
         return
+    calls, heugcd = [], rings.heugcd
     for n in (n, chart.field.ring.zero):
-        got, want = chart.quotient(n, d), chart.field.new(n, d)
+        with mock.patch.object(rings, "heugcd", lambda f, g: calls.append(1) or heugcd(f, g)):
+            got = chart.quotient(n, d)
+        want = chart.field.new(n, d)
         assert (got.numer, got.denom) == (want.numer, want.denom)
+    assert not (gcd_free and calls)
 
 
 def test_chart_setup_and_pushforward_take_no_gcd(monkeypatch):

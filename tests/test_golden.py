@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from gassym import catalog, numerics
+from gassym import numerics
 
 import gassym
 from gassym.cli import main
@@ -121,7 +121,7 @@ def _fail_in_the_formatter(monkeypatch, fail: str):
 @pytest.mark.parametrize("fail", ["exit-at-once", "format-then-fail"])
 def test_trace_matches_golden_digest_when_the_formatter_fails(capsys, monkeypatch, tmp_path, fail):
     # the trace writes the CSV itself, with the same bytes, and exits 0
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
     _fail_in_the_formatter(monkeypatch, fail)
     lines = (GOLDEN / "trace.sha256").read_text().split("\n")
     golden = dict(reversed(line.split("  ")) for line in lines if line)

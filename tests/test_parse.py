@@ -124,10 +124,10 @@ def test_zero_to_a_negative_power_refused_in_every_mode(text):
     # as a sympy value, a term of a chart's field and a linear coefficient
     chart = fields.chart_D()
     bound = {k: (g, ()) for k, g in chart.gens.items()}
-    for string, names, gens, field in [(text, _PARAM_SYMS, (), None), (text, bound, (), chart.field),
-                                       (f"Y + {text}*X1", _PARAM_SYMS, L12_LABELS, None)]:
+    for string, names, gens, in_chart in [(text, _PARAM_SYMS, (), None), (text, bound, (), chart),
+                                          (f"Y + {text}*X1", _PARAM_SYMS, L12_LABELS, None)]:
         with pytest.raises(ValueError, match=rf"^row: cannot read {re.escape(repr(string))}: division by zero$"):
-            parse("row", string, names, gens, field)
+            parse("row", string, names, gens, in_chart)
 
 
 def _nodes(sub):
@@ -164,7 +164,7 @@ def test_every_grammar_string_is_refused_or_real_and_rational(text):
     chart = fields.chart_D()
     bound = {k: (g, ()) for k, g in chart.gens.items()} | {k: (chart.element(sp.Integer(v)), ()) for k, v in _AT.items()}
     try:
-        terms = parse("row", text, bound, field=chart.field)
+        terms = parse("row", text, bound, chart=chart)
     except catalog.DataError as exc:
         assert str(exc).startswith(f"row: cannot read {text!r}: ")
         return
